@@ -2,7 +2,7 @@
 standard attention late stages, deformable token merging, a numerical
 equivalence lab, and a static cost analyzer."""
 
-from .analyzer import audit, cost_report, count_flops, count_params, msa_flops
+from .analyzer import audit, cost_report, msa_flops
 from .blocks import (MlpBlockParams, MsaParams, PatchEmbedParams,
                      TransformerBlockParams, mlp_block, msa, patch_embed,
                      relative_bias_lookup, transformer_block)
@@ -16,8 +16,8 @@ from .errors import (ConfigError, LitError, NumericError, ShapeError,
 from .model import (ForwardRecord, LitModel, ModelConfig, StageSpec, ablate,
                     build, preset, toy_config)
 from .tensor import (BatchNormState, Tape, Tensor, backward, batch_norm,
-                     bilinear_sample, conv2d, gelu, layer_norm, matmul,
-                     softmax, softmax_cross_entropy, tensor)
+                     conv2d, gelu, layer_norm, matmul, softmax,
+                     softmax_cross_entropy, tensor)
 from .train import AdamW, TrainSettings, cosine_lr, run_training, train_step
 
 __version__ = "0.1.0"

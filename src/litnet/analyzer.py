@@ -113,12 +113,9 @@ def cost_report(model_or_config, resolution: int | None = None) -> CostReport:
     """
     config = _config_of(model_or_config)
     res = config.resolution if resolution is None else resolution
-    total_patch = 1
-    for spec in config.stages:
-        total_patch *= spec.patch_size
-    if res < total_patch or res % total_patch:
-        raise ConfigError(f"resolution {res} is not divisible by the total "
-                          f"downsampling factor {total_patch}")
+    problem = config.resolution_problem(res)
+    if problem:
+        raise ConfigError(problem)
 
     rows: list[CostRow] = []
 
@@ -186,16 +183,6 @@ def cost_report(model_or_config, resolution: int | None = None) -> CostReport:
     row("head", params=c4 * config.num_classes + config.num_classes,
         flops=c4 * config.num_classes, aux=config.num_classes)
     return CostReport(rows=rows, resolution=res)
-
-
-def count_params(model_or_config) -> CostReport:
-    """Exact per-layer count of every learnable scalar."""
-    return cost_report(model_or_config)
-
-
-def count_flops(model_or_config, resolution: int | None = None) -> CostReport:
-    """Headline MAC counts per image at the given resolution."""
-    return cost_report(model_or_config, resolution)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ float32 data.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -22,25 +23,38 @@ _U64 = struct.Struct("<Q")
 
 
 def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write named arrays (cast to float32) in insertion order."""
+    """Write named arrays (cast to float32) in insertion order.
+
+    The container is written to a temporary file in the same directory
+    and renamed over ``path`` only when complete, so a failed save
+    leaves any previous file at ``path`` as it was.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     seen: set[str] = set()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for name, arr in tensors.items():
-            if name in seen:
-                raise ValidationError(f"duplicate tensor name {name!r}")
-            seen.add(name)
-            raw = name.encode("utf-8")
-            data = np.asarray(arr, dtype="<f4")
-            if not data.flags.c_contiguous:  # ascontiguousarray would promote 0-d to 1-d
-                data = np.ascontiguousarray(data)
-            fh.write(_U64.pack(len(raw)))
-            fh.write(raw)
-            fh.write(_U64.pack(data.ndim))
-            for extent in data.shape:
-                fh.write(_U64.pack(extent))
-            fh.write(data.tobytes())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for name, arr in tensors.items():
+                if name in seen:
+                    raise ValidationError(f"duplicate tensor name {name!r}")
+                seen.add(name)
+                raw = name.encode("utf-8")
+                data = np.asarray(arr, dtype="<f4")
+                if not data.flags.c_contiguous:  # ascontiguousarray would promote 0-d to 1-d
+                    data = np.ascontiguousarray(data)
+                fh.write(_U64.pack(len(raw)))
+                fh.write(raw)
+                fh.write(_U64.pack(data.ndim))
+                for extent in data.shape:
+                    fh.write(_U64.pack(extent))
+                fh.write(data.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analyzer, equivalence
+from . import analyzer, dtm, equivalence
 from .data import load_dataset_dir, synthetic_dataset
 from .errors import ConfigError, LitError, NumericError
 from .exports import (format_audit_text, format_cost_text, write_attention_exports,
                       write_cost_csv, write_manifest, write_offset_trace,
                       write_train_log)
-from .model import ModelConfig, PRESET_NAMES, build, preset, toy_config
+from .model import (MERGE_DTM, ForwardRecord, ModelConfig, PRESET_NAMES, build,
+                    preset, toy_config)
 from .train import TrainSettings, run_training
 
 EXIT_OK = 0
@@ -45,6 +46,13 @@ def _resolve_config(args) -> tuple[str, ModelConfig]:
     if getattr(args, "config", None):
         return Path(args.config).stem, ModelConfig.load_json(args.config)
     return "toy", toy_config()
+
+
+def _dataset(args, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    if args.data == "synthetic":
+        return synthetic_dataset(args.num_images, seed=args.seed, size=config.resolution,
+                                 num_classes=config.num_classes)
+    return load_dataset_dir(args.data)
 
 
 def _manifest(args, out_dir: Path, extra: dict | None = None) -> None:
@@ -71,9 +79,7 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 
-def cmd_audit(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_audit(args, out_dir: Path) -> int:
     if args.preset == "all":
         configs = {name: preset(name) for name in PRESET_NAMES}
     else:
@@ -113,9 +119,7 @@ def cmd_audit(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, out_dir: Path) -> int:
     kernels = args.kernel or [1, 3]
     grids = [(4, 4), (6, 6), (8, 8)]
     results: dict = {"fc_vs_1x1": None, "msa_vs_conv": [], "receptive_field": []}
@@ -175,16 +179,9 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
-    if args.data == "synthetic":
-        images, labels = synthetic_dataset(args.num_images, seed=args.seed,
-                                           size=config.resolution,
-                                           num_classes=config.num_classes)
-    else:
-        images, labels = load_dataset_dir(args.data)
+    images, labels = _dataset(args, config)
     settings = TrainSettings(epochs=args.epochs, batch_size=args.batch_size,
                              lr=args.lr, offset_lr=args.offset_lr,
                              weight_decay=args.weight_decay,
@@ -217,23 +214,18 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_inspect(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_inspect(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
     model = build(config, seed=args.seed)
     if args.checkpoint:
         model.load(args.checkpoint)
-    if args.data == "synthetic":
-        images, _ = synthetic_dataset(args.num_images, seed=args.seed,
-                                      size=config.resolution,
-                                      num_classes=config.num_classes)
-    else:
-        images, _ = load_dataset_dir(args.data)
+    images, _ = _dataset(args, config)
 
     grids = config.grids()
     if args.mode == "attn":
         stage = args.stage
+        if not 1 <= stage <= 4:
+            raise ConfigError(f"--stage must be 1-4, got {stage}")
         if config.stages[stage - 1].block_kind != "transformer":
             raise ConfigError(f"stage {stage} has no self-attention layers; "
                               "the first two stages use MLP blocks")
@@ -248,7 +240,12 @@ def cmd_inspect(args) -> int:
         files = write_attention_exports(out_dir, attn, (h, w), queries)
         print(f"wrote {len(files)} attention export files to {out_dir}")
     else:
-        model.forward(images, mode="train")
+        plain = sorted({s.merge_kind for s in config.stages[1:]} - {MERGE_DTM})
+        if plain:
+            raise ConfigError(f"{', '.join(plain)} merges have no offset predictor; "
+                              f"offset traces need {MERGE_DTM!r} merges in stages 2-4")
+        record = ForwardRecord()
+        model.forward(images, mode="train", record=record)
         h4, w4 = grids[3]
         if args.token == "all":
             tokens = [(y, x) for y in range(h4) for x in range(w4)]
@@ -257,7 +254,7 @@ def cmd_inspect(args) -> int:
         else:
             tokens = [(h4 // 2, w4 // 2)]
         for token in tokens:
-            coords = model.trace_offsets(token)
+            coords = dtm.trace_offsets(record.offsets, token)
             path = out_dir / f"offsets_token{token[0]}_{token[1]}.csv"
             write_offset_trace(path, token, coords)
         print(f"wrote {len(tokens)} offset trace files to {out_dir}")
@@ -330,14 +327,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return args.func(args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except LitError as exc:
+    except (LitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,10 +1,13 @@
-"""Deformable convolution and the deformable token merging module.
+"""Deformable convolution and the token merging module.
 
 A deformable convolution samples the input at the regular kernel grid
 shifted by learned, input-dependent offsets (predicted by a plain conv
 over the same input), evaluated with bilinear interpolation. Token
-merging composes one deformable conv with batch norm and GELU and halves
-the spatial extents.
+merging composes one such conv with batch norm and GELU and halves the
+spatial extents. Deformable token merging (DTM) has the offset
+predictor; the uniform patch-merging baseline is the same module
+without it, a stride-2 2x2 conv, which is what the deformable conv
+computes when every offset is zero.
 """
 
 from __future__ import annotations
@@ -31,17 +34,19 @@ def tap_grid(kernel: int) -> np.ndarray:
 
 @dataclass
 class DeformableConvParams:
-    """Main kernel plus the offset-predicting conv (same kernel and stride).
+    """Main kernel plus an optional offset-predicting conv (same kernel
+    and stride).
 
     The offset conv has 2*K*K output channels, (dy, dx) per tap, and is
     zero-initialized in both weights and biases so initial offsets are
-    exactly zero.
+    exactly zero. Without it (``offset_w`` and ``offset_b`` None) only
+    the regular grid is sampled, so ``deformable_conv`` does not apply.
     """
 
-    w: Tensor          # [K, K, Cin, Cout]
-    b: Tensor          # [Cout]
-    offset_w: Tensor   # [K, K, Cin, 2*K*K]
-    offset_b: Tensor   # [2*K*K]
+    w: Tensor                 # [K, K, Cin, Cout]
+    b: Tensor                 # [Cout]
+    offset_w: Tensor | None   # [K, K, Cin, 2*K*K]
+    offset_b: Tensor | None   # [2*K*K]
     stride: int
     padding: int = 0
 
@@ -51,22 +56,22 @@ class DeformableConvParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, cin: int, cout: int,
-               kernel: int = 2, stride: int = 2, dtype=np.float32) -> "DeformableConvParams":
+               kernel: int = 2, stride: int = 2, dtype=np.float32,
+               deformable: bool = True) -> "DeformableConvParams":
         return cls(
             w=weight(rng, (kernel, kernel, cin, cout), dtype),
             b=zeros(cout, dtype),
-            offset_w=zeros((kernel, kernel, cin, 2 * kernel * kernel), dtype),
-            offset_b=zeros(2 * kernel * kernel, dtype),
+            offset_w=zeros((kernel, kernel, cin, 2 * kernel * kernel), dtype) if deformable else None,
+            offset_b=zeros(2 * kernel * kernel, dtype) if deformable else None,
             stride=stride,
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.conv.w": self.w,
-            f"{prefix}.conv.b": self.b,
-            f"{prefix}.offset_conv.w": self.offset_w,
-            f"{prefix}.offset_conv.b": self.offset_b,
-        }
+        out = {f"{prefix}.conv.w": self.w, f"{prefix}.conv.b": self.b}
+        if self.offset_w is not None:
+            out[f"{prefix}.offset_conv.w"] = self.offset_w
+            out[f"{prefix}.offset_conv.b"] = self.offset_b
+        return out
 
 
 def deformable_conv(x: Tensor, p: DeformableConvParams) -> tuple[Tensor, np.ndarray]:
@@ -98,7 +103,10 @@ def deformable_conv(x: Tensor, p: DeformableConvParams) -> tuple[Tensor, np.ndar
 
 @dataclass
 class DtmParams:
-    """Deformable token merging: GELU(BN(DC(x))), stride-2 2x2 kernel."""
+    """Token merging: GELU(BN(DC(x))), stride-2 2x2 kernel.
+
+    ``dc`` has an offset predictor for DTM and none for the uniform merge.
+    """
 
     dc: DeformableConvParams
     bn_g: Tensor
@@ -107,9 +115,10 @@ class DtmParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, cin: int, cout: int,
-               dtype=np.float32) -> "DtmParams":
+               dtype=np.float32, deformable: bool = True) -> "DtmParams":
         return cls(
-            dc=DeformableConvParams.create(rng, cin, cout, kernel=2, stride=2, dtype=dtype),
+            dc=DeformableConvParams.create(rng, cin, cout, kernel=2, stride=2, dtype=dtype,
+                                           deformable=deformable),
             bn_g=ones(cout, dtype),
             bn_b=zeros(cout, dtype),
         )
@@ -129,60 +138,21 @@ class DtmParams:
         }
 
 
-def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, np.ndarray]:
-    """Merge tokens: halve each spatial extent, map Cin to Cout channels."""
+def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, np.ndarray | None]:
+    """Merge tokens: halve each spatial extent, map Cin to Cout channels.
+
+    Returns the merged map and the offset field of the deformable conv,
+    or None when the merge has no offset predictor.
+    """
     _, h, w, _ = x.shape
     if h % 2 or w % 2:
         raise ConfigError(f"token merging requires even spatial extents, got {h}x{w}")
-    y, offsets = deformable_conv(x, p.dc)
+    if p.dc.offset_w is None:
+        y, offsets = conv2d(x, p.dc.w, p.dc.b, p.dc.stride, p.dc.padding), None
+    else:
+        y, offsets = deformable_conv(x, p.dc)
     y = batch_norm(y, p.bn_g, p.bn_b, p.bn_state, mode, BN_MOMENTUM, BN_EPS)
     return gelu(y), offsets
-
-
-@dataclass
-class UniformMergeParams:
-    """Regular-grid merge baseline: GELU(BN(strided 2x2 conv))."""
-
-    w: Tensor
-    b: Tensor
-    bn_g: Tensor
-    bn_b: Tensor
-    bn_state: BatchNormState = field(default_factory=BatchNormState)
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, cin: int, cout: int,
-               dtype=np.float32) -> "UniformMergeParams":
-        return cls(
-            w=weight(rng, (2, 2, cin, cout), dtype),
-            b=zeros(cout, dtype),
-            bn_g=ones(cout, dtype),
-            bn_b=zeros(cout, dtype),
-        )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.conv.w": self.w,
-            f"{prefix}.conv.b": self.b,
-            f"{prefix}.bn.g": self.bn_g,
-            f"{prefix}.bn.b": self.bn_b,
-        }
-
-    def named_state(self, prefix: str) -> dict[str, np.ndarray]:
-        if self.bn_state.mean is None:
-            return {}
-        return {
-            f"{prefix}.bn.running_mean": self.bn_state.mean,
-            f"{prefix}.bn.running_var": self.bn_state.var,
-        }
-
-
-def uniform_merge_forward(x: Tensor, p: UniformMergeParams, mode: str = "train") -> Tensor:
-    _, h, w, _ = x.shape
-    if h % 2 or w % 2:
-        raise ConfigError(f"token merging requires even spatial extents, got {h}x{w}")
-    y = conv2d(x, p.w, p.b, stride=2, padding=0)
-    y = batch_norm(y, p.bn_g, p.bn_b, p.bn_state, mode, BN_MOMENTUM, BN_EPS)
-    return gelu(y)
 
 
 def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int],
@@ -190,11 +160,14 @@ def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int
     """Expand one final-stage token through the three merge modules.
 
     ``offset_fields`` maps stage index (2, 3, 4) to that stage's offset
-    field [N, Ho, Wo, K*K, 2]. Starting from the token's location on the
-    stage-4 grid, each merge expands a position q into 2q + tap + offset
-    for its four taps; offsets at fractional positions are looked up at
-    the nearest grid location. The 4^3 = 64 leaf positions land on the
-    stage-1 grid and are mapped to image pixels by the patch size.
+    field [N, Ho, Wo, K*K, 2], as ``ForwardRecord.offsets`` holds them
+    after a forward pass of a model with DTM merges. ``token`` must lie
+    on the stage-4 grid, whose extents are those of the stage-4 field.
+    Starting from the token's location there, each merge expands a
+    position q into 2q + tap + offset for its four taps; offsets at
+    fractional positions are looked up at the nearest grid location.
+    The 4^3 = 64 leaf positions land on the stage-1 grid and are mapped
+    to image pixels by the patch size.
 
     Returns [64, 2] (image_y, image_x), leaf index k4*16 + k3*4 + k2.
     With all offsets zero the leaves tile the token's 32x32 image
@@ -202,7 +175,11 @@ def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int
     """
     for stage in (2, 3, 4):
         if stage not in offset_fields:
-            raise StateError(f"no offset field recorded for the stage-{stage} merge; run a forward pass first")
+            raise StateError(f"no offset field recorded for the stage-{stage} merge; "
+                             "record a forward pass of a model with DTM merges first")
+    h4, w4 = np.shape(offset_fields[4])[1:3]
+    if not (0 <= token[0] < h4 and 0 <= token[1] < w4):
+        raise ConfigError(f"token {token} outside the {h4}x{w4} final-stage grid")
 
     taps = tap_grid(2).astype(np.float64)
     positions = [np.asarray(token, dtype=np.float64)]

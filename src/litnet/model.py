@@ -4,18 +4,18 @@ the four-stage forward pass."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_type_hints
 
 import numpy as np
 
-from . import dtm as dtm_mod
 from .blocks import (MlpBlockParams, PatchEmbedParams, TransformerBlockParams,
                      mlp_block, patch_embed, transformer_block)
 from .checkpoint import load_tensors, save_tensors
-from .dtm import DtmParams, UniformMergeParams, dtm_forward, uniform_merge_forward
-from .errors import ConfigError, StateError
+from .dtm import DtmParams, dtm_forward
+from .errors import ConfigError
 from .init import ones, weight, zeros
 from .tensor import Tensor, add, layer_norm, matmul, mean_axis, reshape
 
@@ -31,6 +31,21 @@ FINAL_LN_EPS = 1e-5
 ABSOLUTE_POS_STAGES = (3, 4)
 
 
+def _fields_from_dict(cls, data, what: str) -> dict:
+    """The value in ``data`` of each field of the dataclass ``cls``, checked
+    so that a malformed config file fails before any arithmetic on it."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{what} must be an object, got {data!r}")
+    names = [f.name for f in fields(cls)]
+    for problem, keys in (("unknown", set(data) - set(names)), ("missing", set(names) - set(data))):
+        if keys:
+            raise ConfigError(f"{problem} {what} keys: {sorted(keys)}")
+    for name, kind in get_type_hints(cls).items():
+        if kind in (int, str) and type(data[name]) is not kind:
+            raise ConfigError(f"{what} key {name!r} must be {kind.__name__}, got {data[name]!r}")
+    return {name: data[name] for name in names}
+
+
 @dataclass(frozen=True)
 class StageSpec:
     """Per-stage hyperparameters."""
@@ -43,21 +58,12 @@ class StageSpec:
     block_kind: str
     merge_kind: str
 
-    _FIELDS = ("patch_size", "channels", "depth", "heads", "expansion",
-               "block_kind", "merge_kind")
-
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "StageSpec":
-        unknown = set(data) - set(cls._FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown stage keys: {sorted(unknown)}")
-        missing = set(cls._FIELDS) - set(data)
-        if missing:
-            raise ConfigError(f"missing stage keys: {sorted(missing)}")
-        return cls(**{k: data[k] for k in cls._FIELDS})
+        return cls(**_fields_from_dict(cls, data, "stage"))
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,13 @@ class ModelConfig:
     num_classes: int
     resolution: int
 
-    _FIELDS = ("stages", "positional_encoding", "num_classes", "resolution")
+    def resolution_problem(self, resolution: int) -> str | None:
+        """Why the stages cannot tile ``resolution`` exactly, or None."""
+        total_patch = math.prod(spec.patch_size for spec in self.stages)
+        if total_patch < 1 or resolution < total_patch or resolution % total_patch:
+            return (f"resolution {resolution} is not divisible by "
+                    f"the total downsampling factor {total_patch}")
+        return None
 
     def validate(self) -> list[str]:
         """Collect every invariant violation (empty list when valid)."""
@@ -82,12 +94,9 @@ class ModelConfig:
                             f"got {self.positional_encoding!r}")
         if self.num_classes < 1:
             problems.append(f"num_classes must be positive, got {self.num_classes}")
-        total_patch = 1
-        for spec in self.stages:
-            total_patch *= spec.patch_size
-        if self.resolution < total_patch or self.resolution % total_patch:
-            problems.append(f"resolution {self.resolution} is not divisible by "
-                            f"the total downsampling factor {total_patch}")
+        resolution_problem = self.resolution_problem(self.resolution)
+        if resolution_problem:
+            problems.append(resolution_problem)
         for idx, spec in enumerate(self.stages, start=1):
             tag = f"stage {idx}"
             if spec.depth < 1:
@@ -117,6 +126,12 @@ class ModelConfig:
                                     f"{MERGE_UNIFORM!r}, got {spec.merge_kind!r}")
         return problems
 
+    def check(self) -> None:
+        """Raise ConfigError naming every violation ``validate`` finds."""
+        problems = self.validate()
+        if problems:
+            raise ConfigError("invalid model config: " + "; ".join(problems))
+
     def grids(self, resolution: int | None = None) -> list[tuple[int, int]]:
         """Token grid (h, w) at the output of each stage."""
         res = self.resolution if resolution is None else resolution
@@ -129,30 +144,17 @@ class ModelConfig:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [s.to_dict() for s in self.stages],
-            "positional_encoding": self.positional_encoding,
-            "num_classes": self.num_classes,
-            "resolution": self.resolution,
-        }
+        return dict(asdict(self), stages=[s.to_dict() for s in self.stages])
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        unknown = set(data) - set(cls._FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = set(cls._FIELDS) - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        stages = data["stages"]
-        if not isinstance(stages, (list, tuple)):
+        values = _fields_from_dict(cls, data, "config")
+        if not isinstance(values["stages"], (list, tuple)):
             raise ConfigError("'stages' must be a list of stage objects")
-        return cls(
-            stages=tuple(StageSpec.from_dict(s) for s in stages),
-            positional_encoding=data["positional_encoding"],
-            num_classes=int(data["num_classes"]),
-            resolution=int(data["resolution"]),
-        )
+        values["stages"] = tuple(StageSpec.from_dict(s) for s in values["stages"])
+        config = cls(**values)
+        config.check()
+        return config
 
     def save_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -166,8 +168,9 @@ class ModelConfig:
         return cls.from_dict(data)
 
 
-def _stages(channels, depths, heads, expansions, kinds) -> tuple[StageSpec, ...]:
-    merges = [MERGE_LINEAR, MERGE_DTM, MERGE_DTM, MERGE_DTM]
+def _stages(channels, depths, heads, expansions, kinds,
+            merge_kind: str = MERGE_DTM) -> tuple[StageSpec, ...]:
+    merges = [MERGE_LINEAR, merge_kind, merge_kind, merge_kind]
     patch = [4, 2, 2, 2]
     return tuple(
         StageSpec(patch_size=patch[i], channels=channels[i], depth=depths[i],
@@ -208,13 +211,7 @@ def preset(name: str) -> ModelConfig:
 def toy_config(num_classes: int = 10, resolution: int = 64,
                merge_kind: str = MERGE_DTM) -> ModelConfig:
     """Width-reduced stock layout for synthetic-data experiments."""
-    merges = [MERGE_LINEAR, merge_kind, merge_kind, merge_kind]
-    stages = tuple(
-        StageSpec(patch_size=p, channels=c, depth=d, heads=n, expansion=4,
-                  block_kind=k, merge_kind=m)
-        for p, c, d, n, k, m in zip(
-            [4, 2, 2, 2], [16, 32, 48, 64], [1, 1, 2, 1], [0, 0, 3, 4], _MLP2, merges)
-    )
+    stages = _stages([16, 32, 48, 64], [1, 1, 2, 1], [0, 0, 3, 4], [4, 4, 4, 4], _MLP2, merge_kind)
     return ModelConfig(stages=stages, positional_encoding="relative",
                        num_classes=num_classes, resolution=resolution)
 
@@ -244,20 +241,18 @@ class ForwardRecord:
 class LitModel:
     """Four-stage hierarchical model built from a validated config.
 
-    Parameters are named hierarchically and immutable during forward;
-    the per-stage offset fields stashed for inspection
-    (``last_offsets``) are the one piece of mutable inspection state and
-    are not covered by the concurrent-inference guarantee.
+    Parameters are named hierarchically and immutable during forward.
+    An eval-mode forward changes no model state, so concurrent inference
+    is safe; a train-mode forward updates the batch-norm running
+    statistics. Inspection data (attention maps, DTM offset fields) goes
+    to the caller's ``ForwardRecord``.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
-        problems = config.validate()
-        if problems:
-            raise ConfigError("invalid model config:\n  " + "\n  ".join(problems))
+        config.check()
         self.config = config
         self.seed = seed
         self.dtype = np.dtype(dtype).type
-        self.last_offsets: dict[int, np.ndarray] | None = None
 
         rng = np.random.Generator(np.random.PCG64(seed))
         grids = config.grids()
@@ -271,15 +266,13 @@ class LitModel:
                 self.pos_tables[stage] = weight(rng, (h * w, c), self.dtype)
 
         relative = config.positional_encoding == "relative"
-        self.merges: dict[int, DtmParams | UniformMergeParams] = {}
+        self.merges: dict[int, DtmParams] = {}
         self.stages: list[list] = []
         for idx, spec in enumerate(config.stages, start=1):
             if idx > 1:
-                cin = config.stages[idx - 2].channels
-                if spec.merge_kind == MERGE_DTM:
-                    self.merges[idx] = DtmParams.create(rng, cin, spec.channels, self.dtype)
-                else:
-                    self.merges[idx] = UniformMergeParams.create(rng, cin, spec.channels, self.dtype)
+                self.merges[idx] = DtmParams.create(
+                    rng, config.stages[idx - 2].channels, spec.channels, self.dtype,
+                    deformable=spec.merge_kind == MERGE_DTM)
             blocks = []
             for _ in range(spec.depth):
                 if spec.block_kind == BLOCK_MLP:
@@ -367,7 +360,6 @@ class LitModel:
                               f"got {images.shape[1]}x{images.shape[2]}")
         n = images.shape[0]
         grids = self.config.grids()
-        offsets: dict[int, np.ndarray] = {}
 
         tokens = patch_embed(images, self.embed)
         for stage in range(1, 5):
@@ -376,13 +368,10 @@ class LitModel:
             if stage > 1:
                 ph, pw = grids[stage - 2]
                 cprev = self.config.stages[stage - 2].channels
-                spatial = reshape(tokens, (n, ph, pw, cprev))
-                merge = self.merges[stage]
-                if isinstance(merge, DtmParams):
-                    spatial, off = dtm_forward(spatial, merge, mode)
-                    offsets[stage] = off
-                else:
-                    spatial = uniform_merge_forward(spatial, merge, mode)
+                spatial, offsets = dtm_forward(reshape(tokens, (n, ph, pw, cprev)),
+                                               self.merges[stage], mode)
+                if record is not None and offsets is not None:
+                    record.offsets[stage] = offsets
                 tokens = reshape(spatial, (n, h * w, spec.channels))
             if stage in self.pos_tables:
                 tokens = add(tokens, self.pos_tables[stage])
@@ -396,23 +385,9 @@ class LitModel:
             if record is not None:
                 record.stage_shapes.append((n, h, w, spec.channels))
 
-        self.last_offsets = offsets
-        if record is not None:
-            record.offsets = dict(offsets)
-
         tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b, FINAL_LN_EPS)
         pooled = mean_axis(tokens, 1)
         return add(matmul(pooled, self.head_w), self.head_b)
-
-    def trace_offsets(self, token: tuple[int, int], batch_index: int = 0) -> np.ndarray:
-        """Image-plane sampling locations of one final-stage token (see dtm)."""
-        if self.last_offsets is None:
-            raise StateError("trace_offsets requires a prior forward pass")
-        h4, w4 = self.config.grids()[3]
-        ty, tx = token
-        if not (0 <= ty < h4 and 0 <= tx < w4):
-            raise ConfigError(f"token {token} outside the {h4}x{w4} final-stage grid")
-        return dtm_mod.trace_offsets(self.last_offsets, token, batch_index)
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> LitModel:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -387,26 +387,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     if b.ndim == 2:
-        out = ad @ bd
-        _add_macs(out.size * k)
-
         def bwd(g):
-            ga = g @ bd.T
-            gb = ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1])
-            return (ga, gb)
-
-        return _apply("matmul", (a, b), out, bwd)
-    if a.shape[:-2] == b.shape[:-2]:
-        out = ad @ bd
-        _add_macs(out.size * k)
-
+            return (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1]))
+    elif a.shape[:-2] == b.shape[:-2]:
         def bwd(g):
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = ad.swapaxes(-1, -2) @ g
-            return (ga, gb)
-
-        return _apply("matmul", (a, b), out, bwd)
-    raise ShapeError(f"matmul: leading axes differ, {a.shape} @ {b.shape}")
+            return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+    else:
+        raise ShapeError(f"matmul: leading axes differ, {a.shape} @ {b.shape}")
+    out = ad @ bd
+    _add_macs(out.size * k)
+    return _apply("matmul", (a, b), out, bwd)
 
 
 # --------------------------------------------------------------------------
@@ -511,32 +501,26 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         else:
             state.mean = (1.0 - momentum) * state.mean + momentum * mu
             state.var = (1.0 - momentum) * state.var + momentum * var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = centered * inv
-        out = xhat * gamma.data + beta.data
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            gx = g * gamma.data
-            dx = inv * (gx - gx.mean(axis=axes, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
-            return (dx, dgamma, dbeta)
-
-        return _apply("batch_norm", (x, gamma, beta), out, bwd)
-
-    if state.mean is None or state.var is None:
+    elif state.mean is None or state.var is None:
         raise StateError("batch_norm eval mode before any train step and without seeded stats")
-    inv = 1.0 / np.sqrt(state.var + eps)
-    xhat = (x.data - state.mean) * inv
+    else:
+        centered = x.data - state.mean
+        var = state.var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
     out = xhat * gamma.data + beta.data
 
-    def bwd_eval(g):
+    def bwd(g):
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        return (g * gamma.data * inv, dgamma, dbeta)
+        gx = g * gamma.data
+        if mode == "eval":  # the running statistics do not depend on x
+            return (gx * inv, dgamma, dbeta)
+        dx = inv * (gx - gx.mean(axis=axes, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
+        return (dx, dgamma, dbeta)
 
-    return _apply("batch_norm", (x, gamma, beta), out, bwd_eval)
+    return _apply("batch_norm", (x, gamma, beta), out, bwd)
 
 
 # --------------------------------------------------------------------------
@@ -602,16 +586,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     return _apply("conv2d", inputs, out, bwd)
 
 
-def _corner_terms(y: np.ndarray, x: np.ndarray):
-    y0 = np.floor(y)
-    x0 = np.floor(x)
-    wy1 = y - y0
-    wx1 = x - x0
-    y0 = y0.astype(np.int64)
-    x0 = x0.astype(np.int64)
-    return y0, x0, wy1, wx1
-
-
 def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
     """Bilinear samples of an NHWC map at fractional positions.
 
@@ -626,8 +600,11 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
     if not np.all(np.isfinite(positions.data)):
         raise NumericError("non-finite sampling positions")
     n, h, w, c = x.shape
-    y0, x0, wy1, wx1 = _corner_terms(positions.data[..., 0], positions.data[..., 1])
+    py, px = positions.data[..., 0], positions.data[..., 1]
+    y0, x0 = np.floor(py), np.floor(px)
+    wy1, wx1 = py - y0, px - x0
     wy0, wx0 = 1.0 - wy1, 1.0 - wx1
+    y0, x0 = y0.astype(np.int64), x0.astype(np.int64)
     nidx = np.broadcast_to(np.arange(n).reshape(n, 1, 1, 1), y0.shape)
 
     def gather(cy, cx):
@@ -658,49 +635,6 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
         return (gx, gpos)
 
     return _apply("deform_sample", (x, positions), out, bwd)
-
-
-def bilinear_sample(x: Tensor, loc: Tensor) -> Tensor:
-    """Bilinear interpolation of an HWC map at one fractional (y, x) point.
-
-    Out-of-bounds neighbors contribute zero; differentiable in ``x`` and
-    ``loc``.
-    """
-    if x.ndim != 3:
-        raise ShapeError(f"bilinear_sample expects an HWC tensor, got {x.shape}")
-    if loc.shape != (2,):
-        raise ShapeError(f"bilinear_sample expects a (y, x) pair, got shape {loc.shape}")
-    if not np.all(np.isfinite(loc.data)):
-        raise NumericError("non-finite sampling location")
-    h, w, c = x.shape
-    y0f, x0f = math.floor(loc.data[0]), math.floor(loc.data[1])
-    wy1 = float(loc.data[0] - y0f)
-    wx1 = float(loc.data[1] - x0f)
-    wy0, wx0 = 1.0 - wy1, 1.0 - wx1
-
-    def pixel(cy, cx):
-        if 0 <= cy < h and 0 <= cx < w:
-            return x.data[cy, cx, :]
-        return np.zeros(c, dtype=x.data.dtype)
-
-    v00 = pixel(y0f, x0f)
-    v01 = pixel(y0f, x0f + 1)
-    v10 = pixel(y0f + 1, x0f)
-    v11 = pixel(y0f + 1, x0f + 1)
-    out = wy0 * wx0 * v00 + wy0 * wx1 * v01 + wy1 * wx0 * v10 + wy1 * wx1 * v11
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        for cy, cx, wgt in ((y0f, x0f, wy0 * wx0), (y0f, x0f + 1, wy0 * wx1),
-                            (y0f + 1, x0f, wy1 * wx0), (y0f + 1, x0f + 1, wy1 * wx1)):
-            if 0 <= cy < h and 0 <= cx < w:
-                gx[cy, cx, :] += wgt * g
-        dfdy = (v10 - v00) * wx0 + (v11 - v01) * wx1
-        dfdx = (v01 - v00) * wy0 + (v11 - v10) * wy1
-        gloc = np.array([(g * dfdy).sum(), (g * dfdx).sum()], dtype=loc.data.dtype)
-        return (gx, gloc)
-
-    return _apply("bilinear_sample", (x, loc), out.astype(x.data.dtype), bwd)
 
 
 # --------------------------------------------------------------------------

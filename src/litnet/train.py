@@ -176,6 +176,11 @@ def save_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW,
 
 def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW) -> int:
     state = load_tensors(path)
+    missing = [k for k in (*optimizer.state_arrays(), "meta.epoch") if k not in state]
+    if missing:
+        shown = missing if len(missing) <= 3 else [*missing[:2], "...", missing[-1]]
+        raise ConfigError(f"{path} is not a training checkpoint: {len(missing)} optimizer "
+                          f"and meta records are missing ({', '.join(shown)})")
     model.load_state(state)
     optimizer.load_state_arrays(state)
     return int(state["meta.epoch"][0])

@@ -8,8 +8,8 @@ import pytest
 
 from helpers import micro_config
 from litnet.analyzer import (FLOP_TOLERANCE, PARAM_TOLERANCE, REFERENCE_COSTS,
-                             audit, cost_report, count_flops, count_params,
-                             msa_flops, offset_predictor_params)
+                             audit, cost_report, msa_flops,
+                             offset_predictor_params)
 from litnet.blocks import MsaParams, msa
 from litnet.errors import ConfigError
 from litnet.model import ablate, build, preset, toy_config
@@ -30,7 +30,7 @@ def test_fc_example_64_to_128():
 @pytest.mark.parametrize("name", list(REFERENCE_COSTS))
 def test_analyzer_totals_match_built_models(name):
     config = preset(name)
-    report = count_params(config)
+    report = cost_report(config)
     model = build(config, seed=0)
     actual = sum(p.data.size for p in model.named_params().values())
     assert report.total_params == actual
@@ -40,7 +40,7 @@ def test_analyzer_totals_match_micro_model():
     config = micro_config()
     model = build(config, seed=0)
     actual = sum(p.data.size for p in model.named_params().values())
-    assert count_params(config).total_params == actual
+    assert cost_report(config).total_params == actual
 
 
 def test_counting_is_static_and_deterministic():
@@ -59,8 +59,8 @@ def test_totals_equal_row_sums():
 def test_dtm_minus_uniform_merge_is_the_offset_predictor():
     base = toy_config(merge_kind="dtm")
     uniform = toy_config(merge_kind="uniform_conv")
-    dtm_params = count_params(base).total_params
-    uni_params = count_params(uniform).total_params
+    dtm_params = cost_report(base).total_params
+    uni_params = cost_report(uniform).total_params
     expected = sum(offset_predictor_params(c) for c in (16, 32, 48))
     assert dtm_params - uni_params == expected
     assert offset_predictor_params(64) == 2 * 2 * 2 * (2 * 2 * 64 + 1) == 2056
@@ -72,8 +72,8 @@ def test_dtm_flop_overhead_is_under_one_percent():
         uniform = replace(config, stages=tuple(
             s if s.merge_kind != "dtm" else replace(s, merge_kind="uniform_conv")
             for s in config.stages))
-        f_dtm = count_flops(config).total_flops
-        f_uni = count_flops(uniform).total_flops
+        f_dtm = cost_report(config).total_flops
+        f_uni = cost_report(uniform).total_flops
         assert f_dtm > f_uni
         assert (f_dtm - f_uni) / f_dtm < 0.01
 
@@ -134,5 +134,5 @@ def test_msa_removal_strictly_reduces_flops():
         replace(cfg.stages[1], block_kind="transformer", heads=2),
         cfg.stages[2], cfg.stages[3]))
     removals = [set(), {1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}]
-    flops = [count_flops(ablate(all_msa, r)).total_flops for r in removals]
+    flops = [cost_report(ablate(all_msa, r)).total_flops for r in removals]
     assert all(a > b for a, b in zip(flops, flops[1:]))

@@ -7,7 +7,7 @@ import pytest
 from helpers import check_gradients
 from litnet.errors import ShapeError, StateError
 from litnet.tensor import (BatchNormState, Tape, Tensor, add, backward,
-                           batch_norm, bilinear_sample, conv2d, deform_sample,
+                           batch_norm, conv2d, deform_sample,
                            gather_last, gelu, layer_norm, matmul, mul, reshape,
                            scale, slice_last, softmax, softmax_cross_entropy,
                            sum_all, sum_axis, tensor, transpose)
@@ -148,21 +148,19 @@ def test_grad_conv2d(stride, padding):
     check_gradients(projected(rng, lambda: conv2d(x, w, b, stride, padding)), [x, w, b])
 
 
-def test_grad_deform_sample():
-    rng = np.random.default_rng(7)
-    x = rand(rng, 1, 6, 6, 2)
-    # fractional positions away from the bilinear lattice, some out of bounds
-    pos_data = rng.uniform(-0.7, 6.3, size=(1, 2, 2, 4, 2))
+@pytest.mark.parametrize("seed,x_shape,positions", [
+    # fractional tap positions away from the bilinear lattice, some out of bounds
+    (7, (1, 6, 6, 2), lambda rng: rng.uniform(-0.7, 6.3, size=(1, 2, 2, 4, 2))),
+    # a single interior point (N = Ho = Wo = K = 1)
+    (8, (1, 5, 5, 3), lambda rng: np.array([2.3, 1.7]).reshape(1, 1, 1, 1, 2)),
+], ids=["taps", "one_point"])
+def test_grad_deform_sample(seed, x_shape, positions):
+    rng = np.random.default_rng(seed)
+    x = rand(rng, *x_shape)
+    pos_data = positions(rng)
     pos_data += 0.01 * (np.abs(pos_data % 1.0 - 0.0) < 1e-3)
     pos = tensor(pos_data, requires_grad=True)
     check_gradients(projected(rng, lambda: deform_sample(x, pos)), [x, pos])
-
-
-def test_grad_bilinear_sample_matches_finite_differences():
-    rng = np.random.default_rng(8)
-    x = rand(rng, 5, 5, 3)
-    loc = tensor([2.3, 1.7], requires_grad=True)
-    check_gradients(projected(rng, lambda: bilinear_sample(x, loc)), [x, loc])
 
 
 def test_grad_gather_last():

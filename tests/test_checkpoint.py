@@ -69,3 +69,14 @@ def test_model_state_round_trip_bit_exact(tmp_path):
     a = model.forward(x, mode="eval").data
     b = other.forward(x, mode="eval").data
     assert a.tobytes() == b.tobytes()
+
+
+def test_failed_save_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "t.litckpt"
+    save_tensors(path, {"x": np.ones((4, 4), dtype=np.float32)})
+    before = path.read_bytes()
+    # the first record is written before the second fails to convert
+    with pytest.raises(ValueError):
+        save_tensors(path, {"x": np.zeros(3, dtype=np.float32), "bad": "not a number"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.litckpt"]

@@ -8,7 +8,7 @@ from helpers import check_gradients, deformable_conv_loop, micro_config, randomi
 from litnet.dtm import (DeformableConvParams, DtmParams, deformable_conv,
                         dtm_forward, trace_offsets)
 from litnet.errors import ConfigError, NumericError, StateError
-from litnet.model import build
+from litnet.model import ForwardRecord, build, toy_config
 from litnet.tensor import Tensor, conv2d, mul, sum_all, tensor
 
 
@@ -157,19 +157,43 @@ def test_dtm_gradients_including_offset_predictor():
 # --------------------------------------------------------------------------
 
 
+def recorded_offsets(model, images) -> dict[int, np.ndarray]:
+    record = ForwardRecord()
+    model.forward(images, mode="train", record=record)
+    return record.offsets
+
+
+def test_uniform_merge_model_equals_dtm_model_at_zero_offsets():
+    rng = np.random.default_rng(13)
+    images = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
+    dtm_model = build(toy_config(merge_kind="dtm"), seed=3)
+    uniform_model = build(toy_config(merge_kind="uniform_conv"), seed=3)
+    record = ForwardRecord()
+    uniform_logits = uniform_model.forward(images, mode="train", record=record).data
+    dtm_logits = dtm_model.forward(images, mode="train").data
+    assert uniform_logits.tobytes() == dtm_logits.tobytes()
+    assert record.offsets == {}
+
+
 def test_trace_before_forward_is_a_state_error():
-    model = build(micro_config(), seed=0)
     with pytest.raises(StateError):
-        model.trace_offsets((0, 0))
+        trace_offsets(ForwardRecord().offsets, (0, 0))
+
+
+def test_trace_rejects_a_token_outside_the_final_grid():
+    model = build(micro_config(resolution=32), seed=0)
+    fields = recorded_offsets(model, np.zeros((1, 32, 32, 3), dtype=np.float32))
+    for token in ((1, 0), (0, -1)):         # the final grid is 1x1
+        with pytest.raises(ConfigError):
+            trace_offsets(fields, token)
 
 
 def test_trace_zero_offsets_tiles_the_token_footprint():
     model = build(micro_config(resolution=64), seed=0)
     rng = np.random.default_rng(12)
-    model.forward(rng.normal(size=(1, 64, 64, 3)).astype(np.float32), mode="train")
-    h4, w4 = model.config.grids()[3]
+    fields = recorded_offsets(model, rng.normal(size=(1, 64, 64, 3)).astype(np.float32))
     token = (1, 1)
-    coords = model.trace_offsets(token)
+    coords = trace_offsets(fields, token)
     assert coords.shape == (64, 2)
     ys = sorted(set(coords[:, 0]))
     xs = sorted(set(coords[:, 1]))
@@ -179,18 +203,18 @@ def test_trace_zero_offsets_tiles_the_token_footprint():
 
 def test_trace_always_returns_64_coordinates():
     model = build(micro_config(resolution=32), seed=0)
-    model.forward(np.zeros((2, 32, 32, 3), dtype=np.float32), mode="train")
-    coords = model.trace_offsets((0, 0), batch_index=1)
+    fields = recorded_offsets(model, np.zeros((2, 32, 32, 3), dtype=np.float32))
+    coords = trace_offsets(fields, (0, 0), batch_index=1)
     assert coords.shape == (64, 2)
 
 
 def test_trace_stage2_perturbation_moves_exactly_its_leaves_by_4_delta():
     model = build(micro_config(resolution=64), seed=0)
-    model.forward(np.zeros((1, 64, 64, 3), dtype=np.float32), mode="train")
-    base = model.trace_offsets((0, 0))
+    fields = recorded_offsets(model, np.zeros((1, 64, 64, 3), dtype=np.float32))
+    base = trace_offsets(fields, (0, 0))
 
     delta = 0.375
-    fields = {s: f.copy() for s, f in model.last_offsets.items()}
+    fields = {s: f.copy() for s, f in fields.items()}
     # stage-2 merge output location (1, 1), tap 2, y component
     fields[2][0, 1, 1, 2, 0] += delta
     moved = trace_offsets(fields, (0, 0))

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import conv2d_loop, matmul_loop
 from litnet.errors import NumericError, ShapeError, StateError
-from litnet.tensor import (BatchNormState, Tensor, batch_norm, bilinear_sample,
-                           conv2d, gelu, layer_norm, matmul, softmax,
+from litnet.tensor import (BatchNormState, Tensor, batch_norm, conv2d,
+                           deform_sample, gelu, layer_norm, matmul, softmax,
                            softmax_cross_entropy, tensor)
 
 # frozen with mpmath at 50 digits: gelu(1) = 1 * Phi(1)
@@ -189,24 +189,27 @@ def test_conv2d_rejects_bad_stride_and_channels():
         conv2d(x, tensor(np.zeros((2, 2, 2, 4))), stride=0)
 
 
-def test_bilinear_sample_grid_point_and_center():
+def sample_at(img: np.ndarray, y: float, x: float) -> np.ndarray:
+    """deform_sample of one HWC map at one (y, x): N = Ho = Wo = K = 1."""
+    out = deform_sample(tensor(img[None]), tensor(np.array([y, x]).reshape(1, 1, 1, 1, 2)))
+    return out.data.reshape(img.shape[-1])
+
+
+def test_deform_sample_grid_point_and_center():
     rng = np.random.default_rng(10)
     img = rng.normal(size=(4, 4, 3))
-    at_node = bilinear_sample(tensor(img), tensor([2.0, 1.0])).data
-    assert np.array_equal(at_node, img[2, 1])
-    center = bilinear_sample(tensor(img), tensor([1.5, 2.5])).data
+    assert np.array_equal(sample_at(img, 2.0, 1.0), img[2, 1])
     want = 0.25 * (img[1, 2] + img[1, 3] + img[2, 2] + img[2, 3])
-    assert np.abs(center - want).max() < 1e-12
+    assert np.abs(sample_at(img, 1.5, 2.5) - want).max() < 1e-12
 
 
-def test_bilinear_sample_out_of_bounds_is_zero():
-    img = tensor(np.ones((3, 3, 2)))
-    assert np.array_equal(bilinear_sample(img, tensor([-5.0, -5.0])).data, [0.0, 0.0])
+def test_deform_sample_out_of_bounds_is_zero():
+    assert np.array_equal(sample_at(np.ones((3, 3, 2)), -5.0, -5.0), [0.0, 0.0])
 
 
-def test_bilinear_sample_rejects_non_finite_location():
+def test_deform_sample_rejects_non_finite_position():
     with pytest.raises(NumericError):
-        bilinear_sample(tensor(np.ones((3, 3, 1))), tensor([np.nan, 0.0]))
+        sample_at(np.ones((3, 3, 1)), np.nan, 0.0)
 
 
 def test_cross_entropy_uniform_logits():
