@@ -50,6 +50,8 @@ def _resolve_config(args) -> tuple[str, ModelConfig]:
 
 def _dataset(args, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     if args.data == "synthetic":
+        if args.num_images < 1:
+            raise ConfigError(f"--num-images must be at least 1, got {args.num_images}")
         return synthetic_dataset(args.num_images, seed=args.seed, size=config.resolution,
                                  num_classes=config.num_classes)
     return load_dataset_dir(args.data)
@@ -180,13 +182,15 @@ def cmd_verify(args, out_dir: Path) -> int:
 
 
 def cmd_train(args, out_dir: Path) -> int:
-    name, config = _resolve_config(args)
-    images, labels = _dataset(args, config)
+    if args.log_every < 1:
+        raise ConfigError(f"--log-every must be at least 1, got {args.log_every}")
     settings = TrainSettings(epochs=args.epochs, batch_size=args.batch_size,
                              lr=args.lr, offset_lr=args.offset_lr,
                              weight_decay=args.weight_decay,
                              warmup_frac=args.warmup_frac, seed=args.seed,
                              checkpoint_every=args.checkpoint_every)
+    name, config = _resolve_config(args)
+    images, labels = _dataset(args, config)
     model = build(config, seed=args.seed)
     config.save_json(out_dir / "config.json")
     _manifest(args, out_dir, {"config": config.to_dict(), "model": name})
@@ -327,6 +331,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, out_dir)

@@ -101,6 +101,8 @@ def load_dataset_dir(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     labels = np.load(labels_path)
     if images.ndim != 4 or images.shape[3] != 3:
         raise ConfigError(f"images.npy must be [N, H, W, 3], got {images.shape}")
+    if images.shape[0] == 0:
+        raise ConfigError(f"{path} holds no images")
     if labels.shape != (images.shape[0],):
         raise ConfigError(f"labels.npy shape {labels.shape} does not match {images.shape[0]} images")
     if images.dtype == np.uint8:

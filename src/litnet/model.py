@@ -314,12 +314,23 @@ class LitModel:
         return out
 
     def load_state(self, state: Mapping[str, np.ndarray]) -> None:
-        """Load parameters (and running stats when present) by name."""
+        """Load parameters (and running stats when present) by name.
+
+        Besides this model's parameters and batch-norm running stats,
+        ``state`` may hold only the optimizer (``opt.*``) and ``meta.*``
+        records of a training checkpoint; any other name is refused.
+        """
         params = self.named_params()
         missing = [n for n in params if n not in state]
         if missing:
             raise ConfigError(f"checkpoint is missing parameters: {missing[:5]}"
                               + ("..." if len(missing) > 5 else ""))
+        owned = {*params, *(f"stage{s}.merge.bn.running_{k}"
+                            for s in self.merges for k in ("mean", "var"))}
+        unexpected = [n for n in state if n not in owned and not n.startswith(("opt.", "meta."))]
+        if unexpected:
+            raise ConfigError(f"checkpoint holds names this model does not own: {unexpected[:5]}"
+                              + ("..." if len(unexpected) > 5 else ""))
         for name, t in params.items():
             arr = np.asarray(state[name], dtype=t.data.dtype)
             if arr.shape != t.data.shape:

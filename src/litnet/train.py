@@ -142,7 +142,18 @@ class TrainSettings:
     weight_decay: float = 5e-2
     warmup_frac: float = 0.05
     seed: int = 0
-    checkpoint_every: int = 50
+    checkpoint_every: int = 50   # epochs between checkpoints; 0 writes only the final one
+
+    def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("lr", "offset_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and at least 0, got {value}")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ConfigError(f"warmup_frac must lie in [0, 1], got {self.warmup_frac}")
 
 
 @dataclass

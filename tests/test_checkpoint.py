@@ -5,8 +5,8 @@ import pytest
 
 from helpers import micro_config
 from litnet.checkpoint import MAGIC, load_tensors, save_tensors
-from litnet.errors import ValidationError
-from litnet.model import build
+from litnet.errors import ConfigError, ValidationError
+from litnet.model import build, toy_config
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -69,6 +69,14 @@ def test_model_state_round_trip_bit_exact(tmp_path):
     a = model.forward(x, mode="eval").data
     b = other.forward(x, mode="eval").data
     assert a.tobytes() == b.tobytes()
+
+
+def test_a_dtm_checkpoint_does_not_load_into_a_uniform_merge_model(tmp_path):
+    path = tmp_path / "dtm.litckpt"
+    build(toy_config(), seed=0).save(path)
+    uniform = build(toy_config(merge_kind="uniform_conv"), seed=0)
+    with pytest.raises(ConfigError, match=r"does not own: \['stage2\.merge\.offset_conv\.w'.*\.\.\.$"):
+        uniform.load(path)
 
 
 def test_failed_save_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):

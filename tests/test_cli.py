@@ -4,6 +4,7 @@ code and a one-line message, never a traceback."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from litnet import cli
@@ -86,3 +87,55 @@ def test_inspect_offsets_writes_64_leaves(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 64
     assert {int(r["leaf_index"]) for r in rows} == set(range(64))
+
+
+@pytest.mark.parametrize("flag,value,fragment", [
+    ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+    ("--epochs", "0", "epochs must be at least 1, got 0"),
+    ("--checkpoint-every", "-1", "checkpoint_every must be at least 0, got -1"),
+    ("--log-every", "0", "--log-every must be at least 1, got 0"),
+    ("--lr", "nan", "lr must be finite and at least 0, got nan"),
+    ("--offset-lr", "-0.001", "offset_lr must be finite and at least 0, got -0.001"),
+    ("--weight-decay", "inf", "weight_decay must be finite and at least 0, got inf"),
+    ("--warmup-frac", "1.5", "warmup_frac must lie in [0, 1], got 1.5"),
+    ("--num-images", "0", "--num-images must be at least 1, got 0"),
+])
+def test_train_rejects_out_of_range_settings(tmp_path, capsys, flag, value, fragment):
+    # the flag comes last, so it overrides the small defaults set before it
+    code, err = run(capsys, "train", "--num-images", "4", "--epochs", "1", flag, value,
+                    "--out", str(tmp_path))
+    assert_config_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("command", [["train"], ["inspect", "--mode", "attn"], ["verify"]])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    code, err = run(capsys, *command, "--seed", "-1", "--out", str(tmp_path))
+    assert_config_error(code, err, "--seed must be at least 0, got -1")
+
+
+def test_inspect_attn_rejects_an_empty_batch(tmp_path, capsys):
+    code, err = run(capsys, "inspect", "--mode", "attn", "--num-images", "0",
+                    "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, "--num-images must be at least 1, got 0")
+    assert not (tmp_path / "out" / "attention.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["train", "--epochs", "1"], ["inspect", "--mode", "attn"]])
+def test_a_data_directory_without_images_is_a_config_error(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    np.save(data / "images.npy", np.zeros((0, 64, 64, 3), dtype=np.float32))
+    np.save(data / "labels.npy", np.zeros(0, dtype=np.int64))
+    code, err = run(capsys, *command, "--data", str(data), "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, "holds no images")
+
+
+def test_inspect_refuses_a_checkpoint_of_another_merge_kind(tmp_path, capsys):
+    ckpt = tmp_path / "dtm.litckpt"
+    build(toy_config(), seed=0).save(ckpt)
+    config = tmp_path / "uniform.json"
+    toy_config(merge_kind="uniform_conv").save_json(config)
+    code, err = run(capsys, "inspect", "--mode", "attn", "--config", str(config),
+                    "--checkpoint", str(ckpt), "--num-images", "1",
+                    "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, "does not own")

@@ -1,14 +1,19 @@
 """Forward-path contracts of the tensor primitives against independent
 oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from helpers import conv2d_loop, matmul_loop
 from litnet.errors import NumericError, ShapeError, StateError
-from litnet.tensor import (BatchNormState, Tensor, batch_norm, conv2d,
-                           deform_sample, gelu, layer_norm, matmul, softmax,
-                           softmax_cross_entropy, tensor)
+from litnet.tensor import (_GELU_BLOCK, BatchNormState, Tape, Tensor, batch_norm,
+                           conv2d, deform_sample, gelu, layer_norm, matmul, softmax,
+                           softmax_cross_entropy, sum_all, tensor)
+
+EPS32 = float(np.finfo(np.float32).eps)
 
 # frozen with mpmath at 50 digits: gelu(1) = 1 * Phi(1)
 GELU_AT_ONE = 0.8413447460685429
@@ -77,6 +82,69 @@ def test_gelu_reference_points():
     assert gelu(tensor([0.0])).data[0] == 0.0
     assert gelu(tensor([10.0])).data[0] == pytest.approx(10.0, abs=1e-6)
     assert gelu(tensor([1.0])).data[0] == pytest.approx(GELU_AT_ONE, abs=1e-15)
+
+
+def gelu64(x: np.ndarray) -> np.ndarray:
+    x = x.astype(np.float64)
+    return x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+
+
+def test_gelu_float32_is_within_4_ulps_of_float64_on_a_dense_grid():
+    x = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)
+    got = gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    err = np.abs(got - gelu64(x)) / (EPS32 * np.maximum(np.abs(x.astype(np.float64)), 1.0))
+    assert err.max() <= 4.0
+
+
+def test_gelu_float32_gradient_is_within_4_ulps_of_float64():
+    x = np.linspace(-8.0, 8.0, 3 * _GELU_BLOCK + 5, dtype=np.float32)
+    leaf = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(gelu(leaf))
+    tape.backward(loss)
+    assert leaf.grad.dtype == np.float32
+    x64 = x.astype(np.float64)
+    pdf = np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+    want = 0.5 * (1.0 + erf(x64 / math.sqrt(2.0))) + x64 * pdf
+    err = np.abs(leaf.grad - want) / (EPS32 * np.maximum(np.abs(x64), 1.0))
+    assert err.max() <= 4.0
+
+
+@pytest.mark.parametrize("size", [0, 1, _GELU_BLOCK - 1, _GELU_BLOCK, _GELU_BLOCK + 1])
+def test_gelu_float32_block_edges_equal_the_flat_result(size):
+    x = np.random.default_rng(3).normal(scale=3.0, size=_GELU_BLOCK + 7).astype(np.float32)
+    flat = gelu(Tensor(x)).data
+    assert gelu(Tensor(x[:size])).data.tobytes() == flat[:size].tobytes()
+
+
+def test_gelu_float32_non_contiguous_input_equals_the_flat_result():
+    x = np.random.default_rng(4).normal(scale=3.0, size=(300, 500)).astype(np.float32)
+    strided = x[::2, ::3]
+    assert not strided.flags.c_contiguous
+    got = gelu(Tensor(strided)).data
+    assert got.shape == strided.shape
+    assert got.tobytes() == gelu(Tensor(x)).data[::2, ::3].tobytes()
+
+
+def test_gelu_float32_on_a_tape_equals_the_eval_result():
+    x = np.random.default_rng(5).normal(scale=3.0, size=2 * _GELU_BLOCK + 3).astype(np.float32)
+    with Tape():
+        taped = gelu(Tensor(x, requires_grad=True)).data
+    assert taped.tobytes() == gelu(Tensor(x)).data.tobytes()
+
+
+@pytest.mark.parametrize("recording", [False, True], ids=["eval", "tape"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos_inf", "neg_inf"])
+def test_gelu_float32_rejects_non_finite_input(bad, recording):
+    x = np.array([0.5, bad, -1.0], dtype=np.float32)
+    with Tape(), np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        gelu(Tensor(x, requires_grad=recording))
+
+
+def test_gelu_float64_is_bit_identical_to_the_scipy_expression():
+    x = np.random.default_rng(6).normal(scale=3.0, size=10_000)
+    assert gelu(Tensor(x)).data.tobytes() == gelu64(x).tobytes()
 
 
 def test_layer_norm_constant_token_is_zeroed():

@@ -72,6 +72,16 @@ def test_train_step_runs_and_reports():
     assert 0 <= correct <= 8
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("batch_size", 0), ("seed", -1), ("checkpoint_every", -1),
+    ("lr", float("nan")), ("offset_lr", -1e-5), ("weight_decay", float("inf")),
+    ("warmup_frac", float("nan")),
+])
+def test_train_settings_reject_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainSettings(**{field: value})
+
+
 def test_training_is_bit_deterministic():
     settings = TrainSettings(epochs=2, batch_size=8, seed=5, checkpoint_every=0)
     images, labels = synthetic_dataset(16, seed=1, size=32, num_classes=3)
