@@ -129,13 +129,15 @@ class DtmParams:
         out[f"{prefix}.bn.b"] = self.bn_b
         return out
 
+    @staticmethod
+    def state_names(prefix: str) -> tuple[str, str]:
+        """Checkpoint names of the running mean and variance, set or not."""
+        return f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
+
     def named_state(self, prefix: str) -> dict[str, np.ndarray]:
         if self.bn_state.mean is None:
             return {}
-        return {
-            f"{prefix}.bn.running_mean": self.bn_state.mean,
-            f"{prefix}.bn.running_var": self.bn_state.var,
-        }
+        return dict(zip(self.state_names(prefix), (self.bn_state.mean, self.bn_state.var)))
 
 
 def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, np.ndarray | None]:

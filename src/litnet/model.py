@@ -325,8 +325,9 @@ class LitModel:
         if missing:
             raise ConfigError(f"checkpoint is missing parameters: {missing[:5]}"
                               + ("..." if len(missing) > 5 else ""))
-        owned = {*params, *(f"stage{s}.merge.bn.running_{k}"
-                            for s in self.merges for k in ("mean", "var"))}
+        stat_names = {stage: merge.state_names(f"stage{stage}.merge")
+                      for stage, merge in self.merges.items()}
+        owned = {*params, *(n for names in stat_names.values() for n in names)}
         unexpected = [n for n in state if n not in owned and not n.startswith(("opt.", "meta."))]
         if unexpected:
             raise ConfigError(f"checkpoint holds names this model does not own: {unexpected[:5]}"
@@ -338,11 +339,10 @@ class LitModel:
                                   f"does not match model shape {t.data.shape}")
             t.data = arr.copy()
         for stage, merge in self.merges.items():
-            mean_key = f"stage{stage}.merge.bn.running_mean"
+            mean_key, var_key = stat_names[stage]
             if mean_key in state:
                 merge.bn_state.mean = np.asarray(state[mean_key], dtype=self.dtype).copy()
-                merge.bn_state.var = np.asarray(
-                    state[f"stage{stage}.merge.bn.running_var"], dtype=self.dtype).copy()
+                merge.bn_state.var = np.asarray(state[var_key], dtype=self.dtype).copy()
 
     def save(self, path) -> None:
         save_tensors(path, self.named_state())

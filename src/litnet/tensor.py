@@ -15,7 +15,7 @@ the clamped odd/even rational ``erf`` of Eigen and XLA instead, computed
 in blocks of ``_GELU_BLOCK`` elements into preallocated scratch. It
 differs from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where
 eps32 is the float32 machine epsilon (2.2 measured on a dense grid over
-[-8, 8]).
+[-8, 8]). The GELU backward pass of either dtype runs in the same blocks.
 """
 
 from __future__ import annotations
@@ -486,11 +486,11 @@ def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | Non
     return out.reshape(x.shape), (phi.reshape(x.shape) if keep_cdf else None)
 
 
-def _gelu32_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """g * (Phi(x) + x * pdf(x)) of float32 data, block by block."""
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """g * (Phi(x) + x * pdf(x)), block by block into block-sized scratch."""
     gf, xf, cf = g.reshape(-1), x.reshape(-1), cdf.reshape(-1)
-    gx = np.empty(xf.size, np.float32)
-    scratch = np.empty(min(xf.size, _GELU_BLOCK), np.float32)
+    gx = np.empty(xf.size, x.dtype)
+    scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
     for lo in range(0, xf.size, _GELU_BLOCK):
         xb = xf[lo:lo + _GELU_BLOCK]
         t = scratch[:xb.size]
@@ -510,20 +510,16 @@ def gelu(x: Tensor) -> Tensor:
     Float64 data uses scipy's ``erf``. Float32 data uses the clamped
     rational ``erf`` of Eigen and XLA, evaluated in blocks; it is within
     4 * eps32 * max(|x|, 1) of the float64 result. Only a call that
-    records on a tape keeps Phi(x) for the backward pass.
+    records on a tape keeps Phi(x) for the backward pass, which is
+    blocked for both dtypes.
     """
     xd = x.data
     if xd.dtype == np.float32:
         out, cdf = _gelu32(xd, keep_cdf=_recording_tape((x,)) is not None)
-        return _apply("gelu", (x,), out, lambda g: (_gelu32_grad(g, xd, cdf),))
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = xd * cdf
-
-    def bwd(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
-
-    return _apply("gelu", (x,), out, bwd)
+    else:
+        cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+        out = xd * cdf
+    return _apply("gelu", (x,), out, lambda g: (_gelu_grad(g, xd, cdf),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -10,7 +10,7 @@ from scipy.special import erf
 from helpers import conv2d_loop, matmul_loop
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.tensor import (_GELU_BLOCK, BatchNormState, Tape, Tensor, batch_norm,
-                           conv2d, deform_sample, gelu, layer_norm, matmul, softmax,
+                           conv2d, deform_sample, gelu, layer_norm, matmul, mul, softmax,
                            softmax_cross_entropy, sum_all, tensor)
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -145,6 +145,19 @@ def test_gelu_float32_rejects_non_finite_input(bad, recording):
 def test_gelu_float64_is_bit_identical_to_the_scipy_expression():
     x = np.random.default_rng(6).normal(scale=3.0, size=10_000)
     assert gelu(Tensor(x)).data.tobytes() == gelu64(x).tobytes()
+
+
+def test_gelu_float64_gradient_is_bit_identical_to_the_full_size_expression():
+    rng = np.random.default_rng(7)
+    x = rng.normal(scale=3.0, size=2 * _GELU_BLOCK + 3)
+    g = rng.normal(size=x.size)
+    leaf = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(mul(gelu(leaf), Tensor(g)))
+    tape.backward(loss)
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    assert leaf.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
 
 
 def test_layer_norm_constant_token_is_zeroed():
