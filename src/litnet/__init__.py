@@ -15,9 +15,8 @@ from .errors import (ConfigError, LitError, NumericError, ShapeError,
                      StateError, ValidationError)
 from .model import (ForwardRecord, LitModel, ModelConfig, StageSpec, ablate,
                     build, preset, toy_config)
-from .tensor import (BatchNormState, Tape, Tensor, backward, batch_norm,
-                     conv2d, gelu, layer_norm, matmul, softmax,
-                     softmax_cross_entropy, tensor)
+from .tensor import (BatchNormState, Tape, Tensor, batch_norm, conv2d, gelu,
+                     layer_norm, matmul, softmax, softmax_cross_entropy, tensor)
 from .train import AdamW, TrainSettings, cosine_lr, run_training, train_step
 
 __version__ = "0.1.0"

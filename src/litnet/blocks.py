@@ -151,12 +151,12 @@ def _split_heads(t: Tensor, heads: int) -> Tensor:
     return transpose(reshape(t, (n, tokens, heads, dim // heads)), (0, 2, 1, 3))
 
 
-def msa(x: Tensor, p: MsaParams, attn_override=None) -> tuple[Tensor, Tensor]:
+def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention over all tokens.
 
     Returns (output, attention probabilities [N, heads, T, T]). When
-    ``attn_override`` is given it replaces the softmax output; rows must
-    sum to 1 within 1e-6.
+    ``attn_override`` (an array of [N, heads, T, T] or [heads, T, T]) is
+    given it replaces the softmax output; rows must sum to 1 within 1e-6.
     """
     n, tokens, _ = x.shape
     inner = p.inner_dim
@@ -177,7 +177,7 @@ def msa(x: Tensor, p: MsaParams, attn_override=None) -> tuple[Tensor, Tensor]:
             logits = add(logits, relative_bias_lookup(p.rel_bias, p.grid))
         attn = softmax(logits, axis=-1)
     else:
-        probs = attn_override.data if isinstance(attn_override, Tensor) else np.asarray(attn_override)
+        probs = np.asarray(attn_override)
         if probs.shape == (p.num_heads, tokens, tokens):
             probs = np.broadcast_to(probs, (n,) + probs.shape)
         if probs.shape != (n, p.num_heads, tokens, tokens):
@@ -222,10 +222,9 @@ class TransformerBlockParams:
         return out
 
 
-def transformer_block(x: Tensor, p: TransformerBlockParams,
-                      attn_override=None) -> tuple[Tensor, Tensor]:
+def transformer_block(x: Tensor, p: TransformerBlockParams) -> tuple[Tensor, Tensor]:
     """x' = x + MSA(LN(x)); out = x' + MLP(LN(x')). Returns (out, attention)."""
-    attended, attn = msa(layer_norm(x, p.ln_g, p.ln_b, LN_EPS), p.attn, attn_override)
+    attended, attn = msa(layer_norm(x, p.ln_g, p.ln_b, LN_EPS), p.attn)
     x = add(x, attended)
     return mlp_block(x, p.mlp), attn
 

@@ -218,6 +218,17 @@ def cmd_train(args, out_dir: Path) -> int:
 # --------------------------------------------------------------------------
 
 
+def _eval_record(model, images: np.ndarray) -> ForwardRecord:
+    """Attention maps and offsets of an eval-mode pass, which changes no
+    running statistics, so each image's export is independent of the batch.
+    A model without running statistics gets identity ones first."""
+    if any(merge.bn_state.mean is None for merge in model.merges.values()):
+        model.seed_norm_stats()
+    record = ForwardRecord()
+    model.forward(images, mode="eval", record=record)
+    return record
+
+
 def cmd_inspect(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
     model = build(config, seed=args.seed)
@@ -233,7 +244,8 @@ def cmd_inspect(args, out_dir: Path) -> int:
         if config.stages[stage - 1].block_kind != "transformer":
             raise ConfigError(f"stage {stage} has no self-attention layers; "
                               "the first two stages use MLP blocks")
-        attn = equivalence.export_attention_maps(model, images, stage, args.block)
+        attn = equivalence.export_attention_maps(_eval_record(model, images).attention,
+                                                 stage, args.block)
         h, w = grids[stage - 1]
         if args.query == "all":
             queries = [(y, x) for y in range(h) for x in range(w)]
@@ -248,8 +260,7 @@ def cmd_inspect(args, out_dir: Path) -> int:
         if plain:
             raise ConfigError(f"{', '.join(plain)} merges have no offset predictor; "
                               f"offset traces need {MERGE_DTM!r} merges in stages 2-4")
-        record = ForwardRecord()
-        model.forward(images, mode="train", record=record)
+        record = _eval_record(model, images)
         h4, w4 = grids[3]
         if args.token == "all":
             tokens = [(y, x) for y in range(h4) for x in range(w4)]

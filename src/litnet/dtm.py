@@ -17,6 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .blocks import PATCH_SIZE
 from .errors import ConfigError, StateError
 from .init import weight, zeros, ones
 from .tensor import (BatchNormState, Tensor, add, batch_norm, conv2d,
@@ -55,15 +56,15 @@ class DeformableConvParams:
         return self.w.shape[0]
 
     @classmethod
-    def create(cls, rng: np.random.Generator, cin: int, cout: int,
-               kernel: int = 2, stride: int = 2, dtype=np.float32,
+    def create(cls, rng: np.random.Generator, cin: int, cout: int, dtype=np.float32,
                deformable: bool = True) -> "DeformableConvParams":
+        """The merge's conv: 2x2 kernel, stride 2."""
         return cls(
-            w=weight(rng, (kernel, kernel, cin, cout), dtype),
+            w=weight(rng, (2, 2, cin, cout), dtype),
             b=zeros(cout, dtype),
-            offset_w=zeros((kernel, kernel, cin, 2 * kernel * kernel), dtype) if deformable else None,
-            offset_b=zeros(2 * kernel * kernel, dtype) if deformable else None,
-            stride=stride,
+            offset_w=zeros((2, 2, cin, 8), dtype) if deformable else None,
+            offset_b=zeros(8, dtype) if deformable else None,
+            stride=2,
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -117,8 +118,7 @@ class DtmParams:
     def create(cls, rng: np.random.Generator, cin: int, cout: int,
                dtype=np.float32, deformable: bool = True) -> "DtmParams":
         return cls(
-            dc=DeformableConvParams.create(rng, cin, cout, kernel=2, stride=2, dtype=dtype,
-                                           deformable=deformable),
+            dc=DeformableConvParams.create(rng, cin, cout, dtype, deformable),
             bn_g=ones(cout, dtype),
             bn_b=zeros(cout, dtype),
         )
@@ -158,7 +158,7 @@ def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, n
 
 
 def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int],
-                  batch_index: int = 0, patch_size: int = 4) -> np.ndarray:
+                  batch_index: int = 0) -> np.ndarray:
     """Expand one final-stage token through the three merge modules.
 
     ``offset_fields`` maps stage index (2, 3, 4) to that stage's offset
@@ -169,7 +169,7 @@ def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int
     position q into 2q + tap + offset for its four taps; offsets at
     fractional positions are looked up at the nearest grid location.
     The 4^3 = 64 leaf positions land on the stage-1 grid and are mapped
-    to image pixels by the patch size.
+    to image pixels by the patch size, ``PATCH_SIZE``.
 
     Returns [64, 2] (image_y, image_x), leaf index k4*16 + k3*4 + k2.
     With all offsets zero the leaves tile the token's 32x32 image
@@ -195,4 +195,4 @@ def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int
             for k in range(4):
                 children.append(2.0 * pos + taps[k] + field_arr[iy, ix, k])
         positions = children
-    return np.asarray(positions) * patch_size
+    return np.asarray(positions) * PATCH_SIZE

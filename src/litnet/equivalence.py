@@ -12,13 +12,13 @@ zero-padded convolution bit for bit up to float accumulation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .blocks import MsaParams, mlp_block, msa
 from .errors import ConfigError
-from .tensor import Tape, Tensor, conv2d, mul, reshape, sum_all
+from .tensor import Tape, Tensor, conv2d, matmul, mul, reshape, sum_all
 
 INFLUENCE_THRESHOLD = 1e-8  # relative to the strongest pixel
 
@@ -140,27 +140,6 @@ def build_msa_as_conv(conv_w: np.ndarray, shift_map: HeadShiftMap,
     return params, delta_attention(shift_map, grid)
 
 
-def msa_as_conv_apply(image: np.ndarray, conv_w: np.ndarray,
-                      shift_map: HeadShiftMap) -> np.ndarray:
-    """Run the attention construction on one [H, W, Cin] image."""
-    image = np.asarray(image, dtype=np.float64)
-    h, w, cin = image.shape
-    params, override = build_msa_as_conv(conv_w, shift_map, (h, w))
-    tokens = Tensor(image.reshape(1, h * w, cin))
-    out, _ = msa(tokens, params, attn_override=override)
-    return out.data.reshape(h, w, -1)
-
-
-def conv_reference(image: np.ndarray, conv_w: np.ndarray) -> np.ndarray:
-    """Zero-padded stride-1 convolution of one image, same spatial extents."""
-    image = np.asarray(image, dtype=np.float64)
-    kernel = conv_w.shape[0]
-    x = Tensor(image[None])
-    out = conv2d(x, Tensor(np.asarray(conv_w, dtype=np.float64)),
-                 stride=1, padding=(kernel - 1) // 2)
-    return out.data[0]
-
-
 def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
                           shift_map: HeadShiftMap | None = None) -> float:
     """Max abs deviation between the two routes on interior pixels.
@@ -169,12 +148,10 @@ def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
     symmetric-padding conv output is smaller than the grid, but it still
     covers every interior pixel.
     """
-    kernel = conv_w.shape[0]
-    if shift_map is None:
-        shift_map = HeadShiftMap.for_kernel(kernel)
-    got = msa_as_conv_apply(image, conv_w, shift_map)
-    want = conv_reference(image, conv_w)
-    ys, xs = np.nonzero(interior_mask(image.shape[:2], kernel))
+    x = Tensor(np.asarray(image, dtype=np.float64)[None])
+    got = AttentionProbe(conv_w, shift_map).apply(x).data[0]
+    want = ConvProbe(conv_w).apply(x).data[0]
+    ys, xs = np.nonzero(interior_mask(image.shape[:2], conv_w.shape[0]))
     return float(np.abs(got[ys, xs] - want[ys, xs]).max())
 
 
@@ -193,7 +170,7 @@ def verify_fc_equals_1x1_conv(w: np.ndarray, rng: np.random.Generator | None = N
     image = rng.uniform(-1.0, 1.0, size=(5, 6, cin)).astype(dtype)
 
     tokens = Tensor(image.reshape(1, 30, cin))
-    fc = (tokens @ Tensor(w)).data.reshape(5, 6, -1)
+    fc = matmul(tokens, Tensor(w)).data.reshape(5, 6, -1)
     conv = conv2d(Tensor(image[None]), Tensor(w[None, None])).data[0]
     return float(np.abs(fc - conv).max())
 
@@ -216,7 +193,8 @@ class MlpProbe:
 
 
 class ConvProbe:
-    """Zero-padded stride-1 convolution as a probe layer."""
+    """Zero-padded stride-1 convolution as a probe layer; on one image it
+    is the reference side of ``msa_vs_conv_deviation``."""
 
     def __init__(self, conv_w: np.ndarray):
         self.conv_w = np.asarray(conv_w, dtype=np.float64)
@@ -227,7 +205,8 @@ class ConvProbe:
 
 
 class AttentionProbe:
-    """The attention-as-convolution construction as a probe layer."""
+    """The attention-as-convolution construction as a probe layer: ``msa``
+    with the parameters and delta attention of ``build_msa_as_conv``."""
 
     def __init__(self, conv_w: np.ndarray, shift_map: HeadShiftMap | None = None):
         self.conv_w = np.asarray(conv_w, dtype=np.float64)
@@ -298,15 +277,16 @@ def receptive_field_probe(stack: Sequence, grid: tuple[int, int],
                                 k_eff=_mask_extent(masks[-1]))
 
 
-def export_attention_maps(model, images, stage: int, block: int = 0) -> np.ndarray:
-    """Average attention probabilities [heads, T, T] over an image batch."""
-    from .model import ForwardRecord  # local import to avoid a cycle
+def export_attention_maps(attention: Mapping[tuple[int, int], np.ndarray], stage: int,
+                          block: int = 0) -> np.ndarray:
+    """Average attention probabilities [heads, T, T] over an image batch.
 
-    record = ForwardRecord()
-    model.forward(images, mode="train", record=record)
+    ``attention`` maps (stage, block) to [N, heads, T, T], as
+    ``ForwardRecord.attention`` holds them after a forward pass.
+    """
     key = (stage, block)
-    if key not in record.attention:
+    if key not in attention:
         raise ConfigError(
             f"stage {stage} block {block} has no attention; "
             "the first two stages do not have self-attention layers")
-    return record.attention[key].mean(axis=0)
+    return attention[key].mean(axis=0)

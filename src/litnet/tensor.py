@@ -3,12 +3,14 @@
 Data lives in numpy arrays: channels last, row major, float32 or float64.
 Ops are pure functions of their inputs. While a ``Tape`` is active on the
 current thread, each differentiable op appends one node to it;
-``backward`` replays the nodes in reverse and accumulates gradients into
-every ``requires_grad`` leaf. A tape serves exactly one forward
+``Tape.backward`` replays the nodes in reverse and accumulates gradients
+into every ``requires_grad`` leaf. A tape serves exactly one forward
 computation and is consumed by its backward pass.
 
 Every op checks its output for non-finite values and raises
-``NumericError`` instead of propagating them.
+``NumericError`` instead of propagating them. Nothing here counts work
+or times ops; the benchmark in ``perfbench/`` does that from outside by
+wrapping these functions.
 
 ``gelu`` evaluates float64 data with scipy's ``erf``. Float32 data uses
 the clamped odd/even rational ``erf`` of Eigen and XLA instead, computed
@@ -55,7 +57,7 @@ class Tensor:
     pass reaches this tensor as a ``requires_grad`` leaf.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if not isinstance(data, np.ndarray):
@@ -65,7 +67,6 @@ class Tensor:
         self.data = data
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.tape: "Tape | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,36 +92,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; the function forms below are the primary API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(values, dtype=np.float64, requires_grad: bool = False) -> Tensor:
     """Wrap ``values`` in a Tensor with the given dtype."""
     return Tensor(np.asarray(values, dtype=dtype), requires_grad=requires_grad)
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 # --------------------------------------------------------------------------
@@ -208,57 +183,19 @@ class Tape:
             t.grad = g.copy() if t.grad is None else t.grad + g
 
 
-def backward(loss: Tensor) -> None:
-    """Run the backward pass of the tape that recorded ``loss``."""
-    if loss.tape is None:
-        raise StateError("loss was not produced under a live tape")
-    loss.tape.backward(loss)
-
-
-# --------------------------------------------------------------------------
-# MAC instrumentation (used by the analyzer's cross-check)
-# --------------------------------------------------------------------------
-
-
-class MacCounter:
-    """Accumulates multiply-accumulate counts of matmul/conv ops."""
-
-    def __init__(self):
-        self.total = 0
-
-
-def _mac_counters() -> list[MacCounter]:
-    counters = getattr(_LOCAL, "macs", None)
-    if counters is None:
-        counters = []
-        _LOCAL.macs = counters
-    return counters
-
-
-class count_macs:
-    """Context manager: ``with count_macs() as c: ...; c.total``."""
-
-    def __enter__(self) -> MacCounter:
-        counter = MacCounter()
-        _mac_counters().append(counter)
-        return counter
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _mac_counters().pop()
-
-
-def _add_macs(n: int) -> None:
-    for counter in _mac_counters():
-        counter.total += int(n)
-
-
 # --------------------------------------------------------------------------
 # Op plumbing
 # --------------------------------------------------------------------------
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN or infinity, without a full-size temporary:
+    NaN propagates through min and max, +inf shows in the max, -inf in the min."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise NumericError(f"non-finite values produced by {op}")
 
 
@@ -273,7 +210,6 @@ def _apply(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_f
     tape = _recording_tape(inputs)
     out = Tensor(out_data, requires_grad=tape is not None)
     if tape is not None:
-        out.tape = tape
         tape._record(out, inputs, backward_fn)
     return out
 
@@ -290,10 +226,9 @@ def _sum_to_suffix(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also be a suffix of ``a``'s shape (bias,
     positional table, shared attention bias), broadcast over leading axes."""
-    b = _as_tensor(b, a)
     if a.shape == b.shape:
         return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
     if a.ndim > b.ndim and a.shape[a.ndim - b.ndim :] == b.shape:
@@ -305,15 +240,7 @@ def add(a: Tensor, b) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    b = _as_tensor(b, a)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    return _apply("sub", (a, b), a.data - b.data, lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    b = _as_tensor(b, a)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
@@ -421,9 +348,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
     else:
         raise ShapeError(f"matmul: leading axes differ, {a.shape} @ {b.shape}")
-    out = ad @ bd
-    _add_macs(out.size * k)
-    return _apply("matmul", (a, b), out, bwd)
+    return _apply("matmul", (a, b), ad @ bd, bwd)
 
 
 # --------------------------------------------------------------------------
@@ -434,7 +359,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max subtraction always on)."""
     axis = axis % x.ndim
-    if not np.all(np.isfinite(x.data)):
+    if not _all_finite(x.data):
         raise NumericError("non-finite input to softmax")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -651,9 +576,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             patches[:, :, :, ky, kx, :] = xp[:, ky:ky + s * ho:s, kx:kx + s * wo:s, :]
     cols = patches.reshape(n * ho * wo, k * k * cin)
     wmat = w.data.reshape(k * k * cin, cout)
-    out = cols @ wmat
-    _add_macs(out.size * k * k * cin)
-    out = out.reshape(n, ho, wo, cout)
+    out = (cols @ wmat).reshape(n, ho, wo, cout)
     if bias is not None:
         out = out + bias.data
 
@@ -686,7 +609,7 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
         raise ShapeError(f"deform_sample expects an NHWC tensor, got {x.shape}")
     if positions.ndim != 5 or positions.shape[-1] != 2 or positions.shape[0] != x.shape[0]:
         raise ShapeError(f"deform_sample: bad positions shape {positions.shape} for input {x.shape}")
-    if not np.all(np.isfinite(positions.data)):
+    if not _all_finite(positions.data):
         raise NumericError("non-finite sampling positions")
     n, h, w, c = x.shape
     py, px = positions.data[..., 0], positions.data[..., 1]

@@ -50,7 +50,8 @@ class AdamW:
 
     beta1 = 0.9, beta2 = 0.999, eps = 1e-8. ``step`` applies, per group,
     lr_t = lr_scale * group.lr; decay is p -= lr_t * wd * p, applied with
-    the same step's rate.
+    the same step's rate. The DTM offset predictors form their own group,
+    with ``offset_lr`` and no weight decay.
     """
 
     BETA1 = 0.9
@@ -58,14 +59,13 @@ class AdamW:
     EPS = 1e-8
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
-                 weight_decay: float = 5e-2, offset_lr: float = 1e-5,
-                 offset_weight_decay: float = 0.0):
+                 weight_decay: float = 5e-2, offset_lr: float = 1e-5):
         self.params = dict(params)
         offset_names = [n for n in self.params if is_offset_param(n)]
         main_names = [n for n in self.params if not is_offset_param(n)]
         self.groups = [
             ParamGroup(main_names, lr, weight_decay),
-            ParamGroup(offset_names, offset_lr, offset_weight_decay),
+            ParamGroup(offset_names, offset_lr, 0.0),
         ]
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -125,10 +125,10 @@ def train_step(model: LitModel, images: np.ndarray, labels: np.ndarray,
 
 
 def evaluate_accuracy(model: LitModel, images: np.ndarray, labels: np.ndarray,
-                      batch_size: int = 32, mode: str = "eval") -> float:
+                      batch_size: int = 32) -> float:
     correct = 0
     for start in range(0, len(images), batch_size):
-        logits = model.forward(images[start:start + batch_size], mode=mode)
+        logits = model.forward(images[start:start + batch_size], mode="eval")
         correct += int((logits.data.argmax(axis=1) == labels[start:start + batch_size]).sum())
     return correct / len(images)
 

@@ -195,13 +195,3 @@ def micro_config(num_classes: int = 3, resolution: int = 32,
                        positional_encoding="relative" if relative else "absolute",
                        num_classes=num_classes, resolution=resolution)
 
-
-def randomize_offsets(model, rng: np.random.Generator, scale: float = 0.3) -> None:
-    """Move offset-predictor weights off their zero init.
-
-    Finite differences are only valid away from the bilinear lattice, so
-    gradient sweeps perturb the offsets to generic fractional values.
-    """
-    for name, p in model.named_params().items():
-        if ".offset_conv." in name:
-            p.data = rng.normal(0.0, scale, p.data.shape).astype(p.data.dtype)

@@ -6,8 +6,7 @@ import pytest
 
 from helpers import check_gradients
 from litnet.errors import ShapeError, StateError
-from litnet.tensor import (BatchNormState, Tape, Tensor, add, backward,
-                           batch_norm, conv2d, deform_sample,
+from litnet.tensor import (BatchNormState, Tape, Tensor, add, batch_norm, conv2d, deform_sample,
                            gather_last, gelu, layer_norm, matmul, mul, reshape,
                            scale, slice_last, softmax, softmax_cross_entropy,
                            sum_all, sum_axis, tensor, transpose)
@@ -64,7 +63,7 @@ def test_backward_without_tape_errors():
     x = tensor([1.0], requires_grad=True)
     loss = sum_all(x)  # no live tape: nothing recorded
     with pytest.raises(StateError):
-        backward(loss)
+        Tape().backward(loss)
 
 
 def test_tapes_do_not_leak_between_computations():

@@ -1,5 +1,6 @@
-"""The command line, run in-process: bad input exits with a documented
-code and a one-line message, never a traceback."""
+"""The command line, run in-process: each command exits 0 and writes its
+files, and bad input exits with a documented code and a one-line
+message, never a traceback."""
 
 import csv
 import json
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from litnet import cli
-from litnet.model import build, toy_config
+from litnet.analyzer import cost_report
+from litnet.checkpoint import load_tensors
+from litnet.data import synthetic_dataset
+from litnet.model import ModelConfig, build, preset, toy_config
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -139,3 +143,103 @@ def test_inspect_refuses_a_checkpoint_of_another_merge_kind(tmp_path, capsys):
                     "--checkpoint", str(ckpt), "--num-images", "1",
                     "--out", str(tmp_path / "out"))
     assert_config_error(code, err, "does not own")
+
+
+def read_column(path, column: str) -> np.ndarray:
+    with open(path, newline="") as fh:
+        return np.array([float(row[column]) for row in csv.DictReader(fh)])
+
+
+def write_images(path, images: np.ndarray) -> str:
+    """A --data directory holding ``images``."""
+    path.mkdir()
+    np.save(path / "images.npy", images)
+    np.save(path / "labels.npy", np.zeros(len(images), dtype=np.int64))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Output directory of a one-epoch toy training run; its offset
+    learning rate is large enough to move the DTM offsets off zero."""
+    out = tmp_path_factory.mktemp("train")
+    code = cli.main(["train", "--epochs", "1", "--num-images", "8", "--batch-size", "4",
+                     "--offset-lr", "0.01", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    return out
+
+
+def test_train_writes_its_log_config_and_final_checkpoint(trained):
+    assert read_column(trained / "train_log.csv", "step").tolist() == [2.0]
+    assert ModelConfig.load_json(trained / "config.json") == toy_config()
+    state = load_tensors(trained / "ckpt_final.litckpt")
+    assert state["meta.epoch"][0] == 1
+    assert (trained / "manifest.json").is_file()
+
+
+def test_audit_of_a_preset_passes_and_writes_its_reports(tmp_path, capsys):
+    code, _ = run(capsys, "audit", "--preset", "lit-ti", "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    with open(tmp_path / "cost_lit-ti.csv", newline="") as fh:
+        rows = {row["layer"]: row for row in csv.DictReader(fh)}
+    assert int(rows["total"]["params"]) == cost_report(preset("lit-ti")).total_params
+    assert "group totals" in (tmp_path / "cost_lit-ti.txt").read_text()
+    assert "overall: PASS" in (tmp_path / "audit.txt").read_text()
+
+
+def test_verify_passes_and_writes_its_results(tmp_path, capsys):
+    code, _ = run(capsys, "verify", "--kernel", "1", "--seeds", "1", "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    results = json.loads((tmp_path / "verify.json").read_text())
+    assert results["fc_vs_1x1"] < 1e-12
+    assert [r["kernel"] for r in results["msa_vs_conv"]] == [1]
+    assert all(r["ok"] for r in results["msa_vs_conv"] + results["receptive_field"])
+
+
+def test_inspect_attn_writes_maps_and_values_of_each_query(tmp_path, capsys):
+    code, _ = run(capsys, "inspect", "--mode", "attn", "--query", "0,1",
+                  "--num-images", "2", "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    heads = toy_config().stages[2].heads
+    for head in range(heads):
+        assert (tmp_path / f"attn_head{head}_query0_1.pgm").read_text().startswith("P2\n4 4\n")
+    probs = read_column(tmp_path / "attention.csv", "prob").reshape(heads, 16)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_inspect_exports_each_image_independently_of_the_batch(tmp_path, capsys, monkeypatch,
+                                                               trained):
+    # an export of one image equals that image's part of a two-image export,
+    # and the loaded running statistics stay as they are
+    checkpoint = trained / "ckpt_final.litckpt"
+    models = []
+
+    def recording_build(*args, **kwargs):
+        models.append(build(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "build", recording_build)
+    images, _ = synthetic_dataset(2, seed=1)
+    attn, leaves = {}, {}
+    for name, batch in (("first", images[:1]), ("second", images[1:]), ("pair", images)):
+        data = write_images(tmp_path / name, batch)
+        out = tmp_path / f"{name}_attn"
+        code, _ = run(capsys, "inspect", "--mode", "attn", "--query", "all",
+                      "--checkpoint", str(checkpoint), "--data", data, "--out", str(out))
+        assert code == cli.EXIT_OK
+        attn[name] = read_column(out / "attention.csv", "prob")
+        out = tmp_path / f"{name}_offsets"
+        code, _ = run(capsys, "inspect", "--mode", "offsets", "--token", "1,0",
+                      "--checkpoint", str(checkpoint), "--data", data, "--out", str(out))
+        assert code == cli.EXIT_OK
+        leaves[name] = read_column(out / "offsets_token1_0.csv", "image_y")
+    assert np.allclose(attn["pair"], (attn["first"] + attn["second"]) / 2, rtol=0, atol=1e-6)
+    # the offset trace follows the first image of the batch
+    assert np.allclose(leaves["pair"], leaves["first"], rtol=0, atol=1e-4)
+    assert not np.allclose(leaves["first"], leaves["second"], rtol=0, atol=1e-2)
+    loaded = load_tensors(checkpoint)
+    stats = [k for k in loaded if ".bn.running_" in k]
+    assert len(models) == 6 and stats
+    for model in models:
+        state = model.named_state()
+        assert all(np.array_equal(state[k], loaded[k]) for k in stats)

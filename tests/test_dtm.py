@@ -4,7 +4,7 @@ literal-summation oracle, gradients, and offset traces."""
 import numpy as np
 import pytest
 
-from helpers import check_gradients, deformable_conv_loop, micro_config, randomize_offsets
+from helpers import check_gradients, deformable_conv_loop, micro_config
 from litnet.dtm import (DeformableConvParams, DtmParams, deformable_conv,
                         dtm_forward, trace_offsets)
 from litnet.errors import ConfigError, NumericError, StateError
@@ -12,8 +12,8 @@ from litnet.model import ForwardRecord, build, toy_config
 from litnet.tensor import Tensor, conv2d, mul, sum_all, tensor
 
 
-def make_dc(rng, cin=3, cout=4, kernel=2, stride=2):
-    return DeformableConvParams.create(rng, cin, cout, kernel, stride, dtype=np.float64)
+def make_dc(rng, cin=3, cout=4):
+    return DeformableConvParams.create(rng, cin, cout, dtype=np.float64)
 
 
 def test_zero_offsets_reduce_to_standard_conv():

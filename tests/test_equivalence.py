@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from litnet.equivalence import (AttentionProbe, ConvProbe, HeadShiftMap,
-                                MlpProbe, build_msa_as_conv, centered_taps,
-                                conv_reference, delta_attention, interior_mask,
-                                msa_as_conv_apply, msa_vs_conv_deviation,
+                                MlpProbe, build_msa_as_conv, delta_attention,
+                                interior_mask, msa_vs_conv_deviation,
                                 receptive_field_probe, verify_fc_equals_1x1_conv)
 from litnet.blocks import MlpBlockParams
 from litnet.errors import ConfigError
-from litnet.tensor import Tensor, conv2d, tensor
+from litnet.tensor import Tensor, conv2d, matmul, tensor
+
+
+def on_image(probe, image: np.ndarray) -> np.ndarray:
+    """A probe layer applied to one [H, W, C] image."""
+    return probe.apply(Tensor(image[None])).data[0]
 
 
 def test_fc_equals_1x1_conv_fp64():
@@ -31,7 +35,7 @@ def test_fc_equals_1x1_conv_fp32_path():
     w = rng.uniform(-1, 1, size=(8, 8)).astype(np.float32)
     x = rng.uniform(-1, 1, size=(6, 6, 8)).astype(np.float32)
     tokens = tensor(x.reshape(1, 36, 8), dtype=np.float32)
-    fc = (tokens @ tensor(w, dtype=np.float32)).data.reshape(6, 6, 8)
+    fc = matmul(tokens, tensor(w, dtype=np.float32)).data.reshape(6, 6, 8)
     conv = conv2d(tensor(x[None], dtype=np.float32), tensor(w[None, None], dtype=np.float32)).data[0]
     assert np.abs(fc - conv).max() < 1e-6
 
@@ -40,7 +44,7 @@ def test_k1_construction_is_an_fc_layer():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(1, 1, 4, 7))
     image = rng.normal(size=(5, 5, 4))
-    out = msa_as_conv_apply(image, w, HeadShiftMap.for_kernel(1))
+    out = on_image(AttentionProbe(w, HeadShiftMap.for_kernel(1)), image)
     want = image @ w[0, 0]
     assert np.abs(out - want).max() < 1e-12
 
@@ -70,10 +74,10 @@ def test_head_relabeling_symmetry():
     rng = np.random.default_rng(3)
     conv_w = rng.normal(size=(3, 3, 2, 2))
     image = rng.normal(size=(6, 6, 2))
-    base = msa_as_conv_apply(image, conv_w, HeadShiftMap.for_kernel(3))
+    base = on_image(AttentionProbe(conv_w, HeadShiftMap.for_kernel(3)), image)
     perm = rng.permutation(9)
     permuted_map = HeadShiftMap.for_kernel(3).permuted(perm)
-    permuted = msa_as_conv_apply(image, conv_w, permuted_map)
+    permuted = on_image(AttentionProbe(conv_w, permuted_map), image)
     # same terms summed in permuted order: equal up to float reassociation
     assert np.abs(base - permuted).max() < 1e-12
 
@@ -162,6 +166,6 @@ def test_conv_reference_against_conv2d_padding():
     rng = np.random.default_rng(11)
     image = rng.normal(size=(5, 5, 2))
     w = rng.normal(size=(3, 3, 2, 2))
-    ref = conv_reference(image, w)
+    ref = on_image(ConvProbe(w), image)
     direct = conv2d(Tensor(image[None]), Tensor(w), padding=1).data[0]
     assert np.array_equal(ref, direct)

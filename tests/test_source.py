@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "litnet"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "litnet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,7 +28,10 @@ def test_unused_import_check_flags_only_unread_names():
 
 
 # __init__.py imports to re-export, so its names are read by importers.
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

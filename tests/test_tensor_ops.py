@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from helpers import conv2d_loop, matmul_loop
 from litnet.errors import NumericError, ShapeError, StateError
-from litnet.tensor import (_GELU_BLOCK, BatchNormState, Tape, Tensor, batch_norm,
+from litnet.tensor import (_GELU_BLOCK, BatchNormState, Tape, Tensor, add, batch_norm,
                            conv2d, deform_sample, gelu, layer_norm, matmul, mul, softmax,
                            softmax_cross_entropy, sum_all, tensor)
 
@@ -302,7 +302,19 @@ def test_cross_entropy_uniform_logits():
 def test_non_finite_op_output_raises():
     big = tensor([1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        _ = big + big
+        add(big, big)
+
+
+def test_an_empty_op_output_passes_the_finite_check():
+    empty = tensor(np.zeros((0, 3)))
+    assert mul(empty, empty).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_each_non_finite_value_in_an_op_output_raises(bad):
+    x = tensor([1.0, bad, -2.0], dtype=np.float32)
+    with pytest.raises(NumericError):
+        mul(x, tensor(np.ones(3), dtype=np.float32))
 
 
 def test_determinism_bit_identical():

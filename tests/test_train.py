@@ -6,7 +6,7 @@ import pytest
 from helpers import micro_config
 from litnet.data import synthetic_dataset
 from litnet.errors import ConfigError
-from litnet.model import build, toy_config
+from litnet.model import build
 from litnet.tensor import Tensor
 from litnet.train import (AdamW, TrainSettings, cosine_lr, evaluate_accuracy,
                           is_offset_param, run_training, train_step)
