@@ -135,15 +135,21 @@ def relative_index_map(h: int, w: int) -> np.ndarray:
     return (dy * (2 * w - 1) + dx).astype(np.int64)
 
 
-def relative_bias_lookup(table: Tensor, grid: tuple[int, int]) -> Tensor:
-    """Expand a per-head displacement table to [heads, T, T] logits bias."""
+def _relative_index(table: Tensor, grid: tuple[int, int]) -> np.ndarray:
+    """``relative_index_map`` of ``grid``, once ``table`` is known to hold one
+    entry per displacement of the grid for each head."""
     h, w = grid
     expected = (2 * h - 1) * (2 * w - 1)
     if table.ndim != 2 or table.shape[1] != expected:
         raise ConfigError(
             f"relative bias table of shape {table.shape} does not match grid {h}x{w} "
             f"(expected {expected} displacement entries per head)")
-    return gather_last(table, relative_index_map(h, w))
+    return relative_index_map(h, w)
+
+
+def relative_bias_lookup(table: Tensor, grid: tuple[int, int]) -> Tensor:
+    """Expand a per-head displacement table to [heads, T, T] logits bias."""
+    return gather_last(table, _relative_index(table, grid))
 
 
 def _split_heads(t: Tensor, heads: int) -> Tensor:
@@ -167,15 +173,16 @@ def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None) -> tup
 
     if attn_override is None:
         logits = matmul(scale(q, 1.0 / np.sqrt(p.head_dim)), transpose(k, (0, 1, 3, 2)))
-        if p.rel_bias is not None:
+        if p.rel_bias is None:
+            attn = softmax(logits)
+        else:
             if p.grid is None:
                 raise ConfigError("relative bias present but the stage grid is unset")
             if tokens != p.grid[0] * p.grid[1]:
                 raise ConfigError(
                     f"{tokens} tokens do not match the {p.grid[0]}x{p.grid[1]} grid "
                     "required by the relative bias table")
-            logits = add(logits, relative_bias_lookup(p.rel_bias, p.grid))
-        attn = softmax(logits, axis=-1)
+            attn = softmax(logits, p.rel_bias, _relative_index(p.rel_bias, p.grid))
     else:
         probs = np.asarray(attn_override)
         if probs.shape == (p.num_heads, tokens, tokens):

@@ -2,13 +2,15 @@
 
 Every run writes a manifest (resolved settings, seed, package version)
 into its output directory. Exit codes: 0 success, 2 configuration
-errors, 3 numeric errors, 4 tolerance failures.
+errors (among them a training counter too large for a checkpoint's
+float32 records), 3 numeric errors, 4 tolerance failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -282,9 +284,20 @@ def cmd_inspect(args, out_dir: Path) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative float, such as
+    ``--lr -2E-3`` or ``-inf``, as a value. argparse alone recognises only
+    forms like ``-0.002`` and takes the others for option names, so the
+    range checks would never see them. Sub-command parsers use this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="litnet",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="litnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_audit = sub.add_parser("audit", help="cost report and reference-budget audit")

@@ -393,6 +393,7 @@ class LitModel:
                     tokens, attn = transformer_block(tokens, block)
                     if record is not None:
                         record.attention[(stage, i)] = attn.data.copy()
+                    del attn  # a [N, heads, T, T] array: free it before the next block
             if record is not None:
                 record.stage_shapes.append((n, h, w, spec.channels))
 

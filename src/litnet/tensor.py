@@ -14,10 +14,24 @@ wrapping these functions.
 
 ``gelu`` evaluates float64 data with scipy's ``erf``. Float32 data uses
 the clamped odd/even rational ``erf`` of Eigen and XLA instead, computed
-in blocks of ``_GELU_BLOCK`` elements into preallocated scratch. It
+in blocks of ``_BLOCK`` elements into preallocated scratch. It
 differs from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where
 eps32 is the float32 machine epsilon (2.2 measured on a dense grid over
 [-8, 8]). The GELU backward pass of either dtype runs in the same blocks.
+
+``softmax`` adds an attention layer's relative position bias itself, so
+the [heads, T, T'] bias is never built. It works on tiles of about
+``_BLOCK`` elements: whole rows of one head, whole heads when a head is
+smaller than a block, or whole images when all of an image's heads are.
+Each tile's bias rows are gathered once from the [heads, K] table into
+tile-sized scratch and reused for every image. For each image the tile's
+logits plus bias are written into the preallocated output, checked for
+non-finite values, and normalised there in place (row max, subtract,
+``exp``, row sum, divide), so the output is the only full-size array the
+forward pass allocates. The results equal the unfused
+``softmax(add(x, gather_last(table, index)))`` bit for bit. The table's
+gradient is scatter-added with one flat ``np.bincount``, as is
+``gather_last``'s.
 """
 
 from __future__ import annotations
@@ -34,9 +48,9 @@ from .errors import NumericError, ShapeError, StateError, ValidationError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Float32 GELU: elements per block, sized so that a block and its two
-# scratch arrays stay in a core's L2 cache.
-_GELU_BLOCK = 65536
+# Elements per block of the blocked kernels (float32 GELU, softmax), sized
+# so that a block and its scratch arrays stay in a core's L2 cache.
+_BLOCK = 65536
 # Eigen/XLA float32 erf(z) = z * P(z^2) / Q(z^2) on [-4, 4]; beyond, float32
 # erf is +-1. P's coefficients are halved so that 0.5 + z * P / Q is Phi.
 # Both are listed from the highest power of z^2 down.
@@ -304,20 +318,26 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     return scale(sum_axis(a, axis), 1.0 / a.shape[axis % a.ndim])
 
 
+def _scatter_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
+    """[rows, width] sums out[r, k] of values[r, j] over the j with index[j] == k,
+    for [rows, n] ``values`` and an [n] ``index``: one bincount over the
+    flat bins r * width + index[j]."""
+    rows = values.shape[0]
+    bins = (np.arange(rows)[:, None] * width + index).reshape(-1)
+    sums = np.bincount(bins, weights=values.reshape(-1), minlength=rows * width)
+    return sums.astype(values.dtype, copy=False).reshape(rows, width)
+
+
 def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     """out[..., *index.shape] = a[..., index]; gradient scatter-adds into ``a``."""
     index = np.asarray(index, dtype=np.int64)
     last = a.shape[-1]
     if index.size and (index.min() < 0 or index.max() >= last):
         raise ShapeError(f"gather_last: index out of range for extent {last}")
-    lead = a.shape[:-1]
+    rows = math.prod(a.shape[:-1])
 
     def bwd(g):
-        ga = np.zeros_like(a.data).reshape(-1, last)
-        gf = g.reshape(-1, index.size)
-        idx = index.reshape(-1)
-        for row in range(ga.shape[0]):
-            np.add.at(ga[row], idx, gf[row])
+        ga = _scatter_rows(g.reshape(rows, index.size), index.reshape(-1), last)
         return (ga.reshape(a.shape),)
 
     return _apply("gather_last", (a,), a.data[..., index], bwd)
@@ -356,20 +376,70 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max subtraction always on)."""
-    axis = axis % x.ndim
-    if not _all_finite(x.data):
-        raise NumericError("non-finite input to softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor, bias: Tensor | None = None, index: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax over the last axis (max subtraction always on).
+
+    With a ``bias`` table it normalises x + bias[h, index] instead: ``x`` is
+    [..., heads, T, T'], ``bias`` is [heads, K] and ``index`` is a [T, T']
+    array of entries in [0, K). Differentiable in ``x`` and ``bias``. Runs
+    in row blocks; see the module docstring.
+    """
+    xd = x.data
+    if (bias is None) != (index is None):
+        raise ShapeError("softmax: give a bias table and its index together, or neither")
+    if bias is None:
+        xv = xd.reshape(1, 1, -1, xd.shape[-1])
+    else:
+        index = np.asarray(index, dtype=np.int64)
+        if xd.ndim < 3 or bias.ndim != 2 or bias.shape[0] != xd.shape[-3] \
+                or index.shape != xd.shape[-2:]:
+            raise ShapeError(f"softmax: bias table {bias.shape} and index {index.shape} "
+                             f"do not fit logits {xd.shape}")
+        xv = xd.reshape((-1,) + xd.shape[-3:])
+    _, heads, t, width = xv.shape
+    out = np.empty(xd.shape, xd.dtype if bias is None else np.result_type(xd, bias.data))
+    ov = out.reshape(xv.shape)
+    # A tile is whole rows of one head, whole heads when a head fits in a
+    # block, or whole images when an image's heads all fit.
+    rows = max(1, min(t, _BLOCK // max(width, 1)))
+    tile_heads = max(1, min(heads, _BLOCK // max(t * width, 1))) if rows == t else 1
+    images = max(1, _BLOCK // max(heads * t * width, 1)) if tile_heads == heads else 1
+    if bias is not None:
+        scratch = np.empty(tile_heads * rows * width, bias.dtype)
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
+        if bias is not None:
+            idx = index[r0:r1]
+            if idx.min() < 0 or idx.max() >= bias.shape[1]:
+                raise ShapeError(f"softmax: bias index out of range for {bias.shape[1]} entries")
+        for h0 in range(0, heads, tile_heads):
+            h1 = min(h0 + tile_heads, heads)
+            if bias is not None:
+                tile = scratch[:(h1 - h0) * idx.size].reshape((h1 - h0,) + idx.shape)
+                for tile_row, table_row in zip(tile, bias.data[h0:h1]):
+                    np.take(table_row, idx, out=tile_row, mode="clip")  # bounds checked above
+            for b0 in range(0, xv.shape[0], images):
+                o = ov[b0:b0 + images, h0:h1, r0:r1]
+                z = xv[b0:b0 + images, h0:h1, r0:r1]
+                if bias is not None:
+                    z = np.add(z, tile, out=o)
+                zmax = z.max(axis=-1, keepdims=True)
+                # NaN and -inf show in the minimum, +inf in a row maximum.
+                if not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
+                    raise NumericError("non-finite input to softmax")
+                np.subtract(z, zmax, out=o)
+                np.exp(o, out=o)
+                o /= o.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        gx = out * (g - (g * out).sum(axis=-1, keepdims=True))
+        if bias is None:
+            return (gx,)
+        per_head = gx.reshape((-1, heads, t * width)).sum(axis=0)
+        return (gx, _scatter_rows(per_head, index.reshape(-1), bias.shape[1]))
 
-    return _apply("softmax", (x,), out, bwd)
+    inputs = (x,) if bias is None else (x, bias)
+    return _apply("softmax", inputs, out, bwd)
 
 
 def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -381,10 +451,10 @@ def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | Non
     flat = x.reshape(-1)
     n = flat.size
     out = np.empty(n, np.float32)
-    squares = np.empty(min(n, _GELU_BLOCK), np.float32)
+    squares = np.empty(min(n, _BLOCK), np.float32)
     phi = np.empty(n, np.float32) if keep_cdf else np.empty_like(squares)
-    for lo in range(0, n, _GELU_BLOCK):
-        xb = flat[lo:lo + _GELU_BLOCK]
+    for lo in range(0, n, _BLOCK):
+        xb = flat[lo:lo + _BLOCK]
         m = xb.size
         # The output block holds z, then Q(z^2), then the result.
         z, z2 = out[lo:lo + m], squares[:m]
@@ -415,17 +485,17 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """g * (Phi(x) + x * pdf(x)), block by block into block-sized scratch."""
     gf, xf, cf = g.reshape(-1), x.reshape(-1), cdf.reshape(-1)
     gx = np.empty(xf.size, x.dtype)
-    scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
-    for lo in range(0, xf.size, _GELU_BLOCK):
-        xb = xf[lo:lo + _GELU_BLOCK]
+    scratch = np.empty(min(xf.size, _BLOCK), x.dtype)
+    for lo in range(0, xf.size, _BLOCK):
+        xb = xf[lo:lo + _BLOCK]
         t = scratch[:xb.size]
         np.multiply(xb, xb, out=t)
         t *= -0.5
         np.exp(t, out=t)
         t *= _INV_SQRT_2PI
         t *= xb
-        t += cf[lo:lo + _GELU_BLOCK]
-        np.multiply(gf[lo:lo + _GELU_BLOCK], t, out=gx[lo:lo + _GELU_BLOCK])
+        t += cf[lo:lo + _BLOCK]
+        np.multiply(gf[lo:lo + _BLOCK], t, out=gx[lo:lo + _BLOCK])
     return gx.reshape(x.shape)
 
 

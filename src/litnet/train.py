@@ -179,6 +179,13 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 def save_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW,
                              epoch: int) -> None:
+    """Write the model, optimizer and epoch. ``opt.step`` and ``meta.epoch``
+    are stored as float32, which holds every integer only below 2**24, so a
+    larger counter raises ConfigError instead of resuming from a rounded one."""
+    for name, value in (("optimizer step", optimizer.step_count), ("epoch", epoch)):
+        if value >= 2 ** 24:
+            raise ConfigError(f"cannot checkpoint {name} {value}: checkpoints store it "
+                              "as float32, which is exact only below 2**24")
     state = model.named_state()
     state.update(optimizer.state_arrays())
     state["meta.epoch"] = np.array([epoch], dtype=np.float32)

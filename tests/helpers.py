@@ -7,6 +7,7 @@ plain Python loops, independent of the library's vectorized paths.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,6 +163,24 @@ def msa_oracle(x: np.ndarray, qkv_w: np.ndarray, qkv_b: np.ndarray,
             ctx[:, sl] = attn @ v[b][:, sl]
         out[b] = ctx @ out_w + out_b
     return out, attn_all
+
+
+def softmax_bias_loop(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row-by-row float64 softmax of x[..., h, i, j] + table[h, index[i, j]]."""
+    x = np.asarray(x, dtype=np.float64)
+    heads, t, width = x.shape[-3:]
+    out = np.empty_like(x)
+    for lead in np.ndindex(x.shape[:-3]):
+        for h in range(heads):
+            for i in range(t):
+                z = [float(x[lead + (h, i, j)]) + float(table[h, index[i, j]])
+                     for j in range(width)]
+                top = max(z)
+                e = [math.exp(v - top) for v in z]
+                total = math.fsum(e)
+                for j in range(width):
+                    out[lead + (h, i, j)] = e[j] / total
+    return out
 
 
 def relative_index_loop(h: int, w: int) -> np.ndarray:

@@ -116,8 +116,16 @@ def test_grad_matmul_both_modes():
 def test_grad_softmax_gelu():
     rng = np.random.default_rng(3)
     x = rand(rng, 3, 7)
-    check_gradients(projected(rng, lambda: softmax(x, axis=-1)), [x])
+    check_gradients(projected(rng, lambda: softmax(x)), [x])
     check_gradients(projected(rng, lambda: gelu(x)), [x])
+
+
+def test_grad_softmax_with_bias():
+    rng = np.random.default_rng(12)
+    x = rand(rng, 2, 3, 4, 5)
+    table = rand(rng, 3, 6)
+    index = rng.integers(0, 6, size=(4, 5))
+    check_gradients(projected(rng, lambda: softmax(x, table, index)), [x, table])
 
 
 def test_grad_layer_norm():

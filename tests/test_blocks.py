@@ -246,6 +246,11 @@ def test_relative_bias_translation_property():
 def test_relative_bias_extent_mismatch():
     with pytest.raises(ConfigError):
         relative_bias_lookup(tensor(np.zeros((2, 10))), (2, 2))
+    rng = np.random.default_rng(19)
+    p = make_msa(rng, channels=6, heads=2, grid=(2, 2), relative=True)
+    p.rel_bias = tensor(np.zeros((2, 10)))
+    with pytest.raises(ConfigError, match="expected 9 displacement entries"):
+        msa(tensor(rng.normal(size=(1, 4, 6))), p)
 
 
 def test_block_gradients():

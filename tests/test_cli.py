@@ -10,7 +10,7 @@ import pytest
 
 from litnet import cli
 from litnet.analyzer import cost_report
-from litnet.checkpoint import load_tensors
+from litnet.checkpoint import load_tensors, save_tensors
 from litnet.data import synthetic_dataset
 from litnet.model import ModelConfig, build, preset, toy_config
 
@@ -100,6 +100,9 @@ def test_inspect_offsets_writes_64_leaves(tmp_path, capsys):
     ("--log-every", "0", "--log-every must be at least 1, got 0"),
     ("--lr", "nan", "lr must be finite and at least 0, got nan"),
     ("--offset-lr", "-0.001", "offset_lr must be finite and at least 0, got -0.001"),
+    ("--offset-lr", "-1e-5", "offset_lr must be finite and at least 0, got -1e-05"),
+    ("--lr", "-2E-3", "lr must be finite and at least 0, got -0.002"),
+    ("--weight-decay", "-inf", "weight_decay must be finite and at least 0, got -inf"),
     ("--weight-decay", "inf", "weight_decay must be finite and at least 0, got inf"),
     ("--warmup-frac", "1.5", "warmup_frac must lie in [0, 1], got 1.5"),
     ("--num-images", "0", "--num-images must be at least 1, got 0"),
@@ -175,6 +178,18 @@ def test_train_writes_its_log_config_and_final_checkpoint(trained):
     state = load_tensors(trained / "ckpt_final.litckpt")
     assert state["meta.epoch"][0] == 1
     assert (trained / "manifest.json").is_file()
+
+
+def test_train_refuses_to_checkpoint_an_epoch_float32_cannot_hold(trained, tmp_path, capsys):
+    state = load_tensors(trained / "ckpt_final.litckpt")
+    state["meta.epoch"] = np.array([2 ** 24 - 1], dtype=np.float32)
+    save_tensors(tmp_path / "late.litckpt", state)
+    out = tmp_path / "out"
+    code, err = run(capsys, "train", "--resume", str(tmp_path / "late.litckpt"),
+                    "--epochs", str(2 ** 24), "--num-images", "8", "--batch-size", "4",
+                    "--checkpoint-every", "0", "--out", str(out))
+    assert_config_error(code, err, "cannot checkpoint epoch 16777216")
+    assert not (out / "ckpt_final.litckpt").exists()
 
 
 def test_audit_of_a_preset_passes_and_writes_its_reports(tmp_path, capsys):

@@ -2,16 +2,18 @@
 oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from helpers import conv2d_loop, matmul_loop
+from helpers import conv2d_loop, matmul_loop, softmax_bias_loop
+from litnet.blocks import relative_index_map
 from litnet.errors import NumericError, ShapeError, StateError
-from litnet.tensor import (_GELU_BLOCK, BatchNormState, Tape, Tensor, add, batch_norm,
-                           conv2d, deform_sample, gelu, layer_norm, matmul, mul, softmax,
-                           softmax_cross_entropy, sum_all, tensor)
+from litnet.tensor import (_BLOCK, BatchNormState, Tape, Tensor, add, batch_norm,
+                           conv2d, deform_sample, gather_last, gelu, layer_norm, matmul, mul,
+                           softmax, softmax_cross_entropy, sum_all, tensor)
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -46,12 +48,12 @@ def test_matmul_shape_error_reports_both_shapes():
 
 
 def test_softmax_symmetry():
-    out = softmax(tensor([0.0, 0.0]), axis=0).data
+    out = softmax(tensor([0.0, 0.0])).data
     assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_stability_at_large_logits():
-    out = softmax(tensor([1000.0, 0.0]), axis=0).data
+    out = softmax(tensor([1000.0, 0.0])).data
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -59,7 +61,7 @@ def test_softmax_stability_at_large_logits():
 def test_softmax_matches_extended_precision_oracle():
     rng = np.random.default_rng(2)
     x = rng.normal(size=5)
-    got = softmax(tensor(x), axis=0).data
+    got = softmax(tensor(x)).data
     xl = x.astype(np.longdouble)
     e = np.exp(xl)
     want = (e / e.sum()).astype(np.float64)
@@ -68,14 +70,127 @@ def test_softmax_matches_extended_precision_oracle():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
-    out = softmax(tensor(rng.normal(size=(4, 7, 9))), axis=-1).data
+    out = softmax(tensor(rng.normal(size=(4, 7, 9)))).data
     assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-12
     assert np.all(out > 0)
 
 
 def test_softmax_rejects_non_finite_input():
     with pytest.raises(NumericError):
-        softmax(tensor([np.inf, 0.0]), axis=0)
+        softmax(tensor([np.inf, 0.0]))
+
+
+def unfused_softmax(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The unfused attention softmax: gather the [heads, T, T'] bias, add it,
+    then a full-size max-shifted softmax."""
+    z = x + table[:, index]
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def biased_inputs(rng, shape, entries, dtype):
+    """Logits of ``shape`` [..., heads, T, T'], a [heads, entries] table and a
+    [T, T'] index into it."""
+    x = (3.0 * rng.normal(size=shape)).astype(dtype)
+    table = rng.normal(size=(shape[-3], entries)).astype(dtype)
+    index = rng.integers(0, entries, size=shape[-2:])
+    return x, table, index
+
+
+def test_softmax_with_bias_matches_the_loop_oracle():
+    x, table, index = biased_inputs(np.random.default_rng(20), (2, 3, 5, 7), 11, np.float64)
+    got = softmax(Tensor(x), Tensor(table), index).data
+    assert np.abs(got - softmax_bias_loop(x, table, index)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,heads,grid", [(1, 3, 56), (1, 6, 28), (1, 12, 14), (2, 16, 7)],
+                         ids=["stage1", "stage2", "stage3", "stage4"])
+def test_softmax_with_relative_bias_is_bit_identical_to_the_unfused_softmax(dtype, n, heads,
+                                                                            grid):
+    rng = np.random.default_rng(21)
+    x = (3.0 * rng.normal(size=(n, heads, grid * grid, grid * grid))).astype(dtype)
+    table = rng.normal(size=(heads, (2 * grid - 1) ** 2)).astype(dtype)
+    index = relative_index_map(grid, grid)
+    got = softmax(Tensor(x), Tensor(table), index).data
+    assert got.dtype == dtype
+    assert got.tobytes() == unfused_softmax(x, table, index).tobytes()
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 3, 1, 1),                 # T = 1
+    (1, 2, 256, 256),             # a head fills one block exactly
+    (1, 2, 300, 300),             # rows per block do not divide T
+    (1, 1, 2, _BLOCK + 5),        # one row is longer than a block
+    (3, 4, 16, 16),               # N > 1, one block spans all heads of all images
+    (2, 3, 100, 300),             # blocks of two heads over three
+    (5, 2, 64, 128),              # blocks of four images over five
+], ids=["t1", "head_fills_block", "rows_not_dividing", "row_longer_than_block",
+        "block_spans_heads", "heads_not_dividing", "images_not_dividing"])
+def test_softmax_with_bias_block_edges_equal_the_unfused_softmax(shape):
+    x, table, index = biased_inputs(np.random.default_rng(22), shape, 37, np.float32)
+    got = softmax(Tensor(x), Tensor(table), index).data
+    assert got.tobytes() == unfused_softmax(x, table, index).tobytes()
+
+
+def test_softmax_with_bias_on_a_tape_equals_the_eval_result():
+    x, table, index = biased_inputs(np.random.default_rng(23), (2, 3, 40, 40), 50, np.float32)
+    with Tape():
+        taped = softmax(Tensor(x, requires_grad=True), Tensor(table, requires_grad=True), index)
+    assert taped.data.tobytes() == softmax(Tensor(x), Tensor(table), index).data.tobytes()
+
+
+@pytest.mark.parametrize("where,bad", [
+    ("x", np.nan), ("x", np.inf), ("x", -np.inf), ("bias", np.float32(3e38)),
+], ids=["nan", "pos_inf", "neg_inf", "bias_overflows_a_logit"])
+def test_softmax_with_bias_rejects_non_finite_logits(where, bad):
+    x, table, index = biased_inputs(np.random.default_rng(24), (1, 2, 30, 30), 9, np.float32)
+    if where == "x":
+        x[0, 1, 29, 3] = bad
+    else:
+        x[0, 1, 29, 3] = 3e38
+        table[1, index[29, 3]] = bad
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="input to softmax"):
+        softmax(Tensor(x), Tensor(table), index)
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_softmax_rejects_a_bias_index_out_of_range(bad):
+    x, table, index = biased_inputs(np.random.default_rng(25), (1, 2, 4, 4), 9, np.float64)
+    index[3, 2] = bad
+    with pytest.raises(ShapeError):
+        softmax(Tensor(x), Tensor(table), index)
+
+
+def test_the_table_gradient_equals_gather_last_composition():
+    x, table, index = biased_inputs(np.random.default_rng(26), (2, 3, 6, 5), 8, np.float64)
+    g = Tensor(np.random.default_rng(27).normal(size=x.shape))
+    grads = []
+    for fused in (True, False):
+        xt, tt = Tensor(x, requires_grad=True), Tensor(table, requires_grad=True)
+        with Tape() as tape:
+            y = softmax(xt, tt, index) if fused else softmax(add(xt, gather_last(tt, index)))
+            loss = sum_all(mul(y, g))
+        tape.backward(loss)
+        grads.append((xt.grad, tt.grad))
+    assert grads[0][0].tobytes() == grads[1][0].tobytes()
+    assert np.abs(grads[0][1] - grads[1][1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_softmax_allocates_only_its_output(with_bias):
+    x = np.random.default_rng(28).normal(size=(1, 3, 1024, 1024)).astype(np.float32)
+    table = Tensor(np.zeros((3, 63 * 63), np.float32))
+    index = relative_index_map(32, 32)
+    args = (table, index) if with_bias else ()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = softmax(Tensor(x), *args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 ** 20
 
 
 def test_gelu_reference_points():
@@ -98,7 +213,7 @@ def test_gelu_float32_is_within_4_ulps_of_float64_on_a_dense_grid():
 
 
 def test_gelu_float32_gradient_is_within_4_ulps_of_float64():
-    x = np.linspace(-8.0, 8.0, 3 * _GELU_BLOCK + 5, dtype=np.float32)
+    x = np.linspace(-8.0, 8.0, 3 * _BLOCK + 5, dtype=np.float32)
     leaf = Tensor(x, requires_grad=True)
     with Tape() as tape:
         loss = sum_all(gelu(leaf))
@@ -111,9 +226,9 @@ def test_gelu_float32_gradient_is_within_4_ulps_of_float64():
     assert err.max() <= 4.0
 
 
-@pytest.mark.parametrize("size", [0, 1, _GELU_BLOCK - 1, _GELU_BLOCK, _GELU_BLOCK + 1])
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
 def test_gelu_float32_block_edges_equal_the_flat_result(size):
-    x = np.random.default_rng(3).normal(scale=3.0, size=_GELU_BLOCK + 7).astype(np.float32)
+    x = np.random.default_rng(3).normal(scale=3.0, size=_BLOCK + 7).astype(np.float32)
     flat = gelu(Tensor(x)).data
     assert gelu(Tensor(x[:size])).data.tobytes() == flat[:size].tobytes()
 
@@ -128,7 +243,7 @@ def test_gelu_float32_non_contiguous_input_equals_the_flat_result():
 
 
 def test_gelu_float32_on_a_tape_equals_the_eval_result():
-    x = np.random.default_rng(5).normal(scale=3.0, size=2 * _GELU_BLOCK + 3).astype(np.float32)
+    x = np.random.default_rng(5).normal(scale=3.0, size=2 * _BLOCK + 3).astype(np.float32)
     with Tape():
         taped = gelu(Tensor(x, requires_grad=True)).data
     assert taped.tobytes() == gelu(Tensor(x)).data.tobytes()
@@ -149,7 +264,7 @@ def test_gelu_float64_is_bit_identical_to_the_scipy_expression():
 
 def test_gelu_float64_gradient_is_bit_identical_to_the_full_size_expression():
     rng = np.random.default_rng(7)
-    x = rng.normal(scale=3.0, size=2 * _GELU_BLOCK + 3)
+    x = rng.normal(scale=3.0, size=2 * _BLOCK + 3)
     g = rng.normal(size=x.size)
     leaf = Tensor(x, requires_grad=True)
     with Tape() as tape:

@@ -9,7 +9,8 @@ from litnet.errors import ConfigError
 from litnet.model import build
 from litnet.tensor import Tensor
 from litnet.train import (AdamW, TrainSettings, cosine_lr, evaluate_accuracy,
-                          is_offset_param, run_training, train_step)
+                          is_offset_param, load_training_checkpoint, run_training,
+                          save_training_checkpoint, train_step)
 
 
 def test_cosine_endpoints():
@@ -115,6 +116,27 @@ def test_resume_continues_bit_identically(tmp_path):
 
     for name, p in straight.named_params().items():
         assert p.data.tobytes() == resumed.named_params()[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("step,epoch,refused", [
+    (2 ** 24 - 1, 2 ** 24 - 1, None),
+    (2 ** 24, 1, "optimizer step 16777216"),
+    (1, 2 ** 24, "epoch 16777216"),
+])
+def test_a_counter_float32_cannot_hold_is_not_checkpointed(tmp_path, step, epoch, refused):
+    model = build(micro_config(num_classes=3), seed=0)
+    optimizer = AdamW(model.named_params())
+    optimizer.step_count = step
+    path = tmp_path / "ckpt.litckpt"
+    if refused:
+        with pytest.raises(ConfigError, match=refused):
+            save_training_checkpoint(path, model, optimizer, epoch)
+        assert not path.exists()
+        return
+    save_training_checkpoint(path, model, optimizer, epoch)
+    resumed = AdamW(model.named_params())
+    assert load_training_checkpoint(path, model, resumed) == epoch
+    assert resumed.step_count == step
 
 
 def test_offset_lr_zero_freezes_offsets_exactly():
