@@ -5,7 +5,7 @@ equivalence lab, and a static cost analyzer."""
 from .analyzer import audit, cost_report, msa_flops
 from .blocks import (MlpBlockParams, MsaParams, PatchEmbedParams,
                      TransformerBlockParams, mlp_block, msa, patch_embed,
-                     relative_bias_lookup, transformer_block)
+                     transformer_block)
 from .checkpoint import load_tensors, save_tensors
 from .dtm import (DeformableConvParams, DtmParams, deformable_conv,
                   dtm_forward, trace_offsets)
@@ -15,8 +15,8 @@ from .errors import (ConfigError, LitError, NumericError, ShapeError,
                      StateError, ValidationError)
 from .model import (ForwardRecord, LitModel, ModelConfig, StageSpec, ablate,
                     build, preset, toy_config)
-from .tensor import (BatchNormState, Tape, Tensor, batch_norm, conv2d, gelu,
-                     layer_norm, matmul, softmax, softmax_cross_entropy, tensor)
+from .tensor import (BatchNormState, Tape, Tensor, attention, batch_norm, conv2d,
+                     gelu, layer_norm, matmul, softmax, softmax_cross_entropy, tensor)
 from .train import AdamW, TrainSettings, cosine_lr, run_training, train_step
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .init import ones, weight, zeros
-from .tensor import (Tensor, add, gather_last, gelu, layer_norm, matmul,
-                     reshape, scale, slice_last, softmax, transpose)
+from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, reshape,
+                     slice_last, transpose)
 
 LN_EPS = 1e-5
 PATCH_SIZE = 4
@@ -135,34 +135,21 @@ def relative_index_map(h: int, w: int) -> np.ndarray:
     return (dy * (2 * w - 1) + dx).astype(np.int64)
 
 
-def _relative_index(table: Tensor, grid: tuple[int, int]) -> np.ndarray:
-    """``relative_index_map`` of ``grid``, once ``table`` is known to hold one
-    entry per displacement of the grid for each head."""
-    h, w = grid
-    expected = (2 * h - 1) * (2 * w - 1)
-    if table.ndim != 2 or table.shape[1] != expected:
-        raise ConfigError(
-            f"relative bias table of shape {table.shape} does not match grid {h}x{w} "
-            f"(expected {expected} displacement entries per head)")
-    return relative_index_map(h, w)
-
-
-def relative_bias_lookup(table: Tensor, grid: tuple[int, int]) -> Tensor:
-    """Expand a per-head displacement table to [heads, T, T] logits bias."""
-    return gather_last(table, _relative_index(table, grid))
-
-
 def _split_heads(t: Tensor, heads: int) -> Tensor:
     n, tokens, dim = t.shape
     return transpose(reshape(t, (n, tokens, heads, dim // heads)), (0, 2, 1, 3))
 
 
-def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None,
+        with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """Scaled dot-product attention over all tokens.
 
-    Returns (output, attention probabilities [N, heads, T, T]). When
-    ``attn_override`` (an array of [N, heads, T, T] or [heads, T, T]) is
-    given it replaces the softmax output; rows must sum to 1 within 1e-6.
+    Returns (output, attention probabilities [N, heads, T, T] or None).
+    The probabilities are returned only when ``with_attn`` is set; asking
+    for them builds the full [N, heads, T, T] array, which ``attention``
+    otherwise never holds outside a tape. When ``attn_override`` (an array
+    of [N, heads, T, T] or [heads, T, T]) is given it replaces the softmax
+    output; rows must sum to 1 within 1e-6.
     """
     n, tokens, _ = x.shape
     inner = p.inner_dim
@@ -172,17 +159,21 @@ def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None) -> tup
     v = _split_heads(slice_last(qkv, 2 * inner, 3 * inner), p.num_heads)
 
     if attn_override is None:
-        logits = matmul(scale(q, 1.0 / np.sqrt(p.head_dim)), transpose(k, (0, 1, 3, 2)))
-        if p.rel_bias is None:
-            attn = softmax(logits)
-        else:
+        index = None
+        if p.rel_bias is not None:
             if p.grid is None:
                 raise ConfigError("relative bias present but the stage grid is unset")
-            if tokens != p.grid[0] * p.grid[1]:
+            h, w = p.grid
+            if tokens != h * w:
+                raise ConfigError(f"{tokens} tokens do not match the {h}x{w} grid "
+                                  "required by the relative bias table")
+            expected = (2 * h - 1) * (2 * w - 1)
+            if p.rel_bias.ndim != 2 or p.rel_bias.shape[1] != expected:
                 raise ConfigError(
-                    f"{tokens} tokens do not match the {p.grid[0]}x{p.grid[1]} grid "
-                    "required by the relative bias table")
-            attn = softmax(logits, p.rel_bias, _relative_index(p.rel_bias, p.grid))
+                    f"relative bias table of shape {p.rel_bias.shape} does not match grid "
+                    f"{h}x{w} (expected {expected} displacement entries per head)")
+            index = relative_index_map(h, w)
+        ctx, attn = attention(q, k, v, p.rel_bias, index, with_probs=with_attn)
     else:
         probs = np.asarray(attn_override)
         if probs.shape == (p.num_heads, tokens, tokens):
@@ -194,9 +185,10 @@ def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None) -> tup
         row_sums = probs.sum(axis=-1)
         if np.abs(row_sums - 1.0).max() > 1e-6:
             raise ValidationError("attention override rows must sum to 1 within 1e-6")
-        attn = Tensor(np.ascontiguousarray(probs, dtype=x.data.dtype))
+        probs = np.ascontiguousarray(probs, dtype=x.data.dtype)
+        ctx = matmul(Tensor(probs), v)
+        attn = probs if with_attn else None
 
-    ctx = matmul(attn, v)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, tokens, inner))
     out = add(matmul(ctx, p.out_w), p.out_b)
     return out, attn
@@ -229,9 +221,11 @@ class TransformerBlockParams:
         return out
 
 
-def transformer_block(x: Tensor, p: TransformerBlockParams) -> tuple[Tensor, Tensor]:
-    """x' = x + MSA(LN(x)); out = x' + MLP(LN(x')). Returns (out, attention)."""
-    attended, attn = msa(layer_norm(x, p.ln_g, p.ln_b, LN_EPS), p.attn)
+def transformer_block(x: Tensor, p: TransformerBlockParams,
+                      with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
+    """x' = x + MSA(LN(x)); out = x' + MLP(LN(x')). Returns (out, attention
+    probabilities or None); asking with ``with_attn`` builds them, as in ``msa``."""
+    attended, attn = msa(layer_norm(x, p.ln_g, p.ln_b, LN_EPS), p.attn, with_attn=with_attn)
     x = add(x, attended)
     return mlp_block(x, p.mlp), attn
 

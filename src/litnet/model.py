@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, get_type_hints
@@ -15,7 +16,7 @@ from .blocks import (MlpBlockParams, PatchEmbedParams, TransformerBlockParams,
                      mlp_block, patch_embed, transformer_block)
 from .checkpoint import load_tensors, save_tensors
 from .dtm import DtmParams, dtm_forward
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
 from .tensor import Tensor, add, layer_norm, matmul, mean_axis, reshape
 
@@ -229,9 +230,23 @@ def ablate(config: ModelConfig, remove_msa_stages: Iterable[int]) -> ModelConfig
     return replace(config, stages=stages)
 
 
+@contextmanager
+def _layer(path: str):
+    """Re-raise a NumericError from the enclosed layer with ``path`` prefixed."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
+
+
 @dataclass
 class ForwardRecord:
-    """Inspection data captured during one forward pass."""
+    """Inspection data captured during one forward pass.
+
+    Passing one to ``LitModel.forward`` asks every attention block for its
+    [N, heads, T, T] probabilities, which are built in full only then (or
+    under a tape); a forward pass without a record never holds them.
+    """
 
     attention: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     offsets: dict[int, np.ndarray] = field(default_factory=dict)
@@ -360,7 +375,12 @@ class LitModel:
 
     def forward(self, images, mode: str = "train",
                 record: ForwardRecord | None = None) -> Tensor:
-        """Full four-stage pass from [N, R, R, 3] images to logits."""
+        """Full four-stage pass from [N, R, R, 3] images to logits.
+
+        A NumericError raised inside a layer is re-raised with the layer's
+        parameter prefix in front, as in ``stage3.block1: non-finite
+        attention logits``.
+        """
         if not isinstance(images, Tensor):
             images = Tensor(np.asarray(images, dtype=self.dtype))
         if images.ndim != 4 or images.shape[3] != 3:
@@ -372,34 +392,39 @@ class LitModel:
         n = images.shape[0]
         grids = self.config.grids()
 
-        tokens = patch_embed(images, self.embed)
+        with _layer("patch_embed"):
+            tokens = patch_embed(images, self.embed)
         for stage in range(1, 5):
             spec = self.config.stages[stage - 1]
             h, w = grids[stage - 1]
             if stage > 1:
                 ph, pw = grids[stage - 2]
                 cprev = self.config.stages[stage - 2].channels
-                spatial, offsets = dtm_forward(reshape(tokens, (n, ph, pw, cprev)),
-                                               self.merges[stage], mode)
+                with _layer(f"stage{stage}.merge"):
+                    spatial, offsets = dtm_forward(reshape(tokens, (n, ph, pw, cprev)),
+                                                   self.merges[stage], mode)
                 if record is not None and offsets is not None:
                     record.offsets[stage] = offsets
                 tokens = reshape(spatial, (n, h * w, spec.channels))
             if stage in self.pos_tables:
-                tokens = add(tokens, self.pos_tables[stage])
+                with _layer(f"pos.stage{stage}"):
+                    tokens = add(tokens, self.pos_tables[stage])
             for i, block in enumerate(self.stages[stage - 1]):
-                if spec.block_kind == BLOCK_MLP:
-                    tokens = mlp_block(tokens, block)
-                else:
-                    tokens, attn = transformer_block(tokens, block)
-                    if record is not None:
-                        record.attention[(stage, i)] = attn.data.copy()
-                    del attn  # a [N, heads, T, T] array: free it before the next block
+                with _layer(f"stage{stage}.block{i}"):
+                    if spec.block_kind == BLOCK_MLP:
+                        tokens = mlp_block(tokens, block)
+                    else:
+                        tokens, attn = transformer_block(tokens, block,
+                                                         with_attn=record is not None)
+                        if record is not None:
+                            record.attention[(stage, i)] = attn
             if record is not None:
                 record.stage_shapes.append((n, h, w, spec.channels))
 
-        tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b, FINAL_LN_EPS)
-        pooled = mean_axis(tokens, 1)
-        return add(matmul(pooled, self.head_w), self.head_b)
+        with _layer("head"):
+            tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b, FINAL_LN_EPS)
+            pooled = mean_axis(tokens, 1)
+            return add(matmul(pooled, self.head_w), self.head_b)
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> LitModel:

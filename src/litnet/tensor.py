@@ -19,19 +19,26 @@ differs from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where
 eps32 is the float32 machine epsilon (2.2 measured on a dense grid over
 [-8, 8]). The GELU backward pass of either dtype runs in the same blocks.
 
-``softmax`` adds an attention layer's relative position bias itself, so
-the [heads, T, T'] bias is never built. It works on tiles of about
-``_BLOCK`` elements: whole rows of one head, whole heads when a head is
-smaller than a block, or whole images when all of an image's heads are.
-Each tile's bias rows are gathered once from the [heads, K] table into
-tile-sized scratch and reused for every image. For each image the tile's
-logits plus bias are written into the preallocated output, checked for
-non-finite values, and normalised there in place (row max, subtract,
-``exp``, row sum, divide), so the output is the only full-size array the
-forward pass allocates. The results equal the unfused
-``softmax(add(x, gather_last(table, index)))`` bit for bit. The table's
-gradient is scatter-added with one flat ``np.bincount``, as is
-``gather_last``'s.
+``attention`` fuses softmax(q @ k^T / sqrt(d) + bias[h, index]) @ v, after
+FlashAttention (Dao et al., arXiv 2205.14135) and chunked attention (Rabe
+& Staats, arXiv 2112.05682). It works on tiles of about ``_ATTN_TILE``
+logits: whole rows of one head, whole heads when a head is smaller than a
+tile, or whole images when all of an image's heads are. A tile's bias rows
+are gathered once from the [heads, K] table into tile-sized scratch and
+reused for every image. For each image the tile's scaled logits are
+written into scratch with one matrix product, the bias is added, the tile
+is checked for non-finite values and normalised in place (row max,
+subtract, ``exp``, divide by the row sum, as ``softmax`` does its row
+blocks), and one more product writes its rows of the output. The
+[N, heads, T, T'] probabilities are built in full only when a tape records
+the op, whose backward pass reads them, or when the caller asks for them;
+otherwise the output and the tile scratch are all the op allocates. Row
+tiles round their products differently from one full-size product, so
+float32 outputs are not bit-identical to the unfused
+``softmax(q k^T / sqrt(d) + bias) @ v``; they stay within 8 float32 ulps
+of max(P @ |v|), the largest sum of |terms| behind one output (3.35 was
+the worst measured). The table's gradient is scatter-added with one flat
+``np.bincount``, as is ``gather_last``'s.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Elements per block of the blocked kernels (float32 GELU, softmax), sized
 # so that a block and its scratch arrays stay in a core's L2 cache.
 _BLOCK = 65536
+# Logits per attention tile (2 MiB of float32). Each tile runs two matrix
+# products, which gain from more rows per call: lit-s's stage-1 attention
+# ([1, 3, 3136, 32] with bias) took 166 ms in 2**19-logit tiles and 280 ms
+# in _BLOCK-sized ones (2-vCPU x86-64, OpenBLAS, best of 5).
+_ATTN_TILE = 2 ** 19
 # Eigen/XLA float32 erf(z) = z * P(z^2) / Q(z^2) on [-4, 4]; beyond, float32
 # erf is +-1. P's coefficients are halved so that 0.5 + z * P / Q is Phi.
 # Both are listed from the highest power of z^2 down.
@@ -328,6 +340,7 @@ def _scatter_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarr
     return sums.astype(values.dtype, copy=False).reshape(rows, width)
 
 
+# Unused by the model; kept because perfbench wraps it by name (ROADMAP item 4).
 def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     """out[..., *index.shape] = a[..., index]; gradient scatter-adds into ``a``."""
     index = np.asarray(index, dtype=np.int64)
@@ -376,70 +389,124 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def softmax(x: Tensor, bias: Tensor | None = None, index: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax over the last axis (max subtraction always on).
+def _softmax_rows(z: np.ndarray, out: np.ndarray, what: str) -> None:
+    """Softmax of each last-axis row of the tile ``z`` into ``out``, which may
+    be ``z`` itself: row max, subtract, ``exp``, divide by the row sum.
 
-    With a ``bias`` table it normalises x + bias[h, index] instead: ``x`` is
-    [..., heads, T, T'], ``bias`` is [heads, K] and ``index`` is a [T, T']
-    array of entries in [0, K). Differentiable in ``x`` and ``bias``. Runs
-    in row blocks; see the module docstring.
+    NaN and -inf show in the tile minimum, +inf in a row maximum; either
+    raises NumericError naming ``what`` before anything is written.
     """
+    zmax = z.max(axis=-1, keepdims=True)
+    if not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
+        raise NumericError(f"non-finite {what}")
+    np.subtract(z, zmax, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+
+# Unused by the model; kept because perfbench wraps it by name (ROADMAP item 4).
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis (max subtraction always
+    on), in tiles of whole rows of about ``_BLOCK`` elements."""
     xd = x.data
-    if (bias is None) != (index is None):
-        raise ShapeError("softmax: give a bias table and its index together, or neither")
-    if bias is None:
-        xv = xd.reshape(1, 1, -1, xd.shape[-1])
-    else:
-        index = np.asarray(index, dtype=np.int64)
-        if xd.ndim < 3 or bias.ndim != 2 or bias.shape[0] != xd.shape[-3] \
-                or index.shape != xd.shape[-2:]:
-            raise ShapeError(f"softmax: bias table {bias.shape} and index {index.shape} "
-                             f"do not fit logits {xd.shape}")
-        xv = xd.reshape((-1,) + xd.shape[-3:])
-    _, heads, t, width = xv.shape
-    out = np.empty(xd.shape, xd.dtype if bias is None else np.result_type(xd, bias.data))
+    width = xd.shape[-1]
+    xv = xd.reshape(-1, width)
+    out = np.empty(xd.shape, xd.dtype)
     ov = out.reshape(xv.shape)
-    # A tile is whole rows of one head, whole heads when a head fits in a
-    # block, or whole images when an image's heads all fit.
-    rows = max(1, min(t, _BLOCK // max(width, 1)))
-    tile_heads = max(1, min(heads, _BLOCK // max(t * width, 1))) if rows == t else 1
-    images = max(1, _BLOCK // max(heads * t * width, 1)) if tile_heads == heads else 1
+    rows = max(1, _BLOCK // max(width, 1))
+    for r0 in range(0, xv.shape[0], rows):
+        _softmax_rows(xv[r0:r0 + rows], ov[r0:r0 + rows], "input to softmax")
+    return _apply("softmax", (x,), out,
+                  lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
+              index: np.ndarray | None = None,
+              with_probs: bool = False) -> tuple[Tensor, np.ndarray | None]:
+    """softmax(q @ k^T / sqrt(d) + bias[h, index]) @ v, one tile at a time.
+
+    ``q`` is [N, heads, T, d], ``k`` is [N, heads, T', d] and ``v`` is
+    [N, heads, T', dv]. The optional ``bias`` is a [heads, K] table and
+    ``index`` a [T, T'] array of entries in [0, K). Returns the
+    [N, heads, T, dv] output and the [N, heads, T, T'] probabilities when
+    ``with_probs`` is set, else None. The probabilities are built in full
+    only when asked for or when a tape records the op, whose backward pass
+    needs them. Differentiable in q, k, v and the table; see the module
+    docstring for the tiling.
+    """
+    if (bias is None) != (index is None):
+        raise ShapeError("attention: give a bias table and its index together, or neither")
+    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4 or k.shape[:2] != q.shape[:2] \
+            or k.shape[3] != q.shape[3] or v.shape[:3] != k.shape[:3] \
+            or min(q.shape[3], k.shape[2]) < 1:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} are not "
+                         "[N, heads, T, d], [N, heads, T', d] and [N, heads, T', dv]")
+    n, heads, t, d = q.shape
+    width = k.shape[2]
+    inputs = (q, k, v)
     if bias is not None:
-        scratch = np.empty(tile_heads * rows * width, bias.dtype)
+        index = np.asarray(index, dtype=np.int64)
+        if bias.ndim != 2 or bias.shape[0] != heads or index.shape != (t, width):
+            raise ShapeError(f"attention: bias table {bias.shape} and index {index.shape} "
+                             f"do not fit {heads} heads of {t}x{width} logits")
+        inputs += (bias,)
+    tape = _recording_tape(inputs)
+    s = 1.0 / math.sqrt(d)
+    dtype = np.result_type(*(x.data for x in inputs))
+    out = np.empty((n, heads, t, v.shape[3]), dtype)
+    probs = np.empty((n, heads, t, width), dtype) if with_probs or tape is not None else None
+    # A tile is whole rows of one head, whole heads when a head fits in a
+    # tile, or whole images when an image's heads all fit.
+    rows = max(1, min(t, _ATTN_TILE // width))
+    tile_heads = max(1, min(heads, _ATTN_TILE // (t * width))) if rows == t else 1
+    images = max(1, min(n, _ATTN_TILE // (heads * t * width))) if tile_heads == heads else 1
+    tile = images * tile_heads * rows
+    q_scratch = np.empty(tile * d, dtype)
+    z_scratch = np.empty(tile * width, dtype) if probs is None else None
+    if bias is not None:
+        bias_scratch = np.empty(tile_heads * rows * width, bias.dtype)
+    kt = k.data.swapaxes(-1, -2)
     for r0 in range(0, t, rows):
         r1 = min(r0 + rows, t)
         if bias is not None:
             idx = index[r0:r1]
             if idx.min() < 0 or idx.max() >= bias.shape[1]:
-                raise ShapeError(f"softmax: bias index out of range for {bias.shape[1]} entries")
+                raise ShapeError(f"attention: bias index out of range for {bias.shape[1]} entries")
         for h0 in range(0, heads, tile_heads):
             h1 = min(h0 + tile_heads, heads)
             if bias is not None:
-                tile = scratch[:(h1 - h0) * idx.size].reshape((h1 - h0,) + idx.shape)
-                for tile_row, table_row in zip(tile, bias.data[h0:h1]):
+                tile_bias = bias_scratch[:(h1 - h0) * idx.size].reshape((h1 - h0,) + idx.shape)
+                for tile_row, table_row in zip(tile_bias, bias.data[h0:h1]):
                     np.take(table_row, idx, out=tile_row, mode="clip")  # bounds checked above
-            for b0 in range(0, xv.shape[0], images):
-                o = ov[b0:b0 + images, h0:h1, r0:r1]
-                z = xv[b0:b0 + images, h0:h1, r0:r1]
+            for b0 in range(0, n, images):
+                b1 = min(b0 + images, n)
+                shape = (b1 - b0, h1 - h0, r1 - r0)
+                cells = math.prod(shape)
+                qs = np.multiply(q.data[b0:b1, h0:h1, r0:r1], s,
+                                 out=q_scratch[:cells * d].reshape(shape + (d,)))
+                z = probs[b0:b1, h0:h1, r0:r1] if probs is not None \
+                    else z_scratch[:cells * width].reshape(shape + (width,))
+                np.matmul(qs, kt[b0:b1, h0:h1], out=z)
                 if bias is not None:
-                    z = np.add(z, tile, out=o)
-                zmax = z.max(axis=-1, keepdims=True)
-                # NaN and -inf show in the minimum, +inf in a row maximum.
-                if not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
-                    raise NumericError("non-finite input to softmax")
-                np.subtract(z, zmax, out=o)
-                np.exp(o, out=o)
-                o /= o.sum(axis=-1, keepdims=True)
+                    z += tile_bias
+                _softmax_rows(z, z, "attention logits")
+                np.matmul(z, v.data[b0:b1, h0:h1], out=out[b0:b1, h0:h1, r0:r1])
 
     def bwd(g):
-        gx = out * (g - (g * out).sum(axis=-1, keepdims=True))
+        gv = probs.swapaxes(-1, -2) @ g
+        ds = g @ v.data.swapaxes(-1, -2)
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        gq = ds @ k.data
+        gq *= s
+        gk = ds.swapaxes(-1, -2) @ q.data
+        gk *= s
         if bias is None:
-            return (gx,)
-        per_head = gx.reshape((-1, heads, t * width)).sum(axis=0)
-        return (gx, _scatter_rows(per_head, index.reshape(-1), bias.shape[1]))
+            return (gq, gk, gv)
+        per_head = ds.sum(axis=0).reshape(heads, t * width)
+        return (gq, gk, gv, _scatter_rows(per_head, index.reshape(-1), bias.shape[1]))
 
-    inputs = (x,) if bias is None else (x, bias)
-    return _apply("softmax", inputs, out, bwd)
+    return _apply("attention", inputs, out, bwd), (probs if with_probs else None)
 
 
 def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | None]:

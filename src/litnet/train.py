@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import load_tensors, save_tensors
 from .errors import ConfigError, NumericError
 from .model import LitModel
-from .tensor import Tape, Tensor, softmax_cross_entropy
+from .tensor import Tape, Tensor, _all_finite, softmax_cross_entropy
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int = 0) -> float:
@@ -72,6 +72,12 @@ class AdamW:
         self.step_count = 0
 
     def step(self, lr_scale: float = 1.0) -> None:
+        """One update of every parameter that has a gradient. A non-finite
+        gradient raises NumericError naming its parameter before any
+        parameter, moment or the step count changes."""
+        for name, p in self.params.items():
+            if p.grad is not None and not _all_finite(p.grad):
+                raise NumericError(f"non-finite gradient for {name}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.BETA1 ** t
@@ -243,7 +249,7 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
                                            optimizer, lr_scale)
             except NumericError as exc:
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {global_step}: {exc}; "
+                    f"epoch {epoch} step {global_step}: {exc}; "
                     "the most recent checkpoint is retained") from exc
             epoch_loss += loss * len(batch_idx)
             epoch_correct += correct

@@ -165,21 +165,28 @@ def msa_oracle(x: np.ndarray, qkv_w: np.ndarray, qkv_b: np.ndarray,
     return out, attn_all
 
 
-def softmax_bias_loop(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row-by-row float64 softmax of x[..., h, i, j] + table[h, index[i, j]]."""
-    x = np.asarray(x, dtype=np.float64)
-    heads, t, width = x.shape[-3:]
-    out = np.empty_like(x)
-    for lead in np.ndindex(x.shape[:-3]):
+def attention_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                   table: np.ndarray | None = None,
+                   index: np.ndarray | None = None) -> np.ndarray:
+    """Row-by-row float64 softmax(q k^T / sqrt(d) + table[h, index]) v of
+    [N, heads, T, d] queries and [N, heads, T', d] keys and values."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    n, heads, t, d = q.shape
+    width, dv = k.shape[2], v.shape[3]
+    s = 1.0 / math.sqrt(d)
+    out = np.empty((n, heads, t, dv))
+    for b in range(n):
         for h in range(heads):
             for i in range(t):
-                z = [float(x[lead + (h, i, j)]) + float(table[h, index[i, j]])
+                z = [s * math.fsum(float(q[b, h, i, c]) * float(k[b, h, j, c]) for c in range(d))
+                     + (0.0 if table is None else float(table[h, index[i, j]]))
                      for j in range(width)]
                 top = max(z)
-                e = [math.exp(v - top) for v in z]
+                e = [math.exp(x - top) for x in z]
                 total = math.fsum(e)
-                for j in range(width):
-                    out[lead + (h, i, j)] = e[j] / total
+                for c in range(dv):
+                    out[b, h, i, c] = math.fsum(e[j] * float(v[b, h, j, c])
+                                                for j in range(width)) / total
     return out
 
 

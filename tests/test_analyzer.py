@@ -14,7 +14,7 @@ from litnet import blocks
 from litnet.blocks import MsaParams, msa
 from litnet.errors import ConfigError
 from litnet.model import ablate, build, preset, toy_config
-from litnet.tensor import matmul, tensor
+from litnet.tensor import attention, matmul, tensor
 
 
 def test_single_fc_param_count():
@@ -105,7 +105,7 @@ def test_rejects_indivisible_resolution():
 def test_msa_formula_matches_instrumented_forward(monkeypatch):
     # exact MAC agreement with an op-counting execution on small grids;
     # MACs are counted as the benchmark counts them, by wrapping matmul
-    # where msa looks it up
+    # where msa looks it up, and attention's two products likewise
     macs = []
 
     def counted(a, b):
@@ -113,7 +113,13 @@ def test_msa_formula_matches_instrumented_forward(monkeypatch):
         macs.append(out.size * a.shape[-1])
         return out
 
+    def counted_attention(q, k, v, *args, **kwargs):
+        n, heads, t, d = q.shape
+        macs.append(n * heads * t * k.shape[2] * (d + v.shape[3]))
+        return attention(q, k, v, *args, **kwargs)
+
     monkeypatch.setattr(blocks, "matmul", counted)
+    monkeypatch.setattr(blocks, "attention", counted_attention)
     rng = np.random.default_rng(0)
     for h, w, c, heads in [(4, 4, 8, 2), (8, 8, 16, 4), (6, 8, 12, 3)]:
         params = MsaParams.create(rng, c, heads, dtype=np.float64)

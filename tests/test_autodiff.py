@@ -6,8 +6,8 @@ import pytest
 
 from helpers import check_gradients
 from litnet.errors import ShapeError, StateError
-from litnet.tensor import (BatchNormState, Tape, Tensor, add, batch_norm, conv2d, deform_sample,
-                           gather_last, gelu, layer_norm, matmul, mul, reshape,
+from litnet.tensor import (BatchNormState, Tape, Tensor, add, attention, batch_norm, conv2d,
+                           deform_sample, gather_last, gelu, layer_norm, matmul, mul, reshape,
                            scale, slice_last, softmax, softmax_cross_entropy,
                            sum_all, sum_axis, tensor, transpose)
 
@@ -120,12 +120,15 @@ def test_grad_softmax_gelu():
     check_gradients(projected(rng, lambda: gelu(x)), [x])
 
 
-def test_grad_softmax_with_bias():
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_grad_attention(with_bias):
     rng = np.random.default_rng(12)
-    x = rand(rng, 2, 3, 4, 5)
+    q, k, v = rand(rng, 2, 3, 4, 2), rand(rng, 2, 3, 5, 2), rand(rng, 2, 3, 5, 3)
     table = rand(rng, 3, 6)
     index = rng.integers(0, 6, size=(4, 5))
-    check_gradients(projected(rng, lambda: softmax(x, table, index)), [x, table])
+    bias = (table, index) if with_bias else (None, None)
+    params = [q, k, v, table] if with_bias else [q, k, v]
+    check_gradients(projected(rng, lambda: attention(q, k, v, *bias)[0]), params)
 
 
 def test_grad_layer_norm():

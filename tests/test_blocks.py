@@ -7,8 +7,7 @@ import pytest
 from helpers import check_gradients, msa_oracle, relative_index_loop
 from litnet.blocks import (LN_EPS, MlpBlockParams, MsaParams, PatchEmbedParams,
                            TransformerBlockParams, mlp_block, msa, patch_embed,
-                           relative_bias_lookup, relative_index_map,
-                           transformer_block)
+                           relative_index_map, transformer_block)
 from litnet.errors import ConfigError, ValidationError
 from litnet.tensor import Tensor, mul, sum_all, tensor
 
@@ -65,8 +64,8 @@ def test_msa_single_token_attention_is_one():
     rng = np.random.default_rng(3)
     p = make_msa(rng, channels=6, heads=3)
     x = tensor(rng.normal(size=(2, 1, 6)))
-    out, attn = msa(x, p)
-    assert np.array_equal(attn.data, np.ones((2, 3, 1, 1)))
+    out, attn = msa(x, p, with_attn=True)
+    assert np.array_equal(attn, np.ones((2, 3, 1, 1)))
     want = (x.data @ p.qkv_w.data + p.qkv_b.data)[..., 12:] @ p.out_w.data + p.out_b.data
     assert np.abs(out.data - want).max() < 1e-12
 
@@ -86,30 +85,30 @@ def test_msa_matches_unfused_oracle():
     rng = np.random.default_rng(5)
     p = make_msa(rng, channels=8, heads=2)
     x = rng.normal(size=(1, 4, 8))
-    out, attn = msa(tensor(x), p)
+    out, attn = msa(tensor(x), p, with_attn=True)
     want_out, want_attn = msa_oracle(x, p.qkv_w.data, p.qkv_b.data,
                                      p.out_w.data, p.out_b.data, heads=2)
     assert np.abs(out.data - want_out).max() < 1e-10
-    assert np.abs(attn.data - want_attn).max() < 1e-10
+    assert np.abs(attn - want_attn).max() < 1e-10
 
 
 def test_msa_with_relative_bias_matches_oracle():
     rng = np.random.default_rng(6)
     p = make_msa(rng, channels=8, heads=2, grid=(2, 3), relative=True)
     x = rng.normal(size=(2, 6, 8))
-    out, attn = msa(tensor(x), p)
+    out, attn = msa(tensor(x), p, with_attn=True)
     bias = p.rel_bias.data[:, relative_index_loop(2, 3)]
     want_out, want_attn = msa_oracle(x, p.qkv_w.data, p.qkv_b.data,
                                      p.out_w.data, p.out_b.data, heads=2, bias=bias)
     assert np.abs(out.data - want_out).max() < 1e-10
-    assert np.abs(attn.data - want_attn).max() < 1e-10
+    assert np.abs(attn - want_attn).max() < 1e-10
 
 
 def test_msa_attention_rows_sum_to_one():
     rng = np.random.default_rng(7)
     p = make_msa(rng, channels=6, heads=2)
-    _, attn = msa(tensor(rng.normal(size=(2, 9, 6))), p)
-    assert np.abs(attn.data.sum(axis=-1) - 1.0).max() < 1e-10
+    _, attn = msa(tensor(rng.normal(size=(2, 9, 6))), p, with_attn=True)
+    assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-10
 
 
 def test_msa_override_row_sum_validation():
@@ -207,17 +206,20 @@ def test_patch_embed_rejects_indivisible_extents():
         patch_embed(tensor(np.zeros((1, 10, 8, 3))), p)
 
 
+def relative_bias(table: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The [heads, T, T] logits bias that ``msa`` adds for an h x w grid."""
+    return table[:, relative_index_map(h, w)]
+
+
 def test_relative_bias_degenerate_grid():
-    table = tensor([[3.25]])
-    bias = relative_bias_lookup(table, (1, 1))
+    bias = relative_bias(np.array([[3.25]]), 1, 1)
     assert bias.shape == (1, 1, 1)
-    assert bias.data[0, 0, 0] == 3.25
+    assert bias[0, 0, 0] == 3.25
 
 
 def test_relative_bias_diagonal_is_constant():
     rng = np.random.default_rng(16)
-    table = tensor(rng.normal(size=(3, 5 * 5)))
-    bias = relative_bias_lookup(table, (3, 3)).data
+    bias = relative_bias(rng.normal(size=(3, 5 * 5)), 3, 3)
     diag = bias[:, np.arange(9), np.arange(9)]
     assert np.all(diag == diag[:, :1])
 
@@ -234,8 +236,7 @@ def test_relative_bias_translation_property():
     # share one bias value, exhaustively on a 4x4 grid
     rng = np.random.default_rng(17)
     h, w = 4, 4
-    table = tensor(rng.normal(size=(2, (2 * h - 1) * (2 * w - 1))))
-    bias = relative_bias_lookup(table, (h, w)).data
+    bias = relative_bias(rng.normal(size=(2, (2 * h - 1) * (2 * w - 1))), h, w)
     oracle_classes = relative_index_loop(h, w)
     for head in range(2):
         for disp in np.unique(oracle_classes):
@@ -244,8 +245,6 @@ def test_relative_bias_translation_property():
 
 
 def test_relative_bias_extent_mismatch():
-    with pytest.raises(ConfigError):
-        relative_bias_lookup(tensor(np.zeros((2, 10))), (2, 2))
     rng = np.random.default_rng(19)
     p = make_msa(rng, channels=6, heads=2, grid=(2, 2), relative=True)
     p.rel_bias = tensor(np.zeros((2, 10)))

@@ -192,6 +192,18 @@ def test_train_refuses_to_checkpoint_an_epoch_float32_cannot_hold(trained, tmp_p
     assert not (out / "ckpt_final.litckpt").exists()
 
 
+def test_train_names_the_layer_and_step_of_a_non_finite_value(trained, tmp_path, capsys):
+    state = load_tensors(trained / "ckpt_final.litckpt")
+    state["stage3.block1.attn.qkv.w"][0, 0] = np.nan
+    save_tensors(tmp_path / "nan.litckpt", state)
+    code, err = run(capsys, "train", "--resume", str(tmp_path / "nan.litckpt"),
+                    "--epochs", "2", "--num-images", "8", "--batch-size", "4",
+                    "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_NUMERIC
+    assert len(err.strip().splitlines()) == 1, err
+    assert "epoch 1 step 2: stage3.block1: non-finite values produced by matmul" in err
+
+
 def test_audit_of_a_preset_passes_and_writes_its_reports(tmp_path, capsys):
     code, _ = run(capsys, "audit", "--preset", "lit-ti", "--out", str(tmp_path))
     assert code == cli.EXIT_OK

@@ -1,13 +1,17 @@
 """Model factory: presets, config validation, forward shapes, ablations,
 and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import micro_config
-from litnet.errors import ConfigError, StateError
-from litnet.model import (ForwardRecord, ModelConfig, ablate, build, preset,
-                          toy_config)
+from litnet import blocks
+from litnet.errors import ConfigError, NumericError, StateError
+from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
+                          ModelConfig, StageSpec, ablate, build, preset, toy_config)
+from litnet.tensor import Tape, attention, sum_all
 
 
 def test_preset_table():
@@ -205,3 +209,63 @@ def test_forward_is_deterministic_bitwise():
     a = build(cfg, seed=0).forward(x, mode="train").data
     b = build(cfg, seed=0).forward(x, mode="train").data
     assert a.tobytes() == b.tobytes()
+
+
+def test_an_eval_forward_never_holds_a_whole_stage1_attention_map():
+    # all four stages attend; stage 1 has 2 heads over 32 x 32 = 1024 tokens
+    stages = tuple(StageSpec(patch_size=p, channels=c, depth=1, heads=h, expansion=2,
+                             block_kind=BLOCK_TRANSFORMER, merge_kind=m)
+                   for p, c, h, m in zip([4, 2, 2, 2], [16, 16, 32, 32], [2, 2, 4, 4],
+                                         [MERGE_LINEAR, MERGE_DTM, MERGE_DTM, MERGE_DTM]))
+    config = ModelConfig(stages=stages, positional_encoding="relative", num_classes=3,
+                         resolution=128)
+    model = build(config, seed=0)
+    model.seed_norm_stats()
+    images = np.random.default_rng(0).normal(size=(1, 128, 128, 3)).astype(np.float32)
+    model.forward(images, mode="eval")  # fills the cached relative index maps
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.forward(images, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    tokens = config.grids()[0][0] * config.grids()[0][1]
+    assert peak < 1 * stages[0].heads * tokens * tokens * np.dtype(np.float32).itemsize
+
+
+def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):
+    taped = []
+
+    def keep_probs(*args, with_probs=False):
+        out, probs = attention(*args, with_probs=True)
+        taped.append(probs)
+        return out, probs if with_probs else None
+
+    monkeypatch.setattr(blocks, "attention", keep_probs)
+    model = build(micro_config(), seed=0)
+    images = np.random.default_rng(1).normal(size=(2, 32, 32, 3))
+    record = ForwardRecord()
+    with Tape() as tape:
+        loss = sum_all(model.forward(images, mode="train", record=record))
+    tape.backward(loss)
+    assert list(record.attention) == [(3, 0), (4, 0)]
+    for got, want in zip(record.attention.values(), taped, strict=True):
+        assert got.tobytes() == want.tobytes()
+        assert np.abs(got.sum(axis=-1) - 1.0).max() < 1e-6
+    plain = ForwardRecord()
+    model.forward(images, mode="train", record=plain)
+    for key, got in plain.attention.items():
+        assert got.tobytes() == record.attention[key].tobytes()
+
+
+@pytest.mark.parametrize("param,path", [
+    ("patch_embed.w", "patch_embed"), ("stage2.merge.conv.w", "stage2.merge"),
+    ("stage3.block1.attn.qkv.w", "stage3.block1"), ("head.w", "head"),
+])
+def test_a_numeric_error_names_the_layer_it_came_from(param, path):
+    model = build(toy_config(), seed=0)
+    model.named_params()[param].data[0, ...] = np.nan
+    with pytest.raises(NumericError) as exc:
+        model.forward(np.random.default_rng(2).normal(size=(2, 64, 64, 3)), mode="train")
+    assert str(exc.value).startswith(f"{path}: non-finite ")

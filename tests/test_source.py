@@ -1,6 +1,7 @@
 """Source hygiene checks that need no third-party linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,14 @@ SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
                          ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_op_the_benchmark_traces_is_defined():
+    # perfbench wraps these tensor ops by name; read its list without
+    # importing it, so that a deleted op fails here and not inside a traced run
+    tree = ast.parse((TESTS.parent / "perfbench" / "layers.py").read_text())
+    ops = next(ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "TENSOR_OPS" for t in node.targets))
+    tensor_module = importlib.import_module("litnet.tensor")
+    assert ops and [op for op in ops if not callable(getattr(tensor_module, op, None))] == []

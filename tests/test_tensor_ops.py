@@ -1,19 +1,26 @@
 """Forward-path contracts of the tensor primitives against independent
 oracles."""
 
+import importlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from helpers import conv2d_loop, matmul_loop, softmax_bias_loop
+from helpers import attention_loop, conv2d_loop, matmul_loop
 from litnet.blocks import relative_index_map
 from litnet.errors import NumericError, ShapeError, StateError
-from litnet.tensor import (_BLOCK, BatchNormState, Tape, Tensor, add, batch_norm,
-                           conv2d, deform_sample, gather_last, gelu, layer_norm, matmul, mul,
-                           softmax, softmax_cross_entropy, sum_all, tensor)
+from litnet.tensor import (_ATTN_TILE, _BLOCK, BatchNormState, Tape, Tensor, add, attention,
+                           batch_norm, conv2d, deform_sample, gather_last, gelu, layer_norm,
+                           matmul, mul, scale, softmax, softmax_cross_entropy, sum_all, tensor,
+                           transpose)
+
+# the module itself: the package binds ``litnet.tensor`` to the tensor() factory
+tensor_module = importlib.import_module("litnet.tensor")
 
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -80,117 +87,256 @@ def test_softmax_rejects_non_finite_input():
         softmax(tensor([np.inf, 0.0]))
 
 
-def unfused_softmax(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The unfused attention softmax: gather the [heads, T, T'] bias, add it,
-    then a full-size max-shifted softmax."""
-    z = x + table[:, index]
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def test_softmax_allocates_only_its_output():
+    x = np.random.default_rng(28).normal(size=(1, 3, 1024, 1024)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = softmax(Tensor(x))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 ** 20
 
 
-def biased_inputs(rng, shape, entries, dtype):
-    """Logits of ``shape`` [..., heads, T, T'], a [heads, entries] table and a
-    [T, T'] index into it."""
-    x = (3.0 * rng.normal(size=shape)).astype(dtype)
-    table = rng.normal(size=(shape[-3], entries)).astype(dtype)
-    index = rng.integers(0, entries, size=shape[-2:])
-    return x, table, index
+def attention_inputs(rng, n, heads, t, width, d, entries=37, dtype=np.float32):
+    """[N, heads, T, d] queries, [N, heads, T', d] keys and values, a
+    [heads, entries] bias table and a [T, T'] index into it."""
+    q = rng.normal(size=(n, heads, t, d)).astype(dtype)
+    k = rng.normal(size=(n, heads, width, d)).astype(dtype)
+    v = rng.normal(size=(n, heads, width, d)).astype(dtype)
+    table = rng.normal(size=(heads, entries)).astype(dtype)
+    return q, k, v, table, rng.integers(0, entries, size=(t, width))
 
 
-def test_softmax_with_bias_matches_the_loop_oracle():
-    x, table, index = biased_inputs(np.random.default_rng(20), (2, 3, 5, 7), 11, np.float64)
-    got = softmax(Tensor(x), Tensor(table), index).data
-    assert np.abs(got - softmax_bias_loop(x, table, index)).max() < 1e-12
+def unfused_attention(q, k, v, table=None, index=None):
+    """(output, probabilities) of the unfused path, one head at a time:
+    logits of the scaled queries and a contiguous k^T, plus the gathered
+    bias, a full-row max-shifted softmax, then @ v."""
+    s = 1.0 / math.sqrt(q.shape[-1])
+    out = np.empty(q.shape[:3] + v.shape[3:], q.dtype)
+    probs = np.empty(q.shape[:3] + k.shape[2:3], q.dtype)
+    for b, h in np.ndindex(q.shape[:2]):
+        z = (q[b, h] * s) @ np.ascontiguousarray(k[b, h].T)
+        if table is not None:
+            z += table[h, index]
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        probs[b, h] = e / e.sum(axis=-1, keepdims=True)
+        out[b, h] = probs[b, h] @ v[b, h]
+    return out, probs
+
+
+def run_attention(q, k, v, table=None, index=None, with_probs=False):
+    bias = None if table is None else Tensor(table)
+    out, probs = attention(Tensor(q), Tensor(k), Tensor(v), bias, index, with_probs=with_probs)
+    return out.data, probs
+
+
+# Row tiles round their matrix products differently from one full-size
+# product, so the float32 output is not bit-identical to the unfused path.
+# It stays within this many float32 ulps of max(P @ |v|), the largest sum
+# of |terms| behind one output; the worst measured was 3.35.
+ATTENTION_ULPS = 8
+
+
+def attention_ulps(got, want, probs, v) -> float:
+    return float(np.abs(got - want).max() / (EPS32 * (probs @ np.abs(v)).max()))
+
+
+def test_attention_matches_the_loop_oracle():
+    q, k, v, table, index = attention_inputs(np.random.default_rng(20), 2, 3, 5, 7, 4, 11,
+                                             np.float64)
+    got, _ = run_attention(q, k, v, table, index)
+    assert np.abs(got - attention_loop(q, k, v, table, index)).max() < 1e-12
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n,heads,grid", [(1, 3, 56), (1, 6, 28), (1, 12, 14), (2, 16, 7)],
                          ids=["stage1", "stage2", "stage3", "stage4"])
-def test_softmax_with_relative_bias_is_bit_identical_to_the_unfused_softmax(dtype, n, heads,
-                                                                            grid):
+def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, grid):
     rng = np.random.default_rng(21)
-    x = (3.0 * rng.normal(size=(n, heads, grid * grid, grid * grid))).astype(dtype)
+    q, k, v, _, _ = attention_inputs(rng, n, heads, grid * grid, grid * grid, 32, 1, dtype)
     table = rng.normal(size=(heads, (2 * grid - 1) ** 2)).astype(dtype)
     index = relative_index_map(grid, grid)
-    got = softmax(Tensor(x), Tensor(table), index).data
+    got, _ = run_attention(q, k, v, table, index)
+    want, probs = unfused_attention(q, k, v, table, index)
     assert got.dtype == dtype
-    assert got.tobytes() == unfused_softmax(x, table, index).tobytes()
-
-
-@pytest.mark.parametrize("shape", [
-    (2, 3, 1, 1),                 # T = 1
-    (1, 2, 256, 256),             # a head fills one block exactly
-    (1, 2, 300, 300),             # rows per block do not divide T
-    (1, 1, 2, _BLOCK + 5),        # one row is longer than a block
-    (3, 4, 16, 16),               # N > 1, one block spans all heads of all images
-    (2, 3, 100, 300),             # blocks of two heads over three
-    (5, 2, 64, 128),              # blocks of four images over five
-], ids=["t1", "head_fills_block", "rows_not_dividing", "row_longer_than_block",
-        "block_spans_heads", "heads_not_dividing", "images_not_dividing"])
-def test_softmax_with_bias_block_edges_equal_the_unfused_softmax(shape):
-    x, table, index = biased_inputs(np.random.default_rng(22), shape, 37, np.float32)
-    got = softmax(Tensor(x), Tensor(table), index).data
-    assert got.tobytes() == unfused_softmax(x, table, index).tobytes()
-
-
-def test_softmax_with_bias_on_a_tape_equals_the_eval_result():
-    x, table, index = biased_inputs(np.random.default_rng(23), (2, 3, 40, 40), 50, np.float32)
-    with Tape():
-        taped = softmax(Tensor(x, requires_grad=True), Tensor(table, requires_grad=True), index)
-    assert taped.data.tobytes() == softmax(Tensor(x), Tensor(table), index).data.tobytes()
-
-
-@pytest.mark.parametrize("where,bad", [
-    ("x", np.nan), ("x", np.inf), ("x", -np.inf), ("bias", np.float32(3e38)),
-], ids=["nan", "pos_inf", "neg_inf", "bias_overflows_a_logit"])
-def test_softmax_with_bias_rejects_non_finite_logits(where, bad):
-    x, table, index = biased_inputs(np.random.default_rng(24), (1, 2, 30, 30), 9, np.float32)
-    if where == "x":
-        x[0, 1, 29, 3] = bad
+    if dtype == np.float64:
+        assert np.abs(got - want).max() < 1e-12
     else:
-        x[0, 1, 29, 3] = 3e38
-        table[1, index[29, 3]] = bad
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="input to softmax"):
-        softmax(Tensor(x), Tensor(table), index)
-
-
-@pytest.mark.parametrize("bad", [-1, 9])
-def test_softmax_rejects_a_bias_index_out_of_range(bad):
-    x, table, index = biased_inputs(np.random.default_rng(25), (1, 2, 4, 4), 9, np.float64)
-    index[3, 2] = bad
-    with pytest.raises(ShapeError):
-        softmax(Tensor(x), Tensor(table), index)
-
-
-def test_the_table_gradient_equals_gather_last_composition():
-    x, table, index = biased_inputs(np.random.default_rng(26), (2, 3, 6, 5), 8, np.float64)
-    g = Tensor(np.random.default_rng(27).normal(size=x.shape))
-    grads = []
-    for fused in (True, False):
-        xt, tt = Tensor(x, requires_grad=True), Tensor(table, requires_grad=True)
-        with Tape() as tape:
-            y = softmax(xt, tt, index) if fused else softmax(add(xt, gather_last(tt, index)))
-            loss = sum_all(mul(y, g))
-        tape.backward(loss)
-        grads.append((xt.grad, tt.grad))
-    assert grads[0][0].tobytes() == grads[1][0].tobytes()
-    assert np.abs(grads[0][1] - grads[1][1]).max() < 1e-12
+        assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
-def test_softmax_allocates_only_its_output(with_bias):
-    x = np.random.default_rng(28).normal(size=(1, 3, 1024, 1024)).astype(np.float32)
-    table = Tensor(np.zeros((3, 63 * 63), np.float32))
-    index = relative_index_map(32, 32)
+@pytest.mark.parametrize("shape", [
+    (2, 3, 1, 1),                         # T = T' = 1
+    (1, 2, 512, _ATTN_TILE // 512),       # a head fills one tile exactly
+    (1, 2, 400, 3000),                    # rows per tile do not divide T
+    (1, 1, 2, _ATTN_TILE + 5),            # one row is longer than a tile
+    (3, 4, 16, 16),                       # N > 1, one tile spans all heads of all images
+    (2, 3, 400, 600),                     # tiles of two heads over three
+    (5, 2, 256, 256),                     # tiles of four images over five
+], ids=["t1", "head_fills_tile", "rows_not_dividing", "row_longer_than_tile",
+        "tile_spans_heads", "heads_not_dividing", "images_not_dividing"])
+def test_attention_tile_edges_match_the_unfused_path(shape, with_bias):
+    q, k, v, table, index = attention_inputs(np.random.default_rng(22), *shape, 8)
     args = (table, index) if with_bias else ()
+    got, _ = run_attention(q, k, v, *args)
+    want, probs = unfused_attention(q, k, v, *args)
+    assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+
+
+def test_attention_on_a_tape_equals_the_eval_result():
+    q, k, v, table, index = attention_inputs(np.random.default_rng(23), 2, 3, 40, 40, 8, 50)
+    with Tape():
+        taped, taped_probs = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v, table)),
+                                       index, with_probs=True)
+    got, probs = run_attention(q, k, v, table, index, with_probs=True)
+    plain, no_probs = run_attention(q, k, v, table, index)
+    assert taped.data.tobytes() == got.tobytes() == plain.tobytes()
+    assert taped_probs.tobytes() == probs.tobytes()
+    assert no_probs is None
+
+
+@pytest.mark.parametrize("where,bad,message", [
+    ("q", np.nan, "attention logits"), ("k", np.inf, "attention logits"),
+    ("q", -np.inf, "attention logits"), ("table", np.nan, "attention logits"),
+    ("table", -np.inf, "attention logits"), ("overflow", np.float32(3e38), "attention logits"),
+    ("v", np.nan, "produced by attention"),
+], ids=["q_nan", "k_pos_inf", "q_neg_inf", "table_nan", "table_neg_inf",
+        "bias_overflows_a_logit", "v_nan"])
+def test_attention_rejects_non_finite_values(where, bad, message):
+    q, k, v, table, index = attention_inputs(np.random.default_rng(24), 1, 2, 30, 30, 4, 9)
+    if where == "overflow":  # a logit of 1e38 plus a bias of 3e38 is past float32's range
+        q[0, 1, 29], k[0, 1, 3] = [1e19, 0, 0, 0], [2e19, 0, 0, 0]
+        table[1, index[29, 3]] = bad
+    elif where == "table":
+        table[1, index[29, 3]] = bad
+    else:
+        {"q": q, "k": k, "v": v}[where][0, 1, 29, 3] = bad
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
+        run_attention(q, k, v, table, index)
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_attention_rejects_a_bias_index_out_of_range(bad):
+    q, k, v, table, index = attention_inputs(np.random.default_rng(25), 1, 2, 4, 4, 3, 9,
+                                             np.float64)
+    index[3, 2] = bad
+    with pytest.raises(ShapeError):
+        run_attention(q, k, v, table, index)
+
+
+def test_attention_gradients_equal_the_composed_ops():
+    q, k, v, table, index = attention_inputs(np.random.default_rng(26), 2, 3, 6, 5, 4, 8,
+                                             np.float64)
+    g = Tensor(np.random.default_rng(27).normal(size=(2, 3, 6, 4)))
+    grads = []
+    for fused in (True, False):
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v, table)]
+        qt, kt, vt, tt = leaves
+        with Tape() as tape:
+            if fused:
+                y, _ = attention(qt, kt, vt, tt, index)
+            else:
+                logits = matmul(scale(qt, 0.5), transpose(kt, (0, 1, 3, 2)))
+                y = matmul(softmax(add(logits, gather_last(tt, index))), vt)
+            loss = sum_all(mul(y, g))
+        tape.backward(loss)
+        grads.append([t.grad for t in leaves])
+    for fused, composed in zip(*grads):
+        assert np.abs(fused - composed).max() < 1e-12
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+@pytest.mark.parametrize("n,heads,grid", [(1, 3, 32), (2, 3, 4)], ids=["row_tiles", "one_tile"])
+def test_attention_allocates_only_its_output_and_tile_scratch(n, heads, grid, with_bias):
+    rng = np.random.default_rng(28)
+    t = grid * grid
+    q, k, v = (rng.normal(size=(n, heads, t, 32)).astype(np.float32) for _ in range(3))
+    table = np.zeros((heads, (2 * grid - 1) ** 2), np.float32)
+    args = (table, relative_index_map(grid, grid)) if with_bias else ()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = softmax(Tensor(x), *args)
+        out, _ = run_attention(q, k, v, *args)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= out.data.nbytes + 2 ** 20
+    # the logits tile and the bias tile, each no larger than all the logits;
+    # the full probabilities of the row_tiles case would take 12 MiB
+    tile = min(_ATTN_TILE, n * heads * t * t)
+    assert peak <= out.nbytes + 2 * tile * q.itemsize + 2 ** 20
+
+
+@st.composite
+def attention_cases(draw):
+    """Shapes, dtype, bias and a tile size anywhere from one logit to past
+    all of them, so that tiles of rows, of heads and of images all end both
+    inside the input and at its edges."""
+    n, heads = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    t, width, d = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    tile = draw(st.integers(1, n * heads * t * width + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, k, v, table, index = attention_inputs(rng, n, heads, t, width, d, 5, dtype)
+    if not draw(st.booleans()):
+        table = index = None
+    return tile, q, k, v, table, index
+
+
+PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTIES
+@given(attention_cases())
+def test_attention_property_matches_the_float64_loop_oracle(case):
+    tile, q, k, v, table, index = case
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile):
+        got, probs = run_attention(q, k, v, table, index, with_probs=True)
+    want = attention_loop(q, k, v, table, index)
+    assert got.dtype == q.dtype
+    assert np.abs(probs.sum(axis=-1) - 1.0).max() < 8 * np.finfo(q.dtype).eps * k.shape[2]
+    if q.dtype == np.float64:
+        assert np.abs(got - want).max() < 1e-12
+    else:
+        # float32 logits carry a relative rounding error, which exp turns
+        # into an absolute error in P and @ v into one in the output
+        logits = np.abs(q.astype(np.float64)) @ np.abs(k.astype(np.float64)).swapaxes(-1, -2)
+        size = logits.max() / math.sqrt(q.shape[-1])
+        if table is not None:
+            size += np.abs(table).max()
+        assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS * (1.0 + size)
+
+
+@PROPERTIES
+@given(attention_cases(), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.sampled_from(["q", "k", "table"]), st.integers(0, 2 ** 32 - 1))
+def test_attention_property_rejects_non_finite_logits(case, bad, where, seed):
+    tile, q, k, v, table, index = case
+    rng = np.random.default_rng(seed)
+    if where == "table" and table is not None:
+        i, j = rng.integers(index.shape[0]), rng.integers(index.shape[1])
+        table[rng.integers(table.shape[0]), index[i, j]] = bad
+    else:
+        target = k if where == "k" else q
+        target[tuple(rng.integers(0, e) for e in target.shape)] = bad
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), \
+            np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        run_attention(q, k, v, table, index)
+
+
+@PROPERTIES
+@given(attention_cases(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_attention_property_rejects_an_index_out_of_range(case, below, seed):
+    tile, q, k, v, table, index = case
+    if table is None:
+        table = np.zeros((q.shape[1], 5), q.dtype)
+        index = np.zeros((q.shape[2], k.shape[2]), np.int64)
+    rng = np.random.default_rng(seed)
+    index[rng.integers(index.shape[0]), rng.integers(index.shape[1])] = -1 if below else 5
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), pytest.raises(ShapeError):
+        run_attention(q, k, v, table, index)
 
 
 def test_gelu_reference_points():

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import micro_config
 from litnet.data import synthetic_dataset
-from litnet.errors import ConfigError
+from litnet.errors import ConfigError, NumericError
 from litnet.model import build
 from litnet.tensor import Tensor
 from litnet.train import (AdamW, TrainSettings, cosine_lr, evaluate_accuracy,
@@ -167,3 +167,22 @@ def test_evaluate_accuracy_range():
     images, labels = synthetic_dataset(9, seed=5, size=32, num_classes=3)
     acc = evaluate_accuracy(model, images, labels, batch_size=4)
     assert 0.0 <= acc <= 1.0
+
+
+def test_adamw_refuses_a_non_finite_gradient_before_changing_anything():
+    model = build(micro_config(), seed=0)
+    opt = AdamW(model.named_params())
+    images, labels = synthetic_dataset(4, seed=0, size=32, num_classes=3)
+    train_step(model, images, labels, opt)  # non-zero moments
+    rng = np.random.default_rng(0)
+    for p in opt.params.values():
+        p.grad = rng.normal(size=p.data.shape).astype(p.data.dtype)
+    opt.params["head.w"].grad[1, 2] = np.nan  # near the end of the update order
+    before = ({n: p.data.copy() for n, p in opt.params.items()},
+              {n: m.copy() for n, m in opt.m.items()}, {n: v.copy() for n, v in opt.v.items()})
+    with pytest.raises(NumericError, match="non-finite gradient for head.w"):
+        opt.step()
+    assert opt.step_count == 1
+    after = ({n: p.data for n, p in opt.params.items()}, opt.m, opt.v)
+    for was, now in zip(before, after):
+        assert all(was[n].tobytes() == now[n].tobytes() for n in was)
