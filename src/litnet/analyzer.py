@@ -214,20 +214,17 @@ class AuditReport:
         return self.msa_ok and all(r.ok for r in self.rows)
 
 
-def audit(names: Iterable[str] | Mapping[str, ModelConfig] | None = None,
+def audit(configs: Mapping[str, ModelConfig] | None = None,
           resolution: int = 224) -> AuditReport:
-    """Compare stock variants against their reference budgets.
+    """Compare stock variants, by default every preset with a reference
+    budget, against their reference budgets.
 
     Backbone totals (head excluded) are compared at ``resolution``
     against the reference figures with the stated tolerances; the
     single-attention reference point is always checked.
     """
-    if names is None:
-        configs: Mapping[str, ModelConfig] = {n: preset(n) for n in REFERENCE_COSTS}
-    elif isinstance(names, Mapping):
-        configs = names
-    else:
-        configs = {n: preset(n) for n in names}
+    if configs is None:
+        configs = {n: preset(n) for n in REFERENCE_COSTS}
 
     tokens, channels, budget = MSA_REFERENCE
     ref = msa_flops(tokens, channels)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .init import ones, weight, zeros
 from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, reshape,
                      slice_last, transpose)
@@ -69,7 +69,9 @@ class MsaParams:
     The stock blocks use an inner dimension equal to the channel count
     (qkv maps C to 3C, head_dim = C / heads). The inner and output
     dimensions are kept general so the attention-as-convolution
-    construction can host per-head value paths of full channel width.
+    construction (``equivalence.build_msa_as_conv``) can host per-head
+    value paths of full channel width; its fixed ``rel_bias`` table makes
+    every head attend one-hot to a pixel shift.
     """
 
     qkv_w: Tensor  # [C, 3 * inner]
@@ -140,16 +142,14 @@ def _split_heads(t: Tensor, heads: int) -> Tensor:
     return transpose(reshape(t, (n, tokens, heads, dim // heads)), (0, 2, 1, 3))
 
 
-def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None,
-        with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
-    """Scaled dot-product attention over all tokens.
+def msa(x: Tensor, p: MsaParams, with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
+    """Scaled dot-product attention over all tokens, plus the relative
+    position bias when ``p.rel_bias`` is set.
 
     Returns (output, attention probabilities [N, heads, T, T] or None).
     The probabilities are returned only when ``with_attn`` is set; asking
     for them builds the full [N, heads, T, T] array, which ``attention``
-    otherwise never holds outside a tape. When ``attn_override`` (an array
-    of [N, heads, T, T] or [heads, T, T]) is given it replaces the softmax
-    output; rows must sum to 1 within 1e-6.
+    otherwise never holds outside a tape.
     """
     n, tokens, _ = x.shape
     inner = p.inner_dim
@@ -158,36 +158,21 @@ def msa(x: Tensor, p: MsaParams, attn_override: np.ndarray | None = None,
     k = _split_heads(slice_last(qkv, inner, 2 * inner), p.num_heads)
     v = _split_heads(slice_last(qkv, 2 * inner, 3 * inner), p.num_heads)
 
-    if attn_override is None:
-        index = None
-        if p.rel_bias is not None:
-            if p.grid is None:
-                raise ConfigError("relative bias present but the stage grid is unset")
-            h, w = p.grid
-            if tokens != h * w:
-                raise ConfigError(f"{tokens} tokens do not match the {h}x{w} grid "
-                                  "required by the relative bias table")
-            expected = (2 * h - 1) * (2 * w - 1)
-            if p.rel_bias.ndim != 2 or p.rel_bias.shape[1] != expected:
-                raise ConfigError(
-                    f"relative bias table of shape {p.rel_bias.shape} does not match grid "
-                    f"{h}x{w} (expected {expected} displacement entries per head)")
-            index = relative_index_map(h, w)
-        ctx, attn = attention(q, k, v, p.rel_bias, index, with_probs=with_attn)
-    else:
-        probs = np.asarray(attn_override)
-        if probs.shape == (p.num_heads, tokens, tokens):
-            probs = np.broadcast_to(probs, (n,) + probs.shape)
-        if probs.shape != (n, p.num_heads, tokens, tokens):
-            raise ValidationError(
-                f"attention override shape {probs.shape} does not match "
-                f"[N={n}, heads={p.num_heads}, T={tokens}]")
-        row_sums = probs.sum(axis=-1)
-        if np.abs(row_sums - 1.0).max() > 1e-6:
-            raise ValidationError("attention override rows must sum to 1 within 1e-6")
-        probs = np.ascontiguousarray(probs, dtype=x.data.dtype)
-        ctx = matmul(Tensor(probs), v)
-        attn = probs if with_attn else None
+    index = None
+    if p.rel_bias is not None:
+        if p.grid is None:
+            raise ConfigError("relative bias present but the stage grid is unset")
+        h, w = p.grid
+        if tokens != h * w:
+            raise ConfigError(f"{tokens} tokens do not match the {h}x{w} grid "
+                              "required by the relative bias table")
+        expected = (2 * h - 1) * (2 * w - 1)
+        if p.rel_bias.ndim != 2 or p.rel_bias.shape[1] != expected:
+            raise ConfigError(
+                f"relative bias table of shape {p.rel_bias.shape} does not match grid "
+                f"{h}x{w} (expected {expected} displacement entries per head)")
+        index = relative_index_map(h, w)
+    ctx, attn = attention(q, k, v, p.rel_bias, index, with_probs=with_attn)
 
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, tokens, inner))
     out = add(matmul(ctx, p.out_w), p.out_b)

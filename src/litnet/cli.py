@@ -126,6 +126,13 @@ def cmd_audit(args, out_dir: Path) -> int:
 def cmd_verify(args, out_dir: Path) -> int:
     kernels = args.kernel or [1, 3]
     grids = [(4, 4), (6, 6), (8, 8)]
+    side = min(min(grid) for grid in grids)
+    for kernel in kernels:
+        if not 1 <= kernel <= side:
+            raise ConfigError(f"--kernel must lie in 1-{side} (a larger kernel has no "
+                              f"interior pixel on the {side}x{side} grid), got {kernel}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     results: dict = {"fc_vs_1x1": None, "msa_vs_conv": [], "receptive_field": []}
     ok = True
 
@@ -246,15 +253,18 @@ def cmd_inspect(args, out_dir: Path) -> int:
         if config.stages[stage - 1].block_kind != "transformer":
             raise ConfigError(f"stage {stage} has no self-attention layers; "
                               "the first two stages use MLP blocks")
-        attn = equivalence.export_attention_maps(_eval_record(model, images).attention,
-                                                 stage, args.block)
         h, w = grids[stage - 1]
         if args.query == "all":
             queries = [(y, x) for y in range(h) for x in range(w)]
         elif args.query:
             queries = [_parse_pair(args.query, "--query")]
+            if not (0 <= queries[0][0] < h and 0 <= queries[0][1] < w):
+                raise ConfigError(f"query {queries[0]} outside the {h}x{w} "
+                                  f"stage-{stage} grid")
         else:
             queries = [(h // 2, w // 2)]
+        attn = equivalence.export_attention_maps(_eval_record(model, images).attention,
+                                                 stage, args.block)
         files = write_attention_exports(out_dir, attn, (h, w), queries)
         print(f"wrote {len(files)} attention export files to {out_dir}")
     else:

@@ -2,11 +2,13 @@
 multi-head self-attention coincide under explicit constructions, plus
 gradient-based receptive-field probes.
 
-The attention-to-convolution bridge assigns each head a pixel shift from
-the kernel's offset alphabet and forces one-hot (delta) attention onto
-the shifted pixel, so head h's value/output path carries exactly the
-kernel slice at its shift. On interior pixels the result equals the
-zero-padded convolution bit for bit up to float accumulation order.
+The attention-to-convolution bridge (Cordonnier, Loukas & Jaggi, arXiv
+1911.03584) assigns each head a pixel shift from the kernel's offset
+alphabet, and a fixed relative position bias table makes the model's own
+``attention`` kernel put one-hot weight on the shifted pixel, so head h's
+value/output path carries exactly the kernel slice at its shift. On
+interior pixels the result equals the zero-padded convolution bit for bit
+up to float accumulation order.
 """
 
 from __future__ import annotations
@@ -68,26 +70,6 @@ def _check_shift_map(shift_map: HeadShiftMap, kernel: int) -> None:
             f"{kernel}x{kernel} kernel offsets")
 
 
-def delta_attention(shift_map: HeadShiftMap, grid: tuple[int, int]) -> np.ndarray:
-    """One-hot attention [heads, T, T]: head h sends pixel p to p + f(h).
-
-    Shifted targets that fall outside the grid attend to p itself so every
-    row remains a probability distribution; those pixels are excluded from
-    exact-equality comparisons via :func:`interior_mask`.
-    """
-    h, w = grid
-    t = h * w
-    attn = np.zeros((shift_map.num_heads, t, t))
-    for head, (dy, dx) in enumerate(shift_map.shifts):
-        for py in range(h):
-            for px in range(w):
-                row = py * w + px
-                qy, qx = py + dy, px + dx
-                col = qy * w + qx if 0 <= qy < h and 0 <= qx < w else row
-                attn[head, row, col] = 1.0
-    return attn
-
-
 def interior_mask(grid: tuple[int, int], kernel: int) -> np.ndarray:
     """[H, W] mask of pixels whose full K x K support lies in the grid."""
     h, w = grid
@@ -104,14 +86,19 @@ def interior_mask(grid: tuple[int, int], kernel: int) -> np.ndarray:
 
 
 def build_msa_as_conv(conv_w: np.ndarray, shift_map: HeadShiftMap,
-                      grid: tuple[int, int]) -> tuple[MsaParams, np.ndarray]:
-    """Attention parameters and override that reproduce a convolution.
+                      grid: tuple[int, int]) -> MsaParams:
+    """Attention parameters that reproduce a convolution on an H x W grid.
 
-    Head h's value projection is the identity on the input channels and
-    its slice of the output projection is the kernel slice at shift
-    f(h); with the returned delta attention, running ``msa`` on a
-    flattened image equals the zero-padded convolution on all interior
-    pixels. With K = 1 the construction is a per-pixel FC layer.
+    Queries and keys are zero, so each logit is the relative position bias
+    of its (query - key) displacement: for head h, 0 at -f(h), -1000 at
+    (0, 0) and -2000 elsewhere. exp(-1000) is exactly 0 in float32 and
+    float64, so pixel p attends one-hot to p + f(h), or to itself when that
+    lies off the grid (:func:`interior_mask` leaves such pixels out of
+    exact comparisons). Head h's value projection is the identity on the
+    input channels and its slice of the output projection is the kernel
+    slice at f(h), so ``msa`` on a flattened image equals the zero-padded
+    convolution on every interior pixel. With K = 1 the construction is a
+    per-pixel FC layer.
     """
     conv_w = np.asarray(conv_w, dtype=np.float64)
     if conv_w.ndim != 4 or conv_w.shape[0] != conv_w.shape[1]:
@@ -130,14 +117,22 @@ def build_msa_as_conv(conv_w: np.ndarray, shift_map: HeadShiftMap,
     for head, (dy, dx) in enumerate(shift_map.shifts):
         out_w[head * cin:(head + 1) * cin, :] = conv_w[dy + shift, dx + shift]
 
-    params = MsaParams(
+    h, w = grid
+    table = np.full((heads, (2 * h - 1) * (2 * w - 1)), -2000.0)
+    table[:, (h - 1) * (2 * w - 1) + (w - 1)] = -1000.0
+    for head, (dy, dx) in enumerate(shift_map.shifts):
+        if abs(dy) < h and abs(dx) < w:  # else no key lies at the shift
+            table[head, (h - 1 - dy) * (2 * w - 1) + (w - 1 - dx)] = 0.0
+
+    return MsaParams(
         qkv_w=Tensor(qkv_w),
         qkv_b=Tensor(np.zeros(3 * inner)),
         out_w=Tensor(out_w),
         out_b=Tensor(np.zeros(cout)),
         num_heads=heads,
+        rel_bias=Tensor(table),
+        grid=(h, w),
     )
-    return params, delta_attention(shift_map, grid)
 
 
 def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
@@ -206,7 +201,7 @@ class ConvProbe:
 
 class AttentionProbe:
     """The attention-as-convolution construction as a probe layer: ``msa``
-    with the parameters and delta attention of ``build_msa_as_conv``."""
+    with the parameters of ``build_msa_as_conv`` for the input's grid."""
 
     def __init__(self, conv_w: np.ndarray, shift_map: HeadShiftMap | None = None):
         self.conv_w = np.asarray(conv_w, dtype=np.float64)
@@ -214,8 +209,8 @@ class AttentionProbe:
 
     def apply(self, x: Tensor) -> Tensor:
         n, h, w, c = x.shape
-        params, override = build_msa_as_conv(self.conv_w, self.shift_map, (h, w))
-        out, _ = msa(reshape(x, (n, h * w, c)), params, attn_override=override)
+        params = build_msa_as_conv(self.conv_w, self.shift_map, (h, w))
+        out, _ = msa(reshape(x, (n, h * w, c)), params)
         return reshape(out, (n, h, w, out.shape[-1]))
 
 

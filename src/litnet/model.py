@@ -250,7 +250,6 @@ class ForwardRecord:
 
     attention: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     offsets: dict[int, np.ndarray] = field(default_factory=dict)
-    stage_shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
 class LitModel:
@@ -418,8 +417,6 @@ class LitModel:
                                                          with_attn=record is not None)
                         if record is not None:
                             record.attention[(stage, i)] = attn
-            if record is not None:
-                record.stage_shapes.append((n, h, w, spec.channels))
 
         with _layer("head"):
             tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b, FINAL_LN_EPS)

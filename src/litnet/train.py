@@ -228,6 +228,9 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
     start_epoch = 0
     if resume is not None:
         start_epoch = load_training_checkpoint(Path(resume), model, optimizer)
+        if not 0 <= start_epoch <= settings.epochs:
+            raise ConfigError(f"{resume} was saved at epoch {start_epoch}, outside the "
+                              f"0-{settings.epochs} epochs of this run")
 
     result = TrainResult()
     if out_dir is not None:

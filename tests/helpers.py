@@ -190,6 +190,21 @@ def attention_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out
 
 
+def delta_attention_loop(shifts: Sequence[tuple[int, int]], h: int, w: int) -> np.ndarray:
+    """One-hot attention [heads, T, T] of an h x w grid: head i sends pixel
+    p to p + shifts[i], or to p itself when that lies off the grid."""
+    t = h * w
+    attn = np.zeros((len(shifts), t, t))
+    for head, (dy, dx) in enumerate(shifts):
+        for py in range(h):
+            for px in range(w):
+                row = py * w + px
+                qy, qx = py + dy, px + dx
+                col = qy * w + qx if 0 <= qy < h and 0 <= qx < w else row
+                attn[head, row, col] = 1.0
+    return attn
+
+
 def relative_index_loop(h: int, w: int) -> np.ndarray:
     """Brute-force displacement enumeration for an h x w grid."""
     t = h * w

@@ -8,7 +8,7 @@ from helpers import check_gradients, msa_oracle, relative_index_loop
 from litnet.blocks import (LN_EPS, MlpBlockParams, MsaParams, PatchEmbedParams,
                            TransformerBlockParams, mlp_block, msa, patch_embed,
                            relative_index_map, transformer_block)
-from litnet.errors import ConfigError, ValidationError
+from litnet.errors import ConfigError
 from litnet.tensor import Tensor, mul, sum_all, tensor
 
 
@@ -70,12 +70,16 @@ def test_msa_single_token_attention_is_one():
     assert np.abs(out.data - want).max() < 1e-12
 
 
-def test_msa_identity_override_is_value_projection():
+def test_msa_identity_attention_is_value_projection():
+    # a table of 0 at displacement (0, 0) and -1000 elsewhere outweighs
+    # every q.k logit, so each token attends to itself alone
     rng = np.random.default_rng(4)
-    p = make_msa(rng, channels=8, heads=2)
+    p = make_msa(rng, channels=8, heads=2, grid=(1, 5), relative=True)
+    p.rel_bias.data[:] = -1000.0
+    p.rel_bias.data[:, 4] = 0.0
     x = tensor(rng.normal(size=(1, 5, 8)))
-    override = np.broadcast_to(np.eye(5), (2, 5, 5))
-    out, attn = msa(x, p, attn_override=override)
+    out, attn = msa(x, p, with_attn=True)
+    assert np.array_equal(attn, np.broadcast_to(np.eye(5), (1, 2, 5, 5)))
     v = (x.data @ p.qkv_w.data + p.qkv_b.data)[..., 16:]
     want = v @ p.out_w.data + p.out_b.data
     assert np.abs(out.data - want).max() < 1e-12
@@ -109,15 +113,6 @@ def test_msa_attention_rows_sum_to_one():
     p = make_msa(rng, channels=6, heads=2)
     _, attn = msa(tensor(rng.normal(size=(2, 9, 6))), p, with_attn=True)
     assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-10
-
-
-def test_msa_override_row_sum_validation():
-    rng = np.random.default_rng(8)
-    p = make_msa(rng, channels=6, heads=2)
-    x = tensor(rng.normal(size=(1, 3, 6)))
-    bad = np.full((2, 3, 3), 0.4)
-    with pytest.raises(ValidationError):
-        msa(x, p, attn_override=bad)
 
 
 def test_msa_token_count_must_match_grid_when_relative():

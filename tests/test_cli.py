@@ -192,6 +192,28 @@ def test_train_refuses_to_checkpoint_an_epoch_float32_cannot_hold(trained, tmp_p
     assert not (out / "ckpt_final.litckpt").exists()
 
 
+def test_train_refuses_a_checkpoint_saved_past_its_epoch_budget(trained, tmp_path, capsys):
+    state = load_tensors(trained / "ckpt_final.litckpt")
+    state["meta.epoch"] = np.array([3], dtype=np.float32)
+    save_tensors(tmp_path / "ahead.litckpt", state)
+    out = tmp_path / "out"
+    code, err = run(capsys, "train", "--resume", str(tmp_path / "ahead.litckpt"),
+                    "--epochs", "1", "--num-images", "8", "--batch-size", "4",
+                    "--out", str(out))
+    assert_config_error(code, err, "saved at epoch 3, outside the 0-1 epochs of this run")
+    assert not list(out.glob("*.litckpt")) and not (out / "train_log.csv").exists()
+
+
+def test_train_resumes_a_checkpoint_saved_at_its_last_epoch(trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _ = run(capsys, "train", "--resume", str(trained / "ckpt_final.litckpt"),
+                  "--epochs", "1", "--num-images", "8", "--batch-size", "4",
+                  "--out", str(out))
+    assert code == cli.EXIT_OK
+    state = load_tensors(out / "ckpt_final.litckpt")
+    assert state["meta.epoch"][0] == 1 and state["opt.step"][0] == 2
+
+
 def test_train_names_the_layer_and_step_of_a_non_finite_value(trained, tmp_path, capsys):
     state = load_tensors(trained / "ckpt_final.litckpt")
     state["stage3.block1.attn.qkv.w"][0, 0] = np.nan
@@ -221,6 +243,30 @@ def test_verify_passes_and_writes_its_results(tmp_path, capsys):
     assert results["fc_vs_1x1"] < 1e-12
     assert [r["kernel"] for r in results["msa_vs_conv"]] == [1]
     assert all(r["ok"] for r in results["msa_vs_conv"] + results["receptive_field"])
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--kernel", "-1"], "--kernel must lie in 1-4"),
+    (["--kernel", "0"], "--kernel must lie in 1-4"),
+    (["--kernel", "1", "5"], "--kernel must lie in 1-4 (a larger kernel has no interior "
+                             "pixel on the 4x4 grid), got 5"),
+    (["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["--seeds", "-2"], "--seeds must be at least 1, got -2"),
+], ids=["kernel_negative", "kernel_zero", "kernel_past_the_grid", "seeds_zero",
+        "seeds_negative"])
+def test_verify_rejects_kernels_and_seed_counts_out_of_range(tmp_path, capsys, argv, fragment):
+    code, err = run(capsys, "verify", *argv, "--out", str(tmp_path))
+    assert_config_error(code, err, fragment)
+    assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("query", ["100,100", "0,5", "-1,0"])
+def test_inspect_attn_rejects_a_query_outside_the_stage_grid(tmp_path, capsys, query):
+    code, err = run(capsys, "inspect", "--mode", "attn", f"--query={query}",
+                    "--num-images", "1", "--out", str(tmp_path))
+    y, x = query.split(",")
+    assert_config_error(code, err, f"query ({y}, {x}) outside the 4x4 stage-3 grid")
+    assert not (tmp_path / "attention.csv").exists()
 
 
 def test_inspect_attn_writes_maps_and_values_of_each_query(tmp_path, capsys):

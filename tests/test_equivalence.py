@@ -4,11 +4,12 @@ receptive-field probes."""
 import numpy as np
 import pytest
 
+from helpers import delta_attention_loop
 from litnet.equivalence import (AttentionProbe, ConvProbe, HeadShiftMap,
-                                MlpProbe, build_msa_as_conv, delta_attention,
-                                interior_mask, msa_vs_conv_deviation,
-                                receptive_field_probe, verify_fc_equals_1x1_conv)
-from litnet.blocks import MlpBlockParams
+                                MlpProbe, build_msa_as_conv, interior_mask,
+                                msa_vs_conv_deviation, receptive_field_probe,
+                                verify_fc_equals_1x1_conv)
+from litnet.blocks import MlpBlockParams, msa
 from litnet.errors import ConfigError
 from litnet.tensor import Tensor, conv2d, matmul, tensor
 
@@ -103,10 +104,19 @@ def test_shift_map_must_be_bijective():
         HeadShiftMap(((0, 0), (0, 0)))
 
 
-def test_delta_attention_rows_are_distributions():
-    attn = delta_attention(HeadShiftMap.for_kernel(3), (5, 5))
-    assert attn.shape == (9, 25, 25)
-    assert np.array_equal(attn.sum(axis=-1), np.ones((9, 25)))
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+@pytest.mark.parametrize("grid", [(4, 4), (5, 7), (8, 8), (1, 5)],
+                         ids=["4x4", "5x7", "8x8", "1x5"])
+def test_construction_attends_one_hot_to_each_head_shift(kernel, grid):
+    # boundary rows, whose shifted pixel is off the grid, attend to themselves;
+    # on the 1 x 5 grid no vertical shift has a slot in the table
+    rng = np.random.default_rng(kernel * 10 + grid[1])
+    shift_map = HeadShiftMap.for_kernel(kernel)
+    params = build_msa_as_conv(rng.normal(size=(kernel, kernel, 3, 2)), shift_map, grid)
+    tokens = Tensor(rng.normal(size=(2, grid[0] * grid[1], 3)))
+    _, attn = msa(tokens, params, with_attn=True)
+    want = delta_attention_loop(shift_map.shifts, *grid)
+    assert np.array_equal(attn, np.broadcast_to(want, (2,) + want.shape))
 
 
 def test_interior_mask_extents():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from helpers import attention_loop, conv2d_loop, matmul_loop
+from helpers import attention_loop, bilinear_scalar, check_gradients, conv2d_loop, matmul_loop
 from litnet.blocks import relative_index_map
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.tensor import (_ATTN_TILE, _BLOCK, BatchNormState, Tape, Tensor, add, attention,
@@ -552,6 +552,86 @@ def test_deform_sample_out_of_bounds_is_zero():
 def test_deform_sample_rejects_non_finite_position():
     with pytest.raises(NumericError):
         sample_at(np.ones((3, 3, 1)), np.nan, 0.0)
+
+
+@st.composite
+def deform_cases(draw, dtypes=(np.float32, np.float64), max_extent=5, smooth=False):
+    """An NHWC map and [N, Ho, Wo, K, 2] positions spanning [-1.5, H + 0.5] x
+    [-1.5, W + 0.5], so that bilinear corners land on and off the map. Some
+    cases snap positions to half-integers, which puts samples exactly on grid
+    points and map edges; ``smooth`` keeps every fractional part in
+    [0.05, 0.95] instead, away from the kinks of the bilinear weights."""
+    n, c, k = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, max_extent)), draw(st.integers(1, max_extent))
+    ho, wo = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    dtype = draw(st.sampled_from(dtypes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, h, w, c))
+    pos = np.stack([rng.uniform(-1.5, h + 0.5, size=(n, ho, wo, k)),
+                    rng.uniform(-1.5, w + 0.5, size=(n, ho, wo, k))], axis=-1)
+    if smooth:
+        pos = np.floor(pos) + np.clip(pos % 1.0, 0.05, 0.95)
+    elif draw(st.booleans()):
+        pos = np.round(pos * 2.0) / 2.0
+    return x.astype(dtype), pos.astype(dtype)
+
+
+def bilinear_loop(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """helpers.bilinear_scalar at every position, in float64."""
+    x, pos = x.astype(np.float64), pos.astype(np.float64)
+    out = np.empty(pos.shape[:-1] + x.shape[-1:])
+    for b, i, j, t in np.ndindex(pos.shape[:-1]):
+        out[b, i, j, t] = bilinear_scalar(x[b], *pos[b, i, j, t])
+    return out
+
+
+# float32 rounds each bilinear weight (1 - frac, then a product) and the
+# four-term sum; the error stays within this many float32 ulps of
+# sum |weight * value| over the four corners. The worst measured was 1.54.
+DEFORM_ULPS = 4
+
+
+@PROPERTIES
+@given(deform_cases())
+def test_deform_sample_property_matches_the_bilinear_oracle(case):
+    x, pos = case
+    got = deform_sample(Tensor(x), Tensor(pos)).data
+    want = bilinear_loop(x, pos)
+    assert got.dtype == x.dtype and got.shape == want.shape
+    if x.dtype == np.float64:
+        assert np.abs(got - want).max() < 1e-12
+    else:
+        size = bilinear_loop(np.abs(x), pos)  # the weights are non-negative
+        assert (np.abs(got - want) <= DEFORM_ULPS * EPS32 * size).all()
+
+
+@PROPERTIES
+@given(deform_cases(dtypes=(np.float64,), max_extent=4, smooth=True))
+def test_deform_sample_property_gradients_match_finite_differences(case):
+    x, pos = (Tensor(a, requires_grad=True) for a in case)
+    probe = Tensor(np.random.default_rng(0).normal(size=pos.shape[:-1] + x.shape[-1:]))
+    check_gradients(lambda: sum_all(mul(deform_sample(x, pos), probe)), [x, pos])
+
+
+@PROPERTIES
+@given(deform_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2 ** 32 - 1))
+def test_deform_sample_property_rejects_non_finite_positions(case, bad, seed):
+    x, pos = case
+    pos[tuple(np.random.default_rng(seed).integers(0, e) for e in pos.shape)] = bad
+    with pytest.raises(NumericError, match="non-finite sampling positions"):
+        deform_sample(Tensor(x), Tensor(pos))
+
+
+@PROPERTIES
+@given(deform_cases(), st.sampled_from(["coords", "missing_axis", "extra_axis", "batch"]))
+def test_deform_sample_property_rejects_a_malformed_positions_shape(case, kind):
+    x, pos = case
+    bad = {"coords": lambda: np.concatenate([pos, pos[..., :1]], axis=-1),
+           "missing_axis": lambda: pos[0],
+           "extra_axis": lambda: pos[None],
+           "batch": lambda: np.concatenate([pos, pos[:1]], axis=0)}[kind]()
+    with pytest.raises(ShapeError):
+        deform_sample(Tensor(x), Tensor(bad))
 
 
 def test_cross_entropy_uniform_logits():
