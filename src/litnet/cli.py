@@ -25,7 +25,7 @@ from .exports import (format_audit_text, format_cost_text, write_attention_expor
                       write_train_log)
 from .model import (MERGE_DTM, ForwardRecord, ModelConfig, PRESET_NAMES, build,
                     preset, toy_config)
-from .train import TrainSettings, run_training
+from .train import AdamW, TrainSettings, load_resume_checkpoint, run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,11 +144,6 @@ def cmd_verify(args, out_dir: Path) -> int:
     print(f"per-pixel FC vs 1x1 conv: max deviation {fc_dev:.3e} -> {'PASS' if fc_ok else 'FAIL'}")
 
     for kernel in kernels:
-        heads = args.heads if args.heads is not None else kernel * kernel
-        if heads != kernel * kernel:
-            raise ConfigError(
-                f"{heads} heads cannot be mapped bijectively onto the "
-                f"{kernel * kernel} offsets of a {kernel}x{kernel} kernel")
         shift_map = equivalence.HeadShiftMap.for_kernel(kernel)
         worst = 0.0
         for seed in range(args.seeds):
@@ -201,6 +196,8 @@ def cmd_train(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
     images, labels = _dataset(args, config)
     model = build(config, seed=args.seed)
+    if args.resume:  # refuse a checkpoint before anything is written into --out
+        load_resume_checkpoint(args.resume, model, AdamW(model.named_params()), settings.epochs)
     config.save_json(out_dir / "config.json")
     _manifest(args, out_dir, {"config": config.to_dict(), "model": name})
 
@@ -320,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the equivalence suite")
     p_verify.add_argument("--kernel", type=int, nargs="*", default=None)
     p_verify.add_argument("--seeds", type=int, default=10)
-    p_verify.add_argument("--heads", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default="verify_out")
     p_verify.set_defaults(func=cmd_verify)

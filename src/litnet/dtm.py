@@ -13,7 +13,7 @@ computes when every offset is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class DeformableConvParams:
     b: Tensor                 # [Cout]
     offset_w: Tensor | None   # [K, K, Cin, 2*K*K]
     offset_b: Tensor | None   # [2*K*K]
-    stride: int
-    padding: int = 0
+    stride: ClassVar[int] = 2
+    padding: ClassVar[int] = 0
 
     @property
     def kernel(self) -> int:
@@ -64,7 +64,6 @@ class DeformableConvParams:
             b=zeros(cout, dtype),
             offset_w=zeros((2, 2, cin, 8), dtype) if deformable else None,
             offset_b=zeros(8, dtype) if deformable else None,
-            stride=2,
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:

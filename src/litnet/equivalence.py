@@ -141,12 +141,15 @@ def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
 
     Outputs align by pixel index in both parities; for even K the
     symmetric-padding conv output is smaller than the grid, but it still
-    covers every interior pixel.
+    covers every interior pixel. A grid without one raises ConfigError.
     """
     x = Tensor(np.asarray(image, dtype=np.float64)[None])
     got = AttentionProbe(conv_w, shift_map).apply(x).data[0]
     want = ConvProbe(conv_w).apply(x).data[0]
-    ys, xs = np.nonzero(interior_mask(image.shape[:2], conv_w.shape[0]))
+    (h, w), kernel = image.shape[:2], conv_w.shape[0]
+    ys, xs = np.nonzero(interior_mask((h, w), kernel))
+    if ys.size == 0:
+        raise ConfigError(f"a {kernel}x{kernel} kernel has no interior pixel on the {h}x{w} grid")
     return float(np.abs(got[ys, xs] - want[ys, xs]).max())
 
 
@@ -279,9 +282,11 @@ def export_attention_maps(attention: Mapping[tuple[int, int], np.ndarray], stage
     ``attention`` maps (stage, block) to [N, heads, T, T], as
     ``ForwardRecord.attention`` holds them after a forward pass.
     """
-    key = (stage, block)
-    if key not in attention:
+    blocks = sorted(b for s, b in attention if s == stage)
+    if not blocks:
         raise ConfigError(
             f"stage {stage} block {block} has no attention; "
             "the first two stages do not have self-attention layers")
-    return attention[key].mean(axis=0)
+    if block not in blocks:
+        raise ConfigError(f"stage {stage} has blocks {blocks[0]}-{blocks[-1]}, got block {block}")
+    return attention[(stage, block)].mean(axis=0)

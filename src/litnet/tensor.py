@@ -39,6 +39,9 @@ float32 outputs are not bit-identical to the unfused
 of max(P @ |v|), the largest sum of |terms| behind one output (3.35 was
 the worst measured). The table's gradient is scatter-added with one flat
 ``np.bincount``, as is ``gather_last``'s.
+
+``deform_sample`` builds one sparse matrix S of bilinear corner weights,
+four per sample: its output is S @ x and its input gradient S^T @ g.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import erf
 
 from .errors import NumericError, ShapeError, StateError, ValidationError
@@ -741,6 +745,11 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
     ``positions`` has shape [N, Ho, Wo, K, 2] with (y, x) in input pixel
     units; out-of-bounds neighbors contribute zero. Output is
     [N, Ho, Wo, K, C]. Differentiable in ``x`` and ``positions``.
+
+    S, a [N*Ho*Wo*K, N*H*W] CSR matrix, holds each sample's four corner
+    weights, zero off the map. The output is S @ x, the input gradient
+    S^T @ g, and each position gradient sum_C(g * (S_d @ x)), where S_d
+    has S's pattern and the weights' derivatives in y or x (backward only).
     """
     if x.ndim != 4:
         raise ShapeError(f"deform_sample expects an NHWC tensor, got {x.shape}")
@@ -749,39 +758,29 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
     if not _all_finite(positions.data):
         raise NumericError("non-finite sampling positions")
     n, h, w, c = x.shape
-    py, px = positions.data[..., 0], positions.data[..., 1]
-    y0, x0 = np.floor(py), np.floor(px)
-    wy1, wx1 = py - y0, px - x0
-    wy0, wx0 = 1.0 - wy1, 1.0 - wx1
-    y0, x0 = y0.astype(np.int64), x0.astype(np.int64)
-    nidx = np.broadcast_to(np.arange(n).reshape(n, 1, 1, 1), y0.shape)
-
-    def gather(cy, cx):
-        valid = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-        vals = x.data[nidx, np.clip(cy, 0, h - 1), np.clip(cx, 0, w - 1), :]
-        return vals * valid[..., None], valid
-
-    v00, m00 = gather(y0, x0)
-    v01, m01 = gather(y0, x0 + 1)
-    v10, m10 = gather(y0 + 1, x0)
-    v11, m11 = gather(y0 + 1, x0 + 1)
-    out = ((wy0 * wx0)[..., None] * v00 + (wy0 * wx1)[..., None] * v01
-           + (wy1 * wx0)[..., None] * v10 + (wy1 * wx1)[..., None] * v11)
+    pos = positions.data.reshape(n, math.prod(positions.shape[1:4]), 2)
+    y0, x0 = np.floor(pos[..., 0]), np.floor(pos[..., 1])
+    wy, wx = pos[..., 0] - y0, pos[..., 1] - x0
+    # corners (y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1), in that order
+    cy = y0.astype(np.int64)[..., None] + (0, 0, 1, 1)
+    cx = x0.astype(np.int64)[..., None] + (0, 1, 0, 1)
+    inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
+    fy = np.where(inside, np.stack((1.0 - wy, 1.0 - wy, wy, wy), axis=-1), 0)
+    fx = np.where(inside, np.stack((1.0 - wx, wx, 1.0 - wx, wx), axis=-1), 0)
+    cols = np.ravel_multi_index((np.arange(n)[:, None, None], cy, cx), (n, h, w), mode="clip")
+    sample = csr_array(((fy * fx).ravel(), cols.ravel(), np.arange(0, cols.size + 1, 4)),
+                       shape=(cols.size // 4, n * h * w))
+    flat = x.data.reshape(-1, c)
+    out = (sample @ flat).reshape(positions.shape[:-1] + (c,))
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        for cy, cx, mask, wgt in (
-            (y0, x0, m00, wy0 * wx0),
-            (y0, x0 + 1, m01, wy0 * wx1),
-            (y0 + 1, x0, m10, wy1 * wx0),
-            (y0 + 1, x0 + 1, m11, wy1 * wx1),
-        ):
-            contrib = g * (mask * wgt)[..., None]
-            np.add.at(gx, (nidx, np.clip(cy, 0, h - 1), np.clip(cx, 0, w - 1)), contrib)
-        dfdy = (v10 - v00) * wx0[..., None] + (v11 - v01) * wx1[..., None]
-        dfdx = (v01 - v00) * wy0[..., None] + (v11 - v10) * wy1[..., None]
-        gpos = np.stack(((g * dfdy).sum(axis=-1), (g * dfdx).sum(axis=-1)), axis=-1)
-        return (gx, gpos)
+        g = g.reshape(-1, c)
+        dy = np.array((-1, -1, 1, 1), dtype=pos.dtype) * fx     # d(fy * fx) / dy
+        dx = fy * np.array((-1, 1, -1, 1), dtype=pos.dtype)     # d(fy * fx) / dx
+        slopes = (csr_array((d.ravel(), sample.indices, sample.indptr), shape=sample.shape)
+                  for d in (dy, dx))
+        gpos = np.stack([np.einsum("sc,sc->s", g, s @ flat) for s in slopes], axis=-1)
+        return ((sample.T @ g).reshape(x.shape), gpos.reshape(positions.shape))
 
     return _apply("deform_sample", (x, positions), out, bwd)
 

@@ -210,6 +210,16 @@ def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW) -> i
     return int(state["meta.epoch"][0])
 
 
+def load_resume_checkpoint(path: Path, model: LitModel, optimizer: AdamW, epochs: int) -> int:
+    """``load_training_checkpoint`` for a run of ``epochs`` epochs: a checkpoint
+    saved outside 0..epochs raises ConfigError."""
+    epoch = load_training_checkpoint(Path(path), model, optimizer)
+    if not 0 <= epoch <= epochs:
+        raise ConfigError(f"{path} was saved at epoch {epoch}, outside the "
+                          f"0-{epochs} epochs of this run")
+    return epoch
+
+
 def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
                  settings: TrainSettings, out_dir: Path | None = None,
                  resume: Path | None = None,
@@ -227,10 +237,7 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
                       offset_lr=settings.offset_lr)
     start_epoch = 0
     if resume is not None:
-        start_epoch = load_training_checkpoint(Path(resume), model, optimizer)
-        if not 0 <= start_epoch <= settings.epochs:
-            raise ConfigError(f"{resume} was saved at epoch {start_epoch}, outside the "
-                              f"0-{settings.epochs} epochs of this run")
+        start_epoch = load_resume_checkpoint(resume, model, optimizer, settings.epochs)
 
     result = TrainResult()
     if out_dir is not None:

@@ -67,6 +67,7 @@ def test_train_resume_from_a_model_only_checkpoint_names_the_missing_records(tmp
     code, err = run(capsys, "train", "--resume", str(ckpt), "--num-images", "4",
                     "--epochs", "1", "--out", str(tmp_path / "out"))
     assert_config_error(code, err, "opt.patch_embed.w.m")
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_inspect_offsets_rejects_a_token_outside_the_final_grid(tmp_path, capsys):
@@ -201,7 +202,7 @@ def test_train_refuses_a_checkpoint_saved_past_its_epoch_budget(trained, tmp_pat
                     "--epochs", "1", "--num-images", "8", "--batch-size", "4",
                     "--out", str(out))
     assert_config_error(code, err, "saved at epoch 3, outside the 0-1 epochs of this run")
-    assert not list(out.glob("*.litckpt")) and not (out / "train_log.csv").exists()
+    assert not list(out.iterdir())
 
 
 def test_train_resumes_a_checkpoint_saved_at_its_last_epoch(trained, tmp_path, capsys):
@@ -212,6 +213,7 @@ def test_train_resumes_a_checkpoint_saved_at_its_last_epoch(trained, tmp_path, c
     assert code == cli.EXIT_OK
     state = load_tensors(out / "ckpt_final.litckpt")
     assert state["meta.epoch"][0] == 1 and state["opt.step"][0] == 2
+    assert (out / "config.json").is_file() and (out / "manifest.json").is_file()
 
 
 def test_train_names_the_layer_and_step_of_a_non_finite_value(trained, tmp_path, capsys):
@@ -266,6 +268,14 @@ def test_inspect_attn_rejects_a_query_outside_the_stage_grid(tmp_path, capsys, q
                     "--num-images", "1", "--out", str(tmp_path))
     y, x = query.split(",")
     assert_config_error(code, err, f"query ({y}, {x}) outside the 4x4 stage-3 grid")
+    assert not (tmp_path / "attention.csv").exists()
+
+
+@pytest.mark.parametrize("block", ["7", "-1"])
+def test_inspect_attn_names_the_block_range_of_the_stage(tmp_path, capsys, block):
+    code, err = run(capsys, "inspect", "--mode", "attn", "--block", block,
+                    "--num-images", "1", "--out", str(tmp_path))
+    assert_config_error(code, err, f"stage 3 has blocks 0-1, got block {block}")
     assert not (tmp_path / "attention.csv").exists()
 
 

@@ -119,6 +119,11 @@ def test_construction_attends_one_hot_to_each_head_shift(kernel, grid):
     assert np.array_equal(attn, np.broadcast_to(want, (2,) + want.shape))
 
 
+def test_deviation_refuses_a_kernel_with_no_interior_pixel():
+    with pytest.raises(ConfigError, match="a 5x5 kernel has no interior pixel on the 4x4 grid"):
+        msa_vs_conv_deviation(np.zeros((4, 4, 2)), np.zeros((5, 5, 2, 3)))
+
+
 def test_interior_mask_extents():
     mask = interior_mask((6, 6), 3)
     assert mask.sum() == 16  # 4x4 interior

@@ -634,6 +634,35 @@ def test_deform_sample_property_rejects_a_malformed_positions_shape(case, kind):
         deform_sample(Tensor(x), Tensor(bad))
 
 
+def test_deform_sample_eval_memory_is_the_output_and_a_few_words_per_sample():
+    """Untaped, the op allocates its output plus the sparse sampling matrix
+    and its inputs: no [samples, C] copy of the corner values."""
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(2, 16, 16, 256)).astype(np.float32)
+    pos = rng.uniform(-1.5, 16.5, size=(2, 8, 8, 4, 2)).astype(np.float32)
+    samples = pos.size // 2
+    deform_sample(Tensor(x), Tensor(pos))  # warm-up: first-call imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = deform_sample(Tensor(x), Tensor(pos))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 512 * samples
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_deform_sample_gradients_keep_the_input_dtype(dtype):
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(2, 5, 4, 3)).astype(dtype), requires_grad=True)
+    pos = Tensor(rng.uniform(-1.5, 5.5, size=(2, 2, 3, 4, 2)).astype(dtype), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(deform_sample(x, pos))
+    tape.backward(loss)
+    assert x.grad.dtype == dtype and pos.grad.dtype == dtype
+
+
 def test_cross_entropy_uniform_logits():
     logits = tensor(np.zeros((2, 4)))
     loss = softmax_cross_entropy(logits, np.array([0, 3]))
