@@ -9,7 +9,7 @@ from .blocks import (MlpBlockParams, MsaParams, PatchEmbedParams,
 from .checkpoint import load_tensors, save_tensors
 from .dtm import (DeformableConvParams, DtmParams, deformable_conv,
                   dtm_forward, trace_offsets)
-from .equivalence import (HeadShiftMap, build_msa_as_conv,
+from .equivalence import (attention_as_conv, build_msa_as_conv,
                           receptive_field_probe, verify_fc_equals_1x1_conv)
 from .errors import (ConfigError, LitError, NumericError, ShapeError,
                      StateError, ValidationError)

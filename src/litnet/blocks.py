@@ -124,6 +124,13 @@ class MsaParams:
         return out
 
 
+def relative_slot(dy, dx, h: int, w: int):
+    """Slot of the (query - key) displacement (dy, dx) in an h x w grid's
+    (2h-1)(2w-1) relative-bias table; elementwise on arrays, where the
+    grouped scalars keep it at one pass per operator."""
+    return (dy + (h - 1)) * (2 * w - 1) + (dx + (w - 1))
+
+
 @lru_cache(maxsize=None)
 def relative_index_map(h: int, w: int) -> np.ndarray:
     """[T, T] indices into a (2h-1)(2w-1) displacement table.
@@ -132,9 +139,8 @@ def relative_index_map(h: int, w: int) -> np.ndarray:
     of an h x w grid, so equal displacements share one table slot.
     """
     ys, xs = np.divmod(np.arange(h * w), w)
-    dy = ys[:, None] - ys[None, :] + (h - 1)
-    dx = xs[:, None] - xs[None, :] + (w - 1)
-    return (dy * (2 * w - 1) + dx).astype(np.int64)
+    return relative_slot(ys[:, None] - ys[None, :], xs[:, None] - xs[None, :],
+                         h, w).astype(np.int64)
 
 
 def _split_heads(t: Tensor, heads: int) -> Tensor:

@@ -4,11 +4,12 @@ Layout: the 8-byte magic ``LITCKPT1``, then one record per tensor until
 end of file. Each record is a u64 little-endian name length, the UTF-8
 name, a u64 rank, the extents as u64 little-endian, and the data as
 float32 little-endian in row-major order. Round-trips are bit-exact for
-float32 data.
+float32 data; an integer counter survives one only below 2**24.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -16,9 +17,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 MAGIC = b"LITCKPT1"
+COUNTER_LIMIT = 2 ** 24  # float32 holds every integer below this one exactly
 _U64 = struct.Struct("<Q")
 
 
@@ -78,17 +80,37 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         name_len = read_u64()
         if pos + name_len > len(blob):
             raise ValidationError(f"{path}: truncated tensor name")
-        name = blob[pos : pos + name_len].decode("utf-8")
+        try:
+            name = blob[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: the tensor name at byte {pos} "
+                                  "is not valid UTF-8") from None
         pos += name_len
         rank = read_u64()
         shape = tuple(read_u64() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = 4 * count
-        if pos + nbytes > len(blob):
-            raise ValidationError(f"{path}: truncated data for tensor {name!r}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)
-        pos += nbytes
+        count = math.prod(shape)
+        if pos + 4 * count > len(blob):
+            raise ValidationError(f"{path}: truncated data for tensor {name!r} of shape {shape}")
+        try:
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)
+        except ValueError:  # e.g. more than 64 axes, or a huge extent beside a zero one
+            raise ValidationError(f"{path}: tensor {name!r} has shape {shape}, "
+                                  "which numpy cannot hold") from None
+        pos += 4 * count
         if name in out:
             raise ValidationError(f"{path}: duplicate tensor name {name!r}")
         out[name] = arr.copy()
     return out
+
+
+def read_counter(state: Mapping[str, np.ndarray], key: str) -> int:
+    """The integer counter in record ``key`` of a training checkpoint.
+    Anything but one finite integer in 0..COUNTER_LIMIT-1 raises ConfigError
+    naming the record."""
+    value = np.asarray(state[key], dtype=np.float64)
+    if value.shape != (1,):
+        raise ConfigError(f"checkpoint record {key} must hold one value, got shape {value.shape}")
+    if not (value[0].is_integer() and 0 <= value[0] < COUNTER_LIMIT):
+        raise ConfigError(f"checkpoint record {key} must be an integer in "
+                          f"0-{COUNTER_LIMIT - 1}, got {float(value[0])}")
+    return int(value[0])

@@ -84,15 +84,16 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 
 
 def cmd_audit(args, out_dir: Path) -> int:
-    if args.preset == "all":
+    if args.preset == "all" and not args.config:
         configs = {name: preset(name) for name in PRESET_NAMES}
-    else:
+    else:  # _resolve_config refuses --preset all beside --config
         name, config = _resolve_config(args)
         configs = {name: config}
 
     all_ok = True
-    for name, config in configs.items():
-        report = analyzer.cost_report(config, args.resolution)
+    reports = {name: analyzer.cost_report(config, args.resolution)
+               for name, config in configs.items()}
+    for name, report in reports.items():
         write_cost_csv(out_dir / f"cost_{name}.csv", report)
         (out_dir / f"cost_{name}.txt").write_text(format_cost_text(report))
 
@@ -109,8 +110,7 @@ def cmd_audit(args, out_dir: Path) -> int:
             "msa_reference_gflops": audit_report.msa_flops / 1e9,
         }
     else:
-        for name, config in configs.items():
-            report = analyzer.cost_report(config, args.resolution)
+        for name, report in reports.items():
             print(f"{name}: params {report.total_params:,} "
                   f"(backbone {report.backbone_params:,}), "
                   f"flops {report.backbone_flops / 1e9:.4f} G at {args.resolution}px")
@@ -144,7 +144,6 @@ def cmd_verify(args, out_dir: Path) -> int:
     print(f"per-pixel FC vs 1x1 conv: max deviation {fc_dev:.3e} -> {'PASS' if fc_ok else 'FAIL'}")
 
     for kernel in kernels:
-        shift_map = equivalence.HeadShiftMap.for_kernel(kernel)
         worst = 0.0
         for seed in range(args.seeds):
             seed_rng = np.random.default_rng(args.seed + seed)
@@ -152,7 +151,7 @@ def cmd_verify(args, out_dir: Path) -> int:
                 cin, cout = 4, 5
                 conv_w = seed_rng.normal(size=(kernel, kernel, cin, cout))
                 image = seed_rng.normal(size=(grid[0], grid[1], cin))
-                dev = equivalence.msa_vs_conv_deviation(image, conv_w, shift_map)
+                dev = equivalence.msa_vs_conv_deviation(image, conv_w)
                 worst = max(worst, dev)
         kernel_ok = worst < 1e-10
         ok &= kernel_ok
@@ -166,7 +165,8 @@ def cmd_verify(args, out_dir: Path) -> int:
         probe_rng = np.random.default_rng(args.seed)
         conv_w = probe_rng.normal(size=(kernel, kernel, 3, 3))
         report = equivalence.receptive_field_probe(
-            [equivalence.AttentionProbe(conv_w)], (9, 9), (4, 4), rng=probe_rng)
+            [lambda x: equivalence.attention_as_conv(x, conv_w)], (9, 9), (4, 4),
+            rng=probe_rng)
         expected = kernel
         rf_ok = report.k_eff == expected
         ok &= rf_ok

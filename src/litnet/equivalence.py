@@ -9,20 +9,29 @@ alphabet, and a fixed relative position bias table makes the model's own
 value/output path carries exactly the kernel slice at its shift. On
 interior pixels the result equals the zero-padded convolution bit for bit
 up to float accumulation order.
+
+Head shifts are a plain sequence of (dy, dx) pairs, one per head, which
+must be a bijection onto ``centered_taps(K)``; None means that tuple in
+tap order. ``build_msa_as_conv(conv_w, grid, shifts)`` returns the
+``MsaParams``, and ``attention_as_conv(x, conv_w, shifts)`` and
+``padded_conv(x, conv_w)`` apply the two routes to an [N, H, W, C] image.
+``receptive_field_probe`` takes any sequence of such Tensor -> Tensor
+functions as its layer stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import MsaParams, mlp_block, msa
+from .blocks import MsaParams, msa, relative_slot
 from .errors import ConfigError
 from .tensor import Tape, Tensor, conv2d, matmul, mul, reshape, sum_all
 
 INFLUENCE_THRESHOLD = 1e-8  # relative to the strongest pixel
+Shifts = Sequence[tuple[int, int]]  # one (dy, dx) pixel shift per head
 
 
 def centered_taps(kernel: int) -> tuple[tuple[int, int], ...]:
@@ -36,97 +45,55 @@ def centered_taps(kernel: int) -> tuple[tuple[int, int], ...]:
                  for ky in range(kernel) for kx in range(kernel))
 
 
-@dataclass(frozen=True)
-class HeadShiftMap:
-    """Bijection from head index to a pixel shift of a K x K kernel."""
-
-    shifts: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(set(self.shifts)) != len(self.shifts):
-            raise ConfigError(f"head shifts must be distinct, got {self.shifts}")
-
-    @property
-    def num_heads(self) -> int:
-        return len(self.shifts)
-
-    @classmethod
-    def for_kernel(cls, kernel: int) -> "HeadShiftMap":
-        return cls(centered_taps(kernel))
-
-    def permuted(self, perm: Sequence[int]) -> "HeadShiftMap":
-        return HeadShiftMap(tuple(self.shifts[i] for i in perm))
-
-
-def _check_shift_map(shift_map: HeadShiftMap, kernel: int) -> None:
-    expected = kernel * kernel
-    if shift_map.num_heads != expected:
-        raise ConfigError(
-            f"{shift_map.num_heads} heads cannot realize a {kernel}x{kernel} kernel; "
-            f"need exactly {expected} (a perfect square)")
-    if set(shift_map.shifts) != set(centered_taps(kernel)):
-        raise ConfigError(
-            f"head shifts {shift_map.shifts} are not a bijection onto the "
-            f"{kernel}x{kernel} kernel offsets")
-
-
 def interior_mask(grid: tuple[int, int], kernel: int) -> np.ndarray:
     """[H, W] mask of pixels whose full K x K support lies in the grid."""
     h, w = grid
-    mask = np.ones((h, w), dtype=bool)
-    for dy, dx in centered_taps(kernel):
-        shifted = np.zeros((h, w), dtype=bool)
-        ys = np.arange(h) + dy
-        xs = np.arange(w) + dx
-        ok_y = (ys >= 0) & (ys < h)
-        ok_x = (xs >= 0) & (xs < w)
-        shifted[np.ix_(ok_y, ok_x)] = True
-        mask &= shifted
+    before = (kernel - 1) // 2  # how far the taps reach up and left
+    after = kernel - 1 - before  # and down and right
+    mask = np.zeros((h, w), dtype=bool)
+    mask[before:h - after, before:w - after] = True
     return mask
 
 
-def build_msa_as_conv(conv_w: np.ndarray, shift_map: HeadShiftMap,
-                      grid: tuple[int, int]) -> MsaParams:
+def build_msa_as_conv(conv_w: np.ndarray, grid: tuple[int, int],
+                      shifts: Shifts | None = None) -> MsaParams:
     """Attention parameters that reproduce a convolution on an H x W grid.
 
-    Queries and keys are zero, so each logit is the relative position bias
-    of its (query - key) displacement: for head h, 0 at -f(h), -1000 at
-    (0, 0) and -2000 elsewhere. exp(-1000) is exactly 0 in float32 and
-    float64, so pixel p attends one-hot to p + f(h), or to itself when that
-    lies off the grid (:func:`interior_mask` leaves such pixels out of
-    exact comparisons). Head h's value projection is the identity on the
-    input channels and its slice of the output projection is the kernel
-    slice at f(h), so ``msa`` on a flattened image equals the zero-padded
-    convolution on every interior pixel. With K = 1 the construction is a
-    per-pixel FC layer.
+    Head h gets the pixel shift ``shifts[h]`` (default: the kernel's offsets
+    in tap order). Queries and keys are zero, so each logit is the relative
+    position bias of its (query - key) displacement: for head h, 0 at
+    -shifts[h], -1000 at (0, 0) and -2000 elsewhere. exp(-1000) is exactly
+    0 in float32 and float64, so pixel p attends one-hot to p + shifts[h],
+    or to itself when that lies off the grid (:func:`interior_mask` leaves
+    such pixels out of exact comparisons). Head h's value projection is the
+    identity on the input channels and its slice of the output projection
+    is the kernel slice at its shift, so ``msa`` on a flattened image equals
+    the zero-padded convolution on every interior pixel. With K = 1 the
+    construction is a per-pixel FC layer.
     """
     conv_w = np.asarray(conv_w, dtype=np.float64)
     if conv_w.ndim != 4 or conv_w.shape[0] != conv_w.shape[1]:
         raise ConfigError(f"expected a [K, K, Cin, Cout] kernel, got {conv_w.shape}")
     kernel, _, cin, cout = conv_w.shape
-    _check_shift_map(shift_map, kernel)
-    heads = shift_map.num_heads
-    inner = heads * cin
+    taps = centered_taps(kernel)
+    shifts = taps if shifts is None else tuple((int(dy), int(dx)) for dy, dx in shifts)
+    if sorted(shifts) != sorted(taps):
+        raise ConfigError(f"{len(shifts)} head shifts {shifts} are not a bijection onto "
+                          f"the {len(taps)} offsets of a {kernel}x{kernel} kernel")
+    heads, (h, w) = len(shifts), grid
 
-    qkv_w = np.zeros((cin, 3 * inner))
-    for head in range(heads):
-        start = 2 * inner + head * cin
-        qkv_w[:, start:start + cin] = np.eye(cin)
-    out_w = np.zeros((inner, cout))
-    shift = (kernel - 1) // 2
-    for head, (dy, dx) in enumerate(shift_map.shifts):
-        out_w[head * cin:(head + 1) * cin, :] = conv_w[dy + shift, dx + shift]
-
-    h, w = grid
     table = np.full((heads, (2 * h - 1) * (2 * w - 1)), -2000.0)
-    table[:, (h - 1) * (2 * w - 1) + (w - 1)] = -1000.0
-    for head, (dy, dx) in enumerate(shift_map.shifts):
+    table[:, relative_slot(0, 0, h, w)] = -1000.0
+    for head, (dy, dx) in enumerate(shifts):
         if abs(dy) < h and abs(dx) < w:  # else no key lies at the shift
-            table[head, (h - 1 - dy) * (2 * w - 1) + (w - 1 - dx)] = 0.0
-
+            table[head, relative_slot(-dy, -dx, h, w)] = 0.0
+    shift = (kernel - 1) // 2
+    values = np.tile(np.eye(cin), heads)  # zero queries and keys, then the values
+    qkv_w = np.concatenate([np.zeros((cin, 2 * heads * cin)), values], axis=1)
+    out_w = np.concatenate([conv_w[dy + shift, dx + shift] for dy, dx in shifts])
     return MsaParams(
         qkv_w=Tensor(qkv_w),
-        qkv_b=Tensor(np.zeros(3 * inner)),
+        qkv_b=Tensor(np.zeros(3 * heads * cin)),
         out_w=Tensor(out_w),
         out_b=Tensor(np.zeros(cout)),
         num_heads=heads,
@@ -135,8 +102,25 @@ def build_msa_as_conv(conv_w: np.ndarray, shift_map: HeadShiftMap,
     )
 
 
+def attention_as_conv(x: Tensor, conv_w: np.ndarray,
+                      shifts: Shifts | None = None) -> Tensor:
+    """``msa`` on an [N, H, W, Cin] image with the parameters of
+    :func:`build_msa_as_conv` for its grid; returns [N, H, W, Cout]."""
+    n, h, w, c = x.shape
+    params = build_msa_as_conv(conv_w, (h, w), shifts)
+    out, _ = msa(reshape(x, (n, h * w, c)), params)
+    return reshape(out, (n, h, w, out.shape[-1]))
+
+
+def padded_conv(x: Tensor, conv_w: np.ndarray) -> Tensor:
+    """Zero-padded stride-1 convolution: the reference side of
+    :func:`msa_vs_conv_deviation`."""
+    conv_w = np.asarray(conv_w, dtype=np.float64)
+    return conv2d(x, Tensor(conv_w), stride=1, padding=(conv_w.shape[0] - 1) // 2)
+
+
 def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
-                          shift_map: HeadShiftMap | None = None) -> float:
+                          shifts: Shifts | None = None) -> float:
     """Max abs deviation between the two routes on interior pixels.
 
     Outputs align by pixel index in both parities; for even K the
@@ -144,8 +128,8 @@ def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
     covers every interior pixel. A grid without one raises ConfigError.
     """
     x = Tensor(np.asarray(image, dtype=np.float64)[None])
-    got = AttentionProbe(conv_w, shift_map).apply(x).data[0]
-    want = ConvProbe(conv_w).apply(x).data[0]
+    got = attention_as_conv(x, conv_w, shifts).data[0]
+    want = padded_conv(x, conv_w).data[0]
     (h, w), kernel = image.shape[:2], conv_w.shape[0]
     ys, xs = np.nonzero(interior_mask((h, w), kernel))
     if ys.size == 0:
@@ -178,45 +162,6 @@ def verify_fc_equals_1x1_conv(w: np.ndarray, rng: np.random.Generator | None = N
 # --------------------------------------------------------------------------
 
 
-class MlpProbe:
-    """Token-wise residual MLP as a probe layer (support: one pixel)."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def apply(self, x: Tensor) -> Tensor:
-        n, h, w, c = x.shape
-        tokens = reshape(x, (n, h * w, c))
-        return reshape(mlp_block(tokens, self.params), (n, h, w, c))
-
-
-class ConvProbe:
-    """Zero-padded stride-1 convolution as a probe layer; on one image it
-    is the reference side of ``msa_vs_conv_deviation``."""
-
-    def __init__(self, conv_w: np.ndarray):
-        self.conv_w = np.asarray(conv_w, dtype=np.float64)
-
-    def apply(self, x: Tensor) -> Tensor:
-        kernel = self.conv_w.shape[0]
-        return conv2d(x, Tensor(self.conv_w), stride=1, padding=(kernel - 1) // 2)
-
-
-class AttentionProbe:
-    """The attention-as-convolution construction as a probe layer: ``msa``
-    with the parameters of ``build_msa_as_conv`` for the input's grid."""
-
-    def __init__(self, conv_w: np.ndarray, shift_map: HeadShiftMap | None = None):
-        self.conv_w = np.asarray(conv_w, dtype=np.float64)
-        self.shift_map = shift_map or HeadShiftMap.for_kernel(self.conv_w.shape[0])
-
-    def apply(self, x: Tensor) -> Tensor:
-        n, h, w, c = x.shape
-        params = build_msa_as_conv(self.conv_w, self.shift_map, (h, w))
-        out, _ = msa(reshape(x, (n, h * w, c)), params)
-        return reshape(out, (n, h, w, out.shape[-1]))
-
-
 @dataclass
 class ReceptiveFieldReport:
     """Influence of input pixels on one query pixel's output.
@@ -240,10 +185,11 @@ def _mask_extent(mask: np.ndarray) -> int:
     return int(max(ys.max() - ys.min(), xs.max() - xs.min())) + 1
 
 
-def receptive_field_probe(stack: Sequence, grid: tuple[int, int],
+def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tuple[int, int],
                           query: tuple[int, int], channels: int = 3,
                           rng: np.random.Generator | None = None) -> ReceptiveFieldReport:
-    """Differentiate each prefix of ``stack`` at one query pixel.
+    """Differentiate each prefix of ``stack``, a sequence of functions from
+    an [N, H, W, C] image to one of the same grid, at one query pixel.
 
     The scalar probed is the channel sum of the output at ``query``; the
     gradient with respect to the input image gives the influence map.
@@ -261,7 +207,7 @@ def receptive_field_probe(stack: Sequence, grid: tuple[int, int],
         with Tape() as tape:
             y = x
             for layer in stack[:depth]:
-                y = layer.apply(y)
+                y = layer(y)
             pick = np.zeros(y.shape)
             pick[0, qy, qx, :] = 1.0
             scalar = sum_all(mul(y, Tensor(pick)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import (MlpBlockParams, PatchEmbedParams, TransformerBlockParams,
                      mlp_block, patch_embed, transformer_block)
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import load_tensors, read_counter, save_tensors
 from .dtm import DtmParams, dtm_forward
 from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
@@ -332,7 +332,11 @@ class LitModel:
 
         Besides this model's parameters and batch-norm running stats,
         ``state`` may hold only the optimizer (``opt.*``) and ``meta.*``
-        records of a training checkpoint; any other name is refused.
+        records of a training checkpoint; any other name is refused. So is
+        a running mean without its variance or the reverse, any array whose
+        shape differs from the model's (for a moment ``opt.<param>.m`` or
+        ``.v``, its parameter's), and a bad ``opt.step`` or ``meta.epoch``,
+        all before anything is loaded.
         """
         params = self.named_params()
         missing = [n for n in params if n not in state]
@@ -346,12 +350,23 @@ class LitModel:
         if unexpected:
             raise ConfigError(f"checkpoint holds names this model does not own: {unexpected[:5]}"
                               + ("..." if len(unexpected) > 5 else ""))
+        shapes = {key: t.data.shape for name, t in params.items()
+                  for key in (name, f"opt.{name}.m", f"opt.{name}.v") if key in state}
+        for stage, (mean_key, var_key) in stat_names.items():
+            for have, lack in ((mean_key, var_key), (var_key, mean_key)):
+                if have in state and lack not in state:
+                    raise ConfigError(f"checkpoint holds {have} without {lack}")
+            if mean_key in state:
+                shapes[mean_key] = shapes[var_key] = (self.config.stages[stage - 1].channels,)
+        for name, shape in shapes.items():
+            if np.shape(state[name]) != shape:
+                raise ConfigError(f"{name}: checkpoint shape {np.shape(state[name])} "
+                                  f"does not match model shape {shape}")
+        for key in ("opt.step", "meta.epoch"):
+            if key in state:
+                read_counter(state, key)
         for name, t in params.items():
-            arr = np.asarray(state[name], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
-                raise ConfigError(f"parameter {name}: checkpoint shape {arr.shape} "
-                                  f"does not match model shape {t.data.shape}")
-            t.data = arr.copy()
+            t.data = np.array(state[name], dtype=t.data.dtype)
         for stage, merge in self.merges.items():
             mean_key, var_key = stat_names[stage]
             if mean_key in state:

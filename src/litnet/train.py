@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import COUNTER_LIMIT, load_tensors, read_counter, save_tensors
 from .errors import ConfigError, NumericError
 from .model import LitModel
 from .tensor import Tape, Tensor, _all_finite, softmax_cross_entropy
@@ -114,7 +114,7 @@ class AdamW:
         for name, p in self.params.items():
             self.m[name] = np.asarray(state[f"opt.{name}.m"], dtype=p.data.dtype).reshape(p.data.shape).copy()
             self.v[name] = np.asarray(state[f"opt.{name}.v"], dtype=p.data.dtype).reshape(p.data.shape).copy()
-        self.step_count = int(state["opt.step"][0])
+        self.step_count = read_counter(state, "opt.step")
 
 
 def train_step(model: LitModel, images: np.ndarray, labels: np.ndarray,
@@ -189,7 +189,7 @@ def save_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW,
     are stored as float32, which holds every integer only below 2**24, so a
     larger counter raises ConfigError instead of resuming from a rounded one."""
     for name, value in (("optimizer step", optimizer.step_count), ("epoch", epoch)):
-        if value >= 2 ** 24:
+        if value >= COUNTER_LIMIT:
             raise ConfigError(f"cannot checkpoint {name} {value}: checkpoints store it "
                               "as float32, which is exact only below 2**24")
     state = model.named_state()
@@ -205,9 +205,9 @@ def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW) -> i
         shown = missing if len(missing) <= 3 else [*missing[:2], "...", missing[-1]]
         raise ConfigError(f"{path} is not a training checkpoint: {len(missing)} optimizer "
                           f"and meta records are missing ({', '.join(shown)})")
-    model.load_state(state)
+    model.load_state(state)  # checks the optimizer and meta records too
     optimizer.load_state_arrays(state)
-    return int(state["meta.epoch"][0])
+    return read_counter(state, "meta.epoch")
 
 
 def load_resume_checkpoint(path: Path, model: LitModel, optimizer: AdamW, epochs: int) -> int:

@@ -53,6 +53,32 @@ def test_rejects_truncated_file(tmp_path):
         load_tensors(tmp_path / "cut.litckpt")
 
 
+def record(name: bytes, shape: tuple[int, ...], data: bytes) -> bytes:
+    """One raw container record, written without ``save_tensors``'s checks."""
+    u64 = [n.to_bytes(8, "little") for n in (len(name), len(shape), *shape)]
+    return u64[0] + name + b"".join(u64[1:]) + data
+
+
+def test_rejects_a_tensor_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.litckpt"
+    path.write_bytes(MAGIC + record(b"\xff\xfe", (1,), bytes(4)))
+    with pytest.raises(ValidationError, match="name at byte 16 is not valid UTF-8"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("shape,fragment", [
+    ((2 ** 63,), "truncated data for tensor 'x'"),
+    ((2 ** 64 - 1, 2 ** 64 - 1), "truncated data for tensor 'x'"),
+    ((0, 2 ** 63), "numpy cannot hold"),
+    ((1,) * 65, "numpy cannot hold"),
+], ids=["extent_2_63", "extents_2_64_squared", "zero_beside_2_63", "rank_65"])
+def test_rejects_extents_the_file_or_numpy_cannot_hold(tmp_path, shape, fragment):
+    path = tmp_path / "t.litckpt"
+    path.write_bytes(MAGIC + record(b"x", shape, bytes(8)))
+    with pytest.raises(ValidationError, match=fragment):
+        load_tensors(path)
+
+
 def test_model_state_round_trip_bit_exact(tmp_path):
     model = build(micro_config(), seed=3)
     model.forward(np.random.default_rng(0).normal(size=(2, 32, 32, 3)), mode="train")

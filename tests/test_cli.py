@@ -48,6 +48,14 @@ def test_audit_rejects_malformed_config_json(tmp_path, capsys, edit, fragment):
     assert_config_error(code, err, fragment)
 
 
+@pytest.mark.parametrize("preset_name", ["all", "lit-s"])
+def test_audit_refuses_a_preset_beside_a_config(tmp_path, capsys, preset_name):
+    config = write_config(tmp_path / "toy.json", lambda d: None)
+    code, err = run(capsys, "audit", "--preset", preset_name, "--config", config,
+                    "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, "give either --preset or --config, not both")
+
+
 def test_a_missing_input_file_is_a_config_error(tmp_path, capsys):
     code, err = run(capsys, "audit", "--config", str(tmp_path / "missing.json"),
                     "--out", str(tmp_path / "out"))
@@ -226,6 +234,58 @@ def test_train_names_the_layer_and_step_of_a_non_finite_value(trained, tmp_path,
     assert code == cli.EXIT_NUMERIC
     assert len(err.strip().splitlines()) == 1, err
     assert "epoch 1 step 2: stage3.block1: non-finite values produced by matmul" in err
+
+
+def u64(*values: int) -> bytes:
+    return b"".join(v.to_bytes(8, "little") for v in values)
+
+
+def setitem(name: str, value):
+    return lambda state: state.__setitem__(name, np.asarray(value, dtype=np.float32))
+
+
+def pop(name: str):
+    return lambda state: state.pop(name)
+
+
+# each edit turns the trained checkpoint into a malformed one: bytes are
+# appended to the file as one more record, a function edits the loaded state
+MALFORMED_CHECKPOINTS = {
+    "name_not_utf8": (u64(2) + b"\xff\xfe" + u64(1, 1) + bytes(4), "is not valid UTF-8"),
+    "extent_2_63": (u64(1) + b"x" + u64(1, 2 ** 63), "truncated data for tensor 'x'"),
+    "step_0d": (setitem("opt.step", 2.0), "opt.step must hold one value, got shape ()"),
+    "epoch_0d": (setitem("meta.epoch", 1.0), "meta.epoch must hold one value, got shape ()"),
+    "epoch_nan": (setitem("meta.epoch", [np.nan]), "meta.epoch must be an integer in 0-16777215, got nan"),
+    "epoch_half": (setitem("meta.epoch", [0.5]), "meta.epoch must be an integer in 0-16777215, got 0.5"),
+    "step_negative": (setitem("opt.step", [-3.0]), "opt.step must be an integer in 0-16777215, got -3.0"),
+    "moment_wrong_size": (setitem("opt.head.w.m", np.zeros(3)),
+                          "opt.head.w.m: checkpoint shape (3,) does not match model shape (64, 10)"),
+    "mean_without_var": (pop("stage2.merge.bn.running_var"),
+                         "holds stage2.merge.bn.running_mean without stage2.merge.bn.running_var"),
+    "var_without_mean": (pop("stage3.merge.bn.running_mean"),
+                         "holds stage3.merge.bn.running_var without stage3.merge.bn.running_mean"),
+    "mean_of_3": (setitem("stage2.merge.bn.running_mean", np.zeros(3)),
+                  "stage2.merge.bn.running_mean: checkpoint shape (3,) does not match model shape (32,)"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--epochs", "2", "--num-images", "8", "--batch-size", "4", "--resume"),
+    ("inspect", "--mode", "attn", "--num-images", "1", "--checkpoint"),
+], ids=["train", "inspect"])
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_a_malformed_checkpoint_is_a_one_line_config_error(trained, tmp_path, capsys, argv, case):
+    edit, fragment = MALFORMED_CHECKPOINTS[case]
+    path = tmp_path / "bad.litckpt"
+    if isinstance(edit, bytes):
+        path.write_bytes((trained / "ckpt_final.litckpt").read_bytes() + edit)
+    else:
+        state = load_tensors(trained / "ckpt_final.litckpt")
+        edit(state)
+        save_tensors(path, state)
+    code, err = run(capsys, *argv, str(path), "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, fragment)
+    assert "Traceback" not in err
 
 
 def test_audit_of_a_preset_passes_and_writes_its_reports(tmp_path, capsys):

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from helpers import delta_attention_loop
-from litnet.equivalence import (AttentionProbe, ConvProbe, HeadShiftMap,
-                                MlpProbe, build_msa_as_conv, interior_mask,
-                                msa_vs_conv_deviation, receptive_field_probe,
-                                verify_fc_equals_1x1_conv)
-from litnet.blocks import MlpBlockParams, msa
+from litnet.equivalence import (attention_as_conv, build_msa_as_conv, centered_taps,
+                                interior_mask, msa_vs_conv_deviation, padded_conv,
+                                receptive_field_probe, verify_fc_equals_1x1_conv)
+from litnet.blocks import MlpBlockParams, mlp_block, msa
 from litnet.errors import ConfigError
-from litnet.tensor import Tensor, conv2d, matmul, tensor
+from litnet.tensor import Tensor, conv2d, matmul, reshape, tensor
 
 
-def on_image(probe, image: np.ndarray) -> np.ndarray:
+def on_image(layer, image: np.ndarray) -> np.ndarray:
     """A probe layer applied to one [H, W, C] image."""
-    return probe.apply(Tensor(image[None])).data[0]
+    return layer(Tensor(image[None])).data[0]
 
 
 def test_fc_equals_1x1_conv_fp64():
@@ -45,7 +44,7 @@ def test_k1_construction_is_an_fc_layer():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(1, 1, 4, 7))
     image = rng.normal(size=(5, 5, 4))
-    out = on_image(AttentionProbe(w, HeadShiftMap.for_kernel(1)), image)
+    out = on_image(lambda x: attention_as_conv(x, w, centered_taps(1)), image)
     want = image @ w[0, 0]
     assert np.abs(out - want).max() < 1e-12
 
@@ -75,10 +74,10 @@ def test_head_relabeling_symmetry():
     rng = np.random.default_rng(3)
     conv_w = rng.normal(size=(3, 3, 2, 2))
     image = rng.normal(size=(6, 6, 2))
-    base = on_image(AttentionProbe(conv_w, HeadShiftMap.for_kernel(3)), image)
+    base = on_image(lambda x: attention_as_conv(x, conv_w, centered_taps(3)), image)
     perm = rng.permutation(9)
-    permuted_map = HeadShiftMap.for_kernel(3).permuted(perm)
-    permuted = on_image(AttentionProbe(conv_w, permuted_map), image)
+    shifts = [centered_taps(3)[i] for i in perm]
+    permuted = on_image(lambda x: attention_as_conv(x, conv_w, shifts), image)
     # same terms summed in permuted order: equal up to float reassociation
     assert np.abs(base - permuted).max() < 1e-12
 
@@ -86,22 +85,23 @@ def test_head_relabeling_symmetry():
 def test_construction_rejects_head_count_mismatch():
     rng = np.random.default_rng(4)
     conv_w = rng.normal(size=(2, 2, 3, 3))
-    five_heads = HeadShiftMap(((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)))
-    with pytest.raises(ConfigError):
-        build_msa_as_conv(conv_w, five_heads, (4, 4))
+    five_heads = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+    with pytest.raises(ConfigError, match="5 head shifts"):
+        build_msa_as_conv(conv_w, (4, 4), five_heads)
 
 
 def test_construction_rejects_shifts_off_the_kernel():
     rng = np.random.default_rng(5)
     conv_w = rng.normal(size=(2, 2, 3, 3))
-    wrong = HeadShiftMap(((0, 0), (0, 1), (1, 0), (2, 2)))
-    with pytest.raises(ConfigError):
-        build_msa_as_conv(conv_w, wrong, (4, 4))
+    wrong = ((0, 0), (0, 1), (1, 0), (2, 2))
+    with pytest.raises(ConfigError, match="not a bijection"):
+        build_msa_as_conv(conv_w, (4, 4), wrong)
 
 
 def test_shift_map_must_be_bijective():
-    with pytest.raises(ConfigError):
-        HeadShiftMap(((0, 0), (0, 0)))
+    conv_w = np.zeros((2, 2, 3, 3))
+    with pytest.raises(ConfigError, match="not a bijection"):
+        build_msa_as_conv(conv_w, (4, 4), ((0, 0), (0, 0), (1, 0), (1, 1)))
 
 
 @pytest.mark.parametrize("kernel", [1, 2, 3])
@@ -111,11 +111,10 @@ def test_construction_attends_one_hot_to_each_head_shift(kernel, grid):
     # boundary rows, whose shifted pixel is off the grid, attend to themselves;
     # on the 1 x 5 grid no vertical shift has a slot in the table
     rng = np.random.default_rng(kernel * 10 + grid[1])
-    shift_map = HeadShiftMap.for_kernel(kernel)
-    params = build_msa_as_conv(rng.normal(size=(kernel, kernel, 3, 2)), shift_map, grid)
+    params = build_msa_as_conv(rng.normal(size=(kernel, kernel, 3, 2)), grid)
     tokens = Tensor(rng.normal(size=(2, grid[0] * grid[1], 3)))
     _, attn = msa(tokens, params, with_attn=True)
-    want = delta_attention_loop(shift_map.shifts, *grid)
+    want = delta_attention_loop(centered_taps(kernel), *grid)
     assert np.array_equal(attn, np.broadcast_to(want, (2,) + want.shape))
 
 
@@ -135,7 +134,10 @@ def test_interior_mask_extents():
 def test_receptive_field_mlp_is_one_pixel():
     rng = np.random.default_rng(6)
     params = MlpBlockParams.create(rng, 3, 2, dtype=np.float64)
-    report = receptive_field_probe([MlpProbe(params)], (8, 8), (3, 4), rng=rng)
+    def mlp(x):
+        return reshape(mlp_block(reshape(x, (1, 64, 3)), params), (1, 8, 8, 3))
+
+    report = receptive_field_probe([mlp], (8, 8), (3, 4), rng=rng)
     assert report.k_eff == 1
     assert report.masks[-1].sum() == 1
     assert report.masks[-1][3, 4]
@@ -143,8 +145,8 @@ def test_receptive_field_mlp_is_one_pixel():
 
 def test_receptive_field_conv3_is_3x3():
     rng = np.random.default_rng(7)
-    report = receptive_field_probe([ConvProbe(rng.normal(size=(3, 3, 3, 3)))],
-                                   (8, 8), (4, 4), rng=rng)
+    conv_w = rng.normal(size=(3, 3, 3, 3))
+    report = receptive_field_probe([lambda x: padded_conv(x, conv_w)], (8, 8), (4, 4), rng=rng)
     assert report.k_eff == 3
     assert report.masks[-1].sum() == 9
 
@@ -152,8 +154,10 @@ def test_receptive_field_conv3_is_3x3():
 def test_receptive_field_attention_matches_conv_probe():
     rng = np.random.default_rng(8)
     conv_w = rng.normal(size=(3, 3, 3, 3))
-    conv_report = receptive_field_probe([ConvProbe(conv_w)], (9, 9), (4, 4), rng=rng)
-    attn_report = receptive_field_probe([AttentionProbe(conv_w)], (9, 9), (4, 4), rng=rng)
+    conv_report = receptive_field_probe([lambda x: padded_conv(x, conv_w)],
+                                        (9, 9), (4, 4), rng=rng)
+    attn_report = receptive_field_probe([lambda x: attention_as_conv(x, conv_w)],
+                                        (9, 9), (4, 4), rng=rng)
     assert np.array_equal(conv_report.masks[-1], attn_report.masks[-1])
 
 
@@ -162,15 +166,15 @@ def test_receptive_field_grows_with_sqrt_heads(heads):
     kernel = int(round(heads ** 0.5))
     rng = np.random.default_rng(9 + heads)
     conv_w = rng.normal(size=(kernel, kernel, 2, 2))
-    report = receptive_field_probe([AttentionProbe(conv_w)], (9, 9), (4, 4),
+    report = receptive_field_probe([lambda x: attention_as_conv(x, conv_w)], (9, 9), (4, 4),
                                    channels=2, rng=rng)
     assert report.k_eff == kernel
 
 
 def test_receptive_field_stacked_convs_compose():
     rng = np.random.default_rng(10)
-    stack = [ConvProbe(rng.normal(size=(3, 3, 2, 2))),
-             ConvProbe(rng.normal(size=(3, 3, 2, 2)))]
+    w1, w2 = rng.normal(size=(3, 3, 2, 2)), rng.normal(size=(3, 3, 2, 2))
+    stack = [lambda x: padded_conv(x, w1), lambda x: padded_conv(x, w2)]
     report = receptive_field_probe(stack, (11, 11), (5, 5), channels=2, rng=rng)
     assert report.masks[0].sum() == 9
     assert report.masks[1].sum() == 25
@@ -181,6 +185,6 @@ def test_conv_reference_against_conv2d_padding():
     rng = np.random.default_rng(11)
     image = rng.normal(size=(5, 5, 2))
     w = rng.normal(size=(3, 3, 2, 2))
-    ref = on_image(ConvProbe(w), image)
+    ref = on_image(lambda x: padded_conv(x, w), image)
     direct = conv2d(Tensor(image[None]), Tensor(w), padding=1).data[0]
     assert np.array_equal(ref, direct)
