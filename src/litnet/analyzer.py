@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .model import (BLOCK_TRANSFORMER, MERGE_DTM, LitModel, ModelConfig,
-                    ABSOLUTE_POS_STAGES, preset)
+from .model import ABSOLUTE_POS_STAGES, BLOCK_TRANSFORMER, MERGE_DTM, ModelConfig, preset
 
 PARAM_TOLERANCE = 0.03
 FLOP_TOLERANCE = 0.05
@@ -96,22 +95,13 @@ def offset_predictor_params(cin: int, kernel: int = 2) -> int:
     return 2 * k2 * (k2 * cin + 1)
 
 
-def _config_of(model_or_config) -> ModelConfig:
-    if isinstance(model_or_config, LitModel):
-        return model_or_config.config
-    if isinstance(model_or_config, ModelConfig):
-        return model_or_config
-    raise ConfigError(f"expected a model or config, got {type(model_or_config).__name__}")
-
-
-def cost_report(model_or_config, resolution: int | None = None) -> CostReport:
+def cost_report(config: ModelConfig, resolution: int | None = None) -> CostReport:
     """Itemized cost report for one model.
 
     FLOPs are evaluated per image at ``resolution`` (default: the
     config's own). Parameter counts always follow the config's
     resolution, so changing the report resolution never changes them.
     """
-    config = _config_of(model_or_config)
     res = config.resolution if resolution is None else resolution
     problem = config.resolution_problem(res)
     if problem:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .init import ones, weight, zeros
-from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, reshape,
-                     slice_last, transpose)
+from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, relative_slot,
+                     reshape, slice_last, transpose)
 
 LN_EPS = 1e-5
 PATCH_SIZE = 4
@@ -72,6 +72,10 @@ class MsaParams:
     construction (``equivalence.build_msa_as_conv``) can host per-head
     value paths of full channel width; its fixed ``rel_bias`` table makes
     every head attend one-hot to a pixel shift.
+
+    ``rel_bias``, when set, is the [heads, 2H-1, 2W-1] relative position
+    table of the stage's H x W grid; its shape fixes the grid (layout in
+    ``tensor.attention``).
     """
 
     qkv_w: Tensor  # [C, 3 * inner]
@@ -79,8 +83,7 @@ class MsaParams:
     out_w: Tensor  # [inner, out_dim]
     out_b: Tensor  # [out_dim]
     num_heads: int
-    rel_bias: Tensor | None = None  # [heads, (2H-1)(2W-1)]
-    grid: tuple[int, int] | None = None
+    rel_bias: Tensor | None = None  # [heads, 2H-1, 2W-1]
 
     @property
     def inner_dim(self) -> int:
@@ -92,16 +95,15 @@ class MsaParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, channels: int, heads: int,
-               grid: tuple[int, int] | None = None, relative: bool = False,
-               dtype=np.float32) -> "MsaParams":
+               grid: tuple[int, int] | None = None, dtype=np.float32) -> "MsaParams":
+        """Random projections, plus a relative bias table exactly when
+        ``grid`` (H, W) is given."""
         if heads < 1 or channels % heads != 0:
             raise ConfigError(f"channels {channels} not divisible by heads {heads}")
         rel = None
-        if relative:
-            if grid is None:
-                raise ConfigError("relative positional bias requires the stage grid")
+        if grid is not None:
             h, w = grid
-            rel = weight(rng, (heads, (2 * h - 1) * (2 * w - 1)), dtype)
+            rel = weight(rng, (heads, 2 * h - 1, 2 * w - 1), dtype)
         return cls(
             qkv_w=weight(rng, (channels, 3 * channels), dtype),
             qkv_b=zeros(3 * channels, dtype),
@@ -109,7 +111,6 @@ class MsaParams:
             out_b=zeros(channels, dtype),
             num_heads=heads,
             rel_bias=rel,
-            grid=grid,
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -124,13 +125,7 @@ class MsaParams:
         return out
 
 
-def relative_slot(dy, dx, h: int, w: int):
-    """Slot of the (query - key) displacement (dy, dx) in an h x w grid's
-    (2h-1)(2w-1) relative-bias table; elementwise on arrays, where the
-    grouped scalars keep it at one pass per operator."""
-    return (dy + (h - 1)) * (2 * w - 1) + (dx + (w - 1))
-
-
+# Unused by the model; kept because perfbench clears its cache (ROADMAP item 4).
 @lru_cache(maxsize=None)
 def relative_index_map(h: int, w: int) -> np.ndarray:
     """[T, T] indices into a (2h-1)(2w-1) displacement table.
@@ -164,21 +159,7 @@ def msa(x: Tensor, p: MsaParams, with_attn: bool = False) -> tuple[Tensor, np.nd
     k = _split_heads(slice_last(qkv, inner, 2 * inner), p.num_heads)
     v = _split_heads(slice_last(qkv, 2 * inner, 3 * inner), p.num_heads)
 
-    index = None
-    if p.rel_bias is not None:
-        if p.grid is None:
-            raise ConfigError("relative bias present but the stage grid is unset")
-        h, w = p.grid
-        if tokens != h * w:
-            raise ConfigError(f"{tokens} tokens do not match the {h}x{w} grid "
-                              "required by the relative bias table")
-        expected = (2 * h - 1) * (2 * w - 1)
-        if p.rel_bias.ndim != 2 or p.rel_bias.shape[1] != expected:
-            raise ConfigError(
-                f"relative bias table of shape {p.rel_bias.shape} does not match grid "
-                f"{h}x{w} (expected {expected} displacement entries per head)")
-        index = relative_index_map(h, w)
-    ctx, attn = attention(q, k, v, p.rel_bias, index, with_probs=with_attn)
+    ctx, attn = attention(q, k, v, p.rel_bias, with_probs=with_attn)
 
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, tokens, inner))
     out = add(matmul(ctx, p.out_w), p.out_b)
@@ -196,12 +177,11 @@ class TransformerBlockParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, channels: int, heads: int, expansion: int,
-               grid: tuple[int, int] | None = None, relative: bool = False,
-               dtype=np.float32) -> "TransformerBlockParams":
+               grid: tuple[int, int] | None = None, dtype=np.float32) -> "TransformerBlockParams":
         return cls(
             ln_g=ones(channels, dtype),
             ln_b=zeros(channels, dtype),
-            attn=MsaParams.create(rng, channels, heads, grid, relative, dtype),
+            attn=MsaParams.create(rng, channels, heads, grid, dtype),
             mlp=MlpBlockParams.create(rng, channels, expansion, dtype),
         )
 

@@ -4,11 +4,11 @@ gradient-based receptive-field probes.
 
 The attention-to-convolution bridge (Cordonnier, Loukas & Jaggi, arXiv
 1911.03584) assigns each head a pixel shift from the kernel's offset
-alphabet, and a fixed relative position bias table makes the model's own
-``attention`` kernel put one-hot weight on the shifted pixel, so head h's
-value/output path carries exactly the kernel slice at its shift. On
-interior pixels the result equals the zero-padded convolution bit for bit
-up to float accumulation order.
+alphabet, and a fixed [heads, 2H-1, 2W-1] relative position bias table
+makes the model's own ``attention`` kernel put one-hot weight on the
+shifted pixel, so head h's value/output path carries exactly the kernel
+slice at its shift. On interior pixels the result equals the zero-padded
+convolution bit for bit up to float accumulation order.
 
 Head shifts are a plain sequence of (dy, dx) pairs, one per head, which
 must be a bijection onto ``centered_taps(K)``; None means that tuple in
@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import MsaParams, msa, relative_slot
+from .blocks import MsaParams, msa
 from .errors import ConfigError
 from .tensor import Tape, Tensor, conv2d, matmul, mul, reshape, sum_all
 
@@ -61,15 +61,17 @@ def build_msa_as_conv(conv_w: np.ndarray, grid: tuple[int, int],
 
     Head h gets the pixel shift ``shifts[h]`` (default: the kernel's offsets
     in tap order). Queries and keys are zero, so each logit is the relative
-    position bias of its (query - key) displacement: for head h, 0 at
-    -shifts[h], -1000 at (0, 0) and -2000 elsewhere. exp(-1000) is exactly
-    0 in float32 and float64, so pixel p attends one-hot to p + shifts[h],
-    or to itself when that lies off the grid (:func:`interior_mask` leaves
-    such pixels out of exact comparisons). Head h's value projection is the
-    identity on the input channels and its slice of the output projection
-    is the kernel slice at its shift, so ``msa`` on a flattened image equals
-    the zero-padded convolution on every interior pixel. With K = 1 the
-    construction is a per-pixel FC layer.
+    position bias of its (query - key) displacement, read from a
+    [heads, 2H-1, 2W-1] table whose entry [h, H-1+dy, W-1+dx] holds
+    displacement (dy, dx): for head h, 0 at -shifts[h], -1000 at (0, 0) and
+    -2000 elsewhere. exp(-1000) is exactly 0 in float32 and float64, so
+    pixel p attends one-hot to p + shifts[h], or to itself when that lies
+    off the grid (:func:`interior_mask` leaves such pixels out of exact
+    comparisons). Head h's value projection is the identity on the input
+    channels and its slice of the output projection is the kernel slice at
+    its shift, so ``msa`` on a flattened image equals the zero-padded
+    convolution on every interior pixel. With K = 1 the construction is a
+    per-pixel FC layer.
     """
     conv_w = np.asarray(conv_w, dtype=np.float64)
     if conv_w.ndim != 4 or conv_w.shape[0] != conv_w.shape[1]:
@@ -82,11 +84,11 @@ def build_msa_as_conv(conv_w: np.ndarray, grid: tuple[int, int],
                           f"the {len(taps)} offsets of a {kernel}x{kernel} kernel")
     heads, (h, w) = len(shifts), grid
 
-    table = np.full((heads, (2 * h - 1) * (2 * w - 1)), -2000.0)
-    table[:, relative_slot(0, 0, h, w)] = -1000.0
+    table = np.full((heads, 2 * h - 1, 2 * w - 1), -2000.0)
+    table[:, h - 1, w - 1] = -1000.0
     for head, (dy, dx) in enumerate(shifts):
         if abs(dy) < h and abs(dx) < w:  # else no key lies at the shift
-            table[head, relative_slot(-dy, -dx, h, w)] = 0.0
+            table[head, h - 1 - dy, w - 1 - dx] = 0.0
     shift = (kernel - 1) // 2
     values = np.tile(np.eye(cin), heads)  # zero queries and keys, then the values
     qkv_w = np.concatenate([np.zeros((cin, 2 * heads * cin)), values], axis=1)
@@ -98,7 +100,6 @@ def build_msa_as_conv(conv_w: np.ndarray, grid: tuple[int, int],
         out_b=Tensor(np.zeros(cout)),
         num_heads=heads,
         rel_bias=Tensor(table),
-        grid=(h, w),
     )
 
 

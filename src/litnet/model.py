@@ -294,7 +294,7 @@ class LitModel:
                 else:
                     blocks.append(TransformerBlockParams.create(
                         rng, spec.channels, spec.heads, spec.expansion,
-                        grid=grids[idx - 1], relative=relative, dtype=self.dtype))
+                        grid=grids[idx - 1] if relative else None, dtype=self.dtype))
             self.stages.append(blocks)
 
         c4 = config.stages[3].channels
@@ -331,8 +331,9 @@ class LitModel:
         """Load parameters (and running stats when present) by name.
 
         Besides this model's parameters and batch-norm running stats,
-        ``state`` may hold only the optimizer (``opt.*``) and ``meta.*``
-        records of a training checkpoint; any other name is refused. So is
+        ``state`` may hold only the records of a training checkpoint:
+        ``opt.step``, ``meta.epoch`` and the moments ``opt.<param>.m`` and
+        ``.v`` of the model's own parameters; any other name is refused. So is
         a running mean without its variance or the reverse, any array whose
         shape differs from the model's (for a moment ``opt.<param>.m`` or
         ``.v``, its parameter's), and a bad ``opt.step`` or ``meta.epoch``,
@@ -345,8 +346,9 @@ class LitModel:
                               + ("..." if len(missing) > 5 else ""))
         stat_names = {stage: merge.state_names(f"stage{stage}.merge")
                       for stage, merge in self.merges.items()}
-        owned = {*params, *(n for names in stat_names.values() for n in names)}
-        unexpected = [n for n in state if n not in owned and not n.startswith(("opt.", "meta."))]
+        owned = {*params, *(n for names in stat_names.values() for n in names),
+                 "opt.step", "meta.epoch", *(f"opt.{n}.{m}" for n in params for m in "mv")}
+        unexpected = [n for n in state if n not in owned]
         if unexpected:
             raise ConfigError(f"checkpoint holds names this model does not own: {unexpected[:5]}"
                               + ("..." if len(unexpected) > 5 else ""))

@@ -19,26 +19,31 @@ differs from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where
 eps32 is the float32 machine epsilon (2.2 measured on a dense grid over
 [-8, 8]). The GELU backward pass of either dtype runs in the same blocks.
 
-``attention`` fuses softmax(q @ k^T / sqrt(d) + bias[h, index]) @ v, after
+``attention`` fuses softmax(q @ k^T / sqrt(d) + B) @ v, after
 FlashAttention (Dao et al., arXiv 2205.14135) and chunked attention (Rabe
-& Staats, arXiv 2112.05682). It works on tiles of about ``_ATTN_TILE``
-logits: whole rows of one head, whole heads when a head is smaller than a
-tile, or whole images when all of an image's heads are. A tile's bias rows
-are gathered once from the [heads, K] table into tile-sized scratch and
-reused for every image. For each image the tile's scaled logits are
-written into scratch with one matrix product, the bias is added, the tile
-is checked for non-finite values and normalised in place (row max,
-subtract, ``exp``, divide by the row sum, as ``softmax`` does its row
-blocks), and one more product writes its rows of the output. The
-[N, heads, T, T'] probabilities are built in full only when a tape records
-the op, whose backward pass reads them, or when the caller asks for them;
-otherwise the output and the tile scratch are all the op allocates. Row
-tiles round their products differently from one full-size product, so
-float32 outputs are not bit-identical to the unfused
+& Staats, arXiv 2112.05682). The optional B is a relative position bias
+looked up by 2-d displacement, as in Swin (Liu et al., arXiv 2103.14030),
+in a [heads, 2H-1, 2W-1] table of an H x W token grid. No [T, T] index is
+built: B for query (yi, xi) is a flipped [H, W] window of the table. The op
+works on tiles of about ``_ATTN_TILE`` logits: whole rows of one head
+(under a bias, the nearest whole number of grid rows, at least one), whole
+heads when a head is smaller than a tile, or whole images when all of an
+image's heads are. A tile's bias is copied once from the window view into
+tile-sized scratch and reused for every image. For each image the tile's
+scaled logits are written into scratch with one matrix product, the bias
+is added, the tile is checked for non-finite values and normalised in
+place (row max, subtract, ``exp``, divide by the row sum, as ``softmax``
+does its row blocks), and one more product writes its rows of the output.
+The [N, heads, T, T'] probabilities are built in full only when a tape
+records the op, whose backward pass reads them, or when the caller asks
+for them; otherwise the output and the tile scratch are all the op
+allocates. Row tiles round their products differently from one full-size
+product, so float32 outputs are not bit-identical to the unfused
 ``softmax(q k^T / sqrt(d) + bias) @ v``; they stay within 8 float32 ulps
 of max(P @ |v|), the largest sum of |terms| behind one output (3.35 was
 the worst measured). The table's gradient is scatter-added with one flat
-``np.bincount``, as is ``gather_last``'s.
+``np.bincount``, as is ``gather_last``'s, by a [T, T] slot index that only
+the backward pass forms.
 
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
 four per sample: its output is S @ x and its input gradient S^T @ g.
@@ -51,6 +56,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_array
 from scipy.special import erf
 
@@ -424,22 +430,29 @@ def softmax(x: Tensor) -> Tensor:
                   lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
+def relative_slot(dy, dx, h: int, w: int):
+    """Flat slot of the (query - key) displacement (dy, dx) in an h x w
+    grid's [2h-1, 2w-1] relative-bias table; elementwise on arrays, where
+    the grouped scalars keep it at one pass per operator."""
+    return (dy + (h - 1)) * (2 * w - 1) + (dx + (w - 1))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
-              index: np.ndarray | None = None,
               with_probs: bool = False) -> tuple[Tensor, np.ndarray | None]:
-    """softmax(q @ k^T / sqrt(d) + bias[h, index]) @ v, one tile at a time.
+    """softmax(q @ k^T / sqrt(d) + B) @ v, one tile at a time.
 
     ``q`` is [N, heads, T, d], ``k`` is [N, heads, T', d] and ``v`` is
-    [N, heads, T', dv]. The optional ``bias`` is a [heads, K] table and
-    ``index`` a [T, T'] array of entries in [0, K). Returns the
-    [N, heads, T, dv] output and the [N, heads, T, T'] probabilities when
-    ``with_probs`` is set, else None. The probabilities are built in full
-    only when asked for or when a tape records the op, whose backward pass
-    needs them. Differentiable in q, k, v and the table; see the module
-    docstring for the tiling.
+    [N, heads, T', dv]. The optional ``bias`` is the [heads, 2H-1, 2W-1]
+    table of an H x W grid of T = T' = H * W row-major tokens, and
+    B[h, i, j] = bias[h, yi - yj + H - 1, xi - xj + W - 1]. A window view of
+    the table holds B as [heads, H, W, H, W], so a tile of whole grid rows
+    copies one slice of it. Returns the [N, heads, T, dv] output and the
+    [N, heads, T, T'] probabilities when ``with_probs`` is set, else None.
+    The probabilities are built in full only when asked for or when a tape
+    records the op, whose backward pass needs them. Differentiable in q, k,
+    v and the table, whose gradient the backward pass sums by
+    ``relative_slot``; see the module docstring for the tiling.
     """
-    if (bias is None) != (index is None):
-        raise ShapeError("attention: give a bias table and its index together, or neither")
     if q.ndim != 4 or k.ndim != 4 or v.ndim != 4 or k.shape[:2] != q.shape[:2] \
             or k.shape[3] != q.shape[3] or v.shape[:3] != k.shape[:3] \
             or min(q.shape[3], k.shape[2]) < 1:
@@ -448,11 +461,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     n, heads, t, d = q.shape
     width = k.shape[2]
     inputs = (q, k, v)
+    rows = max(1, min(t, _ATTN_TILE // width))
     if bias is not None:
-        index = np.asarray(index, dtype=np.int64)
-        if bias.ndim != 2 or bias.shape[0] != heads or index.shape != (t, width):
-            raise ShapeError(f"attention: bias table {bias.shape} and index {index.shape} "
-                             f"do not fit {heads} heads of {t}x{width} logits")
+        gh, gw = ((e + 1) // 2 for e in bias.shape[1:]) if bias.ndim == 3 else (0, 0)
+        if bias.shape[:1] != (heads,) or not all(e % 2 for e in bias.shape[1:]) \
+                or gh * gw != t or width != t:
+            raise ShapeError(f"attention: bias table {bias.shape} is not [{heads}, 2H-1, 2W-1] "
+                             f"for an H x W grid of {t} queries and {width} keys")
+        rows = max(1, round(rows / gw)) * gw
+        # window[h, yi, xi] is the [H, W] bias of query (yi, xi) over every key
+        window = sliding_window_view(bias.data[:, ::-1, ::-1], (gh, gw),
+                                     axis=(1, 2))[:, ::-1, ::-1]
         inputs += (bias,)
     tape = _recording_tape(inputs)
     s = 1.0 / math.sqrt(d)
@@ -461,7 +480,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     probs = np.empty((n, heads, t, width), dtype) if with_probs or tape is not None else None
     # A tile is whole rows of one head, whole heads when a head fits in a
     # tile, or whole images when an image's heads all fit.
-    rows = max(1, min(t, _ATTN_TILE // width))
     tile_heads = max(1, min(heads, _ATTN_TILE // (t * width))) if rows == t else 1
     images = max(1, min(n, _ATTN_TILE // (heads * t * width))) if tile_heads == heads else 1
     tile = images * tile_heads * rows
@@ -472,16 +490,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     kt = k.data.swapaxes(-1, -2)
     for r0 in range(0, t, rows):
         r1 = min(r0 + rows, t)
-        if bias is not None:
-            idx = index[r0:r1]
-            if idx.min() < 0 or idx.max() >= bias.shape[1]:
-                raise ShapeError(f"attention: bias index out of range for {bias.shape[1]} entries")
         for h0 in range(0, heads, tile_heads):
             h1 = min(h0 + tile_heads, heads)
             if bias is not None:
-                tile_bias = bias_scratch[:(h1 - h0) * idx.size].reshape((h1 - h0,) + idx.shape)
-                for tile_row, table_row in zip(tile_bias, bias.data[h0:h1]):
-                    np.take(table_row, idx, out=tile_row, mode="clip")  # bounds checked above
+                tile_bias = bias_scratch[:(h1 - h0) * (r1 - r0) * width].reshape(
+                    h1 - h0, r1 - r0, width)
+                np.copyto(tile_bias.reshape(h1 - h0, -1, gw, gh, gw),
+                          window[h0:h1, r0 // gw:r1 // gw])
             for b0 in range(0, n, images):
                 b1 = min(b0 + images, n)
                 shape = (b1 - b0, h1 - h0, r1 - r0)
@@ -507,8 +522,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
         gk *= s
         if bias is None:
             return (gq, gk, gv)
+        ys, xs = np.divmod(np.arange(t), gw)
+        slots = relative_slot(ys[:, None] - ys, xs[:, None] - xs, gh, gw)
         per_head = ds.sum(axis=0).reshape(heads, t * width)
-        return (gq, gk, gv, _scatter_rows(per_head, index.reshape(-1), bias.shape[1]))
+        gb = _scatter_rows(per_head, slots.reshape(-1), bias.size // heads)
+        return (gq, gk, gv, gb.reshape(bias.shape))
 
     return _apply("attention", inputs, out, bwd), (probs if with_probs else None)
 

@@ -111,10 +111,17 @@ class AdamW:
         return out
 
     def load_state_arrays(self, state: Mapping[str, np.ndarray]) -> None:
+        """Load the moments and step count; a moment whose shape is not its
+        parameter's, or a bad step count, is refused before anything loads."""
+        for key, p in ((f"opt.{n}.{m}", p) for n, p in self.params.items() for m in "mv"):
+            if np.shape(state[key]) != p.data.shape:
+                raise ConfigError(f"{key}: checkpoint shape {np.shape(state[key])} "
+                                  f"does not match parameter shape {p.data.shape}")
+        step = read_counter(state, "opt.step")
         for name, p in self.params.items():
-            self.m[name] = np.asarray(state[f"opt.{name}.m"], dtype=p.data.dtype).reshape(p.data.shape).copy()
-            self.v[name] = np.asarray(state[f"opt.{name}.v"], dtype=p.data.dtype).reshape(p.data.shape).copy()
-        self.step_count = read_counter(state, "opt.step")
+            self.m[name] = np.array(state[f"opt.{name}.m"], dtype=p.data.dtype)
+            self.v[name] = np.array(state[f"opt.{name}.v"], dtype=p.data.dtype)
+        self.step_count = step
 
 
 def train_step(model: LitModel, images: np.ndarray, labels: np.ndarray,

@@ -166,12 +166,16 @@ def msa_oracle(x: np.ndarray, qkv_w: np.ndarray, qkv_b: np.ndarray,
 
 
 def attention_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   table: np.ndarray | None = None,
-                   index: np.ndarray | None = None) -> np.ndarray:
-    """Row-by-row float64 softmax(q k^T / sqrt(d) + table[h, index]) v of
-    [N, heads, T, d] queries and [N, heads, T', d] keys and values."""
+                   table: np.ndarray | None = None) -> np.ndarray:
+    """Row-by-row float64 softmax(q k^T / sqrt(d) + bias) v of [N, heads, T, d]
+    queries and [N, heads, T', d] keys and values. The bias of a
+    [heads, 2H-1, 2W-1] table is its flattened entry at
+    ``relative_index_loop(H, W)``."""
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     n, heads, t, d = q.shape
+    if table is not None:
+        index = relative_index_loop((table.shape[1] + 1) // 2, (table.shape[2] + 1) // 2)
+        table = np.reshape(table, (heads, -1))
     width, dv = k.shape[2], v.shape[3]
     s = 1.0 / math.sqrt(d)
     out = np.empty((n, heads, t, dv))

@@ -123,12 +123,11 @@ def test_grad_softmax_gelu():
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
 def test_grad_attention(with_bias):
     rng = np.random.default_rng(12)
-    q, k, v = rand(rng, 2, 3, 4, 2), rand(rng, 2, 3, 5, 2), rand(rng, 2, 3, 5, 3)
-    table = rand(rng, 3, 6)
-    index = rng.integers(0, 6, size=(4, 5))
-    bias = (table, index) if with_bias else (None, None)
+    t, keys = (6, 6) if with_bias else (4, 5)  # a bias needs T = T' = H * W, here 2 x 3
+    q, k, v = rand(rng, 2, 3, t, 2), rand(rng, 2, 3, keys, 2), rand(rng, 2, 3, keys, 3)
+    table = rand(rng, 3, 3, 5) if with_bias else None
     params = [q, k, v, table] if with_bias else [q, k, v]
-    check_gradients(projected(rng, lambda: attention(q, k, v, *bias)[0]), params)
+    check_gradients(projected(rng, lambda: attention(q, k, v, table)[0]), params)
 
 
 def test_grad_layer_norm():

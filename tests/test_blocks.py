@@ -1,23 +1,30 @@
 """Block contracts: MLP blocks, attention, patch embedding, and the
 relative-position bias construction."""
 
+import gc
+import importlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from helpers import check_gradients, msa_oracle, relative_index_loop
 from litnet.blocks import (LN_EPS, MlpBlockParams, MsaParams, PatchEmbedParams,
                            TransformerBlockParams, mlp_block, msa, patch_embed,
-                           relative_index_map, transformer_block)
-from litnet.errors import ConfigError
-from litnet.tensor import Tensor, mul, sum_all, tensor
+                           transformer_block)
+from litnet.errors import ConfigError, ShapeError
+from litnet.tensor import Tensor, attention, mul, sum_all, tensor
+
+tensor_module = importlib.import_module("litnet.tensor")
 
 
 def make_mlp(rng, channels=6, expansion=2):
     return MlpBlockParams.create(rng, channels, expansion, dtype=np.float64)
 
 
-def make_msa(rng, channels=8, heads=2, grid=None, relative=False):
-    return MsaParams.create(rng, channels, heads, grid, relative, dtype=np.float64)
+def make_msa(rng, channels=8, heads=2, grid=None):
+    return MsaParams.create(rng, channels, heads, grid, dtype=np.float64)
 
 
 def test_mlp_block_zero_weights_is_identity():
@@ -74,9 +81,9 @@ def test_msa_identity_attention_is_value_projection():
     # a table of 0 at displacement (0, 0) and -1000 elsewhere outweighs
     # every q.k logit, so each token attends to itself alone
     rng = np.random.default_rng(4)
-    p = make_msa(rng, channels=8, heads=2, grid=(1, 5), relative=True)
+    p = make_msa(rng, channels=8, heads=2, grid=(1, 5))
     p.rel_bias.data[:] = -1000.0
-    p.rel_bias.data[:, 4] = 0.0
+    p.rel_bias.data[:, 0, 4] = 0.0
     x = tensor(rng.normal(size=(1, 5, 8)))
     out, attn = msa(x, p, with_attn=True)
     assert np.array_equal(attn, np.broadcast_to(np.eye(5), (1, 2, 5, 5)))
@@ -98,10 +105,11 @@ def test_msa_matches_unfused_oracle():
 
 def test_msa_with_relative_bias_matches_oracle():
     rng = np.random.default_rng(6)
-    p = make_msa(rng, channels=8, heads=2, grid=(2, 3), relative=True)
+    p = make_msa(rng, channels=8, heads=2, grid=(2, 3))
+    assert p.rel_bias.shape == (2, 3, 5)
     x = rng.normal(size=(2, 6, 8))
     out, attn = msa(tensor(x), p, with_attn=True)
-    bias = p.rel_bias.data[:, relative_index_loop(2, 3)]
+    bias = p.rel_bias.data.reshape(2, 15)[:, relative_index_loop(2, 3)]
     want_out, want_attn = msa_oracle(x, p.qkv_w.data, p.qkv_b.data,
                                      p.out_w.data, p.out_b.data, heads=2, bias=bias)
     assert np.abs(out.data - want_out).max() < 1e-10
@@ -117,9 +125,27 @@ def test_msa_attention_rows_sum_to_one():
 
 def test_msa_token_count_must_match_grid_when_relative():
     rng = np.random.default_rng(9)
-    p = make_msa(rng, channels=6, heads=2, grid=(2, 2), relative=True)
-    with pytest.raises(ConfigError):
+    p = make_msa(rng, channels=6, heads=2, grid=(2, 2))
+    with pytest.raises(ShapeError, match="grid of 5 queries"):
         msa(tensor(rng.normal(size=(1, 5, 6))), p)
+
+
+def test_msa_with_a_relative_bias_keeps_nothing_after_the_call():
+    # a cached int64 index of the 960-token grid would keep 7 MiB
+    rng = np.random.default_rng(8)
+    p = MsaParams.create(rng, 8, 2, grid=(24, 40))
+    assert p.rel_bias.shape == (2, 47, 79)
+    x = tensor(rng.normal(size=(1, 960, 8)).astype(np.float32))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        msa(x, p)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
 
 
 def test_msa_rejects_indivisible_heads():
@@ -201,29 +227,45 @@ def test_patch_embed_rejects_indivisible_extents():
         patch_embed(tensor(np.zeros((1, 10, 8, 3))), p)
 
 
-def relative_bias(table: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The [heads, T, T] logits bias that ``msa`` adds for an h x w grid."""
-    return table[:, relative_index_map(h, w)]
+def relative_bias(table: np.ndarray) -> np.ndarray:
+    """The [heads, T, T] logits bias that ``attention`` adds for a
+    [heads, 2H-1, 2W-1] table: its logits for zero queries and keys, read
+    as the softmax receives them (one tile on these small grids)."""
+    heads, h2, w2 = table.shape
+    zeros = Tensor(np.zeros((1, heads, (h2 + 1) // 2 * ((w2 + 1) // 2), 1)))
+    logits = []
+    softmax_rows = tensor_module._softmax_rows
+
+    def keep(z, out, what):
+        logits.append(z.copy())
+        softmax_rows(z, out, what)
+
+    with mock.patch.object(tensor_module, "_softmax_rows", keep):
+        attention(zeros, zeros, zeros, Tensor(table))
+    (tile,) = logits
+    return tile[0]
 
 
 def test_relative_bias_degenerate_grid():
-    bias = relative_bias(np.array([[3.25]]), 1, 1)
+    bias = relative_bias(np.array([[[3.25]]]))
     assert bias.shape == (1, 1, 1)
     assert bias[0, 0, 0] == 3.25
 
 
 def test_relative_bias_diagonal_is_constant():
     rng = np.random.default_rng(16)
-    bias = relative_bias(rng.normal(size=(3, 5 * 5)), 3, 3)
+    table = rng.normal(size=(3, 5, 5))
+    bias = relative_bias(table)
     diag = bias[:, np.arange(9), np.arange(9)]
-    assert np.all(diag == diag[:, :1])
+    assert np.all(diag == table[:, 2:3, 2])  # displacement (0, 0)
 
 
 def test_relative_index_matches_enumeration_oracle():
-    for h, w in [(2, 2), (3, 4), (4, 4), (1, 5)]:
-        assert np.array_equal(relative_index_map(h, w), relative_index_loop(h, w))
-    idx = relative_index_map(2, 2)
-    assert len(np.unique(idx)) == 9  # (2*2-1)^2 distinct displacements
+    for h, w in [(2, 2), (3, 4), (4, 4), (1, 5), (5, 1)]:
+        table = np.arange(2 * (2 * h - 1) * (2 * w - 1), dtype=np.float64).reshape(2, 2 * h - 1, -1)
+        want = table.reshape(2, -1)[:, relative_index_loop(h, w)]
+        assert np.array_equal(relative_bias(table), want)
+    assert len(np.unique(relative_bias(np.arange(9.0).reshape(1, 3, 3)))) == 9
 
 
 def test_relative_bias_translation_property():
@@ -231,7 +273,7 @@ def test_relative_bias_translation_property():
     # share one bias value, exhaustively on a 4x4 grid
     rng = np.random.default_rng(17)
     h, w = 4, 4
-    bias = relative_bias(rng.normal(size=(2, (2 * h - 1) * (2 * w - 1))), h, w)
+    bias = relative_bias(rng.normal(size=(2, 2 * h - 1, 2 * w - 1)))
     oracle_classes = relative_index_loop(h, w)
     for head in range(2):
         for disp in np.unique(oracle_classes):
@@ -241,16 +283,15 @@ def test_relative_bias_translation_property():
 
 def test_relative_bias_extent_mismatch():
     rng = np.random.default_rng(19)
-    p = make_msa(rng, channels=6, heads=2, grid=(2, 2), relative=True)
-    p.rel_bias = tensor(np.zeros((2, 10)))
-    with pytest.raises(ConfigError, match="expected 9 displacement entries"):
+    p = make_msa(rng, channels=6, heads=2, grid=(2, 2))
+    p.rel_bias = tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match=r"bias table \(2, 3, 4\) is not \[2, 2H-1, 2W-1\]"):
         msa(tensor(rng.normal(size=(1, 4, 6))), p)
 
 
 def test_block_gradients():
     rng = np.random.default_rng(18)
-    p = TransformerBlockParams.create(rng, 8, 2, 2, grid=(2, 2), relative=True,
-                                      dtype=np.float64)
+    p = TransformerBlockParams.create(rng, 8, 2, 2, grid=(2, 2), dtype=np.float64)
     x = tensor(rng.uniform(-1, 1, size=(1, 4, 8)), requires_grad=True)
     probe = Tensor(rng.normal(size=(1, 4, 8)))
     params = [x, p.attn.qkv_w, p.attn.out_w, p.attn.rel_bias, p.mlp.fc1_w, p.ln_g]

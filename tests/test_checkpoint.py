@@ -105,6 +105,17 @@ def test_a_dtm_checkpoint_does_not_load_into_a_uniform_merge_model(tmp_path):
         uniform.load(path)
 
 
+# tests/test_cli.py refuses opt.bogus.m and meta.anything end to end
+@pytest.mark.parametrize("name", ["opt.head.w.s", "opt.epoch", "meta.step"])
+def test_load_state_refuses_a_training_record_a_checkpoint_never_writes(name):
+    model = build(toy_config(), seed=0)
+    state = model.named_state()
+    state["opt.head.w.m"] = np.zeros((64, 10), np.float32)  # a record it does write
+    state[name] = np.zeros((7, 3), np.float32)
+    with pytest.raises(ConfigError, match=rf"does not own: \['{name}'\]$"):
+        model.load_state(state)
+
+
 def test_failed_save_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
     path = tmp_path / "t.litckpt"
     save_tensors(path, {"x": np.ones((4, 4), dtype=np.float32)})

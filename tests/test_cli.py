@@ -260,6 +260,11 @@ MALFORMED_CHECKPOINTS = {
     "step_negative": (setitem("opt.step", [-3.0]), "opt.step must be an integer in 0-16777215, got -3.0"),
     "moment_wrong_size": (setitem("opt.head.w.m", np.zeros(3)),
                           "opt.head.w.m: checkpoint shape (3,) does not match model shape (64, 10)"),
+    "stray_moment": (setitem("opt.bogus.m", np.zeros((7, 3))), "does not own: ['opt.bogus.m']"),
+    "stray_meta": (setitem("meta.anything", [1.0]), "does not own: ['meta.anything']"),
+    "flat_rel_bias": (setitem("stage3.block0.attn.rel_bias", np.zeros((3, 49))),
+                      "stage3.block0.attn.rel_bias: checkpoint shape (3, 49) does not match "
+                      "model shape (3, 7, 7)"),
     "mean_without_var": (pop("stage2.merge.bn.running_var"),
                          "holds stage2.merge.bn.running_mean without stage2.merge.bn.running_var"),
     "var_without_mean": (pop("stage3.merge.bn.running_mean"),

@@ -221,7 +221,7 @@ def test_an_eval_forward_never_holds_a_whole_stage1_attention_map():
     model = build(config, seed=0)
     model.seed_norm_stats()
     images = np.random.default_rng(0).normal(size=(1, 128, 128, 3)).astype(np.float32)
-    model.forward(images, mode="eval")  # fills the cached relative index maps
+    model.forward(images, mode="eval")  # warm-up
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

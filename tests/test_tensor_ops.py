@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from helpers import attention_loop, bilinear_scalar, check_gradients, conv2d_loop, matmul_loop
-from litnet.blocks import relative_index_map
+from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop, matmul_loop,
+                     relative_index_loop)
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.tensor import (_ATTN_TILE, _BLOCK, BatchNormState, Tape, Tensor, add, attention,
                            batch_norm, conv2d, deform_sample, gather_last, gelu, layer_norm,
-                           matmul, mul, scale, softmax, softmax_cross_entropy, sum_all, tensor,
-                           transpose)
+                           matmul, mul, reshape, scale, softmax, softmax_cross_entropy, sum_all,
+                           tensor, transpose)
 
 # the module itself: the package binds ``litnet.tensor`` to the tensor() factory
 tensor_module = importlib.import_module("litnet.tensor")
@@ -99,19 +99,29 @@ def test_softmax_allocates_only_its_output():
     assert peak <= out.data.nbytes + 2 ** 20
 
 
-def attention_inputs(rng, n, heads, t, width, d, entries=37, dtype=np.float32):
-    """[N, heads, T, d] queries, [N, heads, T', d] keys and values, a
-    [heads, entries] bias table and a [T, T'] index into it."""
-    q = rng.normal(size=(n, heads, t, d)).astype(dtype)
-    k = rng.normal(size=(n, heads, width, d)).astype(dtype)
-    v = rng.normal(size=(n, heads, width, d)).astype(dtype)
-    table = rng.normal(size=(heads, entries)).astype(dtype)
-    return q, k, v, table, rng.integers(0, entries, size=(t, width))
+def attention_inputs(rng, n, heads, t, width, d, dtype=np.float32):
+    """[N, heads, T, d] queries and [N, heads, T', d] keys and values."""
+    return tuple(rng.normal(size=(n, heads, e, d)).astype(dtype) for e in (t, width, width))
 
 
-def unfused_attention(q, k, v, table=None, index=None):
+def bias_table(rng, heads, grid, dtype=np.float32):
+    """A random [heads, 2H-1, 2W-1] relative bias table of an H x W grid."""
+    h, w = grid
+    return rng.normal(size=(heads, 2 * h - 1, 2 * w - 1)).astype(dtype)
+
+
+def dense_bias(table):
+    """The [T, T] bias of a [2H-1, 2W-1] table, indexed by displacement:
+    entry [(yi, xi), (yj, xj)] is table[yi - yj + H - 1, xi - xj + W - 1]."""
+    h, w = (table.shape[0] + 1) // 2, (table.shape[1] + 1) // 2
+    dy = np.arange(h)[:, None, None, None] - np.arange(h)[:, None] + h - 1
+    dx = np.arange(w)[:, None, None] - np.arange(w) + w - 1
+    return table[dy, dx].reshape(h * w, h * w)
+
+
+def unfused_attention(q, k, v, table=None):
     """(output, probabilities) of the unfused path, one head at a time:
-    logits of the scaled queries and a contiguous k^T, plus the gathered
+    logits of the scaled queries and a contiguous k^T, plus the dense
     bias, a full-row max-shifted softmax, then @ v."""
     s = 1.0 / math.sqrt(q.shape[-1])
     out = np.empty(q.shape[:3] + v.shape[3:], q.dtype)
@@ -119,16 +129,16 @@ def unfused_attention(q, k, v, table=None, index=None):
     for b, h in np.ndindex(q.shape[:2]):
         z = (q[b, h] * s) @ np.ascontiguousarray(k[b, h].T)
         if table is not None:
-            z += table[h, index]
+            z += dense_bias(table[h])
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         probs[b, h] = e / e.sum(axis=-1, keepdims=True)
         out[b, h] = probs[b, h] @ v[b, h]
     return out, probs
 
 
-def run_attention(q, k, v, table=None, index=None, with_probs=False):
+def run_attention(q, k, v, table=None, with_probs=False):
     bias = None if table is None else Tensor(table)
-    out, probs = attention(Tensor(q), Tensor(k), Tensor(v), bias, index, with_probs=with_probs)
+    out, probs = attention(Tensor(q), Tensor(k), Tensor(v), bias, with_probs=with_probs)
     return out.data, probs
 
 
@@ -144,10 +154,11 @@ def attention_ulps(got, want, probs, v) -> float:
 
 
 def test_attention_matches_the_loop_oracle():
-    q, k, v, table, index = attention_inputs(np.random.default_rng(20), 2, 3, 5, 7, 4, 11,
-                                             np.float64)
-    got, _ = run_attention(q, k, v, table, index)
-    assert np.abs(got - attention_loop(q, k, v, table, index)).max() < 1e-12
+    rng = np.random.default_rng(20)
+    q, k, v = attention_inputs(rng, 2, 3, 6, 6, 4, np.float64)
+    table = bias_table(rng, 3, (2, 3), np.float64)
+    got, _ = run_attention(q, k, v, table)
+    assert np.abs(got - attention_loop(q, k, v, table)).max() < 1e-12
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -155,11 +166,10 @@ def test_attention_matches_the_loop_oracle():
                          ids=["stage1", "stage2", "stage3", "stage4"])
 def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, grid):
     rng = np.random.default_rng(21)
-    q, k, v, _, _ = attention_inputs(rng, n, heads, grid * grid, grid * grid, 32, 1, dtype)
-    table = rng.normal(size=(heads, (2 * grid - 1) ** 2)).astype(dtype)
-    index = relative_index_map(grid, grid)
-    got, _ = run_attention(q, k, v, table, index)
-    want, probs = unfused_attention(q, k, v, table, index)
+    q, k, v = attention_inputs(rng, n, heads, grid * grid, grid * grid, 32, dtype)
+    table = bias_table(rng, heads, (grid, grid), dtype)
+    got, _ = run_attention(q, k, v, table)
+    want, probs = unfused_attention(q, k, v, table)
     assert got.dtype == dtype
     if dtype == np.float64:
         assert np.abs(got - want).max() < 1e-12
@@ -167,32 +177,49 @@ def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, 
         assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
 
+# [N, heads, T, T'] without a bias, and [N, heads, (H, W)] with one, where a
+# row tile is rounded to whole grid rows
+TILE_EDGES = {
+    "t1": ((2, 3, 1, 1), (2, 3, (1, 1))),                        # T = T' = 1
+    # a head fills one tile exactly; 16 grid rows fill one tile exactly
+    "head_fills_tile": ((1, 2, 512, _ATTN_TILE // 512), (1, 2, (32, 32))),
+    # rows per tile do not divide T; 436 rows round down to 9 grid rows
+    "rows_not_dividing": ((1, 2, 400, 3000), (1, 2, (25, 48))),
+    # one row is longer than a tile; 327 rows round down to none, then up to one grid row
+    "row_longer_than_tile": ((1, 1, 2, _ATTN_TILE + 5), (1, 1, (2, 800))),
+    # N > 1, one tile spans all heads of all images
+    "tile_spans_heads": ((3, 4, 16, 16), (3, 4, (4, 4))),
+    "heads_not_dividing": ((2, 3, 400, 600), (2, 3, (20, 24))),   # tiles of two heads over three
+    "images_not_dividing": ((5, 2, 256, 256), (5, 2, (16, 16))),  # tiles of four images over five
+}
+
+
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
-@pytest.mark.parametrize("shape", [
-    (2, 3, 1, 1),                         # T = T' = 1
-    (1, 2, 512, _ATTN_TILE // 512),       # a head fills one tile exactly
-    (1, 2, 400, 3000),                    # rows per tile do not divide T
-    (1, 1, 2, _ATTN_TILE + 5),            # one row is longer than a tile
-    (3, 4, 16, 16),                       # N > 1, one tile spans all heads of all images
-    (2, 3, 400, 600),                     # tiles of two heads over three
-    (5, 2, 256, 256),                     # tiles of four images over five
-], ids=["t1", "head_fills_tile", "rows_not_dividing", "row_longer_than_tile",
-        "tile_spans_heads", "heads_not_dividing", "images_not_dividing"])
-def test_attention_tile_edges_match_the_unfused_path(shape, with_bias):
-    q, k, v, table, index = attention_inputs(np.random.default_rng(22), *shape, 8)
-    args = (table, index) if with_bias else ()
-    got, _ = run_attention(q, k, v, *args)
-    want, probs = unfused_attention(q, k, v, *args)
+@pytest.mark.parametrize("case", TILE_EDGES)
+def test_attention_tile_edges_match_the_unfused_path(case, with_bias):
+    rng = np.random.default_rng(22)
+    plain, (n, heads, grid) = TILE_EDGES[case]
+    if with_bias:
+        t = grid[0] * grid[1]
+        q, k, v = attention_inputs(rng, n, heads, t, t, 8)
+        table = bias_table(rng, heads, grid)
+    else:
+        q, k, v = attention_inputs(rng, *plain, 8)
+        table = None
+    got, _ = run_attention(q, k, v, table)
+    want, probs = unfused_attention(q, k, v, table)
     assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
 
 def test_attention_on_a_tape_equals_the_eval_result():
-    q, k, v, table, index = attention_inputs(np.random.default_rng(23), 2, 3, 40, 40, 8, 50)
+    rng = np.random.default_rng(23)
+    q, k, v = attention_inputs(rng, 2, 3, 40, 40, 8)
+    table = bias_table(rng, 3, (5, 8))
     with Tape():
         taped, taped_probs = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v, table)),
-                                       index, with_probs=True)
-    got, probs = run_attention(q, k, v, table, index, with_probs=True)
-    plain, no_probs = run_attention(q, k, v, table, index)
+                                       with_probs=True)
+    got, probs = run_attention(q, k, v, table, with_probs=True)
+    plain, no_probs = run_attention(q, k, v, table)
     assert taped.data.tobytes() == got.tobytes() == plain.tobytes()
     assert taped_probs.tobytes() == probs.tobytes()
     assert no_probs is None
@@ -206,45 +233,63 @@ def test_attention_on_a_tape_equals_the_eval_result():
 ], ids=["q_nan", "k_pos_inf", "q_neg_inf", "table_nan", "table_neg_inf",
         "bias_overflows_a_logit", "v_nan"])
 def test_attention_rejects_non_finite_values(where, bad, message):
-    q, k, v, table, index = attention_inputs(np.random.default_rng(24), 1, 2, 30, 30, 4, 9)
+    rng = np.random.default_rng(24)
+    q, k, v = attention_inputs(rng, 1, 2, 30, 30, 4)
+    table = bias_table(rng, 2, (5, 6))
+    # token 29 at (4, 5) lies (4, 2) from token 3 at (0, 3): slot [4 + 4, 2 + 5]
     if where == "overflow":  # a logit of 1e38 plus a bias of 3e38 is past float32's range
         q[0, 1, 29], k[0, 1, 3] = [1e19, 0, 0, 0], [2e19, 0, 0, 0]
-        table[1, index[29, 3]] = bad
+        table[1, 8, 7] = bad
     elif where == "table":
-        table[1, index[29, 3]] = bad
+        table[1, 8, 7] = bad
     else:
         {"q": q, "k": k, "v": v}[where][0, 1, 29, 3] = bad
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
-        run_attention(q, k, v, table, index)
+        run_attention(q, k, v, table)
 
 
-@pytest.mark.parametrize("bad", [-1, 9])
-def test_attention_rejects_a_bias_index_out_of_range(bad):
-    q, k, v, table, index = attention_inputs(np.random.default_rng(25), 1, 2, 4, 4, 3, 9,
-                                             np.float64)
-    index[3, 2] = bad
-    with pytest.raises(ShapeError):
-        run_attention(q, k, v, table, index)
+@pytest.mark.parametrize("table_shape,keys", [
+    ((2, 4, 5), 6),   # an even extent, though (4 + 1) // 2 * 3 = 6 = T
+    ((3, 3, 5), 6),   # three heads for two
+    ((2, 3, 3), 6),   # a 2 x 2 grid for 6 tokens
+    ((2, 3, 5), 5),   # T' = 5 keys for T = 6 queries
+    ((2, 15), 6),     # a flat (2H-1)(2W-1) table
+], ids=["even_extent", "head_count", "grid_size", "keys_differ", "flat"])
+def test_attention_rejects_a_table_that_does_not_fit(table_shape, keys):
+    rng = np.random.default_rng(25)
+    q, _, _ = attention_inputs(rng, 1, 2, 6, 6, 3, np.float64)
+    _, k, v = attention_inputs(rng, 1, 2, keys, keys, 3, np.float64)
+    with pytest.raises(ShapeError, match="is not \\[2, 2H-1, 2W-1\\]"):
+        run_attention(q, k, v, np.zeros(table_shape))
+
+
+def composed_attention(q, k, v, table):
+    """softmax(q k^T / sqrt(d) + bias) v of unfused ops, the bias gathered
+    from the flattened table at ``relative_index_loop``."""
+    logits = matmul(scale(q, 1.0 / math.sqrt(q.shape[-1])), transpose(k, (0, 1, 3, 2)))
+    heads, h2, w2 = table.shape
+    flat = reshape(table, (heads, h2 * w2))
+    bias = gather_last(flat, relative_index_loop((h2 + 1) // 2, (w2 + 1) // 2))
+    return matmul(softmax(add(logits, bias)), v)
+
+
+def attention_gradients(q, k, v, table, g, fused):
+    """Gradients of sum(attention(q, k, v, table) * g) in q, k, v and the table."""
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v, table)]
+    with Tape() as tape:
+        y = attention(*leaves)[0] if fused else composed_attention(*leaves)
+        loss = sum_all(mul(y, Tensor(g)))
+    tape.backward(loss)
+    return [t.grad for t in leaves]
 
 
 def test_attention_gradients_equal_the_composed_ops():
-    q, k, v, table, index = attention_inputs(np.random.default_rng(26), 2, 3, 6, 5, 4, 8,
-                                             np.float64)
-    g = Tensor(np.random.default_rng(27).normal(size=(2, 3, 6, 4)))
-    grads = []
-    for fused in (True, False):
-        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v, table)]
-        qt, kt, vt, tt = leaves
-        with Tape() as tape:
-            if fused:
-                y, _ = attention(qt, kt, vt, tt, index)
-            else:
-                logits = matmul(scale(qt, 0.5), transpose(kt, (0, 1, 3, 2)))
-                y = matmul(softmax(add(logits, gather_last(tt, index))), vt)
-            loss = sum_all(mul(y, g))
-        tape.backward(loss)
-        grads.append([t.grad for t in leaves])
-    for fused, composed in zip(*grads):
+    rng = np.random.default_rng(26)
+    q, k, v = attention_inputs(rng, 2, 3, 6, 6, 4, np.float64)
+    table = bias_table(rng, 3, (2, 3), np.float64)
+    g = np.random.default_rng(27).normal(size=(2, 3, 6, 4))
+    for fused, composed in zip(attention_gradients(q, k, v, table, g, True),
+                               attention_gradients(q, k, v, table, g, False)):
         assert np.abs(fused - composed).max() < 1e-12
 
 
@@ -254,12 +299,11 @@ def test_attention_allocates_only_its_output_and_tile_scratch(n, heads, grid, wi
     rng = np.random.default_rng(28)
     t = grid * grid
     q, k, v = (rng.normal(size=(n, heads, t, 32)).astype(np.float32) for _ in range(3))
-    table = np.zeros((heads, (2 * grid - 1) ** 2), np.float32)
-    args = (table, relative_index_map(grid, grid)) if with_bias else ()
+    table = np.zeros((heads, 2 * grid - 1, 2 * grid - 1), np.float32) if with_bias else None
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out, _ = run_attention(q, k, v, *args)
+        out, _ = run_attention(q, k, v, table)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -270,19 +314,25 @@ def test_attention_allocates_only_its_output_and_tile_scratch(n, heads, grid, wi
 
 
 @st.composite
-def attention_cases(draw):
-    """Shapes, dtype, bias and a tile size anywhere from one logit to past
-    all of them, so that tiles of rows, of heads and of images all end both
-    inside the input and at its edges."""
+def attention_cases(draw, bias=None):
+    """Shapes, dtype, a bias table (drawn when ``bias`` is None) and a tile
+    size anywhere from one logit to past all of them, so that tiles of rows,
+    of heads and of images all end both inside the input and at its edges.
+    A bias needs T = T' = H * W: H and W are 1-4, 1 x W and H x 1 included,
+    and rounding a tile to whole grid rows lands on both sides of its size
+    (``TILE_EDGES`` pins each side)."""
     n, heads = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    t, width, d = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    grid, d = (draw(st.integers(1, 4)), draw(st.integers(1, 4))), draw(st.integers(1, 4))
+    bias = draw(st.booleans()) if bias is None else bias
+    t = grid[0] * grid[1]
+    width = t if bias else draw(st.integers(1, 9))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    tile = draw(st.integers(1, n * heads * t * width + 1))
+    # whole rows of one head, where a bias rounds them to grid rows, or any size
+    tile = draw(st.integers(1, t).map(lambda rows: rows * width)
+                | st.integers(1, n * heads * t * width + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    q, k, v, table, index = attention_inputs(rng, n, heads, t, width, d, 5, dtype)
-    if not draw(st.booleans()):
-        table = index = None
-    return tile, q, k, v, table, index
+    q, k, v = attention_inputs(rng, n, heads, t, width, d, dtype)
+    return tile, q, k, v, bias_table(rng, heads, grid, dtype) if bias else None
 
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -291,10 +341,10 @@ PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database
 @PROPERTIES
 @given(attention_cases())
 def test_attention_property_matches_the_float64_loop_oracle(case):
-    tile, q, k, v, table, index = case
+    tile, q, k, v, table = case
     with mock.patch.object(tensor_module, "_ATTN_TILE", tile):
-        got, probs = run_attention(q, k, v, table, index, with_probs=True)
-    want = attention_loop(q, k, v, table, index)
+        got, probs = run_attention(q, k, v, table, with_probs=True)
+    want = attention_loop(q, k, v, table)
     assert got.dtype == q.dtype
     assert np.abs(probs.sum(axis=-1) - 1.0).max() < 8 * np.finfo(q.dtype).eps * k.shape[2]
     if q.dtype == np.float64:
@@ -310,33 +360,29 @@ def test_attention_property_matches_the_float64_loop_oracle(case):
 
 
 @PROPERTIES
-@given(attention_cases(), st.sampled_from([np.nan, np.inf, -np.inf]),
-       st.sampled_from(["q", "k", "table"]), st.integers(0, 2 ** 32 - 1))
-def test_attention_property_rejects_non_finite_logits(case, bad, where, seed):
-    tile, q, k, v, table, index = case
-    rng = np.random.default_rng(seed)
-    if where == "table" and table is not None:
-        i, j = rng.integers(index.shape[0]), rng.integers(index.shape[1])
-        table[rng.integers(table.shape[0]), index[i, j]] = bad
-    else:
-        target = k if where == "k" else q
-        target[tuple(rng.integers(0, e) for e in target.shape)] = bad
-    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), \
-            np.errstate(invalid="ignore"), pytest.raises(NumericError):
-        run_attention(q, k, v, table, index)
+@given(attention_cases(bias=True), st.integers(0, 2 ** 32 - 1))
+def test_attention_property_gradients_equal_the_composed_ops(case, seed):
+    tile, *inputs = case
+    q, k, v, table = (a.astype(np.float64) for a in inputs)
+    g = np.random.default_rng(seed).normal(size=q.shape[:3] + v.shape[3:])
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile):
+        fused = attention_gradients(q, k, v, table, g, True)
+    for got, want in zip(fused, attention_gradients(q, k, v, table, g, False)):
+        assert np.abs(got - want).max() < 1e-12
 
 
 @PROPERTIES
-@given(attention_cases(), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_attention_property_rejects_an_index_out_of_range(case, below, seed):
-    tile, q, k, v, table, index = case
-    if table is None:
-        table = np.zeros((q.shape[1], 5), q.dtype)
-        index = np.zeros((q.shape[2], k.shape[2]), np.int64)
+@given(attention_cases(), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.sampled_from(["q", "k", "table"]), st.integers(0, 2 ** 32 - 1))
+def test_attention_property_rejects_non_finite_logits(case, bad, where, seed):
+    tile, q, k, v, table = case
     rng = np.random.default_rng(seed)
-    index[rng.integers(index.shape[0]), rng.integers(index.shape[1])] = -1 if below else 5
-    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), pytest.raises(ShapeError):
-        run_attention(q, k, v, table, index)
+    # every table entry is some (query, key) pair's bias
+    target = table if where == "table" and table is not None else k if where == "k" else q
+    target[tuple(rng.integers(0, e) for e in target.shape)] = bad
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), \
+            np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        run_attention(q, k, v, table)
 
 
 def test_gelu_reference_points():

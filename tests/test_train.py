@@ -6,7 +6,7 @@ import pytest
 from helpers import micro_config
 from litnet.data import synthetic_dataset
 from litnet.errors import ConfigError, NumericError
-from litnet.model import build
+from litnet.model import build, toy_config
 from litnet.tensor import Tensor
 from litnet.train import (AdamW, TrainSettings, cosine_lr, evaluate_accuracy,
                           is_offset_param, load_training_checkpoint, run_training,
@@ -186,3 +186,14 @@ def test_adamw_refuses_a_non_finite_gradient_before_changing_anything():
     after = ({n: p.data for n, p in opt.params.items()}, opt.m, opt.v)
     for was, now in zip(before, after):
         assert all(was[n].tobytes() == now[n].tobytes() for n in was)
+
+
+def test_adamw_refuses_a_moment_shaped_unlike_its_parameter_before_loading_any():
+    opt = AdamW(build(toy_config(), seed=0).named_params())
+    state = {k: v + 1.0 for k, v in opt.state_arrays().items()}
+    state["opt.head.w.m"] = np.arange(640, dtype=np.float32).reshape(10, 64)
+    with pytest.raises(ConfigError, match=r"^opt\.head\.w\.m: checkpoint shape \(10, 64\) does "
+                                          r"not match parameter shape \(64, 10\)$"):
+        opt.load_state_arrays(state)
+    assert opt.step_count == 0
+    assert all(not m.any() and not v.any() for m, v in zip(opt.m.values(), opt.v.values()))
