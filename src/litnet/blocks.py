@@ -8,10 +8,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
 from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, relative_slot,
-                     reshape, slice_last, transpose)
+                     reshape, residual_mlp, slice_last, transpose)
 
 LN_EPS = 1e-5
 PATCH_SIZE = 4
@@ -54,12 +54,23 @@ class MlpBlockParams:
 
 
 def mlp_block(x: Tensor, p: MlpBlockParams) -> Tensor:
-    """Token-wise residual MLP; no cross-token mixing."""
-    h = layer_norm(x, p.ln_g, p.ln_b, LN_EPS)
-    h = add(matmul(h, p.fc1_w), p.fc1_b)
-    h = gelu(h)
-    h = add(matmul(h, p.fc2_w), p.fc2_b)
-    return add(x, h)
+    """Token-wise residual MLP, x + fc2(gelu(fc1(LN(x)))); no cross-token
+    mixing. Runs as the one row-tiled op ``tensor.residual_mlp``.
+
+    When that op's output is not finite, the seven unfused ops replay the
+    block on untracked views of its inputs, so that the error names the
+    first op whose output went non-finite, e.g. ``non-finite values
+    produced by matmul``; a finite block pays nothing for this.
+    """
+    params = (p.ln_g, p.ln_b, p.fc1_w, p.fc1_b, p.fc2_w, p.fc2_b)
+    try:
+        return residual_mlp(x, *params, eps=LN_EPS)
+    except NumericError:
+        x, ln_g, ln_b, fc1_w, fc1_b, fc2_w, fc2_b = (Tensor(t.data) for t in (x, *params))
+        h = layer_norm(x, ln_g, ln_b, LN_EPS)
+        h = gelu(add(matmul(h, fc1_w), fc1_b))
+        add(x, add(matmul(h, fc2_w), fc2_b))
+        raise
 
 
 @dataclass

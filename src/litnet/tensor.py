@@ -24,26 +24,43 @@ FlashAttention (Dao et al., arXiv 2205.14135) and chunked attention (Rabe
 & Staats, arXiv 2112.05682). The optional B is a relative position bias
 looked up by 2-d displacement, as in Swin (Liu et al., arXiv 2103.14030),
 in a [heads, 2H-1, 2W-1] table of an H x W token grid. No [T, T] index is
-built: B for query (yi, xi) is a flipped [H, W] window of the table. The op
-works on tiles of about ``_ATTN_TILE`` logits: whole rows of one head
-(under a bias, the nearest whole number of grid rows, at least one), whole
-heads when a head is smaller than a tile, or whole images when all of an
-image's heads are. A tile's bias is copied once from the window view into
-tile-sized scratch and reused for every image. For each image the tile's
-scaled logits are written into scratch with one matrix product, the bias
-is added, the tile is checked for non-finite values and normalised in
-place (row max, subtract, ``exp``, divide by the row sum, as ``softmax``
-does its row blocks), and one more product writes its rows of the output.
-The [N, heads, T, T'] probabilities are built in full only when a tape
-records the op, whose backward pass reads them, or when the caller asks
-for them; otherwise the output and the tile scratch are all the op
-allocates. Row tiles round their products differently from one full-size
-product, so float32 outputs are not bit-identical to the unfused
+built: B for query (yi, xi) is an [H, W] window of a flipped copy of the
+table, read in place. The op works on tiles of about ``_ATTN_TILE``
+logits: whole rows of one head (under a bias, the nearest whole number of
+grid rows, at least one), whole heads when a head is smaller than a tile,
+or whole images when all of an image's heads are. For each tile the scaled
+logits are written into scratch with one matrix product and the bias is
+added from the window view. The tile is left unnormalised, as exp(z - row
+max), and its row sums come from one matrix-vector product with a column
+of ones. One more product writes its rows of the output, and only those
+[rows, dv] rows are divided by the row sums, as FlashAttention-2 (Dao,
+arXiv 2307.08691) does. q, k and the table are checked once, up front: a
+non-finite value is refused, and when the bound 2 * (sqrt(d) max|q| max|k|
++ max|table|) on every logit and every z - row max is below a quarter of
+the dtype's largest value, no tile can overflow and the tiles skip their
+own check. Otherwise each tile checks its minimum and row maxima, which
+catches a logit that overflows. The [N, heads, T, T'] probabilities are
+built in full only when a tape records the op, whose backward pass reads
+them, or when the caller asks for them; they are then the kept tiles
+divided by the same row sums, so the output is the same bits on every
+path. Otherwise the output and the tile scratch are all the op allocates.
+Row tiles round their products differently from one full-size product,
+so float32 outputs are not bit-identical to the unfused
 ``softmax(q k^T / sqrt(d) + bias) @ v``; they stay within 8 float32 ulps
 of max(P @ |v|), the largest sum of |terms| behind one output (3.35 was
 the worst measured). The table's gradient is scatter-added with one flat
 ``np.bincount``, as is ``gather_last``'s, by a [T, T] slot index that only
 the backward pass forms.
+
+``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
+as one op, after the fused elementwise chains of "Data Movement Is All
+You Need" (Ivanov et al., arXiv 2007.00072). It runs ``_MLP_ROWS`` tokens
+at a time: layer norm, the first product and its bias, GELU (the blocked
+float32 kernel above, or scipy's ``erf``), the second product, its bias
+and the residual, each step into tile-sized scratch, so that no [T, 4C]
+array exists outside a tape. Under a tape it keeps the layer-norm
+statistics, the pre-activations and the GELU cdf in full, and one
+backward pass recomputes the rest from them.
 
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
 four per sample: its output is S @ x and its input gradient S^T @ g.
@@ -65,14 +82,20 @@ from .errors import NumericError, ShapeError, StateError, ValidationError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Elements per block of the blocked kernels (float32 GELU, softmax), sized
-# so that a block and its scratch arrays stay in a core's L2 cache.
+# Elements per block of the blocked float32 GELU and of ``softmax`` (which
+# alone uses ``_softmax_rows``), sized so that a block and its scratch
+# arrays stay in a core's L2 cache.
 _BLOCK = 65536
 # Logits per attention tile (2 MiB of float32). Each tile runs two matrix
 # products, which gain from more rows per call: lit-s's stage-1 attention
 # ([1, 3, 3136, 32] with bias) took 166 ms in 2**19-logit tiles and 280 ms
 # in _BLOCK-sized ones (2-vCPU x86-64, OpenBLAS, best of 5).
 _ATTN_TILE = 2 ** 19
+# Tokens per row tile of ``residual_mlp``. Its two products gain from more
+# rows per call: lit-s's stage-1 MLP block (T 3136, C 96) took 17.6 ms in
+# 128-row tiles and 13.8 ms in 512-row ones (2-vCPU x86-64, OpenBLAS, lower
+# quartile of 21 calls).
+_MLP_ROWS = 512
 # Eigen/XLA float32 erf(z) = z * P(z^2) / Q(z^2) on [-4, 4]; beyond, float32
 # erf is +-1. P's coefficients are halved so that 0.5 + z * P / Q is Phi.
 # Both are listed from the highest power of z^2 down.
@@ -437,6 +460,25 @@ def relative_slot(dy, dx, h: int, w: int):
     return (dy + (h - 1)) * (2 * w - 1) + (dx + (w - 1))
 
 
+def _max_abs(arr: np.ndarray) -> float:
+    """max |arr| as a float64 scalar, without a full-size temporary: NaN
+    when ``arr`` holds a NaN, inf when it holds an infinity, 0 when empty."""
+    return float(np.maximum(arr.max(), -arr.min())) if arr.size else 0.0
+
+
+def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, checked: bool) -> None:
+    """exp(z - row max) of each last-axis row of the logits tile ``z``, in
+    place, and the row sums into ``sums`` as one matrix-vector product
+    z @ ``ones``. When ``checked``, NaN and -inf in the tile minimum and +inf
+    in a row maximum raise NumericError before anything is written."""
+    zmax = z.max(axis=-1, keepdims=True)
+    if checked and not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
+        raise NumericError("non-finite attention logits")
+    np.subtract(z, zmax, out=z)
+    np.exp(z, out=z)
+    np.matmul(z, ones, out=sums)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
               with_probs: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """softmax(q @ k^T / sqrt(d) + B) @ v, one tile at a time.
@@ -446,7 +488,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     table of an H x W grid of T = T' = H * W row-major tokens, and
     B[h, i, j] = bias[h, yi - yj + H - 1, xi - xj + W - 1]. A window view of
     the table holds B as [heads, H, W, H, W], so a tile of whole grid rows
-    copies one slice of it. Returns the [N, heads, T, dv] output and the
+    adds one slice of it. Returns the [N, heads, T, dv] output and the
     [N, heads, T, T'] probabilities when ``with_probs`` is set, else None.
     The probabilities are built in full only when asked for or when a tape
     records the op, whose backward pass needs them. Differentiable in q, k,
@@ -469,13 +511,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
             raise ShapeError(f"attention: bias table {bias.shape} is not [{heads}, 2H-1, 2W-1] "
                              f"for an H x W grid of {t} queries and {width} keys")
         rows = max(1, round(rows / gw)) * gw
-        # window[h, yi, xi] is the [H, W] bias of query (yi, xi) over every key
-        window = sliding_window_view(bias.data[:, ::-1, ::-1], (gh, gw),
-                                     axis=(1, 2))[:, ::-1, ::-1]
+        # window[h, yi, xi] is the [H, W] bias of query (yi, xi) over every
+        # key; flipping a copy of the table keeps each window row contiguous
+        flipped = np.ascontiguousarray(bias.data[:, ::-1, ::-1])
+        window = sliding_window_view(flipped, (gh, gw), axis=(1, 2))[:, ::-1, ::-1]
         inputs += (bias,)
     tape = _recording_tape(inputs)
     s = 1.0 / math.sqrt(d)
     dtype = np.result_type(*(x.data for x in inputs))
+    # s |q_i . k_j| <= sqrt(d) max|q| max|k|, so every logit z lies within
+    # bound of 0 and every z - row max within 2 * bound; when that is below a
+    # quarter of the dtype's largest value, no tile needs its own check
+    table = bias.data if bias is not None else np.zeros(0)
+    peaks = [_max_abs(a) for a in (q.data, k.data, table)]
+    if not all(map(math.isfinite, peaks)):
+        raise NumericError("non-finite attention logits")
+    bound = math.sqrt(d) * peaks[0] * peaks[1] + peaks[2]
+    checked = not 2 * bound < float(np.finfo(dtype).max) / 4
     out = np.empty((n, heads, t, v.shape[3]), dtype)
     probs = np.empty((n, heads, t, width), dtype) if with_probs or tape is not None else None
     # A tile is whole rows of one head, whole heads when a head fits in a
@@ -485,18 +537,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     tile = images * tile_heads * rows
     q_scratch = np.empty(tile * d, dtype)
     z_scratch = np.empty(tile * width, dtype) if probs is None else None
-    if bias is not None:
-        bias_scratch = np.empty(tile_heads * rows * width, bias.dtype)
+    sum_scratch = np.empty(tile, dtype)
+    ones = np.ones((width, 1), dtype)
     kt = k.data.swapaxes(-1, -2)
     for r0 in range(0, t, rows):
         r1 = min(r0 + rows, t)
         for h0 in range(0, heads, tile_heads):
             h1 = min(h0 + tile_heads, heads)
-            if bias is not None:
-                tile_bias = bias_scratch[:(h1 - h0) * (r1 - r0) * width].reshape(
-                    h1 - h0, r1 - r0, width)
-                np.copyto(tile_bias.reshape(h1 - h0, -1, gw, gh, gw),
-                          window[h0:h1, r0 // gw:r1 // gw])
             for b0 in range(0, n, images):
                 b1 = min(b0 + images, n)
                 shape = (b1 - b0, h1 - h0, r1 - r0)
@@ -506,10 +553,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
                 z = probs[b0:b1, h0:h1, r0:r1] if probs is not None \
                     else z_scratch[:cells * width].reshape(shape + (width,))
                 np.matmul(qs, kt[b0:b1, h0:h1], out=z)
-                if bias is not None:
-                    z += tile_bias
-                _softmax_rows(z, z, "attention logits")
-                np.matmul(z, v.data[b0:b1, h0:h1], out=out[b0:b1, h0:h1, r0:r1])
+                if bias is not None:  # a tile is contiguous, so zb is a view of it
+                    zb = z.reshape(shape[:2] + (-1, gw, gh, gw))
+                    np.add(zb, window[h0:h1, r0 // gw:r1 // gw], out=zb)
+                sums = sum_scratch[:cells].reshape(shape + (1,))
+                _exp_rows(z, ones, sums, checked)
+                o = np.matmul(z, v.data[b0:b1, h0:h1], out=out[b0:b1, h0:h1, r0:r1])
+                o /= sums
+                if probs is not None:
+                    z /= sums
 
     def bwd(g):
         gv = probs.swapaxes(-1, -2) @ g
@@ -531,23 +583,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     return _apply("attention", inputs, out, bwd), (probs if with_probs else None)
 
 
-def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """x * Phi(x) of float32 data, and Phi(x) itself when ``keep_cdf``.
+def _gelu32(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray) -> None:
+    """x * Phi(x) of float32 data into ``out``, which must not overlap x.
 
-    Runs block by block with ufuncs writing into block-sized scratch;
-    without ``keep_cdf`` it allocates nothing of full size but the output.
+    Runs block by block with ufuncs. ``phi`` receives Phi(x) when it holds
+    at least x.size elements; a smaller ``phi`` is block scratch, as
+    ``squares`` is (each at least min(x.size, ``_BLOCK``) elements).
     """
-    flat = x.reshape(-1)
+    flat, res, phi = x.reshape(-1), out.reshape(-1), phi.reshape(-1)
     n = flat.size
-    out = np.empty(n, np.float32)
-    squares = np.empty(min(n, _BLOCK), np.float32)
-    phi = np.empty(n, np.float32) if keep_cdf else np.empty_like(squares)
+    keep = phi.size >= n
     for lo in range(0, n, _BLOCK):
         xb = flat[lo:lo + _BLOCK]
         m = xb.size
         # The output block holds z, then Q(z^2), then the result.
-        z, z2 = out[lo:lo + m], squares[:m]
-        p = phi[lo:lo + m] if keep_cdf else phi[:m]
+        z, z2 = res[lo:lo + m], squares[:m]
+        p = phi[lo:lo + m] if keep else phi[:m]
         np.multiply(xb, _INV_SQRT2, out=z)
         np.minimum(z, _ERF_CLAMP, out=z)
         np.maximum(z, -_ERF_CLAMP, out=z)
@@ -567,7 +618,6 @@ def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | Non
         p /= q
         p += 0.5
         np.multiply(xb, p, out=q)
-    return out.reshape(x.shape), (phi.reshape(x.shape) if keep_cdf else None)
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -599,7 +649,10 @@ def gelu(x: Tensor) -> Tensor:
     """
     xd = x.data
     if xd.dtype == np.float32:
-        out, cdf = _gelu32(xd, keep_cdf=_recording_tape((x,)) is not None)
+        out = np.empty(xd.shape, np.float32)
+        squares = np.empty(min(xd.size, _BLOCK), np.float32)
+        cdf = np.empty_like(out) if _recording_tape((x,)) is not None else None
+        _gelu32(xd, out, np.empty_like(squares) if cdf is None else cdf, squares)
     else:
         cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
         out = xd * cdf
@@ -618,15 +671,107 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
 
-    def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        gx = g * gamma.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return (dx, dgamma, dbeta)
+    return _apply("layer_norm", (x, gamma, beta), out,
+                  lambda g: _layer_norm_grads(g, xhat, inv, gamma.data))
 
-    return _apply("layer_norm", (x, gamma, beta), out, bwd)
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                      gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dgamma, dbeta) of layer norm for the output gradient ``g``,
+    from the normalized input ``xhat`` and 1 / sqrt(var + eps) ``inv``."""
+    lead = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=lead)
+    dbeta = g.sum(axis=lead)
+    gx = g * gamma
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    return (dx, dgamma, dbeta)
+
+
+def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+    """x + gelu(layer_norm(x) @ w1 + b1) @ w2 + b2 over the last (channel)
+    axis, ``_MLP_ROWS`` tokens at a time.
+
+    ``x`` is [..., C], ``gamma`` and ``beta`` [C], ``w1`` [C, H], ``b1``
+    [H], ``w2`` [H, C] and ``b2`` [C]. Each row tile runs the steps of the
+    unfused ops in their order, into tile-sized scratch; the layer-norm
+    statistics, pre-activations h and GELU cdf are kept in full only when a
+    tape records the op, and one backward pass reads them. Row tiles only
+    change how the two products are blocked. A float64 result is within
+    1e-12 of the composed ops on O(1) data.
+
+    Float32 error, to first order in eps32 and against the exact result
+    for the same inputs: with n = max(C, H) + 8, each float32 sum of terms
+    is off by at most n * eps32 times its sum of |terms|, and GELU by
+    4 * eps32 * max(|h|, 1) with a slope of at most 1.13. Layer norm,
+    whose centring loses n * eps32 * max|x| / sigma, is off in channel c by
+    n * eps32 * L_c, L_c = |gamma_c| (1 + |xhat_c|) (1 + max|x| / sigma)
+    + |beta_c|. So output c is within
+        eps32 * (n * (|x_c| + sum_j |a_j w2_jc| + |b2_c|)
+                 + sum_j |w2_jc| (4 max(|h_j|, 1) + 2.5 n S_j)),
+    S_j = sum_c |w1_cj| L_c + |b1_j|, where a = gelu(h).
+    """
+    c = x.shape[-1]
+    hidden = w1.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,) or w1.shape != (c, hidden) \
+            or b1.shape != (hidden,) or w2.shape != (hidden, c) or b2.shape != (c,):
+        raise ShapeError(f"residual_mlp: parameters {gamma.shape}, {beta.shape}, {w1.shape}, "
+                         f"{b1.shape}, {w2.shape}, {b2.shape} do not fit {c} channels")
+    inputs = (x, gamma, beta, w1, b1, w2, b2)
+    tape = _recording_tape(inputs)
+    dtype = np.result_type(*(t.data for t in inputs))
+    xf = x.data.reshape(-1, c)
+    m = xf.shape[0]
+    rows = max(1, min(m, _MLP_ROWS))
+    out = np.empty((m, c), dtype)
+    normed = np.empty((rows, c), dtype)
+    act = np.empty((rows, hidden), dtype)
+    squares = np.empty(min(rows * hidden, _BLOCK), dtype) if dtype == np.float32 else None
+    # under a tape the statistics, pre-activations and cdf are kept in full
+    keep = m if tape is not None else rows
+    mu, inv = np.empty((keep, 1), dtype), np.empty((keep, 1), dtype)
+    pre, cdf = np.empty((keep, hidden), dtype), np.empty((keep, hidden), dtype)
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        k0, k1 = (r0, r1) if tape is not None else (0, r1 - r0)
+        xt, ln, o = xf[r0:r1], normed[:r1 - r0], out[r0:r1]
+        h, a, phi = pre[k0:k1], act[:r1 - r0], cdf[k0:k1]
+        mean, scale = mu[k0:k1], inv[k0:k1]
+        np.mean(xt, axis=-1, keepdims=True, out=mean)
+        np.subtract(xt, mean, out=ln)
+        np.multiply(ln, ln, out=o)
+        np.mean(o, axis=-1, keepdims=True, out=scale)
+        scale += eps
+        np.sqrt(scale, out=scale)
+        np.divide(1.0, scale, out=scale)
+        ln *= scale
+        ln *= gamma.data
+        ln += beta.data
+        np.matmul(ln, w1.data, out=h)
+        h += b1.data
+        if dtype == np.float32:
+            _gelu32(h, a, phi, squares)
+        else:
+            np.multiply(h, _INV_SQRT2, out=phi)
+            erf(phi, out=phi)
+            phi += 1.0
+            phi *= 0.5
+            np.multiply(h, phi, out=a)
+        np.matmul(a, w2.data, out=o)
+        o += b2.data
+        o += xt
+
+    def bwd(g):
+        g = g.reshape(m, c)
+        xhat = (xf - mu) * inv
+        gw2 = (pre * cdf).T @ g
+        gh = _gelu_grad(g @ w2.data.T, pre, cdf)
+        gw1 = (xhat * gamma.data + beta.data).T @ gh
+        dx, dgamma, dbeta = _layer_norm_grads(gh @ w1.data.T, xhat, inv, gamma.data)
+        dx += g
+        return (dx.reshape(x.shape), dgamma, dbeta, gw1, gh.sum(axis=0), gw2, g.sum(axis=0))
+
+    return _apply("residual_mlp", inputs, out.reshape(x.shape), bwd)
 
 
 class BatchNormState:

@@ -230,17 +230,17 @@ def test_patch_embed_rejects_indivisible_extents():
 def relative_bias(table: np.ndarray) -> np.ndarray:
     """The [heads, T, T] logits bias that ``attention`` adds for a
     [heads, 2H-1, 2W-1] table: its logits for zero queries and keys, read
-    as the softmax receives them (one tile on these small grids)."""
+    as the exponentiation receives them (one tile on these small grids)."""
     heads, h2, w2 = table.shape
     zeros = Tensor(np.zeros((1, heads, (h2 + 1) // 2 * ((w2 + 1) // 2), 1)))
     logits = []
-    softmax_rows = tensor_module._softmax_rows
+    exp_rows = tensor_module._exp_rows
 
-    def keep(z, out, what):
+    def keep(z, *args):
         logits.append(z.copy())
-        softmax_rows(z, out, what)
+        exp_rows(z, *args)
 
-    with mock.patch.object(tensor_module, "_softmax_rows", keep):
+    with mock.patch.object(tensor_module, "_exp_rows", keep):
         attention(zeros, zeros, zeros, Tensor(table))
     (tile,) = logits
     return tile[0]

@@ -268,3 +268,14 @@ def test_a_numeric_error_names_the_layer_it_came_from(param, path):
     with pytest.raises(NumericError) as exc:
         model.forward(np.random.default_rng(2).normal(size=(2, 64, 64, 3)), mode="train")
     assert str(exc.value).startswith(f"{path}: non-finite ")
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_a_non_finite_mlp_weight_is_named_by_the_op_it_broke(mode):
+    # the MLP block runs as one fused op; its failure names the unfused op
+    model = build(toy_config(), seed=0)
+    model.seed_norm_stats()
+    model.named_params()["stage1.block0.fc1.w"].data[0, 0] = np.nan
+    with pytest.raises(NumericError) as exc:
+        model.forward(np.random.default_rng(2).normal(size=(2, 64, 64, 3)), mode=mode)
+    assert str(exc.value) == "stage1.block0: non-finite values produced by matmul"

@@ -38,12 +38,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_every_op_the_benchmark_traces_is_defined():
-    # perfbench wraps these tensor ops by name; read its list without
-    # importing it, so that a deleted op fails here and not inside a traced run
+def traced_names(name: str) -> tuple:
+    """The tuple ``name`` in ``perfbench/layers.py``, read without importing it."""
     tree = ast.parse((TESTS.parent / "perfbench" / "layers.py").read_text())
-    ops = next(ast.literal_eval(node.value) for node in tree.body
-               if isinstance(node, ast.Assign)
-               and any(getattr(t, "id", None) == "TENSOR_OPS" for t in node.targets))
-    tensor_module = importlib.import_module("litnet.tensor")
-    assert ops and [op for op in ops if not callable(getattr(tensor_module, op, None))] == []
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+def test_every_op_the_benchmark_traces_is_defined():
+    # perfbench wraps these functions by name; a deleted or renamed one
+    # fails here and not inside a traced run
+    for names, module in (("TENSOR_OPS", "litnet.tensor"), ("BLOCKS", "litnet.blocks")):
+        ops = traced_names(names)
+        found = importlib.import_module(module)
+        assert ops and [op for op in ops if not callable(getattr(found, op, None))] == [], names

@@ -16,8 +16,8 @@ from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_lo
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.tensor import (_ATTN_TILE, _BLOCK, BatchNormState, Tape, Tensor, add, attention,
                            batch_norm, conv2d, deform_sample, gather_last, gelu, layer_norm,
-                           matmul, mul, reshape, scale, softmax, softmax_cross_entropy, sum_all,
-                           tensor, transpose)
+                           matmul, mul, reshape, residual_mlp, scale, softmax,
+                           softmax_cross_entropy, sum_all, tensor, transpose)
 
 # the module itself: the package binds ``litnet.tensor`` to the tensor() factory
 tensor_module = importlib.import_module("litnet.tensor")
@@ -229,16 +229,16 @@ def test_attention_on_a_tape_equals_the_eval_result():
     ("q", np.nan, "attention logits"), ("k", np.inf, "attention logits"),
     ("q", -np.inf, "attention logits"), ("table", np.nan, "attention logits"),
     ("table", -np.inf, "attention logits"), ("overflow", np.float32(3e38), "attention logits"),
-    ("v", np.nan, "produced by attention"),
+    ("neg_overflow", np.float32(-3e38), "attention logits"), ("v", np.nan, "produced by attention"),
 ], ids=["q_nan", "k_pos_inf", "q_neg_inf", "table_nan", "table_neg_inf",
-        "bias_overflows_a_logit", "v_nan"])
+        "bias_overflows_a_logit", "neg_overflow", "v_nan"])
 def test_attention_rejects_non_finite_values(where, bad, message):
     rng = np.random.default_rng(24)
     q, k, v = attention_inputs(rng, 1, 2, 30, 30, 4)
     table = bias_table(rng, 2, (5, 6))
     # token 29 at (4, 5) lies (4, 2) from token 3 at (0, 3): slot [4 + 4, 2 + 5]
-    if where == "overflow":  # a logit of 1e38 plus a bias of 3e38 is past float32's range
-        q[0, 1, 29], k[0, 1, 3] = [1e19, 0, 0, 0], [2e19, 0, 0, 0]
+    if where.endswith("overflow"):  # a logit of +-1e38 plus a bias of +-3e38 is past float32's range
+        q[0, 1, 29], k[0, 1, 3] = [1e19, 0, 0, 0], [np.sign(bad) * 2e19, 0, 0, 0]
         table[1, 8, 7] = bad
     elif where == "table":
         table[1, 8, 7] = bad
@@ -246,6 +246,37 @@ def test_attention_rejects_non_finite_values(where, bad, message):
         {"q": q, "k": k, "v": v}[where][0, 1, 29, 3] = bad
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
         run_attention(q, k, v, table)
+
+
+def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
+    # max|q| = max|k| = 1e19 put the up-front bound past float32's range, but
+    # the large entries meet only zeros, so every logit stays small
+    rng = np.random.default_rng(29)
+    q, k, v = attention_inputs(rng, 1, 2, 30, 30, 4)
+    table = bias_table(rng, 2, (5, 6))
+    q[..., 0], k[..., 1] = 0.0, 0.0
+    q[0, 1, 7, 1], k[0, 0, 11, 0] = 1e19, 1e19
+    flags = []
+    exp_rows = tensor_module._exp_rows
+
+    def spy(z, ones, sums, checked):
+        flags.append(checked)
+        exp_rows(z, ones, sums, checked)
+
+    with mock.patch.object(tensor_module, "_exp_rows", spy):
+        got, _ = run_attention(q, k, v, table)
+    assert flags and all(flags)
+    want, probs = unfused_attention(q, k, v, table)
+    assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_attention_of_an_empty_batch_is_empty(with_bias):
+    rng = np.random.default_rng(30)
+    q, k, v = attention_inputs(rng, 0, 2, 6, 6, 3)
+    table = bias_table(rng, 2, (2, 3)) if with_bias else None
+    got, probs = run_attention(q, k, v, table, with_probs=True)
+    assert got.shape == (0, 2, 6, 3) and probs.shape == (0, 2, 6, 6)
 
 
 @pytest.mark.parametrize("table_shape,keys", [
@@ -485,6 +516,135 @@ def test_layer_norm_moments():
     out = layer_norm(x, tensor(np.ones(16)), tensor(np.zeros(16)), eps=1e-5).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-10
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4  # eps folded in
+
+
+MLP_EPS = 1e-5
+
+
+def mlp_params(rng, c, hidden, dtype=np.float64):
+    """(gamma, beta, w1, b1, w2, b2) of a residual MLP, none of them trivial."""
+    params = (1.0 + 0.3 * rng.normal(size=c), 0.3 * rng.normal(size=c),
+              rng.normal(size=(c, hidden)) / math.sqrt(c), 0.3 * rng.normal(size=hidden),
+              rng.normal(size=(hidden, c)) / math.sqrt(hidden), 0.3 * rng.normal(size=c))
+    return tuple(p.astype(dtype) for p in params)
+
+
+def mlp_composition(x, gamma, beta, w1, b1, w2, b2):
+    """float64 x + gelu(LN(x) @ w1 + b1) @ w2 + b2 with scipy's erf, and the
+    float32 error bound that ``residual_mlp`` documents for these inputs."""
+    x, gamma, beta, w1, b1, w2, b2 = (np.asarray(a, np.float64)
+                                      for a in (x, gamma, beta, w1, b1, w2, b2))
+    mu = x.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + MLP_EPS)
+    xhat = (x - mu) / sigma
+    h = (xhat * gamma + beta) @ w1 + b1
+    a = h * 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+    out = x + a @ w2 + b2
+    n = max(w1.shape) + 8
+    lc = np.abs(gamma) * (1.0 + np.abs(xhat)) * (1.0 + np.abs(x).max(axis=-1, keepdims=True)
+                                                 / sigma) + np.abs(beta)
+    sj = lc @ np.abs(w1) + np.abs(b1)
+    bound = EPS32 * (n * (np.abs(x) + np.abs(a) @ np.abs(w2) + np.abs(b2))
+                     + (4.0 * np.maximum(np.abs(h), 1.0) + 2.5 * n * sj) @ np.abs(w2))
+    return out, bound
+
+
+def run_mlp(x, params) -> np.ndarray:
+    return residual_mlp(Tensor(x), *(Tensor(p) for p in params), eps=MLP_EPS).data
+
+
+def assert_mlp_matches_composition(x, params):
+    got = run_mlp(x, params)
+    want, bound = mlp_composition(x, *params)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    if x.dtype == np.float64:
+        assert np.abs(got - want).max(initial=0.0) < 1e-12
+    else:
+        assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residual_mlp_matches_the_composition_oracle(dtype):
+    # 600 tokens: one full row tile and a partial one
+    rng = np.random.default_rng(40)
+    x = rng.normal(0.5, 2.0, size=(2, 300, 12)).astype(dtype)
+    assert_mlp_matches_composition(x, mlp_params(rng, 12, 48, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tokens", [7, 8, 9], ids=["tile-1", "tile", "tile+1"])
+def test_residual_mlp_row_tile_edges_match_the_composition_oracle(tokens, dtype):
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(1, tokens, 5)).astype(dtype)
+    with mock.patch.object(tensor_module, "_MLP_ROWS", 8):
+        assert_mlp_matches_composition(x, mlp_params(rng, 5, 20, dtype))
+
+
+def test_residual_mlp_on_a_tape_equals_the_eval_result():
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(3, 250, 16)).astype(np.float32)
+    params = mlp_params(rng, 16, 64, np.float32)
+    with Tape():
+        taped = residual_mlp(*(Tensor(a, requires_grad=True) for a in (x, *params)), eps=MLP_EPS)
+    assert taped.data.tobytes() == run_mlp(x, params).tobytes()
+
+
+def test_residual_mlp_gradients_match_finite_differences():
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
+    params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, 3, 4)]
+    probe = Tensor(rng.normal(size=(1, 5, 3)))
+    with mock.patch.object(tensor_module, "_MLP_ROWS", 2):
+        check_gradients(lambda: sum_all(mul(residual_mlp(x, *params, eps=MLP_EPS), probe)),
+                        [x, *params])
+
+
+def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
+    rng = np.random.default_rng(44)
+    c, hidden = 96, 384
+    x = rng.normal(size=(1, 3136, c)).astype(np.float32)
+    params = tuple(Tensor(p) for p in mlp_params(rng, c, hidden, np.float32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = residual_mlp(Tensor(x), *params, eps=MLP_EPS)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the normed, pre-activation, GELU and cdf tiles and the GELU block
+    # scratch; the unfused ops held several [3136, 384] arrays of 4.6 MiB
+    rows = tensor_module._MLP_ROWS
+    scratch = (rows * (c + 3 * hidden) + min(rows * hidden, _BLOCK)) * x.itemsize
+    assert peak <= out.data.nbytes + scratch + 2 ** 20
+
+
+def test_residual_mlp_names_itself_for_a_non_finite_output():
+    rng = np.random.default_rng(45)
+    params = list(mlp_params(rng, 4, 8))
+    params[2][1, 3] = np.nan
+    with pytest.raises(NumericError, match="non-finite values produced by residual_mlp"):
+        run_mlp(rng.normal(size=(2, 4)), params)
+
+
+@pytest.mark.parametrize("which", range(6))
+def test_residual_mlp_rejects_a_parameter_that_does_not_fit(which):
+    rng = np.random.default_rng(46)
+    params = list(mlp_params(rng, 4, 8))
+    params[which] = params[which][..., 1:]
+    with pytest.raises(ShapeError, match="do not fit 4 channels"):
+        run_mlp(rng.normal(size=(2, 4)), params)
+
+
+@PROPERTIES
+@given(st.integers(1, 6), st.integers(-1, 13), st.integers(1, 5), st.integers(1, 9),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 32 - 1))
+def test_residual_mlp_property_matches_the_composition_oracle(rows, extra, c, hidden, dtype,
+                                                              seed):
+    # token counts from one short of a row tile to two tiles past it
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 2.0, size=(max(1, rows + extra), c)).astype(dtype)
+    with mock.patch.object(tensor_module, "_MLP_ROWS", rows):
+        assert_mlp_matches_composition(x, mlp_params(rng, c, hidden, dtype))
 
 
 def test_batch_norm_train_statistics():
