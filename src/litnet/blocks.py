@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
 from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, relative_slot,
-                     reshape, residual_mlp, slice_last, transpose)
+                     reshape, residual_mlp, transpose)
 
 LN_EPS = 1e-5
 PATCH_SIZE = 4
@@ -77,32 +77,24 @@ def mlp_block(x: Tensor, p: MlpBlockParams) -> Tensor:
 class MsaParams:
     """Fused-projection multi-head self-attention parameters.
 
-    The stock blocks use an inner dimension equal to the channel count
-    (qkv maps C to 3C, head_dim = C / heads). The inner and output
-    dimensions are kept general so the attention-as-convolution
-    construction (``equivalence.build_msa_as_conv``) can host per-head
-    value paths of full channel width; its fixed ``rel_bias`` table makes
-    every head attend one-hot to a pixel shift.
+    ``qkv_w`` maps C channels to q, k and v of ``num_heads`` heads of d
+    channels, in the layout ``tensor.attention`` reads, and ``out_w`` maps
+    heads * d channels to the output; the stock blocks use d = C / heads.
+    The widths are kept general so that ``equivalence.build_msa_as_conv``
+    can host per-head value paths of full channel width; its fixed
+    ``rel_bias`` table makes every head attend one-hot to a pixel shift.
 
     ``rel_bias``, when set, is the [heads, 2H-1, 2W-1] relative position
     table of the stage's H x W grid; its shape fixes the grid (layout in
     ``tensor.attention``).
     """
 
-    qkv_w: Tensor  # [C, 3 * inner]
-    qkv_b: Tensor  # [3 * inner]
-    out_w: Tensor  # [inner, out_dim]
+    qkv_w: Tensor  # [C, 3 * heads * d]
+    qkv_b: Tensor  # [3 * heads * d]
+    out_w: Tensor  # [heads * d, out_dim]
     out_b: Tensor  # [out_dim]
     num_heads: int
     rel_bias: Tensor | None = None  # [heads, 2H-1, 2W-1]
-
-    @property
-    def inner_dim(self) -> int:
-        return self.qkv_w.shape[1] // 3
-
-    @property
-    def head_dim(self) -> int:
-        return self.inner_dim // self.num_heads
 
     @classmethod
     def create(cls, rng: np.random.Generator, channels: int, heads: int,
@@ -149,11 +141,6 @@ def relative_index_map(h: int, w: int) -> np.ndarray:
                          h, w).astype(np.int64)
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    n, tokens, dim = t.shape
-    return transpose(reshape(t, (n, tokens, heads, dim // heads)), (0, 2, 1, 3))
-
-
 def msa(x: Tensor, p: MsaParams, with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """Scaled dot-product attention over all tokens, plus the relative
     position bias when ``p.rel_bias`` is set.
@@ -161,20 +148,12 @@ def msa(x: Tensor, p: MsaParams, with_attn: bool = False) -> tuple[Tensor, np.nd
     Returns (output, attention probabilities [N, heads, T, T] or None).
     The probabilities are returned only when ``with_attn`` is set; asking
     for them builds the full [N, heads, T, T] array, which ``attention``
-    otherwise never holds outside a tape.
+    otherwise never holds outside a tape. ``attention`` reads q, k and v in
+    place from the qkv projection, so the block records five ops.
     """
-    n, tokens, _ = x.shape
-    inner = p.inner_dim
     qkv = add(matmul(x, p.qkv_w), p.qkv_b)
-    q = _split_heads(slice_last(qkv, 0, inner), p.num_heads)
-    k = _split_heads(slice_last(qkv, inner, 2 * inner), p.num_heads)
-    v = _split_heads(slice_last(qkv, 2 * inner, 3 * inner), p.num_heads)
-
-    ctx, attn = attention(q, k, v, p.rel_bias, with_probs=with_attn)
-
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, tokens, inner))
-    out = add(matmul(ctx, p.out_w), p.out_b)
-    return out, attn
+    ctx, attn = attention(qkv, p.num_heads, p.rel_bias, with_probs=with_attn)
+    return add(matmul(ctx, p.out_w), p.out_b), attn
 
 
 @dataclass

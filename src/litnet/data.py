@@ -8,6 +8,7 @@ are float32 RGB in [0, 1], channels last.
 from __future__ import annotations
 
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -91,20 +92,38 @@ def synthetic_dataset(num_images: int, seed: int, size: int = 64,
     return images, labels
 
 
+def _load_npy(path: Path) -> np.ndarray:
+    """The array of real numbers in ``path``; anything numpy cannot read as
+    one without unpickling is a ConfigError naming the file."""
+    # pickled data and object arrays raise ValueError, and a truncated or
+    # garbled header any of these
+    try:
+        array = np.load(path)
+    except (ValueError, EOFError, OverflowError, TokenError):
+        raise ConfigError(f"{path} is not a .npy array") from None
+    if not isinstance(array, np.ndarray) or array.dtype.kind not in "biuf":
+        raise ConfigError(f"{path} does not hold an array of real numbers")
+    return array
+
+
 def load_dataset_dir(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read images.npy [N, H, W, 3] and labels.npy [N] from a directory."""
     path = Path(path)
     images_path, labels_path = path / "images.npy", path / "labels.npy"
     if not images_path.exists() or not labels_path.exists():
         raise ConfigError(f"{path} must contain images.npy and labels.npy")
-    images = np.load(images_path)
-    labels = np.load(labels_path)
+    images = _load_npy(images_path)
+    labels = _load_npy(labels_path)
     if images.ndim != 4 or images.shape[3] != 3:
         raise ConfigError(f"images.npy must be [N, H, W, 3], got {images.shape}")
     if images.shape[0] == 0:
         raise ConfigError(f"{path} holds no images")
     if labels.shape != (images.shape[0],):
         raise ConfigError(f"labels.npy shape {labels.shape} does not match {images.shape[0]} images")
+    # a cast to int64 would truncate 1.7 to 1 and wrap what int64 cannot hold
+    if labels.dtype.kind == "f" and not np.all((labels == np.trunc(labels))
+                                               & (np.abs(labels) < 2.0 ** 63)):
+        raise ConfigError(f"{labels_path} holds labels that are not whole numbers")
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
     return images.astype(np.float32), labels.astype(np.int64)

@@ -21,7 +21,10 @@ eps32 is the float32 machine epsilon (2.2 measured on a dense grid over
 
 ``attention`` fuses softmax(q @ k^T / sqrt(d) + B) @ v, after
 FlashAttention (Dao et al., arXiv 2205.14135) and chunked attention (Rabe
-& Staats, arXiv 2112.05682). The optional B is a relative position bias
+& Staats, arXiv 2112.05682). It reads q, k and v in place from the
+[N, T, 3 * heads * d] qkv projection, as strided views whose row stride
+BLAS takes as leading dimension, and writes a token-major [N, T, heads * d]
+output. The optional B is a relative position bias
 looked up by 2-d displacement, as in Swin (Liu et al., arXiv 2103.14030),
 in a [heads, 2H-1, 2W-1] table of an H x W token grid. No [T, T] index is
 built: B for query (yi, xi) is an [H, W] window of a flipped copy of the
@@ -33,13 +36,13 @@ logits are written into scratch with one matrix product and the bias is
 added from the window view. The tile is left unnormalised, as exp(z - row
 max), and its row sums come from one matrix-vector product with a column
 of ones. One more product writes its rows of the output, and only those
-[rows, dv] rows are divided by the row sums, as FlashAttention-2 (Dao,
+[rows, d] rows are divided by the row sums, as FlashAttention-2 (Dao,
 arXiv 2307.08691) does. q, k and the table are checked once, up front: a
 non-finite value is refused, and when the bound 2 * (sqrt(d) max|q| max|k|
 + max|table|) on every logit and every z - row max is below a quarter of
 the dtype's largest value, no tile can overflow and the tiles skip their
 own check. Otherwise each tile checks its minimum and row maxima, which
-catches a logit that overflows. The [N, heads, T, T'] probabilities are
+catches a logit that overflows. The [N, heads, T, T] probabilities are
 built in full only when a tape records the op, whose backward pass reads
 them, or when the caller asks for them; they are then the kept tiles
 divided by the same row sums, so the output is the same bits on every
@@ -330,19 +333,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
                   lambda g: (g.transpose(inverse),))
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    last = a.shape[-1]
-    if not (0 <= start < stop <= last):
-        raise ShapeError(f"slice_last: [{start}:{stop}] out of range for extent {last}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _apply("slice_last", (a,), np.ascontiguousarray(a.data[..., start:stop]), bwd)
-
-
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
     return _apply("sum_all", (a,), np.asarray(a.data.sum(), dtype=a.data.dtype),
@@ -479,37 +469,36 @@ def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, checked: bool) 
     np.matmul(z, ones, out=sums)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
+def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
               with_probs: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """softmax(q @ k^T / sqrt(d) + B) @ v, one tile at a time.
 
-    ``q`` is [N, heads, T, d], ``k`` is [N, heads, T', d] and ``v`` is
-    [N, heads, T', dv]. The optional ``bias`` is the [heads, 2H-1, 2W-1]
-    table of an H x W grid of T = T' = H * W row-major tokens, and
+    ``qkv`` is the [N, T, 3 * heads * d] output of a qkv projection: q, k
+    and v in turn along its last axis, each as ``heads`` runs of d channels,
+    read in place as strided [N, heads, T, d] views. The optional ``bias``
+    is the [heads, 2H-1, 2W-1] table of an H x W grid of T = H * W
+    row-major tokens, and
     B[h, i, j] = bias[h, yi - yj + H - 1, xi - xj + W - 1]. A window view of
     the table holds B as [heads, H, W, H, W], so a tile of whole grid rows
-    adds one slice of it. Returns the [N, heads, T, dv] output and the
-    [N, heads, T, T'] probabilities when ``with_probs`` is set, else None.
+    adds one slice of it. Returns the [N, T, heads * d] output and the
+    [N, heads, T, T] probabilities when ``with_probs`` is set, else None.
     The probabilities are built in full only when asked for or when a tape
-    records the op, whose backward pass needs them. Differentiable in q, k,
-    v and the table, whose gradient the backward pass sums by
+    records the op, whose backward pass needs them. Differentiable in
+    ``qkv`` and the table, whose gradient the backward pass sums by
     ``relative_slot``; see the module docstring for the tiling.
     """
-    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4 or k.shape[:2] != q.shape[:2] \
-            or k.shape[3] != q.shape[3] or v.shape[:3] != k.shape[:3] \
-            or min(q.shape[3], k.shape[2]) < 1:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} are not "
-                         "[N, heads, T, d], [N, heads, T', d] and [N, heads, T', dv]")
-    n, heads, t, d = q.shape
-    width = k.shape[2]
-    inputs = (q, k, v)
-    rows = max(1, min(t, _ATTN_TILE // width))
+    if qkv.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads) or 0 in qkv.shape[1:]:
+        raise ShapeError(f"attention: qkv {qkv.shape} is not [N, T, 3 * {heads} * d] with T, d > 0")
+    n, t, channels = qkv.shape
+    d = channels // (3 * heads)
+    q, k, v = qkv.data.reshape(n, t, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    inputs = (qkv,)
+    rows = max(1, min(t, _ATTN_TILE // t))
     if bias is not None:
         gh, gw = ((e + 1) // 2 for e in bias.shape[1:]) if bias.ndim == 3 else (0, 0)
-        if bias.shape[:1] != (heads,) or not all(e % 2 for e in bias.shape[1:]) \
-                or gh * gw != t or width != t:
+        if bias.shape[:1] != (heads,) or not all(e % 2 for e in bias.shape[1:]) or gh * gw != t:
             raise ShapeError(f"attention: bias table {bias.shape} is not [{heads}, 2H-1, 2W-1] "
-                             f"for an H x W grid of {t} queries and {width} keys")
+                             f"for an H x W grid of {t} queries")
         rows = max(1, round(rows / gw)) * gw
         # window[h, yi, xi] is the [H, W] bias of query (yi, xi) over every
         # key; flipping a copy of the table keeps each window row contiguous
@@ -523,23 +512,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     # bound of 0 and every z - row max within 2 * bound; when that is below a
     # quarter of the dtype's largest value, no tile needs its own check
     table = bias.data if bias is not None else np.zeros(0)
-    peaks = [_max_abs(a) for a in (q.data, k.data, table)]
+    peaks = [_max_abs(a) for a in (q, k, table)]
     if not all(map(math.isfinite, peaks)):
         raise NumericError("non-finite attention logits")
     bound = math.sqrt(d) * peaks[0] * peaks[1] + peaks[2]
     checked = not 2 * bound < float(np.finfo(dtype).max) / 4
-    out = np.empty((n, heads, t, v.shape[3]), dtype)
-    probs = np.empty((n, heads, t, width), dtype) if with_probs or tape is not None else None
+    out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
+    probs = np.empty((n, heads, t, t), dtype) if with_probs or tape is not None else None
     # A tile is whole rows of one head, whole heads when a head fits in a
     # tile, or whole images when an image's heads all fit.
-    tile_heads = max(1, min(heads, _ATTN_TILE // (t * width))) if rows == t else 1
-    images = max(1, min(n, _ATTN_TILE // (heads * t * width))) if tile_heads == heads else 1
+    tile_heads = max(1, min(heads, _ATTN_TILE // (t * t))) if rows == t else 1
+    images = max(1, min(n, _ATTN_TILE // (heads * t * t))) if tile_heads == heads else 1
     tile = images * tile_heads * rows
     q_scratch = np.empty(tile * d, dtype)
-    z_scratch = np.empty(tile * width, dtype) if probs is None else None
+    z_scratch = np.empty(tile * t, dtype) if probs is None else None
     sum_scratch = np.empty(tile, dtype)
-    ones = np.ones((width, 1), dtype)
-    kt = k.data.swapaxes(-1, -2)
+    ones = np.ones((t, 1), dtype)
     for r0 in range(0, t, rows):
         r1 = min(r0 + rows, t)
         for h0 in range(0, heads, tile_heads):
@@ -548,39 +536,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
                 b1 = min(b0 + images, n)
                 shape = (b1 - b0, h1 - h0, r1 - r0)
                 cells = math.prod(shape)
-                qs = np.multiply(q.data[b0:b1, h0:h1, r0:r1], s,
+                qs = np.multiply(q[b0:b1, h0:h1, r0:r1], s,
                                  out=q_scratch[:cells * d].reshape(shape + (d,)))
                 z = probs[b0:b1, h0:h1, r0:r1] if probs is not None \
-                    else z_scratch[:cells * width].reshape(shape + (width,))
-                np.matmul(qs, kt[b0:b1, h0:h1], out=z)
+                    else z_scratch[:cells * t].reshape(shape + (t,))
+                np.matmul(qs, k[b0:b1, h0:h1].swapaxes(-1, -2), out=z)
                 if bias is not None:  # a tile is contiguous, so zb is a view of it
                     zb = z.reshape(shape[:2] + (-1, gw, gh, gw))
                     np.add(zb, window[h0:h1, r0 // gw:r1 // gw], out=zb)
                 sums = sum_scratch[:cells].reshape(shape + (1,))
                 _exp_rows(z, ones, sums, checked)
-                o = np.matmul(z, v.data[b0:b1, h0:h1], out=out[b0:b1, h0:h1, r0:r1])
+                o = np.matmul(z, v[b0:b1, h0:h1], out=out[b0:b1, r0:r1, h0:h1].swapaxes(1, 2))
                 o /= sums
                 if probs is not None:
                     z /= sums
 
     def bwd(g):
-        gv = probs.swapaxes(-1, -2) @ g
-        ds = g @ v.data.swapaxes(-1, -2)
+        g = g.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
+        grad = np.empty((n, t, 3, heads, d), dtype)  # laid out as qkv
+        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs.swapaxes(-1, -2), g, out=gv)
+        ds = g @ v.swapaxes(-1, -2)
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        gq = ds @ k.data
+        np.matmul(ds, k, out=gq)
         gq *= s
-        gk = ds.swapaxes(-1, -2) @ q.data
+        np.matmul(ds.swapaxes(-1, -2), q, out=gk)
         gk *= s
         if bias is None:
-            return (gq, gk, gv)
+            return (grad.reshape(qkv.shape),)
         ys, xs = np.divmod(np.arange(t), gw)
         slots = relative_slot(ys[:, None] - ys, xs[:, None] - xs, gh, gw)
-        per_head = ds.sum(axis=0).reshape(heads, t * width)
+        per_head = ds.sum(axis=0).reshape(heads, t * t)
         gb = _scatter_rows(per_head, slots.reshape(-1), bias.size // heads)
-        return (gq, gk, gv, gb.reshape(bias.shape))
+        return (grad.reshape(qkv.shape), gb.reshape(bias.shape))
 
-    return _apply("attention", inputs, out, bwd), (probs if with_probs else None)
+    result = _apply("attention", inputs, out.reshape(n, t, heads * d), bwd)
+    return result, (probs if with_probs else None)
 
 
 def _gelu32(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray) -> None:
@@ -600,8 +592,7 @@ def _gelu32(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray
         z, z2 = res[lo:lo + m], squares[:m]
         p = phi[lo:lo + m] if keep else phi[:m]
         np.multiply(xb, _INV_SQRT2, out=z)
-        np.minimum(z, _ERF_CLAMP, out=z)
-        np.maximum(z, -_ERF_CLAMP, out=z)
+        np.clip(z, -_ERF_CLAMP, _ERF_CLAMP, out=z)
         np.multiply(z, z, out=z2)
         np.multiply(z2, _ERF_P[0], out=p)
         for c in _ERF_P[1:-1]:

@@ -113,10 +113,10 @@ def test_msa_formula_matches_instrumented_forward(monkeypatch):
         macs.append(out.size * a.shape[-1])
         return out
 
-    def counted_attention(q, k, v, *args, **kwargs):
-        n, heads, t, d = q.shape
-        macs.append(n * heads * t * k.shape[2] * (d + v.shape[3]))
-        return attention(q, k, v, *args, **kwargs)
+    def counted_attention(qkv, *args, **kwargs):
+        n, t, channels = qkv.shape  # q k^T and P v over heads * d = channels / 3
+        macs.append(2 * n * t * t * (channels // 3))
+        return attention(qkv, *args, **kwargs)
 
     monkeypatch.setattr(blocks, "matmul", counted)
     monkeypatch.setattr(blocks, "attention", counted_attention)

@@ -14,7 +14,7 @@ from litnet.blocks import (LN_EPS, MlpBlockParams, MsaParams, PatchEmbedParams,
                            TransformerBlockParams, mlp_block, msa, patch_embed,
                            transformer_block)
 from litnet.errors import ConfigError, ShapeError
-from litnet.tensor import Tensor, attention, mul, sum_all, tensor
+from litnet.tensor import Tape, Tensor, attention, mul, sum_all, tensor
 
 tensor_module = importlib.import_module("litnet.tensor")
 
@@ -148,6 +148,17 @@ def test_msa_with_a_relative_bias_keeps_nothing_after_the_call():
     assert retained < 2 ** 20
 
 
+def test_msa_records_five_ops_on_a_tape():
+    # the qkv projection and its bias, attention, which reads q, k and v in
+    # place, and the output projection and its bias: no slices or transposes
+    rng = np.random.default_rng(11)
+    p = make_msa(rng, channels=8, heads=2, grid=(2, 3))
+    x = Tensor(rng.normal(size=(2, 6, 8)), requires_grad=True)
+    with Tape() as tape:
+        msa(x, p)
+    assert len(tape._nodes) == 5
+
+
 def test_msa_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
         MsaParams.create(np.random.default_rng(0), channels=6, heads=4)
@@ -232,7 +243,7 @@ def relative_bias(table: np.ndarray) -> np.ndarray:
     [heads, 2H-1, 2W-1] table: its logits for zero queries and keys, read
     as the exponentiation receives them (one tile on these small grids)."""
     heads, h2, w2 = table.shape
-    zeros = Tensor(np.zeros((1, heads, (h2 + 1) // 2 * ((w2 + 1) // 2), 1)))
+    zeros = Tensor(np.zeros((1, (h2 + 1) // 2 * ((w2 + 1) // 2), 3 * heads)))
     logits = []
     exp_rows = tensor_module._exp_rows
 
@@ -241,7 +252,7 @@ def relative_bias(table: np.ndarray) -> np.ndarray:
         exp_rows(z, *args)
 
     with mock.patch.object(tensor_module, "_exp_rows", keep):
-        attention(zeros, zeros, zeros, Tensor(table))
+        attention(zeros, heads, Tensor(table))
     (tile,) = logits
     return tile[0]
 

@@ -146,6 +146,32 @@ def test_a_data_directory_without_images_is_a_config_error(tmp_path, capsys, com
     assert_config_error(code, err, "holds no images")
 
 
+MALFORMED_DATA = {  # case: (file, how it is written, fragment of the error)
+    "garbage_bytes": ("images.npy", lambda p: p.write_bytes(b"not an array"),
+                      "images.npy is not a .npy array"),
+    "object_array": ("images.npy", lambda p: np.save(p, np.array([1, "a"], dtype=object)),
+                     "images.npy is not a .npy array"),
+    "strings": ("images.npy", lambda p: np.save(p, np.full((2, 64, 64, 3), "a")),
+                "images.npy does not hold an array of real numbers"),
+    "fractional_labels": ("labels.npy", lambda p: np.save(p, np.array([0.5, 1.7])),
+                          "labels.npy holds labels that are not whole numbers"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_DATA)
+@pytest.mark.parametrize("command", [["train", "--epochs", "1"], ["inspect", "--mode", "attn"]])
+def test_a_malformed_data_file_is_a_config_error(tmp_path, capsys, command, case):
+    data = tmp_path / "data"
+    data.mkdir()
+    np.save(data / "images.npy", np.zeros((2, 64, 64, 3), dtype=np.float32))
+    np.save(data / "labels.npy", np.array([0, 1]))
+    name, write, fragment = MALFORMED_DATA[case]
+    write(data / name)
+    code, err = run(capsys, *command, "--data", str(data), "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, fragment)
+    assert "Traceback" not in err
+
+
 def test_inspect_refuses_a_checkpoint_of_another_merge_kind(tmp_path, capsys):
     ckpt = tmp_path / "dtm.litckpt"
     build(toy_config(), seed=0).save(ckpt)

@@ -53,3 +53,23 @@ def test_every_op_the_benchmark_traces_is_defined():
         ops = traced_names(names)
         found = importlib.import_module(module)
         assert ops and [op for op in ops if not callable(getattr(found, op, None))] == [], names
+
+
+def name_reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read as values in ``tree``, outside the subtree ``skip``."""
+    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in skipped}
+
+
+def test_every_public_tensor_function_is_called_or_traced():
+    # a function of litnet.tensor that no other code in the package reads and
+    # the benchmark does not wrap is dead; the tensor() factory is the one
+    # kept for users of the package alone
+    tree = ast.parse((PACKAGE / "tensor.py").read_text())
+    elsewhere = set().union(*(name_reads(ast.parse(p.read_text()))
+                              for p in SOURCES if p.name != "tensor.py"))
+    kept = elsewhere | set(traced_names("TENSOR_OPS")) | {"tensor"}
+    dead = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+            and not f.name.startswith("_") and f.name not in kept | name_reads(tree, skip=f)]
+    assert dead == []

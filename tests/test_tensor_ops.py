@@ -99,9 +99,26 @@ def test_softmax_allocates_only_its_output():
     assert peak <= out.data.nbytes + 2 ** 20
 
 
-def attention_inputs(rng, n, heads, t, width, d, dtype=np.float32):
-    """[N, heads, T, d] queries and [N, heads, T', d] keys and values."""
-    return tuple(rng.normal(size=(n, heads, e, d)).astype(dtype) for e in (t, width, width))
+def attention_inputs(rng, n, heads, t, d, dtype=np.float32):
+    """[N, heads, T, d] queries, keys and values."""
+    return tuple(rng.normal(size=(n, heads, t, d)).astype(dtype) for _ in range(3))
+
+
+def merge_heads(x):
+    """[N, heads, T, d] as [N, T, heads * d], each token's heads side by side."""
+    n, heads, t, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n, t, heads * d)
+
+
+def split_heads(x, heads):
+    """[N, T, heads * d] as [N, heads, T, d]."""
+    n, t, channels = x.shape
+    return x.reshape(n, t, heads, channels // heads).transpose(0, 2, 1, 3)
+
+
+def pack_qkv(q, k, v):
+    """The [N, T, 3 * heads * d] qkv projection that ``attention`` reads q, k and v from."""
+    return np.concatenate([merge_heads(a) for a in (q, k, v)], axis=-1)
 
 
 def bias_table(rng, heads, grid, dtype=np.float32):
@@ -137,9 +154,11 @@ def unfused_attention(q, k, v, table=None):
 
 
 def run_attention(q, k, v, table=None, with_probs=False):
+    """``attention`` of [N, heads, T, d] q, k and v packed into one projection:
+    the output as [N, heads, T, d], and the probabilities or None."""
     bias = None if table is None else Tensor(table)
-    out, probs = attention(Tensor(q), Tensor(k), Tensor(v), bias, with_probs=with_probs)
-    return out.data, probs
+    out, probs = attention(Tensor(pack_qkv(q, k, v)), q.shape[1], bias, with_probs=with_probs)
+    return split_heads(out.data, q.shape[1]), probs
 
 
 # Row tiles round their matrix products differently from one full-size
@@ -155,7 +174,7 @@ def attention_ulps(got, want, probs, v) -> float:
 
 def test_attention_matches_the_loop_oracle():
     rng = np.random.default_rng(20)
-    q, k, v = attention_inputs(rng, 2, 3, 6, 6, 4, np.float64)
+    q, k, v = attention_inputs(rng, 2, 3, 6, 4, np.float64)
     table = bias_table(rng, 3, (2, 3), np.float64)
     got, _ = run_attention(q, k, v, table)
     assert np.abs(got - attention_loop(q, k, v, table)).max() < 1e-12
@@ -166,7 +185,7 @@ def test_attention_matches_the_loop_oracle():
                          ids=["stage1", "stage2", "stage3", "stage4"])
 def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, grid):
     rng = np.random.default_rng(21)
-    q, k, v = attention_inputs(rng, n, heads, grid * grid, grid * grid, 32, dtype)
+    q, k, v = attention_inputs(rng, n, heads, grid * grid, 32, dtype)
     table = bias_table(rng, heads, (grid, grid), dtype)
     got, _ = run_attention(q, k, v, table)
     want, probs = unfused_attention(q, k, v, table)
@@ -177,20 +196,21 @@ def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, 
         assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
 
-# [N, heads, T, T'] without a bias, and [N, heads, (H, W)] with one, where a
-# row tile is rounded to whole grid rows
+# [N, heads, T] and a tile size without a bias, and [N, heads, (H, W)] with
+# one at the default tile size, where a row tile is rounded to whole grid rows
 TILE_EDGES = {
-    "t1": ((2, 3, 1, 1), (2, 3, (1, 1))),                        # T = T' = 1
+    "t1": ((2, 3, 1, _ATTN_TILE), (2, 3, (1, 1))),                    # T = 1
     # a head fills one tile exactly; 16 grid rows fill one tile exactly
-    "head_fills_tile": ((1, 2, 512, _ATTN_TILE // 512), (1, 2, (32, 32))),
-    # rows per tile do not divide T; 436 rows round down to 9 grid rows
+    "head_fills_tile": ((1, 2, 64, 64 * 64), (1, 2, (32, 32))),
+    # 7 rows per tile do not divide T; 436 rows round down to 9 grid rows
     "rows_not_dividing": ((1, 2, 400, 3000), (1, 2, (25, 48))),
     # one row is longer than a tile; 327 rows round down to none, then up to one grid row
-    "row_longer_than_tile": ((1, 1, 2, _ATTN_TILE + 5), (1, 1, (2, 800))),
+    "row_longer_than_tile": ((1, 1, 40, 30), (1, 1, (2, 800))),
     # N > 1, one tile spans all heads of all images
-    "tile_spans_heads": ((3, 4, 16, 16), (3, 4, (4, 4))),
-    "heads_not_dividing": ((2, 3, 400, 600), (2, 3, (20, 24))),   # tiles of two heads over three
-    "images_not_dividing": ((5, 2, 256, 256), (5, 2, (16, 16))),  # tiles of four images over five
+    "tile_spans_heads": ((3, 4, 16, _ATTN_TILE), (3, 4, (4, 4))),
+    # tiles of two heads over three
+    "heads_not_dividing": ((2, 3, 400, 2 * 400 * 400), (2, 3, (20, 24))),
+    "images_not_dividing": ((5, 2, 256, _ATTN_TILE), (5, 2, (16, 16))),  # four images over five
 }
 
 
@@ -199,28 +219,25 @@ TILE_EDGES = {
 def test_attention_tile_edges_match_the_unfused_path(case, with_bias):
     rng = np.random.default_rng(22)
     plain, (n, heads, grid) = TILE_EDGES[case]
-    if with_bias:
-        t = grid[0] * grid[1]
-        q, k, v = attention_inputs(rng, n, heads, t, t, 8)
-        table = bias_table(rng, heads, grid)
-    else:
-        q, k, v = attention_inputs(rng, *plain, 8)
-        table = None
-    got, _ = run_attention(q, k, v, table)
+    n, heads, t, tile = (n, heads, grid[0] * grid[1], _ATTN_TILE) if with_bias else plain
+    q, k, v = attention_inputs(rng, n, heads, t, 8)
+    table = bias_table(rng, heads, grid) if with_bias else None
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile):
+        got, _ = run_attention(q, k, v, table)
     want, probs = unfused_attention(q, k, v, table)
     assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
 
 def test_attention_on_a_tape_equals_the_eval_result():
     rng = np.random.default_rng(23)
-    q, k, v = attention_inputs(rng, 2, 3, 40, 40, 8)
+    q, k, v = attention_inputs(rng, 2, 3, 40, 8)
     table = bias_table(rng, 3, (5, 8))
     with Tape():
-        taped, taped_probs = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v, table)),
-                                       with_probs=True)
+        taped, taped_probs = attention(Tensor(pack_qkv(q, k, v), requires_grad=True), 3,
+                                       Tensor(table, requires_grad=True), with_probs=True)
     got, probs = run_attention(q, k, v, table, with_probs=True)
     plain, no_probs = run_attention(q, k, v, table)
-    assert taped.data.tobytes() == got.tobytes() == plain.tobytes()
+    assert split_heads(taped.data, 3).tobytes() == got.tobytes() == plain.tobytes()
     assert taped_probs.tobytes() == probs.tobytes()
     assert no_probs is None
 
@@ -234,7 +251,7 @@ def test_attention_on_a_tape_equals_the_eval_result():
         "bias_overflows_a_logit", "neg_overflow", "v_nan"])
 def test_attention_rejects_non_finite_values(where, bad, message):
     rng = np.random.default_rng(24)
-    q, k, v = attention_inputs(rng, 1, 2, 30, 30, 4)
+    q, k, v = attention_inputs(rng, 1, 2, 30, 4)
     table = bias_table(rng, 2, (5, 6))
     # token 29 at (4, 5) lies (4, 2) from token 3 at (0, 3): slot [4 + 4, 2 + 5]
     if where.endswith("overflow"):  # a logit of +-1e38 plus a bias of +-3e38 is past float32's range
@@ -252,7 +269,7 @@ def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
     # max|q| = max|k| = 1e19 put the up-front bound past float32's range, but
     # the large entries meet only zeros, so every logit stays small
     rng = np.random.default_rng(29)
-    q, k, v = attention_inputs(rng, 1, 2, 30, 30, 4)
+    q, k, v = attention_inputs(rng, 1, 2, 30, 4)
     table = bias_table(rng, 2, (5, 6))
     q[..., 0], k[..., 1] = 0.0, 0.0
     q[0, 1, 7, 1], k[0, 0, 11, 0] = 1e19, 1e19
@@ -273,25 +290,35 @@ def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
 def test_attention_of_an_empty_batch_is_empty(with_bias):
     rng = np.random.default_rng(30)
-    q, k, v = attention_inputs(rng, 0, 2, 6, 6, 3)
+    q, k, v = attention_inputs(rng, 0, 2, 6, 3)
     table = bias_table(rng, 2, (2, 3)) if with_bias else None
     got, probs = run_attention(q, k, v, table, with_probs=True)
     assert got.shape == (0, 2, 6, 3) and probs.shape == (0, 2, 6, 6)
 
 
-@pytest.mark.parametrize("table_shape,keys", [
-    ((2, 4, 5), 6),   # an even extent, though (4 + 1) // 2 * 3 = 6 = T
-    ((3, 3, 5), 6),   # three heads for two
-    ((2, 3, 3), 6),   # a 2 x 2 grid for 6 tokens
-    ((2, 3, 5), 5),   # T' = 5 keys for T = 6 queries
-    ((2, 15), 6),     # a flat (2H-1)(2W-1) table
-], ids=["even_extent", "head_count", "grid_size", "keys_differ", "flat"])
-def test_attention_rejects_a_table_that_does_not_fit(table_shape, keys):
+@pytest.mark.parametrize("table_shape", [
+    (2, 4, 5),   # an even extent, though (4 + 1) // 2 * 3 = 6 = T
+    (3, 3, 5),   # three heads for two
+    (2, 3, 3),   # a 2 x 2 grid for 6 tokens
+    (2, 15),     # a flat (2H-1)(2W-1) table
+], ids=["even_extent", "head_count", "grid_size", "flat"])
+def test_attention_rejects_a_table_that_does_not_fit(table_shape):
     rng = np.random.default_rng(25)
-    q, _, _ = attention_inputs(rng, 1, 2, 6, 6, 3, np.float64)
-    _, k, v = attention_inputs(rng, 1, 2, keys, keys, 3, np.float64)
+    q, k, v = attention_inputs(rng, 1, 2, 6, 3, np.float64)
     with pytest.raises(ShapeError, match="is not \\[2, 2H-1, 2W-1\\]"):
         run_attention(q, k, v, np.zeros(table_shape))
+
+
+@pytest.mark.parametrize("shape,heads", [
+    ((6, 12), 2),      # no batch axis
+    ((1, 6, 10), 2),   # 10 channels do not split into q, k and v of two heads
+    ((1, 0, 12), 2),   # no tokens
+    ((1, 6, 0), 2),    # no channels
+    ((1, 6, 12), 0),   # no heads
+], ids=["rank", "indivisible", "no_tokens", "no_channels", "no_heads"])
+def test_attention_rejects_a_projection_that_does_not_split(shape, heads):
+    with pytest.raises(ShapeError, match="is not \\[N, T, 3 \\* "):
+        attention(Tensor(np.zeros(shape)), heads)
 
 
 def composed_attention(q, k, v, table):
@@ -305,18 +332,25 @@ def composed_attention(q, k, v, table):
 
 
 def attention_gradients(q, k, v, table, g, fused):
-    """Gradients of sum(attention(q, k, v, table) * g) in q, k, v and the table."""
-    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v, table)]
+    """Gradients of sum(attention(q, k, v, table) * g) in q, k, v and the table;
+    the fused op's are split out of its one qkv gradient."""
+    heads = q.shape[1]
+    if not fused:
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v, table)]
+        with Tape() as tape:
+            loss = sum_all(mul(composed_attention(*leaves), Tensor(g)))
+        tape.backward(loss)
+        return [t.grad for t in leaves]
+    qkv, bias = Tensor(pack_qkv(q, k, v), requires_grad=True), Tensor(table, requires_grad=True)
     with Tape() as tape:
-        y = attention(*leaves)[0] if fused else composed_attention(*leaves)
-        loss = sum_all(mul(y, Tensor(g)))
+        loss = sum_all(mul(attention(qkv, heads, bias)[0], Tensor(merge_heads(g))))
     tape.backward(loss)
-    return [t.grad for t in leaves]
+    return [*np.split(split_heads(qkv.grad, 3 * heads), 3, axis=1), bias.grad]
 
 
 def test_attention_gradients_equal_the_composed_ops():
     rng = np.random.default_rng(26)
-    q, k, v = attention_inputs(rng, 2, 3, 6, 6, 4, np.float64)
+    q, k, v = attention_inputs(rng, 2, 3, 6, 4, np.float64)
     table = bias_table(rng, 3, (2, 3), np.float64)
     g = np.random.default_rng(27).normal(size=(2, 3, 6, 4))
     for fused, composed in zip(attention_gradients(q, k, v, table, g, True),
@@ -329,19 +363,20 @@ def test_attention_gradients_equal_the_composed_ops():
 def test_attention_allocates_only_its_output_and_tile_scratch(n, heads, grid, with_bias):
     rng = np.random.default_rng(28)
     t = grid * grid
-    q, k, v = (rng.normal(size=(n, heads, t, 32)).astype(np.float32) for _ in range(3))
+    qkv = Tensor(rng.normal(size=(n, t, 3 * heads * 32)).astype(np.float32))
     table = np.zeros((heads, 2 * grid - 1, 2 * grid - 1), np.float32) if with_bias else None
+    bias = None if table is None else Tensor(table)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out, _ = run_attention(q, k, v, table)
+        out, _ = attention(qkv, heads, bias)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     # the logits tile and the bias tile, each no larger than all the logits;
     # the full probabilities of the row_tiles case would take 12 MiB
     tile = min(_ATTN_TILE, n * heads * t * t)
-    assert peak <= out.nbytes + 2 * tile * q.itemsize + 2 ** 20
+    assert peak <= out.data.nbytes + 2 * tile * qkv.data.itemsize + 2 ** 20
 
 
 @st.composite
@@ -349,20 +384,18 @@ def attention_cases(draw, bias=None):
     """Shapes, dtype, a bias table (drawn when ``bias`` is None) and a tile
     size anywhere from one logit to past all of them, so that tiles of rows,
     of heads and of images all end both inside the input and at its edges.
-    A bias needs T = T' = H * W: H and W are 1-4, 1 x W and H x 1 included,
-    and rounding a tile to whole grid rows lands on both sides of its size
+    T = H * W: H and W are 1-4, 1 x W and H x 1 included, and under a bias
+    rounding a tile to whole grid rows lands on both sides of its size
     (``TILE_EDGES`` pins each side)."""
     n, heads = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     grid, d = (draw(st.integers(1, 4)), draw(st.integers(1, 4))), draw(st.integers(1, 4))
     bias = draw(st.booleans()) if bias is None else bias
     t = grid[0] * grid[1]
-    width = t if bias else draw(st.integers(1, 9))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     # whole rows of one head, where a bias rounds them to grid rows, or any size
-    tile = draw(st.integers(1, t).map(lambda rows: rows * width)
-                | st.integers(1, n * heads * t * width + 1))
+    tile = draw(st.integers(1, t).map(lambda rows: rows * t) | st.integers(1, n * heads * t * t + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    q, k, v = attention_inputs(rng, n, heads, t, width, d, dtype)
+    q, k, v = attention_inputs(rng, n, heads, t, d, dtype)
     return tile, q, k, v, bias_table(rng, heads, grid, dtype) if bias else None
 
 
