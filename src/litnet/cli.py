@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .exports import (format_audit_text, format_cost_text, write_attention_expor
                       write_train_log)
 from .model import (MERGE_DTM, ForwardRecord, ModelConfig, PRESET_NAMES, build,
                     preset, toy_config)
-from .train import AdamW, TrainSettings, load_resume_checkpoint, run_training
+from .train import AdamW, TrainSettings, load_training_checkpoint, run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,12 +71,23 @@ def _manifest(args, out_dir: Path, extra: dict | None = None) -> None:
     write_manifest(out_dir, payload)
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
+def _grid_points(text: str | None, what: str, grid: tuple[int, int],
+                 grid_name: str) -> list[tuple[int, int]]:
+    """The points of an h x w grid that ``--query`` or ``--token`` names:
+    every point for "all", one "y,x" point, or the centre when not given.
+    ``what`` is the flag's name and ``grid_name`` the grid's in messages."""
+    h, w = grid
+    if text == "all":
+        return [(y, x) for y in range(h) for x in range(w)]
+    if not text:
+        return [(h // 2, w // 2)]
     try:
         y, x = (int(v) for v in text.split(","))
-        return y, x
     except ValueError:
-        raise ConfigError(f"{what} must be 'y,x', got {text!r}") from None
+        raise ConfigError(f"--{what} must be 'y,x', got {text!r}") from None
+    if not (0 <= y < h and 0 <= x < w):
+        raise ConfigError(f"{what} {(y, x)} outside the {h}x{w} {grid_name} grid")
+    return [(y, x)]
 
 
 # --------------------------------------------------------------------------
@@ -188,16 +200,12 @@ def cmd_verify(args, out_dir: Path) -> int:
 def cmd_train(args, out_dir: Path) -> int:
     if args.log_every < 1:
         raise ConfigError(f"--log-every must be at least 1, got {args.log_every}")
-    settings = TrainSettings(epochs=args.epochs, batch_size=args.batch_size,
-                             lr=args.lr, offset_lr=args.offset_lr,
-                             weight_decay=args.weight_decay,
-                             warmup_frac=args.warmup_frac, seed=args.seed,
-                             checkpoint_every=args.checkpoint_every)
+    settings = TrainSettings(**{f.name: getattr(args, f.name) for f in fields(TrainSettings)})
     name, config = _resolve_config(args)
     images, labels = _dataset(args, config)
     model = build(config, seed=args.seed)
     if args.resume:  # refuse a checkpoint before anything is written into --out
-        load_resume_checkpoint(args.resume, model, AdamW(model.named_params()), settings.epochs)
+        load_training_checkpoint(args.resume, model, AdamW(model.named_params()), settings.epochs)
     config.save_json(out_dir / "config.json")
     _manifest(args, out_dir, {"config": config.to_dict(), "model": name})
 
@@ -250,33 +258,18 @@ def cmd_inspect(args, out_dir: Path) -> int:
         if config.stages[stage - 1].block_kind != "transformer":
             raise ConfigError(f"stage {stage} has no self-attention layers; "
                               "the first two stages use MLP blocks")
-        h, w = grids[stage - 1]
-        if args.query == "all":
-            queries = [(y, x) for y in range(h) for x in range(w)]
-        elif args.query:
-            queries = [_parse_pair(args.query, "--query")]
-            if not (0 <= queries[0][0] < h and 0 <= queries[0][1] < w):
-                raise ConfigError(f"query {queries[0]} outside the {h}x{w} "
-                                  f"stage-{stage} grid")
-        else:
-            queries = [(h // 2, w // 2)]
+        queries = _grid_points(args.query, "query", grids[stage - 1], f"stage-{stage}")
         attn = equivalence.export_attention_maps(_eval_record(model, images).attention,
                                                  stage, args.block)
-        files = write_attention_exports(out_dir, attn, (h, w), queries)
+        files = write_attention_exports(out_dir, attn, grids[stage - 1], queries)
         print(f"wrote {len(files)} attention export files to {out_dir}")
     else:
         plain = sorted({s.merge_kind for s in config.stages[1:]} - {MERGE_DTM})
         if plain:
             raise ConfigError(f"{', '.join(plain)} merges have no offset predictor; "
                               f"offset traces need {MERGE_DTM!r} merges in stages 2-4")
+        tokens = _grid_points(args.token, "token", grids[3], "final-stage")
         record = _eval_record(model, images)
-        h4, w4 = grids[3]
-        if args.token == "all":
-            tokens = [(y, x) for y in range(h4) for x in range(w4)]
-        elif args.token:
-            tokens = [_parse_pair(args.token, "--token")]
-        else:
-            tokens = [(h4 // 2, w4 // 2)]
         for token in tokens:
             coords = dtm.trace_offsets(record.offsets, token)
             path = out_dir / f"offsets_token{token[0]}_{token[1]}.csv"
@@ -327,14 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", default="synthetic",
                          help="'synthetic' or a directory with images.npy/labels.npy")
     p_train.add_argument("--num-images", type=int, default=200)
-    p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--offset-lr", type=float, default=1e-5)
-    p_train.add_argument("--weight-decay", type=float, default=5e-2)
-    p_train.add_argument("--warmup-frac", type=float, default=0.05)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--checkpoint-every", type=int, default=50)
+    for setting in fields(TrainSettings):  # --epochs, --batch-size, ... with their defaults
+        p_train.add_argument(f"--{setting.name.replace('_', '-')}", type=type(setting.default),
+                             default=setting.default)
     p_train.add_argument("--log-every", type=int, default=10)
     p_train.add_argument("--resume", help="checkpoint to resume from")
     p_train.add_argument("--out", default="train_out")

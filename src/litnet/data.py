@@ -118,6 +118,9 @@ def load_dataset_dir(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"images.npy must be [N, H, W, 3], got {images.shape}")
     if images.shape[0] == 0:
         raise ConfigError(f"{path} holds no images")
+    # min and max carry any NaN or +-inf without a full-size boolean array
+    if images.dtype.kind == "f" and not (np.isfinite(images.min()) and np.isfinite(images.max())):
+        raise ConfigError(f"{images_path} holds non-finite pixels")
     if labels.shape != (images.shape[0],):
         raise ConfigError(f"labels.npy shape {labels.shape} does not match {images.shape[0]} images")
     # a cast to int64 would truncate 1.7 to 1 and wrap what int64 cannot hold

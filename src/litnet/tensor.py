@@ -290,15 +290,13 @@ def _sum_to_suffix(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also be a suffix of ``a``'s shape (bias,
-    positional table, shared attention bias), broadcast over leading axes."""
+    positional table, shared attention bias), broadcast over leading axes;
+    any other pair of shapes, ``a`` a suffix of ``b`` too, is a ShapeError."""
     if a.shape == b.shape:
         return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
     if a.ndim > b.ndim and a.shape[a.ndim - b.ndim :] == b.shape:
         bshape = b.shape
         return _apply("add", (a, b), a.data + b.data, lambda g: (g, _sum_to_suffix(g, bshape)))
-    if b.ndim > a.ndim and b.shape[b.ndim - a.ndim :] == a.shape:
-        ashape = a.shape
-        return _apply("add", (a, b), a.data + b.data, lambda g: (_sum_to_suffix(g, ashape), g))
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -663,18 +661,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = xhat * gamma.data + beta.data
 
     return _apply("layer_norm", (x, gamma, beta), out,
-                  lambda g: _layer_norm_grads(g, xhat, inv, gamma.data))
+                  lambda g: _norm_grads(g, xhat, inv, gamma.data, -1))
 
 
-def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                      gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dx, dgamma, dbeta) of layer norm for the output gradient ``g``,
-    from the normalized input ``xhat`` and 1 / sqrt(var + eps) ``inv``."""
+def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
+                stat_axes: int | tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dgamma, dbeta) of xhat * gamma + beta for the output gradient ``g``,
+    from the normalized input ``xhat`` and 1 / sqrt(var + eps) ``inv``, with the
+    statistics taken over ``stat_axes`` (-1 in layer norm, (0, 1, 2) in batch
+    norm) or, for None, fixed ones that do not depend on x (batch-norm eval)."""
     lead = tuple(range(g.ndim - 1))
     dgamma = (g * xhat).sum(axis=lead)
     dbeta = g.sum(axis=lead)
     gx = g * gamma
-    dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    if stat_axes is None:
+        return (gx * inv, dgamma, dbeta)
+    dx = inv * (gx - gx.mean(axis=stat_axes, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=stat_axes, keepdims=True))
     return (dx, dgamma, dbeta)
 
 
@@ -758,7 +761,7 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         gw2 = (pre * cdf).T @ g
         gh = _gelu_grad(g @ w2.data.T, pre, cdf)
         gw1 = (xhat * gamma.data + beta.data).T @ gh
-        dx, dgamma, dbeta = _layer_norm_grads(gh @ w1.data.T, xhat, inv, gamma.data)
+        dx, dgamma, dbeta = _norm_grads(gh @ w1.data.T, xhat, inv, gamma.data, -1)
         dx += g
         return (dx.reshape(x.shape), dgamma, dbeta, gw1, gh.sum(axis=0), gw2, g.sum(axis=0))
 
@@ -818,18 +821,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
-
-    def bwd(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        gx = g * gamma.data
-        if mode == "eval":  # the running statistics do not depend on x
-            return (gx * inv, dgamma, dbeta)
-        dx = inv * (gx - gx.mean(axis=axes, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=axes, keepdims=True))
-        return (dx, dgamma, dbeta)
-
-    return _apply("batch_norm", (x, gamma, beta), out, bwd)
+    stat_axes = axes if mode == "train" else None
+    return _apply("batch_norm", (x, gamma, beta), out,
+                  lambda g: _norm_grads(g, xhat, inv, gamma.data, stat_axes))
 
 
 # --------------------------------------------------------------------------

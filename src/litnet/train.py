@@ -205,25 +205,23 @@ def save_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW,
     save_tensors(path, state)
 
 
-def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW) -> int:
+def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW, epochs: int) -> int:
+    """Load a ``save_training_checkpoint`` file into ``model`` and ``optimizer``
+    and return its epoch. A file that is not one, or that was saved outside the
+    0..epochs of a run of ``epochs`` epochs, raises ConfigError before anything
+    loads."""
     state = load_tensors(path)
     missing = [k for k in (*optimizer.state_arrays(), "meta.epoch") if k not in state]
     if missing:
         shown = missing if len(missing) <= 3 else [*missing[:2], "...", missing[-1]]
         raise ConfigError(f"{path} is not a training checkpoint: {len(missing)} optimizer "
                           f"and meta records are missing ({', '.join(shown)})")
-    model.load_state(state)  # checks the optimizer and meta records too
-    optimizer.load_state_arrays(state)
-    return read_counter(state, "meta.epoch")
-
-
-def load_resume_checkpoint(path: Path, model: LitModel, optimizer: AdamW, epochs: int) -> int:
-    """``load_training_checkpoint`` for a run of ``epochs`` epochs: a checkpoint
-    saved outside 0..epochs raises ConfigError."""
-    epoch = load_training_checkpoint(Path(path), model, optimizer)
+    epoch = read_counter(state, "meta.epoch")
     if not 0 <= epoch <= epochs:
         raise ConfigError(f"{path} was saved at epoch {epoch}, outside the "
                           f"0-{epochs} epochs of this run")
+    model.load_state(state)  # checks the optimizer and meta records too
+    optimizer.load_state_arrays(state)
     return epoch
 
 
@@ -244,7 +242,7 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
                       offset_lr=settings.offset_lr)
     start_epoch = 0
     if resume is not None:
-        start_epoch = load_resume_checkpoint(resume, model, optimizer, settings.epochs)
+        start_epoch = load_training_checkpoint(resume, model, optimizer, settings.epochs)
 
     result = TrainResult()
     if out_dir is not None:

@@ -12,7 +12,7 @@ from litnet import cli
 from litnet.analyzer import cost_report
 from litnet.checkpoint import load_tensors, save_tensors
 from litnet.data import synthetic_dataset
-from litnet.model import ModelConfig, build, preset, toy_config
+from litnet.model import PRESET_NAMES, ModelConfig, build, preset, toy_config
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -102,6 +102,18 @@ def test_inspect_offsets_writes_64_leaves(tmp_path, capsys):
     assert {int(r["leaf_index"]) for r in rows} == set(range(64))
 
 
+@pytest.mark.parametrize("token,traced", [
+    (["--token", "all"], ["0_0", "0_1", "1_0", "1_1"]),
+    ([], ["1_1"]),
+], ids=["all", "centre"])
+def test_inspect_offsets_traces_every_token_or_the_centre(tmp_path, capsys, token, traced):
+    code, _ = run(capsys, "inspect", "--mode", "offsets", *token, "--num-images", "1",
+                  "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.glob("offsets_token*.csv")) == \
+        [f"offsets_token{t}.csv" for t in traced]
+
+
 @pytest.mark.parametrize("flag,value,fragment", [
     ("--batch-size", "0", "batch_size must be at least 1, got 0"),
     ("--epochs", "0", "epochs must be at least 1, got 0"),
@@ -170,6 +182,19 @@ def test_a_malformed_data_file_is_a_config_error(tmp_path, capsys, command, case
     code, err = run(capsys, *command, "--data", str(data), "--out", str(tmp_path / "out"))
     assert_config_error(code, err, fragment)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+@pytest.mark.parametrize("command", [["train", "--epochs", "1"], ["inspect", "--mode", "attn"]])
+def test_a_non_finite_pixel_is_a_config_error(tmp_path, capsys, command, value):
+    images = np.zeros((2, 64, 64, 3), dtype=np.float32)
+    images[1, 5, 7, 2] = value
+    out = tmp_path / "out"
+    code, err = run(capsys, *command, "--data", write_images(tmp_path / "data", images),
+                    "--out", str(out))
+    assert_config_error(code, err, "images.npy holds non-finite pixels")
+    assert "Traceback" not in err
+    assert not list(out.iterdir())
 
 
 def test_inspect_refuses_a_checkpoint_of_another_merge_kind(tmp_path, capsys):
@@ -329,6 +354,27 @@ def test_audit_of_a_preset_passes_and_writes_its_reports(tmp_path, capsys):
     assert "overall: PASS" in (tmp_path / "audit.txt").read_text()
 
 
+def test_audit_of_all_presets_writes_a_report_of_each(tmp_path, capsys):
+    code = cli.main(["audit", "--preset", "all", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    for name in PRESET_NAMES:
+        assert (tmp_path / f"cost_{name}.csv").is_file() and (tmp_path / f"cost_{name}.txt").is_file()
+    text = (tmp_path / "audit.txt").read_text()
+    assert capsys.readouterr().out == text
+    assert all(f"\n{name} " in text for name in PRESET_NAMES) and text.endswith("overall: PASS\n")
+
+
+def test_audit_away_from_224_px_prints_one_summary_line_per_preset(tmp_path, capsys):
+    code = cli.main(["audit", "--preset", "all", "--resolution", "256", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(PRESET_NAMES)
+    for name, line in zip(PRESET_NAMES, lines):
+        flops = cost_report(preset(name), 256).backbone_flops
+        assert line.endswith(f"flops {flops / 1e9:.4f} G at 256px")
+    assert not (tmp_path / "audit.txt").exists()
+
+
 def test_verify_passes_and_writes_its_results(tmp_path, capsys):
     code, _ = run(capsys, "verify", "--kernel", "1", "--seeds", "1", "--out", str(tmp_path))
     assert code == cli.EXIT_OK
@@ -417,3 +463,71 @@ def test_inspect_exports_each_image_independently_of_the_batch(tmp_path, capsys,
     for model in models:
         state = model.named_state()
         assert all(np.array_equal(state[k], loaded[k]) for k in stats)
+
+
+def nan_checkpoint(tmp_path, trained) -> str:
+    state = load_tensors(trained / "ckpt_final.litckpt")
+    state["stage3.block0.attn.qkv.w"][0, 0] = np.nan
+    save_tensors(tmp_path / "nan.litckpt", state)
+    return str(tmp_path / "nan.litckpt")
+
+
+def over_budget_config(tmp_path, trained) -> str:
+    data = preset("lit-s").to_dict()
+    data["stages"][0]["channels"] *= 2
+    path = tmp_path / "lit-s.json"  # the file name picks the budget it is audited against
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def nan_data(tmp_path, trained) -> str:
+    images = np.zeros((1, 64, 64, 3), dtype=np.float32)
+    images[0, 9, 9, 0] = np.nan
+    return write_images(tmp_path / "data", images)
+
+
+# case: (argv, in which a function of (tmp_path, trained) stands for the path
+# it writes; exit code; message)
+BAD_INPUT = {
+    "audit_resolution": (["audit", "--resolution", "100"], cli.EXIT_CONFIG,
+                         "config error: resolution 100 is not divisible by the total "
+                         "downsampling factor 32"),
+    "audit_over_budget": (["audit", "--config", over_budget_config], cli.EXIT_TOLERANCE,
+                          "overall: FAIL"),
+    "verify_kernel": (["verify", "--kernel", "9"], cli.EXIT_CONFIG,
+                      "config error: --kernel must lie in 1-4"),
+    "train_missing_resume": (["train", "--epochs", "1", "--num-images", "4", "--resume",
+                              lambda tmp_path, trained: str(tmp_path / "missing.litckpt")],
+                             cli.EXIT_CONFIG, "error: [Errno 2] No such file or directory"),
+    "inspect_query_not_a_point": (["inspect", "--mode", "attn", "--query", "1;2"],
+                                  cli.EXIT_CONFIG, "config error: --query must be 'y,x', got '1;2'"),
+    "inspect_token_not_a_point": (["inspect", "--mode", "offsets", "--token", "a,b"],
+                                  cli.EXIT_CONFIG, "config error: --token must be 'y,x', got 'a,b'"),
+    "inspect_nan_pixel": (["inspect", "--mode", "offsets", "--data", nan_data], cli.EXIT_CONFIG,
+                          "images.npy holds non-finite pixels"),
+    "inspect_nan_weight": (["inspect", "--mode", "attn", "--num-images", "1", "--checkpoint",
+                            nan_checkpoint], cli.EXIT_NUMERIC,
+                           "numeric error: stage3.block0: non-finite values produced by matmul"),
+    # the token is refused before the forward pass would meet the NaN weight
+    "inspect_token_off_the_grid": (["inspect", "--mode", "offsets", "--num-images", "1",
+                                    "--token", "2,0", "--checkpoint", nan_checkpoint],
+                                   cli.EXIT_CONFIG,
+                                   "config error: token (2, 0) outside the 2x2 final-stage grid"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_to_any_command_exits_with_a_documented_code(trained, tmp_path, capsys, case):
+    argv, expected, message = BAD_INPUT[case]
+    argv = [arg(tmp_path, trained) if callable(arg) else arg for arg in argv]
+    out = tmp_path / "out"
+    code = cli.main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert "Traceback" not in captured.err
+    if code == cli.EXIT_TOLERANCE:  # a failed audit is a result, reported on stdout
+        assert captured.err == "" and message in captured.out
+    else:
+        assert len(captured.err.strip().splitlines()) == 1, captured.err
+        assert message in captured.err
+        assert not list(out.iterdir())

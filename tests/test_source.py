@@ -73,3 +73,46 @@ def test_every_public_tensor_function_is_called_or_traced():
     dead = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
             and not f.name.startswith("_") and f.name not in kept | name_reads(tree, skip=f)]
     assert dead == []
+
+
+def benchmark_names() -> set[str]:
+    """Identifiers, attribute names and strings in the benchmark's sources."""
+    names = set()
+    for path in (TESTS.parent / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """``name_reads`` plus the attribute names read, such as ``cost_report``
+    in ``analyzer.cost_report``."""
+    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    return name_reads(tree, skip) | {n.attr for n in ast.walk(tree)
+                                     if isinstance(n, ast.Attribute)
+                                     and isinstance(n.ctx, ast.Load) and id(n) not in skipped}
+
+
+def test_every_public_definition_is_read_exported_or_benchmarked():
+    # a public module-level function or class of the package that no other
+    # code in it reads, that litnet/__init__.py does not export and that the
+    # benchmark does not name is dead
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    read_in = {path: reads(tree) for path, tree in trees.items()}
+    kept = exported | benchmark_names()
+    dead = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in read_in.items() if other != path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") \
+                    and node.name not in kept | elsewhere | reads(tree, skip=node):
+                dead.append(f"{path.name}: {node.name}")
+    assert dead == []

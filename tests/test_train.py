@@ -118,6 +118,19 @@ def test_resume_continues_bit_identically(tmp_path):
         assert p.data.tobytes() == resumed.named_params()[name].data.tobytes(), name
 
 
+def test_a_resume_past_the_epoch_budget_loads_nothing(tmp_path):
+    source = build(micro_config(num_classes=3), seed=1)
+    save_training_checkpoint(tmp_path / "ahead.litckpt", source, AdamW(source.named_params()), 3)
+    model = build(micro_config(num_classes=3), seed=0)
+    before = model.named_state()
+    images, labels = synthetic_dataset(4, seed=0, size=32, num_classes=3)
+    with pytest.raises(ConfigError, match="saved at epoch 3, outside the 0-2 epochs of this run"):
+        run_training(model, images, labels, TrainSettings(epochs=2, batch_size=4),
+                     resume=tmp_path / "ahead.litckpt")
+    after = model.named_state()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
 @pytest.mark.parametrize("step,epoch,refused", [
     (2 ** 24 - 1, 2 ** 24 - 1, None),
     (2 ** 24, 1, "optimizer step 16777216"),
@@ -135,7 +148,7 @@ def test_a_counter_float32_cannot_hold_is_not_checkpointed(tmp_path, step, epoch
         return
     save_training_checkpoint(path, model, optimizer, epoch)
     resumed = AdamW(model.named_params())
-    assert load_training_checkpoint(path, model, resumed) == epoch
+    assert load_training_checkpoint(path, model, resumed, epoch) == epoch
     assert resumed.step_count == step
 
 
