@@ -203,8 +203,15 @@ def cmd_train(args, out_dir: Path) -> int:
     settings = TrainSettings(**{f.name: getattr(args, f.name) for f in fields(TrainSettings)})
     name, config = _resolve_config(args)
     images, labels = _dataset(args, config)
+    # refuse bad data, and a bad checkpoint, before anything is written into --out
+    problem = config.images_problem(images.shape)
+    if problem:
+        raise ConfigError(problem)
+    if labels.min() < 0 or labels.max() >= config.num_classes:
+        raise ConfigError(f"labels must lie in [0, {config.num_classes}), "
+                          f"got {labels.min()} to {labels.max()}")
     model = build(config, seed=args.seed)
-    if args.resume:  # refuse a checkpoint before anything is written into --out
+    if args.resume:
         load_training_checkpoint(args.resume, model, AdamW(model.named_params()), settings.epochs)
     config.save_json(out_dir / "config.json")
     _manifest(args, out_dir, {"config": config.to_dict(), "model": name})

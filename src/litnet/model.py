@@ -79,9 +79,21 @@ class ModelConfig:
     def resolution_problem(self, resolution: int) -> str | None:
         """Why the stages cannot tile ``resolution`` exactly, or None."""
         total_patch = math.prod(spec.patch_size for spec in self.stages)
-        if total_patch < 1 or resolution < total_patch or resolution % total_patch:
+        if 0 < total_patch and resolution < total_patch:  # before 0 and -32 pass the next test
+            return (f"resolution {resolution} must be at least "
+                    f"the total downsampling factor {total_patch}")
+        if total_patch < 1 or resolution % total_patch:
             return (f"resolution {resolution} is not divisible by "
                     f"the total downsampling factor {total_patch}")
+        return None
+
+    def images_problem(self, shape: tuple[int, ...]) -> str | None:
+        """Why a batch of images of ``shape`` is not model input, or None."""
+        if len(shape) != 4 or shape[3] != 3:
+            return f"expected [N, H, W, 3] images, got shape {shape}"
+        if shape[1:3] != (self.resolution, self.resolution):
+            return (f"model was built for {self.resolution}x{self.resolution} input, "
+                    f"got {shape[1]}x{shape[2]}")
         return None
 
     def validate(self) -> list[str]:
@@ -399,12 +411,9 @@ class LitModel:
         """
         if not isinstance(images, Tensor):
             images = Tensor(np.asarray(images, dtype=self.dtype))
-        if images.ndim != 4 or images.shape[3] != 3:
-            raise ConfigError(f"expected [N, H, W, 3] images, got shape {images.shape}")
-        res = self.config.resolution
-        if images.shape[1] != res or images.shape[2] != res:
-            raise ConfigError(f"model was built for {res}x{res} input, "
-                              f"got {images.shape[1]}x{images.shape[2]}")
+        problem = self.config.images_problem(images.shape)
+        if problem:
+            raise ConfigError(problem)
         n = images.shape[0]
         grids = self.config.grids()
 

@@ -33,27 +33,39 @@ logits: whole rows of one head (under a bias, the nearest whole number of
 grid rows, at least one), whole heads when a head is smaller than a tile,
 or whole images when all of an image's heads are. For each tile the scaled
 logits are written into scratch with one matrix product and the bias is
-added from the window view. The tile is left unnormalised, as exp(z - row
-max), and its row sums come from one matrix-vector product with a column
-of ones. One more product writes its rows of the output, and only those
-[rows, d] rows are divided by the row sums, as FlashAttention-2 (Dao,
-arXiv 2307.08691) does. q, k and the table are checked once, up front: a
-non-finite value is refused, and when the bound 2 * (sqrt(d) max|q| max|k|
-+ max|table|) on every logit and every z - row max is below a quarter of
-the dtype's largest value, no tile can overflow and the tiles skip their
-own check. Otherwise each tile checks its minimum and row maxima, which
-catches a logit that overflows. The [N, heads, T, T] probabilities are
-built in full only when a tape records the op, whose backward pass reads
-them, or when the caller asks for them; they are then the kept tiles
-divided by the same row sums, so the output is the same bits on every
-path. Otherwise the output and the tile scratch are all the op allocates.
-Row tiles round their products differently from one full-size product,
-so float32 outputs are not bit-identical to the unfused
-``softmax(q k^T / sqrt(d) + bias) @ v``; they stay within 8 float32 ulps
-of max(P @ |v|), the largest sum of |terms| behind one output (3.35 was
-the worst measured). The table's gradient is scatter-added with one flat
-``np.bincount``, as is ``gather_last``'s, by a [T, T] slot index that only
-the backward pass forms.
+added from the window view. The tile is left unnormalised, as exp(z) or
+exp(z - row max), and its row sums come from one matrix-vector product
+with a column of ones. One more product writes its rows of the output,
+and only those [rows, d] rows are divided by the row sums, as
+FlashAttention-2 (Dao, arXiv 2307.08691) does. q, k and the table are
+checked once, up front: a non-finite value is refused, and when the bound
+2 * (sqrt(d) max|q| max|k| + max|table|) on every logit and every z - row
+max is below a quarter of the dtype's largest value, no tile can overflow
+and the tiles skip their own check. Otherwise each tile checks its
+minimum and row maxima, which catches a logit that overflows. Softmax is
+shift-invariant, which is also what the online normaliser of Milakov &
+Gimelshein (arXiv 1805.02867) rests on, so the row-max shift only keeps
+exp in range. When the tiles need no check, the tighter Cauchy-Schwarz
+bound B = max_i |q_i| max_j |k_j| / sqrt(d) + max|table| on every |z|
+decides whether they need the shift: when B < -ln(tiny), every exp(z) is
+a normal number, and when B + ln T + ln max(1, max|v|) < ln(max / 4),
+neither a row sum nor exp(z) @ v can overflow (tiny and max of the dtype,
+from ``np.finfo``). Then each tile takes exp(z) directly, with no row max
+and no subtract; otherwise it takes exp(z - row max). The row norms are
+reduced from the strided q and k views, in their dtype, with no
+full-size copy, and the choice is made once per call. The [N, heads, T, T]
+probabilities are built in full only when a tape records the op, whose
+backward pass reads them, or when the caller asks for them; they are then
+the kept tiles divided by the same row sums, so the output is the same
+bits whether taped, with probabilities or plain. Otherwise the output and
+the tile scratch are all the op allocates. Row tiles round their products
+differently from one full-size product, so float32 outputs are not
+bit-identical to the unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they
+stay within 8 float32 ulps of max(P @ |v|), the largest sum of |terms|
+behind one output (7.3 was the worst measured, on either exp path). The
+table's gradient is scatter-added with one flat ``np.bincount``, as is
+``gather_last``'s, by a [T, T] slot index that only the backward pass
+forms.
 
 ``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
 as one op, after the fused elementwise chains of "Data Movement Is All
@@ -454,15 +466,35 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.maximum(arr.max(), -arr.min())) if arr.size else 0.0
 
 
-def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, checked: bool) -> None:
-    """exp(z - row max) of each last-axis row of the logits tile ``z``, in
-    place, and the row sums into ``sums`` as one matrix-vector product
-    z @ ``ones``. When ``checked``, NaN and -inf in the tile minimum and +inf
-    in a row maximum raise NumericError before anything is written."""
-    zmax = z.max(axis=-1, keepdims=True)
-    if checked and not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
-        raise NumericError("non-finite attention logits")
-    np.subtract(z, zmax, out=z)
+def _unshifted_exp_fits(q: np.ndarray, k: np.ndarray, v: np.ndarray, s: float,
+                        table_peak: float, info: np.finfo) -> bool:
+    """Whether exp(z) of every logit z = s q_i . k_j + bias is safe without a
+    row-max shift. By Cauchy-Schwarz |z| <= B = s max_i |q_i| max_j |k_j| +
+    ``table_peak``. Safe means every exp(z) is a normal number (B < -ln tiny),
+    and no row sum or entry of exp(z) @ v reaches a quarter of the largest
+    value (B + ln T + ln max(1, max|v|) < ln(max / 4)), both from ``info``. The
+    squared row norms are taken over all images and heads in q's and k's
+    dtype, from their strided views; a norm that overflows makes the answer
+    False."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [math.sqrt(np.einsum("...i,...i->...", a, a).max(initial=0.0)) for a in (q, k)]
+        bound = s * norms[0] * norms[1] + table_peak
+    spread = math.log(k.shape[2]) + math.log(max(_max_abs(v), 1.0))
+    return bound < -math.log(info.tiny) and bound + spread < math.log(info.max / 4)
+
+
+def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, shift: bool,
+              checked: bool) -> None:
+    """exp(z - row max) of each last-axis row of the logits tile ``z``, or
+    exp(z) when not ``shift``, in place, and the row sums into ``sums`` as
+    one matrix-vector product z @ ``ones``. When ``checked`` (which implies
+    ``shift``), NaN and -inf in the tile minimum and +inf in a row maximum
+    raise NumericError before anything is written."""
+    if shift:
+        zmax = z.max(axis=-1, keepdims=True)
+        if checked and not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
+            raise NumericError("non-finite attention logits")
+        np.subtract(z, zmax, out=z)
     np.exp(z, out=z)
     np.matmul(z, ones, out=sums)
 
@@ -481,9 +513,12 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     adds one slice of it. Returns the [N, T, heads * d] output and the
     [N, heads, T, T] probabilities when ``with_probs`` is set, else None.
     The probabilities are built in full only when asked for or when a tape
-    records the op, whose backward pass needs them. Differentiable in
-    ``qkv`` and the table, whose gradient the backward pass sums by
-    ``relative_slot``; see the module docstring for the tiling.
+    records the op, whose backward pass needs them. The tiles exponentiate
+    the logits z directly when the Cauchy-Schwarz bound on |z| shows that
+    exp(z), the row sums and exp(z) @ v stay in range, and as exp(z - row
+    max) otherwise. Differentiable in ``qkv`` and the table, whose gradient
+    the backward pass sums by ``relative_slot``; see the module docstring
+    for the tiling and the two bounds.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads) or 0 in qkv.shape[1:]:
         raise ShapeError(f"attention: qkv {qkv.shape} is not [N, T, 3 * {heads} * d] with T, d > 0")
@@ -508,13 +543,16 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     dtype = np.result_type(*(x.data for x in inputs))
     # s |q_i . k_j| <= sqrt(d) max|q| max|k|, so every logit z lies within
     # bound of 0 and every z - row max within 2 * bound; when that is below a
-    # quarter of the dtype's largest value, no tile needs its own check
+    # quarter of the dtype's largest value, no tile needs its own check, and
+    # the tighter norm bound may show that no tile needs the shift either
     table = bias.data if bias is not None else np.zeros(0)
     peaks = [_max_abs(a) for a in (q, k, table)]
     if not all(map(math.isfinite, peaks)):
         raise NumericError("non-finite attention logits")
     bound = math.sqrt(d) * peaks[0] * peaks[1] + peaks[2]
-    checked = not 2 * bound < float(np.finfo(dtype).max) / 4
+    info = np.finfo(dtype)
+    checked = not 2 * bound < float(info.max) / 4
+    shift = checked or not _unshifted_exp_fits(q, k, v, s, peaks[2], info)
     out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
     probs = np.empty((n, heads, t, t), dtype) if with_probs or tape is not None else None
     # A tile is whole rows of one head, whole heads when a head fits in a
@@ -543,7 +581,7 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
                     zb = z.reshape(shape[:2] + (-1, gw, gh, gw))
                     np.add(zb, window[h0:h1, r0 // gw:r1 // gw], out=zb)
                 sums = sum_scratch[:cells].reshape(shape + (1,))
-                _exp_rows(z, ones, sums, checked)
+                _exp_rows(z, ones, sums, shift, checked)
                 o = np.matmul(z, v[b0:b1, h0:h1], out=out[b0:b1, r0:r1, h0:h1].swapaxes(1, 2))
                 o /= sums
                 if probs is not None:

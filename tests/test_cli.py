@@ -486,12 +486,31 @@ def nan_data(tmp_path, trained) -> str:
     return write_images(tmp_path / "data", images)
 
 
+def small_image_data(tmp_path, trained) -> str:
+    return write_images(tmp_path / "data", np.zeros((2, 32, 32, 3), dtype=np.float32))
+
+
+def label_99_data(tmp_path, trained) -> str:
+    path = write_images(tmp_path / "data", np.zeros((2, 64, 64, 3), dtype=np.float32))
+    np.save(tmp_path / "data" / "labels.npy", np.array([0, 99]))
+    return path
+
+
 # case: (argv, in which a function of (tmp_path, trained) stands for the path
 # it writes; exit code; message)
 BAD_INPUT = {
     "audit_resolution": (["audit", "--resolution", "100"], cli.EXIT_CONFIG,
                          "config error: resolution 100 is not divisible by the total "
                          "downsampling factor 32"),
+    "audit_resolution_zero": (["audit", "--resolution", "0"], cli.EXIT_CONFIG,
+                              "config error: resolution 0 must be at least the total "
+                              "downsampling factor 32"),
+    "audit_resolution_negative": (["audit", "--resolution", "-32"], cli.EXIT_CONFIG,
+                                  "config error: resolution -32 must be at least the total "
+                                  "downsampling factor 32"),
+    "audit_resolution_48": (["audit", "--resolution", "48"], cli.EXIT_CONFIG,
+                            "config error: resolution 48 is not divisible by the total "
+                            "downsampling factor 32"),
     "audit_over_budget": (["audit", "--config", over_budget_config], cli.EXIT_TOLERANCE,
                           "overall: FAIL"),
     "verify_kernel": (["verify", "--kernel", "9"], cli.EXIT_CONFIG,
@@ -499,6 +518,12 @@ BAD_INPUT = {
     "train_missing_resume": (["train", "--epochs", "1", "--num-images", "4", "--resume",
                               lambda tmp_path, trained: str(tmp_path / "missing.litckpt")],
                              cli.EXIT_CONFIG, "error: [Errno 2] No such file or directory"),
+    "train_small_images": (["train", "--epochs", "1", "--data", small_image_data],
+                           cli.EXIT_CONFIG,
+                           "config error: model was built for 64x64 input, got 32x32"),
+    "train_label_out_of_range": (["train", "--epochs", "1", "--data", label_99_data],
+                                 cli.EXIT_CONFIG,
+                                 "config error: labels must lie in [0, 10), got 0 to 99"),
     "inspect_query_not_a_point": (["inspect", "--mode", "attn", "--query", "1;2"],
                                   cli.EXIT_CONFIG, "config error: --query must be 'y,x', got '1;2'"),
     "inspect_token_not_a_point": (["inspect", "--mode", "offsets", "--token", "a,b"],

@@ -4,6 +4,7 @@ oracles."""
 import importlib
 import math
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -164,7 +165,12 @@ def run_attention(q, k, v, table=None, with_probs=False):
 # Row tiles round their matrix products differently from one full-size
 # product, so the float32 output is not bit-identical to the unfused path.
 # It stays within this many float32 ulps of max(P @ |v|), the largest sum
-# of |terms| behind one output; the worst measured was 3.35.
+# of |terms| behind one output. The worst measured over this file's float32
+# stage-shape and TILE_EDGES inputs was 7.03 on the unshifted exp path and
+# 7.32 on the shifted one (heads_not_dividing with a bias) against the
+# float32 unfused path, and 4.75 and 4.61 against a float64 unfused one;
+# over the four stage shapes at seeds 21-25, 6.96 and 7.98 against float32
+# and 6.67 and 5.52 against float64.
 ATTENTION_ULPS = 8
 
 
@@ -172,12 +178,39 @@ def attention_ulps(got, want, probs, v) -> float:
     return float(np.abs(got - want).max() / (EPS32 * (probs @ np.abs(v)).max()))
 
 
+@contextmanager
+def exp_path(path=None):
+    """Spy on ``_exp_rows`` and yield the list of ``shift`` flags ``attention``
+    gives its tiles. On the "shifted" path every tile is made to subtract
+    its row maxima, which is safe for any logits; the "unshifted" path
+    asserts at exit that every tile took exp(z) directly, as O(1) inputs
+    do; None only records."""
+    shifts = []
+    exp_rows = tensor_module._exp_rows
+
+    def spy(z, ones, sums, shift, checked):
+        shifts.append(shift)
+        exp_rows(z, ones, sums, shift or path == "shifted", checked)
+
+    with mock.patch.object(tensor_module, "_exp_rows", spy):
+        yield shifts
+    if path == "unshifted":
+        assert shifts and not any(shifts)
+
+
+# each oracle test below runs both paths on the same inputs
+EXP_PATHS = ["unshifted", "shifted"]
+
+
 def test_attention_matches_the_loop_oracle():
     rng = np.random.default_rng(20)
     q, k, v = attention_inputs(rng, 2, 3, 6, 4, np.float64)
     table = bias_table(rng, 3, (2, 3), np.float64)
-    got, _ = run_attention(q, k, v, table)
-    assert np.abs(got - attention_loop(q, k, v, table)).max() < 1e-12
+    want = attention_loop(q, k, v, table)
+    for path in EXP_PATHS:
+        with exp_path(path):
+            got, _ = run_attention(q, k, v, table)
+        assert np.abs(got - want).max() < 1e-12, path
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -187,13 +220,15 @@ def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, 
     rng = np.random.default_rng(21)
     q, k, v = attention_inputs(rng, n, heads, grid * grid, 32, dtype)
     table = bias_table(rng, heads, (grid, grid), dtype)
-    got, _ = run_attention(q, k, v, table)
     want, probs = unfused_attention(q, k, v, table)
-    assert got.dtype == dtype
-    if dtype == np.float64:
-        assert np.abs(got - want).max() < 1e-12
-    else:
-        assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+    for path in EXP_PATHS:
+        with exp_path(path):
+            got, _ = run_attention(q, k, v, table)
+        assert got.dtype == dtype
+        if dtype == np.float64:
+            assert np.abs(got - want).max() < 1e-12, path
+        else:
+            assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS, path
 
 
 # [N, heads, T] and a tile size without a bias, and [N, heads, (H, W)] with
@@ -222,10 +257,11 @@ def test_attention_tile_edges_match_the_unfused_path(case, with_bias):
     n, heads, t, tile = (n, heads, grid[0] * grid[1], _ATTN_TILE) if with_bias else plain
     q, k, v = attention_inputs(rng, n, heads, t, 8)
     table = bias_table(rng, heads, grid) if with_bias else None
-    with mock.patch.object(tensor_module, "_ATTN_TILE", tile):
-        got, _ = run_attention(q, k, v, table)
     want, probs = unfused_attention(q, k, v, table)
-    assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+    for path in EXP_PATHS:
+        with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path(path):
+            got, _ = run_attention(q, k, v, table)
+        assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS, path
 
 
 def test_attention_on_a_tape_equals_the_eval_result():
@@ -276,13 +312,32 @@ def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
     flags = []
     exp_rows = tensor_module._exp_rows
 
-    def spy(z, ones, sums, checked):
+    def spy(z, ones, sums, shift, checked):
         flags.append(checked)
-        exp_rows(z, ones, sums, checked)
+        exp_rows(z, ones, sums, shift, checked)
 
     with mock.patch.object(tensor_module, "_exp_rows", spy):
         got, _ = run_attention(q, k, v, table)
     assert flags and all(flags)
+    want, probs = unfused_attention(q, k, v, table)
+    assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+
+
+@pytest.mark.parametrize("entry,v_peak", [(200.0, None), (30.0, 1e30)],
+                         ids=["table_entry_200", "v_peak_1e30"])
+def test_attention_shifts_when_unshifted_exp_could_overflow(entry, v_peak):
+    # exp(200) is past float32's range; exp(30) is not, but exp(30) * 1e30
+    # in exp(z) @ v is, so the norm bound alone would not see it
+    rng = np.random.default_rng(31)
+    q, k, v = attention_inputs(rng, 1, 2, 30, 4)
+    table = bias_table(rng, 2, (5, 6))
+    table[1, 8, 7] = entry
+    if v_peak is not None:
+        v *= np.float32(v_peak) / np.abs(v).max()
+    with exp_path() as shifts:
+        got, _ = run_attention(q, k, v, table)
+    assert shifts and all(shifts)
+    assert np.isfinite(got).all()
     want, probs = unfused_attention(q, k, v, table)
     assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
