@@ -89,9 +89,10 @@ def msa_flops(tokens: int, channels: int) -> int:
     return 4 * tokens * channels * channels + 2 * tokens * tokens * channels
 
 
-def offset_predictor_params(cin: int, kernel: int = 2) -> int:
-    """Closed-form parameter count of the offset-predicting conv."""
-    k2 = kernel * kernel
+def offset_predictor_params(cin: int) -> int:
+    """Closed-form parameter count of the offset-predicting conv: its 2x2
+    kernel predicts a (dy, dx) pair for each of the merge kernel's 2x2 taps."""
+    k2 = 2 * 2
     return 2 * k2 * (k2 * cin + 1)
 
 

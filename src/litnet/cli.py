@@ -26,7 +26,8 @@ from .exports import (format_audit_text, format_cost_text, write_attention_expor
                       write_train_log)
 from .model import (MERGE_DTM, ForwardRecord, ModelConfig, PRESET_NAMES, build,
                     preset, toy_config)
-from .train import AdamW, TrainSettings, load_training_checkpoint, run_training
+from .train import (AdamW, TrainSettings, check_run_counters, load_training_checkpoint,
+                    run_training)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,13 +204,15 @@ def cmd_train(args, out_dir: Path) -> int:
     settings = TrainSettings(**{f.name: getattr(args, f.name) for f in fields(TrainSettings)})
     name, config = _resolve_config(args)
     images, labels = _dataset(args, config)
-    # refuse bad data, and a bad checkpoint, before anything is written into --out
+    # refuse bad data, a run too long to checkpoint and a bad checkpoint before
+    # anything is written into --out
     problem = config.images_problem(images.shape)
     if problem:
         raise ConfigError(problem)
     if labels.min() < 0 or labels.max() >= config.num_classes:
         raise ConfigError(f"labels must lie in [0, {config.num_classes}), "
                           f"got {labels.min()} to {labels.max()}")
+    check_run_counters(len(images), settings)
     model = build(config, seed=args.seed)
     if args.resume:
         load_training_checkpoint(args.resume, model, AdamW(model.named_params()), settings.epochs)

@@ -118,15 +118,19 @@ def load_dataset_dir(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"images.npy must be [N, H, W, 3], got {images.shape}")
     if images.shape[0] == 0:
         raise ConfigError(f"{path} holds no images")
-    # min and max carry any NaN or +-inf without a full-size boolean array
-    if images.dtype.kind == "f" and not (np.isfinite(images.min()) and np.isfinite(images.max())):
-        raise ConfigError(f"{images_path} holds non-finite pixels")
     if labels.shape != (images.shape[0],):
         raise ConfigError(f"labels.npy shape {labels.shape} does not match {images.shape[0]} images")
     # a cast to int64 would truncate 1.7 to 1 and wrap what int64 cannot hold
     if labels.dtype.kind == "f" and not np.all((labels == np.trunc(labels))
                                                & (np.abs(labels) < 2.0 ** 63)):
         raise ConfigError(f"{labels_path} holds labels that are not whole numbers")
-    if images.dtype == np.uint8:
-        images = images.astype(np.float32) / 255.0
-    return images.astype(np.float32), labels.astype(np.int64)
+    # checked after the cast, which turns a pixel past float32's range into
+    # inf; min and max carry any NaN or +-inf without a full-size boolean array
+    from_uint8 = images.dtype == np.uint8
+    with np.errstate(over="ignore"):
+        images = images.astype(np.float32)
+    if from_uint8:
+        images /= 255.0
+    if not (np.isfinite(images.min()) and np.isfinite(images.max())):
+        raise ConfigError(f"{images_path} holds non-finite pixels once cast to float32")
+    return images, labels.astype(np.int64)

@@ -120,16 +120,16 @@ def padded_conv(x: Tensor, conv_w: np.ndarray) -> Tensor:
     return conv2d(x, Tensor(conv_w), stride=1, padding=(conv_w.shape[0] - 1) // 2)
 
 
-def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
-                          shifts: Shifts | None = None) -> float:
-    """Max abs deviation between the two routes on interior pixels.
+def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray) -> float:
+    """Max abs deviation between the two routes, with heads in tap order, on
+    interior pixels.
 
     Outputs align by pixel index in both parities; for even K the
     symmetric-padding conv output is smaller than the grid, but it still
     covers every interior pixel. A grid without one raises ConfigError.
     """
     x = Tensor(np.asarray(image, dtype=np.float64)[None])
-    got = attention_as_conv(x, conv_w, shifts).data[0]
+    got = attention_as_conv(x, conv_w).data[0]
     want = padded_conv(x, conv_w).data[0]
     (h, w), kernel = image.shape[:2], conv_w.shape[0]
     ys, xs = np.nonzero(interior_mask((h, w), kernel))
@@ -138,19 +138,18 @@ def msa_vs_conv_deviation(image: np.ndarray, conv_w: np.ndarray,
     return float(np.abs(got[ys, xs] - want[ys, xs]).max())
 
 
-def verify_fc_equals_1x1_conv(w: np.ndarray, rng: np.random.Generator | None = None,
-                              dtype=np.float64) -> float:
+def verify_fc_equals_1x1_conv(w: np.ndarray, rng: np.random.Generator | None = None) -> float:
     """Apply one weight matrix as a per-pixel FC layer and as a 1x1 conv.
 
-    Returns the max abs deviation between the two routes on a random
-    image with entries in [-1, 1].
+    Returns the max abs deviation between the two routes, in float64, on a
+    random image with entries in [-1, 1].
     """
-    w = np.asarray(w, dtype=dtype)
+    w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ConfigError(f"expected a [Cin, Cout] matrix, got shape {w.shape}")
     rng = rng or np.random.default_rng(0)
     cin = w.shape[0]
-    image = rng.uniform(-1.0, 1.0, size=(5, 6, cin)).astype(dtype)
+    image = rng.uniform(-1.0, 1.0, size=(5, 6, cin))
 
     tokens = Tensor(image.reshape(1, 30, cin))
     fc = matmul(tokens, Tensor(w)).data.reshape(5, 6, -1)
@@ -168,15 +167,14 @@ class ReceptiveFieldReport:
     """Influence of input pixels on one query pixel's output.
 
     ``masks[d]`` marks the input pixels whose gradient magnitude exceeds
-    ``threshold`` (relative to the strongest pixel) after the first d + 1
-    layers; ``k_eff`` is the bounding-box side of the final mask.
+    ``INFLUENCE_THRESHOLD`` (relative to the strongest pixel) after the
+    first d + 1 layers; ``k_eff`` is the bounding-box side of the final mask.
     """
 
     query: tuple[int, int]
     masks: list[np.ndarray]
     magnitudes: list[np.ndarray]
     k_eff: int
-    threshold: float = INFLUENCE_THRESHOLD
 
 
 def _mask_extent(mask: np.ndarray) -> int:

@@ -7,19 +7,22 @@ import numpy as np
 from .tensor import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within two std."""
-    out = rng.normal(0.0, std, size=shape)
-    bound = 2.0 * std
+WEIGHT_STD = 0.02
+
+
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, WEIGHT_STD) resampled until every draw lies within two std."""
+    out = rng.normal(0.0, WEIGHT_STD, size=shape)
+    bound = 2.0 * WEIGHT_STD
     bad = np.abs(out) > bound
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        out[bad] = rng.normal(0.0, WEIGHT_STD, size=int(bad.sum()))
         bad = np.abs(out) > bound
     return out
 
 
-def weight(rng: np.random.Generator, shape, dtype=np.float32, std: float = 0.02) -> Tensor:
-    return Tensor(trunc_normal(rng, shape, std).astype(dtype), requires_grad=True)
+def weight(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
+    return Tensor(trunc_normal(rng, shape).astype(dtype), requires_grad=True)
 
 
 def zeros(shape, dtype=np.float32) -> Tensor:

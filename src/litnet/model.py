@@ -116,13 +116,16 @@ class ModelConfig:
                 problems.append(f"{tag}: depth must be >= 1, got {spec.depth}")
             if spec.expansion < 1:
                 problems.append(f"{tag}: expansion must be >= 1, got {spec.expansion}")
+            if spec.channels < 1:
+                problems.append(f"{tag}: channels must be >= 1, got {spec.channels}")
             if spec.block_kind not in (BLOCK_MLP, BLOCK_TRANSFORMER):
                 problems.append(f"{tag}: unknown block_kind {spec.block_kind!r}")
-            elif (spec.block_kind == BLOCK_MLP) != (spec.heads == 0):
+            elif spec.block_kind == BLOCK_MLP and spec.heads != 0:
                 problems.append(f"{tag}: block_kind {spec.block_kind!r} is inconsistent "
                                 f"with heads={spec.heads} (mlp blocks have 0 heads)")
-            if spec.block_kind == BLOCK_TRANSFORMER and spec.heads > 0 \
-                    and spec.channels % spec.heads:
+            elif spec.block_kind == BLOCK_TRANSFORMER and spec.heads < 1:
+                problems.append(f"{tag}: transformer blocks need heads >= 1, got {spec.heads}")
+            elif spec.block_kind == BLOCK_TRANSFORMER and spec.channels % spec.heads:
                 problems.append(f"{tag}: channels {spec.channels} not divisible "
                                 f"by heads {spec.heads}")
             if idx == 1:
@@ -221,12 +224,12 @@ def preset(name: str) -> ModelConfig:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}") from None
 
 
-def toy_config(num_classes: int = 10, resolution: int = 64,
-               merge_kind: str = MERGE_DTM) -> ModelConfig:
-    """Width-reduced stock layout for synthetic-data experiments."""
+def toy_config(merge_kind: str = MERGE_DTM) -> ModelConfig:
+    """Width-reduced stock layout for synthetic-data experiments: 10
+    classes at 64x64."""
     stages = _stages([16, 32, 48, 64], [1, 1, 2, 1], [0, 0, 3, 4], [4, 4, 4, 4], _MLP2, merge_kind)
     return ModelConfig(stages=stages, positional_encoding="relative",
-                       num_classes=num_classes, resolution=resolution)
+                       num_classes=10, resolution=64)
 
 
 def ablate(config: ModelConfig, remove_msa_stages: Iterable[int]) -> ModelConfig:

@@ -37,23 +37,22 @@ added from the window view. The tile is left unnormalised, as exp(z) or
 exp(z - row max), and its row sums come from one matrix-vector product
 with a column of ones. One more product writes its rows of the output,
 and only those [rows, d] rows are divided by the row sums, as
-FlashAttention-2 (Dao, arXiv 2307.08691) does. q, k and the table are
-checked once, up front: a non-finite value is refused, and when the bound
-2 * (sqrt(d) max|q| max|k| + max|table|) on every logit and every z - row
-max is below a quarter of the dtype's largest value, no tile can overflow
-and the tiles skip their own check. Otherwise each tile checks its
-minimum and row maxima, which catches a logit that overflows. Softmax is
+FlashAttention-2 (Dao, arXiv 2307.08691) does. Softmax is
 shift-invariant, which is also what the online normaliser of Milakov &
 Gimelshein (arXiv 1805.02867) rests on, so the row-max shift only keeps
-exp in range. When the tiles need no check, the tighter Cauchy-Schwarz
-bound B = max_i |q_i| max_j |k_j| / sqrt(d) + max|table| on every |z|
-decides whether they need the shift: when B < -ln(tiny), every exp(z) is
-a normal number, and when B + ln T + ln max(1, max|v|) < ln(max / 4),
-neither a row sum nor exp(z) @ v can overflow (tiny and max of the dtype,
-from ``np.finfo``). Then each tile takes exp(z) directly, with no row max
-and no subtract; otherwise it takes exp(z - row max). The row norms are
-reduced from the strided q and k views, in their dtype, with no
-full-size copy, and the choice is made once per call. The [N, heads, T, T]
+exp in range. One Cauchy-Schwarz bound per call, B = max_i |q_i| max_j
+|k_j| / sqrt(d) + max|table| on every logit |z|, picks the mode of all
+tiles. When B < -ln(tiny), every exp(z) is a normal number, and when
+B + ln T + ln max(1, max|v|) < ln(max / 4), neither a row sum nor
+exp(z) @ v can overflow (tiny and max of the dtype, from ``np.finfo``);
+then each tile takes exp(z) directly, with no row max, subtract or check.
+Otherwise each tile first checks its minimum and row maxima, which
+refuses a non-finite or overflowing logit before it writes anything, and
+takes exp(z - row max). A NaN or infinity in q, k or the table, or a
+squared norm that overflows, fails B, and every table entry is the bias
+of some (query, key) pair, so every bad logit meets a check. The row
+norms are reduced from the strided q and k views, in their dtype, with
+no full-size copy. The [N, heads, T, T]
 probabilities are built in full only when a tape records the op, whose
 backward pass reads them, or when the caller asks for them; they are then
 the kept tiles divided by the same row sums, so the output is the same
@@ -474,8 +473,8 @@ def _unshifted_exp_fits(q: np.ndarray, k: np.ndarray, v: np.ndarray, s: float,
     and no row sum or entry of exp(z) @ v reaches a quarter of the largest
     value (B + ln T + ln max(1, max|v|) < ln(max / 4)), both from ``info``. The
     squared row norms are taken over all images and heads in q's and k's
-    dtype, from their strided views; a norm that overflows makes the answer
-    False."""
+    dtype, from their strided views; a norm that overflows, or a NaN or
+    infinity in q, k, v or ``table_peak``, makes the answer False."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [math.sqrt(np.einsum("...i,...i->...", a, a).max(initial=0.0)) for a in (q, k)]
         bound = s * norms[0] * norms[1] + table_peak
@@ -483,16 +482,15 @@ def _unshifted_exp_fits(q: np.ndarray, k: np.ndarray, v: np.ndarray, s: float,
     return bound < -math.log(info.tiny) and bound + spread < math.log(info.max / 4)
 
 
-def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, shift: bool,
-              checked: bool) -> None:
-    """exp(z - row max) of each last-axis row of the logits tile ``z``, or
-    exp(z) when not ``shift``, in place, and the row sums into ``sums`` as
-    one matrix-vector product z @ ``ones``. When ``checked`` (which implies
-    ``shift``), NaN and -inf in the tile minimum and +inf in a row maximum
-    raise NumericError before anything is written."""
+def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, shift: bool) -> None:
+    """exp(z - row max) of each last-axis row of the logits tile ``z`` when
+    ``shift``, else exp(z), in place, and the row sums into ``sums`` as one
+    matrix-vector product z @ ``ones``. A shifted tile is checked first: NaN
+    and -inf in its minimum and +inf in a row maximum raise NumericError
+    before anything is written."""
     if shift:
         zmax = z.max(axis=-1, keepdims=True)
-        if checked and not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
+        if not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
             raise NumericError("non-finite attention logits")
         np.subtract(z, zmax, out=z)
     np.exp(z, out=z)
@@ -515,10 +513,10 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     The probabilities are built in full only when asked for or when a tape
     records the op, whose backward pass needs them. The tiles exponentiate
     the logits z directly when the Cauchy-Schwarz bound on |z| shows that
-    exp(z), the row sums and exp(z) @ v stay in range, and as exp(z - row
-    max) otherwise. Differentiable in ``qkv`` and the table, whose gradient
-    the backward pass sums by ``relative_slot``; see the module docstring
-    for the tiling and the two bounds.
+    exp(z), the row sums and exp(z) @ v stay in range, and otherwise check
+    the tile and take exp(z - row max). Differentiable in ``qkv`` and the
+    table, whose gradient the backward pass sums by ``relative_slot``; see
+    the module docstring for the tiling and the bound.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads) or 0 in qkv.shape[1:]:
         raise ShapeError(f"attention: qkv {qkv.shape} is not [N, T, 3 * {heads} * d] with T, d > 0")
@@ -541,18 +539,8 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     tape = _recording_tape(inputs)
     s = 1.0 / math.sqrt(d)
     dtype = np.result_type(*(x.data for x in inputs))
-    # s |q_i . k_j| <= sqrt(d) max|q| max|k|, so every logit z lies within
-    # bound of 0 and every z - row max within 2 * bound; when that is below a
-    # quarter of the dtype's largest value, no tile needs its own check, and
-    # the tighter norm bound may show that no tile needs the shift either
-    table = bias.data if bias is not None else np.zeros(0)
-    peaks = [_max_abs(a) for a in (q, k, table)]
-    if not all(map(math.isfinite, peaks)):
-        raise NumericError("non-finite attention logits")
-    bound = math.sqrt(d) * peaks[0] * peaks[1] + peaks[2]
-    info = np.finfo(dtype)
-    checked = not 2 * bound < float(info.max) / 4
-    shift = checked or not _unshifted_exp_fits(q, k, v, s, peaks[2], info)
+    table_peak = _max_abs(bias.data) if bias is not None else 0.0
+    shift = not _unshifted_exp_fits(q, k, v, s, table_peak, np.finfo(dtype))
     out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
     probs = np.empty((n, heads, t, t), dtype) if with_probs or tape is not None else None
     # A tile is whole rows of one head, whole heads when a head fits in a
@@ -581,7 +569,7 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
                     zb = z.reshape(shape[:2] + (-1, gw, gh, gw))
                     np.add(zb, window[h0:h1, r0 // gw:r1 // gw], out=zb)
                 sums = sum_scratch[:cells].reshape(shape + (1,))
-                _exp_rows(z, ones, sums, shift, checked)
+                _exp_rows(z, ones, sums, shift)
                 o = np.matmul(z, v[b0:b1, h0:h1], out=out[b0:b1, r0:r1, h0:h1].swapaxes(1, 2))
                 o /= sums
                 if probs is not None:

@@ -190,15 +190,26 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _refuse_counters(step: int, epoch: int) -> None:
+    for name, value in (("epoch", epoch), ("optimizer step", step)):
+        if value >= COUNTER_LIMIT:
+            raise ConfigError(f"cannot checkpoint {name} {value}: checkpoints store it "
+                              "as float32, which is exact only below 2**24")
+
+
+def check_run_counters(n: int, settings: TrainSettings) -> None:
+    """Raise ConfigError, before anything trains, when the last optimizer step
+    or epoch of a run over ``n`` images is a counter that
+    ``save_training_checkpoint`` would refuse."""
+    _refuse_counters(math.ceil(n / settings.batch_size) * settings.epochs, settings.epochs)
+
+
 def save_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW,
                              epoch: int) -> None:
     """Write the model, optimizer and epoch. ``opt.step`` and ``meta.epoch``
     are stored as float32, which holds every integer only below 2**24, so a
     larger counter raises ConfigError instead of resuming from a rounded one."""
-    for name, value in (("optimizer step", optimizer.step_count), ("epoch", epoch)):
-        if value >= COUNTER_LIMIT:
-            raise ConfigError(f"cannot checkpoint {name} {value}: checkpoints store it "
-                              "as float32, which is exact only below 2**24")
+    _refuse_counters(optimizer.step_count, epoch)
     state = model.named_state()
     state.update(optimizer.state_arrays())
     state["meta.epoch"] = np.array([epoch], dtype=np.float32)
@@ -229,10 +240,14 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
                  settings: TrainSettings, out_dir: Path | None = None,
                  resume: Path | None = None,
                  on_epoch: Callable[[EpochStats], None] | None = None) -> TrainResult:
-    """Train to the epoch budget; deterministic under (settings.seed, data)."""
+    """Train to the epoch budget; deterministic under (settings.seed, data).
+    With an ``out_dir`` to checkpoint into, a run whose counters a checkpoint
+    cannot store is refused before it trains."""
     n = len(images)
     if n == 0:
         raise ConfigError("empty training set")
+    if out_dir is not None:
+        check_run_counters(n, settings)
     steps_per_epoch = math.ceil(n / settings.batch_size)
     total_steps = settings.epochs * steps_per_epoch
     warmup_steps = int(round(settings.warmup_frac * total_steps))

@@ -486,6 +486,25 @@ def nan_data(tmp_path, trained) -> str:
     return write_images(tmp_path / "data", images)
 
 
+def float32_overflow_data(tmp_path, trained) -> str:
+    # finite as float64, but inf once cast to float32
+    images = np.zeros((1, 64, 64, 3))
+    images[0, 9, 9, 0] = 1e39
+    return write_images(tmp_path / "data", images)
+
+
+def toy_config_with(stage: int, **changes):
+    """A function of (tmp_path, trained) that writes the toy config with
+    ``changes`` to stage ``stage`` and returns the file's path."""
+    def write(tmp_path, trained) -> str:
+        data = toy_config().to_dict()
+        data["stages"][stage - 1].update(changes)
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+    return write
+
+
 def small_image_data(tmp_path, trained) -> str:
     return write_images(tmp_path / "data", np.zeros((2, 32, 32, 3), dtype=np.float32))
 
@@ -513,6 +532,11 @@ BAD_INPUT = {
                             "downsampling factor 32"),
     "audit_over_budget": (["audit", "--config", over_budget_config], cli.EXIT_TOLERANCE,
                           "overall: FAIL"),
+    "audit_stage1_channels_zero": (["audit", "--config", toy_config_with(1, channels=0)],
+                                   cli.EXIT_CONFIG, "stage 1: channels must be >= 1, got 0"),
+    "audit_stage3_heads_negative": (["audit", "--config", toy_config_with(3, heads=-3)],
+                                    cli.EXIT_CONFIG,
+                                    "stage 3: transformer blocks need heads >= 1, got -3"),
     "verify_kernel": (["verify", "--kernel", "9"], cli.EXIT_CONFIG,
                       "config error: --kernel must lie in 1-4"),
     "train_missing_resume": (["train", "--epochs", "1", "--num-images", "4", "--resume",
@@ -524,12 +548,27 @@ BAD_INPUT = {
     "train_label_out_of_range": (["train", "--epochs", "1", "--data", label_99_data],
                                  cli.EXIT_CONFIG,
                                  "config error: labels must lie in [0, 10), got 0 to 99"),
+    "train_stage1_channels_negative": (["train", "--epochs", "1", "--num-images", "1",
+                                        "--config", toy_config_with(1, channels=-16)],
+                                       cli.EXIT_CONFIG, "stage 1: channels must be >= 1, got -16"),
+    "train_float32_overflow_pixel": (["train", "--epochs", "1", "--data", float32_overflow_data],
+                                     cli.EXIT_CONFIG, "images.npy holds non-finite pixels"),
+    # 2**24 epochs of one step each: refused before the first step, not at the last one
+    "train_epochs_past_the_checkpoint_counters": (["train", "--epochs", str(2 ** 24),
+                                                   "--num-images", "1"], cli.EXIT_CONFIG,
+                                                  "config error: cannot checkpoint epoch 16777216"),
     "inspect_query_not_a_point": (["inspect", "--mode", "attn", "--query", "1;2"],
                                   cli.EXIT_CONFIG, "config error: --query must be 'y,x', got '1;2'"),
     "inspect_token_not_a_point": (["inspect", "--mode", "offsets", "--token", "a,b"],
                                   cli.EXIT_CONFIG, "config error: --token must be 'y,x', got 'a,b'"),
     "inspect_nan_pixel": (["inspect", "--mode", "offsets", "--data", nan_data], cli.EXIT_CONFIG,
                           "images.npy holds non-finite pixels"),
+    "inspect_float32_overflow_pixel": (["inspect", "--mode", "attn", "--data",
+                                        float32_overflow_data], cli.EXIT_CONFIG,
+                                       "images.npy holds non-finite pixels"),
+    "inspect_stage1_channels_zero": (["inspect", "--mode", "attn", "--num-images", "1",
+                                      "--config", toy_config_with(1, channels=0)],
+                                     cli.EXIT_CONFIG, "stage 1: channels must be >= 1, got 0"),
     "inspect_nan_weight": (["inspect", "--mode", "attn", "--num-images", "1", "--checkpoint",
                             nan_checkpoint], cli.EXIT_NUMERIC,
                            "numeric error: stage3.block0: non-finite values produced by matmul"),

@@ -14,11 +14,14 @@ from scipy.special import erf
 
 from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop, matmul_loop,
                      relative_index_loop)
+from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
+from litnet.model import build, toy_config
 from litnet.tensor import (_ATTN_TILE, _BLOCK, BatchNormState, Tape, Tensor, add, attention,
                            batch_norm, conv2d, deform_sample, gather_last, gelu, layer_norm,
                            matmul, mul, reshape, residual_mlp, scale, softmax,
                            softmax_cross_entropy, sum_all, tensor, transpose)
+from litnet.train import AdamW, train_step
 
 # the module itself: the package binds ``litnet.tensor`` to the tensor() factory
 tensor_module = importlib.import_module("litnet.tensor")
@@ -188,9 +191,9 @@ def exp_path(path=None):
     shifts = []
     exp_rows = tensor_module._exp_rows
 
-    def spy(z, ones, sums, shift, checked):
+    def spy(z, ones, sums, shift):
         shifts.append(shift)
-        exp_rows(z, ones, sums, shift or path == "shifted", checked)
+        exp_rows(z, ones, sums, shift or path == "shifted")
 
     with mock.patch.object(tensor_module, "_exp_rows", spy):
         yield shifts
@@ -302,8 +305,9 @@ def test_attention_rejects_non_finite_values(where, bad, message):
 
 
 def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
-    # max|q| = max|k| = 1e19 put the up-front bound past float32's range, but
-    # the large entries meet only zeros, so every logit stays small
+    # max_i |q_i| = max_j |k_j| = 1e19 put the Cauchy-Schwarz bound past
+    # exp's range, so every tile shifts and is checked, but the large
+    # entries meet only zeros, so every logit stays small
     rng = np.random.default_rng(29)
     q, k, v = attention_inputs(rng, 1, 2, 30, 4)
     table = bias_table(rng, 2, (5, 6))
@@ -312,9 +316,9 @@ def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
     flags = []
     exp_rows = tensor_module._exp_rows
 
-    def spy(z, ones, sums, shift, checked):
-        flags.append(checked)
-        exp_rows(z, ones, sums, shift, checked)
+    def spy(z, ones, sums, shift):
+        flags.append(shift)
+        exp_rows(z, ones, sums, shift)
 
     with mock.patch.object(tensor_module, "_exp_rows", spy):
         got, _ = run_attention(q, k, v, table)
@@ -340,6 +344,16 @@ def test_attention_shifts_when_unshifted_exp_could_overflow(entry, v_peak):
     assert np.isfinite(got).all()
     want, probs = unfused_attention(q, k, v, table)
     assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+
+
+def test_a_toy_train_step_takes_the_unshifted_path_in_every_tile():
+    # the toy model's train step at batch 32 and 64 px, forward and taped,
+    # exponentiates every attention tile without the row-max shift or check
+    model = build(toy_config(), seed=7)
+    images, labels = synthetic_dataset(32, seed=7)
+    with exp_path("unshifted") as shifts:
+        train_step(model, images, labels, AdamW(model.named_params()))
+    assert len(shifts) >= sum(spec.depth for spec in toy_config().stages[2:])
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
@@ -500,7 +514,7 @@ def test_attention_property_rejects_non_finite_logits(case, bad, where, seed):
     target = table if where == "table" and table is not None else k if where == "k" else q
     target[tuple(rng.integers(0, e) for e in target.shape)] = bad
     with mock.patch.object(tensor_module, "_ATTN_TILE", tile), \
-            np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            np.errstate(invalid="ignore"), pytest.raises(NumericError, match="attention logits"):
         run_attention(q, k, v, table)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import micro_config
+from litnet import train as train_module
 from litnet.data import synthetic_dataset
 from litnet.errors import ConfigError, NumericError
 from litnet.model import build, toy_config
@@ -150,6 +151,22 @@ def test_a_counter_float32_cannot_hold_is_not_checkpointed(tmp_path, step, epoch
     resumed = AdamW(model.named_params())
     assert load_training_checkpoint(path, model, resumed, epoch) == epoch
     assert resumed.step_count == step
+
+
+def test_a_run_a_checkpoint_cannot_count_is_refused_before_it_trains(tmp_path, monkeypatch):
+    # under a limit of 3, this run of 4 one-step epochs would end at epoch
+    # and step 4, and its final checkpoint would be refused
+    monkeypatch.setattr(train_module, "COUNTER_LIMIT", 3)
+    model = build(micro_config(num_classes=3), seed=0)
+    before = model.named_state()
+    images, labels = synthetic_dataset(4, seed=0, size=32, num_classes=3)
+    epochs = []
+    with pytest.raises(ConfigError, match="cannot checkpoint epoch 4"):
+        run_training(model, images, labels, TrainSettings(epochs=4, batch_size=4),
+                     out_dir=tmp_path / "out", on_epoch=epochs.append)
+    assert epochs == [] and not (tmp_path / "out").exists()
+    after = model.named_state()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
 def test_offset_lr_zero_freezes_offsets_exactly():
