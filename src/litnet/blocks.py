@@ -13,7 +13,6 @@ from .init import ones, weight, zeros
 from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, relative_slot,
                      reshape, residual_mlp, transpose)
 
-LN_EPS = 1e-5
 PATCH_SIZE = 4
 PATCH_DIM = PATCH_SIZE * PATCH_SIZE * 3  # 48
 
@@ -64,10 +63,10 @@ def mlp_block(x: Tensor, p: MlpBlockParams) -> Tensor:
     """
     params = (p.ln_g, p.ln_b, p.fc1_w, p.fc1_b, p.fc2_w, p.fc2_b)
     try:
-        return residual_mlp(x, *params, eps=LN_EPS)
+        return residual_mlp(x, *params)
     except NumericError:
         x, ln_g, ln_b, fc1_w, fc1_b, fc2_w, fc2_b = (Tensor(t.data) for t in (x, *params))
-        h = layer_norm(x, ln_g, ln_b, LN_EPS)
+        h = layer_norm(x, ln_g, ln_b)
         h = gelu(add(matmul(h, fc1_w), fc1_b))
         add(x, add(matmul(h, fc2_w), fc2_b))
         raise
@@ -186,7 +185,7 @@ def transformer_block(x: Tensor, p: TransformerBlockParams,
                       with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """x' = x + MSA(LN(x)); out = x' + MLP(LN(x')). Returns (out, attention
     probabilities or None); asking with ``with_attn`` builds them, as in ``msa``."""
-    attended, attn = msa(layer_norm(x, p.ln_g, p.ln_b, LN_EPS), p.attn, with_attn=with_attn)
+    attended, attn = msa(layer_norm(x, p.ln_g, p.ln_b), p.attn, with_attn=with_attn)
     x = add(x, attended)
     return mlp_block(x, p.mlp), attn
 

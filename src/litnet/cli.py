@@ -1,9 +1,10 @@
 """Command-line entry point: audit, verify, train, inspect.
 
-Every run writes a manifest (resolved settings, seed, package version)
-into its output directory. Exit codes: 0 success, 2 configuration
-errors (among them a training counter too large for a checkpoint's
-float32 records), 3 numeric errors, 4 tolerance failures.
+Every run writes a manifest (resolved settings, seed, the version of the
+litnet code that ran) into its output directory. Exit codes: 0 success,
+2 configuration errors (among them a training counter too large for a
+checkpoint's float32 records and a run too large for memory), 3 numeric
+errors, 4 tolerance failures.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import json
 import re
 import sys
 from dataclasses import fields
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
-from . import analyzer, dtm, equivalence
+from . import __version__, analyzer, dtm, equivalence
 from .data import load_dataset_dir, synthetic_dataset
 from .errors import ConfigError, LitError, NumericError
 from .exports import (format_audit_text, format_cost_text, write_attention_exports,
@@ -33,13 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TOLERANCE = 4
-
-
-def _package_version() -> str:
-    try:
-        return version("litnet")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def _resolve_config(args) -> tuple[str, ModelConfig]:
@@ -65,7 +58,7 @@ def _manifest(args, out_dir: Path, extra: dict | None = None) -> None:
     payload = {
         "command": args.command,
         "args": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
-        "version": _package_version(),
+        "version": __version__,
     }
     if extra:
         payload.update(extra)
@@ -372,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (LitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

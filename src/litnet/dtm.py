@@ -23,9 +23,6 @@ from .init import weight, zeros, ones
 from .tensor import (BatchNormState, Tensor, add, batch_norm, conv2d,
                      deform_sample, gelu, matmul, reshape)
 
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
-
 
 def tap_grid(kernel: int) -> np.ndarray:
     """[K*K, 2] raw tap coordinates (ky, kx) in row-major tap order."""
@@ -152,7 +149,7 @@ def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, n
         y, offsets = conv2d(x, p.dc.w, p.dc.b, p.dc.stride, p.dc.padding), None
     else:
         y, offsets = deformable_conv(x, p.dc)
-    y = batch_norm(y, p.bn_g, p.bn_b, p.bn_state, mode, BN_MOMENTUM, BN_EPS)
+    y = batch_norm(y, p.bn_g, p.bn_b, p.bn_state, mode)
     return gelu(y), offsets
 
 

@@ -26,7 +26,6 @@ MERGE_LINEAR = "linear_embed"
 MERGE_DTM = "dtm"
 MERGE_UNIFORM = "uniform_conv"
 POS_KINDS = ("absolute", "relative", "none")
-FINAL_LN_EPS = 1e-5
 
 # Stages whose input receives the learnable absolute position table.
 ABSOLUTE_POS_STAGES = (3, 4)
@@ -448,7 +447,7 @@ class LitModel:
                             record.attention[(stage, i)] = attn
 
         with _layer("head"):
-            tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b, FINAL_LN_EPS)
+            tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b)
             pooled = mean_axis(tokens, 1)
             return add(matmul(pooled, self.head_w), self.head_b)
 

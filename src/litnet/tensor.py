@@ -12,12 +12,22 @@ Every op checks its output for non-finite values and raises
 or times ops; the benchmark in ``perfbench/`` does that from outside by
 wrapping these functions.
 
-``gelu`` evaluates float64 data with scipy's ``erf``. Float32 data uses
-the clamped odd/even rational ``erf`` of Eigen and XLA instead, computed
-in blocks of ``_BLOCK`` elements into preallocated scratch. It
-differs from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where
-eps32 is the float32 machine epsilon (2.2 measured on a dense grid over
-[-8, 8]). The GELU backward pass of either dtype runs in the same blocks.
+``gelu`` and ``residual_mlp`` share one GELU kernel, ``_gelu_into``, which
+runs in blocks of ``_BLOCK`` elements into preallocated scratch: float64
+data goes through scipy's ``erf``, float32 data through the clamped
+odd/even rational ``erf`` of Eigen and XLA. The float32 result differs
+from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where eps32 is
+the float32 machine epsilon (2.2 measured on a dense grid over [-8, 8]).
+The GELU backward pass of either dtype runs in the same blocks.
+
+Layer norm (Ba et al., arXiv 1607.06450) and batch norm (Ioffe & Szegedy,
+arXiv 1502.03167) normalise over different axes, and ``layer_norm``, each
+row tile of ``residual_mlp`` and ``batch_norm`` share two steps:
+``_center`` takes the mean, x - mean and the biased variance (batch norm
+over axis 0 of its [N*H*W, C] view; its eval mode takes x minus the running
+mean instead), and ``_scale_shift`` applies inv = 1 / sqrt(var + NORM_EPS),
+gamma and beta in place. A norm's tape node keeps only its [..., 1] or [C]
+mean and inv beside x; ``_norm_grads`` recomputes x-hat from them.
 
 ``attention`` fuses softmax(q @ k^T / sqrt(d) + B) @ v, after
 FlashAttention (Dao et al., arXiv 2205.14135) and chunked attention (Rabe
@@ -61,17 +71,17 @@ the tile scratch are all the op allocates. Row tiles round their products
 differently from one full-size product, so float32 outputs are not
 bit-identical to the unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they
 stay within 8 float32 ulps of max(P @ |v|), the largest sum of |terms|
-behind one output (7.3 was the worst measured, on either exp path). The
-table's gradient is scatter-added with one flat ``np.bincount``, as is
-``gather_last``'s, by a [T, T] slot index that only the backward pass
-forms.
+behind one output (6.7 was the worst measured against a float64 unfused
+result, on either exp path). The table's gradient is scatter-added with
+one flat ``np.bincount``, as is ``gather_last``'s, by a [T, T] slot index
+that only the backward pass forms.
 
 ``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
 as one op, after the fused elementwise chains of "Data Movement Is All
 You Need" (Ivanov et al., arXiv 2007.00072). It runs ``_MLP_ROWS`` tokens
-at a time: layer norm, the first product and its bias, GELU (the blocked
-float32 kernel above, or scipy's ``erf``), the second product, its bias
-and the residual, each step into tile-sized scratch, so that no [T, 4C]
+at a time: layer norm (the two steps above), the first product and its
+bias, GELU (the shared kernel above), the second product, its bias and
+the residual, each step into tile-sized scratch, so that no [T, 4C]
 array exists outside a tape. Under a tape it keeps the layer-norm
 statistics, the pre-activations and the GELU cdf in full, and one
 backward pass recomputes the rest from them.
@@ -110,6 +120,10 @@ _ATTN_TILE = 2 ** 19
 # 128-row tiles and 13.8 ms in 512-row ones (2-vCPU x86-64, OpenBLAS, lower
 # quartile of 21 calls).
 _MLP_ROWS = 512
+# The variance offset of every norm, and the weight of a batch's statistics
+# in batch norm's running ones.
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1
 # Eigen/XLA float32 erf(z) = z * P(z^2) / Q(z^2) on [-4, 4]; beyond, float32
 # erf is +-1. P's coefficients are halved so that 0.5 + z * P / Q is Phi.
 # Both are listed from the highest power of z^2 down.
@@ -318,11 +332,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _apply("mul", (a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _apply("scale", (a,), a.data * s, lambda g: (g * s,))
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(d) for d in shape)
     in_shape = a.shape
@@ -348,18 +357,17 @@ def sum_all(a: Tensor) -> Tensor:
                   lambda g: (np.broadcast_to(g, shape).astype(a.data.dtype, copy=True),))
 
 
-def sum_axis(a: Tensor, axis: int) -> Tensor:
+def mean_axis(a: Tensor, axis: int) -> Tensor:
+    """Mean over ``axis``, as the sum times 1 / extent; the gradient is
+    g / extent broadcast back over the axis."""
     axis = axis % a.ndim
     shape = a.shape
+    s = 1.0 / shape[axis]
 
     def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(np.expand_dims(g * s, axis), shape).astype(g.dtype, copy=True),)
 
-    return _apply("sum_axis", (a,), a.data.sum(axis=axis), bwd)
-
-
-def mean_axis(a: Tensor, axis: int) -> Tensor:
-    return scale(sum_axis(a, axis), 1.0 / a.shape[axis % a.ndim])
+    return _apply("mean_axis", (a,), a.data.sum(axis=axis) * s, bwd)
 
 
 def _scatter_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
@@ -599,8 +607,9 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     return result, (probs if with_probs else None)
 
 
-def _gelu32(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray) -> None:
-    """x * Phi(x) of float32 data into ``out``, which must not overlap x.
+def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray) -> None:
+    """x * Phi(x) into ``out``, which must not overlap x: Phi from scipy's
+    ``erf`` for float64 data, from the clamped rational ``erf`` for float32.
 
     Runs block by block with ufuncs. ``phi`` receives Phi(x) when it holds
     at least x.size elements; a smaller ``phi`` is block scratch, as
@@ -612,10 +621,16 @@ def _gelu32(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray
     for lo in range(0, n, _BLOCK):
         xb = flat[lo:lo + _BLOCK]
         m = xb.size
-        # The output block holds z, then Q(z^2), then the result.
-        z, z2 = res[lo:lo + m], squares[:m]
         p = phi[lo:lo + m] if keep else phi[:m]
+        # The output block holds z, then Q(z^2) (float32), then the result.
+        z, z2 = res[lo:lo + m], squares[:m]
         np.multiply(xb, _INV_SQRT2, out=z)
+        if xb.dtype != np.float32:
+            erf(z, out=p)
+            p += 1.0
+            p *= 0.5
+            np.multiply(xb, p, out=z)
+            continue
         np.clip(z, -_ERF_CLAMP, _ERF_CLAMP, out=z)
         np.multiply(z, z, out=z2)
         np.multiply(z2, _ERF_P[0], out=p)
@@ -654,47 +669,59 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU, x * Phi(x) with the erf-based normal CDF.
-
-    Float64 data uses scipy's ``erf``. Float32 data uses the clamped
-    rational ``erf`` of Eigen and XLA, evaluated in blocks; it is within
-    4 * eps32 * max(|x|, 1) of the float64 result. Only a call that
-    records on a tape keeps Phi(x) for the backward pass, which is
-    blocked for both dtypes.
-    """
+    """Exact GELU, x * Phi(x) with the erf-based normal CDF, by ``_gelu_into``
+    (see the module docstring for its float32 ``erf`` and error). Only a
+    call that records on a tape keeps Phi(x) for the backward pass."""
     xd = x.data
-    if xd.dtype == np.float32:
-        out = np.empty(xd.shape, np.float32)
-        squares = np.empty(min(xd.size, _BLOCK), np.float32)
-        cdf = np.empty_like(out) if _recording_tape((x,)) is not None else None
-        _gelu32(xd, out, np.empty_like(squares) if cdf is None else cdf, squares)
-    else:
-        cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-        out = xd * cdf
+    out = np.empty(xd.shape, xd.dtype)
+    squares = np.empty(min(xd.size, _BLOCK), xd.dtype)
+    cdf = np.empty_like(out) if _recording_tape((x,)) is not None else np.empty_like(squares)
+    _gelu_into(xd, out, cdf, squares)
     return _apply("gelu", (x,), out, lambda g: (_gelu_grad(g, xd, cdf),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def _center(x: np.ndarray, axis: int, out: np.ndarray, squares: np.ndarray,
+            mean: np.ndarray, var: np.ndarray) -> None:
+    """The statistics of ``x`` over ``axis``, kept as a length-1 axis: the
+    mean into ``mean``, x - mean into ``out`` and the biased variance, the
+    mean of (x - mean)^2, into ``var``. ``squares`` is scratch of x's shape."""
+    np.mean(x, axis=axis, keepdims=True, out=mean)
+    np.subtract(x, mean, out=out)
+    np.multiply(out, out, out=squares)
+    np.mean(squares, axis=axis, keepdims=True, out=var)
+
+
+def _scale_shift(out: np.ndarray, var: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
+                 beta: np.ndarray) -> None:
+    """1 / sqrt(var + NORM_EPS) into ``inv``, which may be ``var`` itself,
+    then the centred ``out`` times inv, times ``gamma``, plus ``beta``, in place."""
+    np.add(var, NORM_EPS, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    out *= inv
+    out *= gamma
+    out += beta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last (channel) dimension, then apply the affine."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channels {c}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
-
+    xd = x.data
+    out = np.empty(xd.shape, xd.dtype)
+    mean, inv = (np.empty(xd.shape[:-1] + (1,), xd.dtype) for _ in range(2))
+    _center(xd, -1, out, np.empty_like(out), mean, inv)
+    _scale_shift(out, inv, inv, gamma.data, beta.data)
     return _apply("layer_norm", (x, gamma, beta), out,
-                  lambda g: _norm_grads(g, xhat, inv, gamma.data, -1))
+                  lambda g: _norm_grads(g, (xd - mean) * inv, inv, gamma.data, -1))
 
 
 def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
                 stat_axes: int | tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dx, dgamma, dbeta) of xhat * gamma + beta for the output gradient ``g``,
-    from the normalized input ``xhat`` and 1 / sqrt(var + eps) ``inv``, with the
-    statistics taken over ``stat_axes`` (-1 in layer norm, (0, 1, 2) in batch
+    from the normalized input ``xhat`` and 1 / sqrt(var + NORM_EPS) ``inv``, with
+    the statistics taken over ``stat_axes`` (-1 in layer norm, (0, 1, 2) in batch
     norm) or, for None, fixed ones that do not depend on x (batch-norm eval)."""
     lead = tuple(range(g.ndim - 1))
     dgamma = (g * xhat).sum(axis=lead)
@@ -708,17 +735,15 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndar
 
 
 def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
-                 w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+                 w2: Tensor, b2: Tensor) -> Tensor:
     """x + gelu(layer_norm(x) @ w1 + b1) @ w2 + b2 over the last (channel)
     axis, ``_MLP_ROWS`` tokens at a time.
 
     ``x`` is [..., C], ``gamma`` and ``beta`` [C], ``w1`` [C, H], ``b1``
-    [H], ``w2`` [H, C] and ``b2`` [C]. Each row tile runs the steps of the
-    unfused ops in their order, into tile-sized scratch; the layer-norm
-    statistics, pre-activations h and GELU cdf are kept in full only when a
-    tape records the op, and one backward pass reads them. Row tiles only
-    change how the two products are blocked. A float64 result is within
-    1e-12 of the composed ops on O(1) data.
+    [H], ``w2`` [H, C] and ``b2`` [C]; see the module docstring for the
+    tiling and what a tape keeps. Row tiles only change how the two
+    products are blocked. A float64 result is within 1e-12 of the composed
+    ops on O(1) data.
 
     Float32 error, to first order in eps32 and against the exact result
     for the same inputs: with n = max(C, H) + 8, each float32 sum of terms
@@ -746,7 +771,7 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     out = np.empty((m, c), dtype)
     normed = np.empty((rows, c), dtype)
     act = np.empty((rows, hidden), dtype)
-    squares = np.empty(min(rows * hidden, _BLOCK), dtype) if dtype == np.float32 else None
+    squares = np.empty(min(rows * hidden, _BLOCK), dtype)
     # under a tape the statistics, pre-activations and cdf are kept in full
     keep = m if tape is not None else rows
     mu, inv = np.empty((keep, 1), dtype), np.empty((keep, 1), dtype)
@@ -755,28 +780,12 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         r1 = min(r0 + rows, m)
         k0, k1 = (r0, r1) if tape is not None else (0, r1 - r0)
         xt, ln, o = xf[r0:r1], normed[:r1 - r0], out[r0:r1]
-        h, a, phi = pre[k0:k1], act[:r1 - r0], cdf[k0:k1]
-        mean, scale = mu[k0:k1], inv[k0:k1]
-        np.mean(xt, axis=-1, keepdims=True, out=mean)
-        np.subtract(xt, mean, out=ln)
-        np.multiply(ln, ln, out=o)
-        np.mean(o, axis=-1, keepdims=True, out=scale)
-        scale += eps
-        np.sqrt(scale, out=scale)
-        np.divide(1.0, scale, out=scale)
-        ln *= scale
-        ln *= gamma.data
-        ln += beta.data
+        h, a, phi, scale = pre[k0:k1], act[:r1 - r0], cdf[k0:k1], inv[k0:k1]
+        _center(xt, -1, ln, o, mu[k0:k1], scale)
+        _scale_shift(ln, scale, scale, gamma.data, beta.data)
         np.matmul(ln, w1.data, out=h)
         h += b1.data
-        if dtype == np.float32:
-            _gelu32(h, a, phi, squares)
-        else:
-            np.multiply(h, _INV_SQRT2, out=phi)
-            erf(phi, out=phi)
-            phi += 1.0
-            phi *= 0.5
-            np.multiply(h, phi, out=a)
+        _gelu_into(h, a, phi, squares)
         np.matmul(a, w2.data, out=o)
         o += b2.data
         o += xt
@@ -803,9 +812,9 @@ class BatchNormState:
 
     __slots__ = ("mean", "var")
 
-    def __init__(self, mean: np.ndarray | None = None, var: np.ndarray | None = None):
-        self.mean = mean
-        self.var = var
+    def __init__(self):
+        self.mean: np.ndarray | None = None
+        self.var: np.ndarray | None = None
 
     def seed_identity(self, channels: int, dtype=np.float32) -> "BatchNormState":
         self.mean = np.zeros(channels, dtype=dtype)
@@ -814,12 +823,12 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train", momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               mode: str = "train") -> Tensor:
     """Channel-wise batch normalization over the N, H, W axes of an NHWC tensor.
 
-    Train mode normalizes with batch statistics and updates the running
-    stats in ``state`` (biased variance throughout). Eval mode requires
-    initialized running stats.
+    Train mode normalizes with the batch statistics (biased variance) and
+    moves the running ones in ``state`` toward them by ``BN_MOMENTUM``; eval
+    mode uses the running ones, which must be initialized.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects an NHWC tensor, got shape {x.shape}")
@@ -828,28 +837,27 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ShapeError(f"batch_norm: affine shapes {gamma.shape}/{beta.shape} do not match channels {c}")
     if mode not in ("train", "eval"):
         raise ValidationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    axes = (0, 1, 2)
+    xf = x.data.reshape(-1, c)
+    out = np.empty(xf.shape, xf.dtype)
     if mode == "train":
-        mu = x.data.mean(axis=axes)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=axes)
+        mean, var = np.empty((1, c), xf.dtype), np.empty((1, c), xf.dtype)
+        _center(xf, 0, out, np.empty_like(out), mean, var)
         if state.mean is None:
-            state.mean = mu.astype(x.data.dtype)
-            state.var = var.astype(x.data.dtype)
+            state.mean, state.var = mean[0].copy(), var[0].copy()
         else:
-            state.mean = (1.0 - momentum) * state.mean + momentum * mu
-            state.var = (1.0 - momentum) * state.var + momentum * var
+            state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean[0]
+            state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var[0]
+        inv = var
     elif state.mean is None or state.var is None:
         raise StateError("batch_norm eval mode before any train step and without seeded stats")
     else:
-        centered = x.data - state.mean
-        var = state.var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
-    stat_axes = axes if mode == "train" else None
-    return _apply("batch_norm", (x, gamma, beta), out,
-                  lambda g: _norm_grads(g, xhat, inv, gamma.data, stat_axes))
+        mean, var = state.mean, state.var
+        np.subtract(xf, mean, out=out)
+        inv = np.empty_like(var)
+    _scale_shift(out, var, inv, gamma.data, beta.data)
+    stat_axes = (0, 1, 2) if mode == "train" else None
+    return _apply("batch_norm", (x, gamma, beta), out.reshape(x.shape),
+                  lambda g: _norm_grads(g, (x.data - mean) * inv, inv, gamma.data, stat_axes))
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from helpers import check_gradients, msa_oracle, relative_index_loop
-from litnet.blocks import (LN_EPS, MlpBlockParams, MsaParams, PatchEmbedParams,
-                           TransformerBlockParams, mlp_block, msa, patch_embed,
-                           transformer_block)
+from litnet.blocks import (MlpBlockParams, MsaParams, PatchEmbedParams, TransformerBlockParams,
+                           mlp_block, msa, patch_embed, transformer_block)
 from litnet.errors import ConfigError, ShapeError
-from litnet.tensor import Tape, Tensor, attention, mul, sum_all, tensor
+from litnet.tensor import NORM_EPS, Tape, Tensor, attention, mul, sum_all, tensor
 
 tensor_module = importlib.import_module("litnet.tensor")
 
@@ -58,7 +57,7 @@ def test_mlp_block_matches_composition_oracle():
     from scipy.special import erf
     token = x[0, 0]
     mu, var = token.mean(), token.var()
-    xhat = (token - mu) / np.sqrt(var + LN_EPS) * p.ln_g.data + p.ln_b.data
+    xhat = (token - mu) / np.sqrt(var + NORM_EPS) * p.ln_g.data + p.ln_b.data
     h = xhat @ p.fc1_w.data + p.fc1_b.data
     h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
     want = token + (h @ p.fc2_w.data + p.fc2_b.data)
@@ -181,7 +180,7 @@ def test_transformer_block_decomposes_into_mlp_block():
     x = tensor(rng.normal(size=(1, 5, 8)))
     out, _ = transformer_block(x, p)
     from litnet.tensor import add, layer_norm
-    attended, _ = msa(layer_norm(x, p.ln_g, p.ln_b, LN_EPS), p.attn)
+    attended, _ = msa(layer_norm(x, p.ln_g, p.ln_b), p.attn)
     want = mlp_block(add(x, attended), p.mlp)
     assert np.abs(out.data - want.data).max() < 1e-12
 
@@ -194,7 +193,7 @@ def test_transformer_block_matches_composed_oracle():
     def ln(v, g, b):
         mu = v.mean(axis=-1, keepdims=True)
         var = v.var(axis=-1, keepdims=True)
-        return (v - mu) / np.sqrt(var + LN_EPS) * g + b
+        return (v - mu) / np.sqrt(var + NORM_EPS) * g + b
 
     from scipy.special import erf
     attended, _ = msa_oracle(ln(x, p.ln_g.data, p.ln_b.data),

@@ -4,10 +4,13 @@ message, never a traceback."""
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import litnet
 from litnet import cli
 from litnet.analyzer import cost_report
 from litnet.checkpoint import load_tensors, save_tensors
@@ -238,6 +241,13 @@ def test_train_writes_its_log_config_and_final_checkpoint(trained):
     state = load_tensors(trained / "ckpt_final.litckpt")
     assert state["meta.epoch"][0] == 1
     assert (trained / "manifest.json").is_file()
+
+
+def test_the_manifest_records_the_version_of_the_code_that_ran(trained):
+    manifest = json.loads((trained / "manifest.json").read_text())
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^\[project\][^[]*?^version = "([^"]+)"', pyproject, re.M | re.S)
+    assert manifest["version"] == litnet.__version__ == declared.group(1)
 
 
 def test_train_refuses_to_checkpoint_an_epoch_float32_cannot_hold(trained, tmp_path, capsys):
@@ -493,12 +503,13 @@ def float32_overflow_data(tmp_path, trained) -> str:
     return write_images(tmp_path / "data", images)
 
 
-def toy_config_with(stage: int, **changes):
+def toy_config_with(stage: int | None, **changes):
     """A function of (tmp_path, trained) that writes the toy config with
-    ``changes`` to stage ``stage`` and returns the file's path."""
+    ``changes`` to stage ``stage``, or to the config itself for None, and
+    returns the file's path."""
     def write(tmp_path, trained) -> str:
         data = toy_config().to_dict()
-        data["stages"][stage - 1].update(changes)
+        (data if stage is None else data["stages"][stage - 1]).update(changes)
         path = tmp_path / "toy.json"
         path.write_text(json.dumps(data))
         return str(path)
@@ -557,6 +568,16 @@ BAD_INPUT = {
     "train_epochs_past_the_checkpoint_counters": (["train", "--epochs", str(2 ** 24),
                                                    "--num-images", "1"], cli.EXIT_CONFIG,
                                                   "config error: cannot checkpoint epoch 16777216"),
+    # numpy refuses each allocation at once, without touching memory: 44.7 TiB
+    # of images, a 46.6 TiB classifier head and a 96 TiB relative-bias table
+    "train_images_past_memory": (["train", "--epochs", "1", "--num-images", "1000000000"],
+                                 cli.EXIT_CONFIG, "error: Unable to allocate 44.7 TiB"),
+    "inspect_classes_past_memory": (["inspect", "--mode", "attn", "--config",
+                                     toy_config_with(None, num_classes=10 ** 11)],
+                                    cli.EXIT_CONFIG, "error: Unable to allocate 46.6 TiB"),
+    "inspect_resolution_past_memory": (["inspect", "--mode", "attn", "--config",
+                                        toy_config_with(None, resolution=2 ** 24)],
+                                       cli.EXIT_CONFIG, "error: Unable to allocate 96.0 TiB"),
     "inspect_query_not_a_point": (["inspect", "--mode", "attn", "--query", "1;2"],
                                   cli.EXIT_CONFIG, "config error: --query must be 'y,x', got '1;2'"),
     "inspect_token_not_a_point": (["inspect", "--mode", "offsets", "--token", "a,b"],

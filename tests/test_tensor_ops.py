@@ -17,9 +17,9 @@ from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_lo
 from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
-from litnet.tensor import (_ATTN_TILE, _BLOCK, BatchNormState, Tape, Tensor, add, attention,
-                           batch_norm, conv2d, deform_sample, gather_last, gelu, layer_norm,
-                           matmul, mul, reshape, residual_mlp, scale, softmax,
+from litnet.tensor import (_ATTN_TILE, _BLOCK, NORM_EPS, BatchNormState, Tape, Tensor, add,
+                           attention, batch_norm, conv2d, deform_sample, gather_last, gelu,
+                           layer_norm, matmul, mul, reshape, residual_mlp, softmax,
                            softmax_cross_entropy, sum_all, tensor, transpose)
 from litnet.train import AdamW, train_step
 
@@ -141,12 +141,15 @@ def dense_bias(table):
 
 
 def unfused_attention(q, k, v, table=None):
-    """(output, probabilities) of the unfused path, one head at a time:
-    logits of the scaled queries and a contiguous k^T, plus the dense
-    bias, a full-row max-shifted softmax, then @ v."""
+    """float64 (output, probabilities) of the unfused path, one head at a
+    time: logits of the scaled queries and a contiguous k^T, plus the dense
+    bias, a full-row max-shifted softmax, then @ v. Computing in float64
+    keeps the reference's own rounding out of a float32 result's error."""
+    q, k, v = (a.astype(np.float64) for a in (q, k, v))
+    table = None if table is None else table.astype(np.float64)
     s = 1.0 / math.sqrt(q.shape[-1])
-    out = np.empty(q.shape[:3] + v.shape[3:], q.dtype)
-    probs = np.empty(q.shape[:3] + k.shape[2:3], q.dtype)
+    out = np.empty(q.shape[:3] + v.shape[3:])
+    probs = np.empty(q.shape[:3] + k.shape[2:3])
     for b, h in np.ndindex(q.shape[:2]):
         z = (q[b, h] * s) @ np.ascontiguousarray(k[b, h].T)
         if table is not None:
@@ -168,12 +171,11 @@ def run_attention(q, k, v, table=None, with_probs=False):
 # Row tiles round their matrix products differently from one full-size
 # product, so the float32 output is not bit-identical to the unfused path.
 # It stays within this many float32 ulps of max(P @ |v|), the largest sum
-# of |terms| behind one output. The worst measured over this file's float32
-# stage-shape and TILE_EDGES inputs was 7.03 on the unshifted exp path and
-# 7.32 on the shifted one (heads_not_dividing with a bias) against the
-# float32 unfused path, and 4.75 and 4.61 against a float64 unfused one;
-# over the four stage shapes at seeds 21-25, 6.96 and 7.98 against float32
-# and 6.67 and 5.52 against float64.
+# of |terms| behind one output, against the float64 unfused path. The worst
+# measured over this file's float32 stage-shape and TILE_EDGES inputs was
+# 4.75 on the unshifted exp path (heads_not_dividing without a bias) and
+# 4.61 on the shifted one (row_longer_than_tile with a bias); over the four
+# stage shapes at seeds 21-25, 6.67 and 5.52.
 ATTENTION_ULPS = 8
 
 
@@ -393,7 +395,8 @@ def test_attention_rejects_a_projection_that_does_not_split(shape, heads):
 def composed_attention(q, k, v, table):
     """softmax(q k^T / sqrt(d) + bias) v of unfused ops, the bias gathered
     from the flattened table at ``relative_index_loop``."""
-    logits = matmul(scale(q, 1.0 / math.sqrt(q.shape[-1])), transpose(k, (0, 1, 3, 2)))
+    s = Tensor(np.full(q.shape, 1.0 / math.sqrt(q.shape[-1])))
+    logits = matmul(mul(q, s), transpose(k, (0, 1, 3, 2)))
     heads, h2, w2 = table.shape
     flat = reshape(table, (heads, h2 * w2))
     bias = gather_last(flat, relative_index_loop((h2 + 1) // 2, (w2 + 1) // 2))
@@ -608,19 +611,40 @@ def test_layer_norm_constant_token_is_zeroed():
 
 def test_layer_norm_already_normalized():
     x = tensor([[1.0, -1.0]])
-    out = layer_norm(x, tensor(np.ones(2)), tensor(np.zeros(2)), eps=1e-12)
-    assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+    out = layer_norm(x, tensor(np.ones(2)), tensor(np.zeros(2)))
+    want = np.array([[1.0, -1.0]]) / math.sqrt(1.0 + NORM_EPS)
+    assert np.abs(out.data - want).max() < 1e-12
 
 
 def test_layer_norm_moments():
     rng = np.random.default_rng(4)
     x = tensor(rng.normal(2.0, 3.0, size=(2, 5, 16)))
-    out = layer_norm(x, tensor(np.ones(16)), tensor(np.zeros(16)), eps=1e-5).data
+    out = layer_norm(x, tensor(np.ones(16)), tensor(np.zeros(16))).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-10
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4  # eps folded in
 
 
-MLP_EPS = 1e-5
+@pytest.mark.parametrize("shape", [(4, 3136, 96), (32, 16, 16, 32)],
+                         ids=["layer_norm", "batch_norm"])
+def test_a_taped_norm_keeps_its_statistics_and_no_normalized_input(shape):
+    # the backward pass recomputes x-hat from x and the saved statistics, so
+    # the tape holds no array the size of x beyond the output
+    x = Tensor(np.random.default_rng(47).normal(size=shape).astype(np.float32),
+               requires_grad=True)
+    affine = [Tensor(np.full(shape[-1], v, np.float32), requires_grad=True) for v in (1.0, 0.0)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            if len(shape) == 3:
+                out = layer_norm(x, *affine)
+            else:
+                out = batch_norm(x, *affine, BatchNormState(), "train")
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= out.data.nbytes + 2 ** 20
 
 
 def mlp_params(rng, c, hidden, dtype=np.float64):
@@ -637,7 +661,7 @@ def mlp_composition(x, gamma, beta, w1, b1, w2, b2):
     x, gamma, beta, w1, b1, w2, b2 = (np.asarray(a, np.float64)
                                       for a in (x, gamma, beta, w1, b1, w2, b2))
     mu = x.mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + MLP_EPS)
+    sigma = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + NORM_EPS)
     xhat = (x - mu) / sigma
     h = (xhat * gamma + beta) @ w1 + b1
     a = h * 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
@@ -652,7 +676,7 @@ def mlp_composition(x, gamma, beta, w1, b1, w2, b2):
 
 
 def run_mlp(x, params) -> np.ndarray:
-    return residual_mlp(Tensor(x), *(Tensor(p) for p in params), eps=MLP_EPS).data
+    return residual_mlp(Tensor(x), *(Tensor(p) for p in params)).data
 
 
 def assert_mlp_matches_composition(x, params):
@@ -687,7 +711,7 @@ def test_residual_mlp_on_a_tape_equals_the_eval_result():
     x = rng.normal(size=(3, 250, 16)).astype(np.float32)
     params = mlp_params(rng, 16, 64, np.float32)
     with Tape():
-        taped = residual_mlp(*(Tensor(a, requires_grad=True) for a in (x, *params)), eps=MLP_EPS)
+        taped = residual_mlp(*(Tensor(a, requires_grad=True) for a in (x, *params)))
     assert taped.data.tobytes() == run_mlp(x, params).tobytes()
 
 
@@ -697,7 +721,7 @@ def test_residual_mlp_gradients_match_finite_differences():
     params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, 3, 4)]
     probe = Tensor(rng.normal(size=(1, 5, 3)))
     with mock.patch.object(tensor_module, "_MLP_ROWS", 2):
-        check_gradients(lambda: sum_all(mul(residual_mlp(x, *params, eps=MLP_EPS), probe)),
+        check_gradients(lambda: sum_all(mul(residual_mlp(x, *params), probe)),
                         [x, *params])
 
 
@@ -709,7 +733,7 @@ def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = residual_mlp(Tensor(x), *params, eps=MLP_EPS)
+        out = residual_mlp(Tensor(x), *params)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
