@@ -12,6 +12,16 @@ Every op checks its output for non-finite values and raises
 or times ops; the benchmark in ``perfbench/`` does that from outside by
 wrapping these functions.
 
+Every sum or mean along an axis is one BLAS matrix-vector product:
+``_row_sums`` multiplies by a column of ones to sum the last axis,
+``_lead_sums`` multiplies a row of ones into the leading axes, and a mean
+is such a sum divided by its extent. numpy's own reductions along a short
+axis of a float32 array ran 5-14x slower (a row mean over [8192, 16] took
+248 us, a @ ones 40 us, on 2-vCPU x86-64 with OpenBLAS). A float32 sum of
+n terms stays within n * eps32 times the sum of their magnitudes, and a
+NaN or infinity among the terms reaches the sum. Only the ``softmax``
+that the model no longer calls keeps numpy's reductions.
+
 ``gelu`` and ``residual_mlp`` share one GELU kernel, ``_gelu_into``, which
 runs in blocks of ``_BLOCK`` elements into preallocated scratch: float64
 data goes through scipy's ``erf``, float32 data through the clamped
@@ -83,8 +93,13 @@ at a time: layer norm (the two steps above), the first product and its
 bias, GELU (the shared kernel above), the second product, its bias and
 the residual, each step into tile-sized scratch, so that no [T, 4C]
 array exists outside a tape. Under a tape it keeps the layer-norm
-statistics, the pre-activations and the GELU cdf in full, and one
-backward pass recomputes the rest from them.
+statistics, the pre-activations and the GELU cdf in full. The backward
+pass runs in the same row tiles and recomputes the rest from them: the
+GELU output for fc2's weight gradient, fc2's input gradient with the GELU
+slope applied in place (``_gelu_grad``), then x-hat and the layer-norm
+output for fc1's weight gradient and the row-local layer-norm gradient.
+Beside the tile scratch it allocates only dx and the parameter
+gradients, which the tiles accumulate.
 
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
 four per sample: its output is S @ x and its input gradient S^T @ g.
@@ -301,11 +316,18 @@ def _apply(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward_f
     return out
 
 
-def _sum_to_suffix(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of ``a`` over its last axis, kept as a length-1 axis, as one
+    matrix-vector product a.reshape(m, C) @ ones[C, 1]."""
+    lead, c = a.shape[:-1], a.shape[-1]
+    return (a.reshape(math.prod(lead), c) @ np.ones((c, 1), a.dtype)).reshape(lead + (1,))
+
+
+def _lead_sums(a: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Sums of ``a`` over its first ``ndim`` axes, as one vector-matrix
+    product ones[m] @ a.reshape(m, -1)."""
+    m, rest = math.prod(a.shape[:ndim]), a.shape[ndim:]
+    return (np.ones(m, a.dtype) @ a.reshape(m, math.prod(rest))).reshape(rest)
 
 
 # --------------------------------------------------------------------------
@@ -319,9 +341,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     any other pair of shapes, ``a`` a suffix of ``b`` too, is a ShapeError."""
     if a.shape == b.shape:
         return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
-    if a.ndim > b.ndim and a.shape[a.ndim - b.ndim :] == b.shape:
-        bshape = b.shape
-        return _apply("add", (a, b), a.data + b.data, lambda g: (g, _sum_to_suffix(g, bshape)))
+    extra = a.ndim - b.ndim
+    if extra > 0 and a.shape[extra:] == b.shape:
+        return _apply("add", (a, b), a.data + b.data, lambda g: (g, _lead_sums(g, extra)))
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -367,7 +389,7 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     def bwd(g):
         return (np.broadcast_to(np.expand_dims(g * s, axis), shape).astype(g.dtype, copy=True),)
 
-    return _apply("mean_axis", (a,), a.data.sum(axis=axis) * s, bwd)
+    return _apply("mean_axis", (a,), _lead_sums(np.moveaxis(a.data, axis, 0)) * s, bwd)
 
 
 def _scatter_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
@@ -589,7 +611,7 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
         np.matmul(probs.swapaxes(-1, -2), g, out=gv)
         ds = g @ v.swapaxes(-1, -2)
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= _row_sums(ds * probs)
         ds *= probs
         np.matmul(ds, k, out=gq)
         gq *= s
@@ -599,7 +621,7 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
             return (grad.reshape(qkv.shape),)
         ys, xs = np.divmod(np.arange(t), gw)
         slots = relative_slot(ys[:, None] - ys, xs[:, None] - xs, gh, gw)
-        per_head = ds.sum(axis=0).reshape(heads, t * t)
+        per_head = _lead_sums(ds).reshape(heads, t * t)
         gb = _scatter_rows(per_head, slots.reshape(-1), bias.size // heads)
         return (grad.reshape(qkv.shape), gb.reshape(bias.shape))
 
@@ -650,10 +672,10 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndar
         np.multiply(xb, p, out=q)
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """g * (Phi(x) + x * pdf(x)), block by block into block-sized scratch."""
-    gf, xf, cf = g.reshape(-1), x.reshape(-1), cdf.reshape(-1)
-    gx = np.empty(xf.size, x.dtype)
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * (Phi(x) + x * pdf(x)) into the contiguous ``out``, which may be
+    ``g`` itself, block by block with block-sized scratch; returns ``out``."""
+    gf, xf, cf, of = g.reshape(-1), x.reshape(-1), cdf.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(xf.size, _BLOCK), x.dtype)
     for lo in range(0, xf.size, _BLOCK):
         xb = xf[lo:lo + _BLOCK]
@@ -664,8 +686,8 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
         t *= _INV_SQRT_2PI
         t *= xb
         t += cf[lo:lo + _BLOCK]
-        np.multiply(gf[lo:lo + _BLOCK], t, out=gx[lo:lo + _BLOCK])
-    return gx.reshape(x.shape)
+        np.multiply(gf[lo:lo + _BLOCK], t, out=of[lo:lo + _BLOCK])
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -677,18 +699,24 @@ def gelu(x: Tensor) -> Tensor:
     squares = np.empty(min(xd.size, _BLOCK), xd.dtype)
     cdf = np.empty_like(out) if _recording_tape((x,)) is not None else np.empty_like(squares)
     _gelu_into(xd, out, cdf, squares)
-    return _apply("gelu", (x,), out, lambda g: (_gelu_grad(g, xd, cdf),))
+    return _apply("gelu", (x,), out,
+                  lambda g: (_gelu_grad(g, xd, cdf, np.empty(xd.shape, xd.dtype)),))
 
 
 def _center(x: np.ndarray, axis: int, out: np.ndarray, squares: np.ndarray,
             mean: np.ndarray, var: np.ndarray) -> None:
-    """The statistics of ``x`` over ``axis``, kept as a length-1 axis: the
-    mean into ``mean``, x - mean into ``out`` and the biased variance, the
-    mean of (x - mean)^2, into ``var``. ``squares`` is scratch of x's shape."""
-    np.mean(x, axis=axis, keepdims=True, out=mean)
+    """The statistics of ``x`` along its last axis (``axis`` -1, layer-norm
+    rows) or of the columns of a 2-d ``x`` (``axis`` 0, batch norm), kept as
+    a length-1 axis: the mean into ``mean``, x - mean into ``out`` and the
+    biased variance, the mean of (x - mean)^2, into ``var``. Each mean is a
+    ``_row_sums`` or ``_lead_sums`` product divided by the extent, as
+    ``np.mean`` divides its sum. ``squares`` is scratch of x's shape."""
+    sums = _row_sums if axis == -1 else _lead_sums
+    n = x.shape[axis]
+    np.divide(sums(x), n, out=mean)
     np.subtract(x, mean, out=out)
     np.multiply(out, out, out=squares)
-    np.mean(squares, axis=axis, keepdims=True, out=var)
+    np.divide(sums(squares), n, out=var)
 
 
 def _scale_shift(out: np.ndarray, var: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
@@ -708,36 +736,50 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channels {c}")
-    xd = x.data
-    out = np.empty(xd.shape, xd.dtype)
-    mean, inv = (np.empty(xd.shape[:-1] + (1,), xd.dtype) for _ in range(2))
-    _center(xd, -1, out, np.empty_like(out), mean, inv)
+    xf = x.data.reshape(-1, c)
+    out = np.empty(xf.shape, xf.dtype)
+    mean, inv = (np.empty((xf.shape[0], 1), xf.dtype) for _ in range(2))
+    _center(xf, -1, out, np.empty_like(out), mean, inv)
     _scale_shift(out, inv, inv, gamma.data, beta.data)
-    return _apply("layer_norm", (x, gamma, beta), out,
-                  lambda g: _norm_grads(g, (xd - mean) * inv, inv, gamma.data, -1))
+    return _apply("layer_norm", (x, gamma, beta), out.reshape(x.shape),
+                  lambda g: _norm_grads(g, (xf - mean) * inv, inv, gamma.data, -1))
 
 
 def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
-                stat_axes: int | tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dx, dgamma, dbeta) of xhat * gamma + beta for the output gradient ``g``,
-    from the normalized input ``xhat`` and 1 / sqrt(var + NORM_EPS) ``inv``, with
-    the statistics taken over ``stat_axes`` (-1 in layer norm, (0, 1, 2) in batch
-    norm) or, for None, fixed ones that do not depend on x (batch-norm eval)."""
-    lead = tuple(range(g.ndim - 1))
-    dgamma = (g * xhat).sum(axis=lead)
-    dbeta = g.sum(axis=lead)
-    gx = g * gamma
-    if stat_axes is None:
-        return (gx * inv, dgamma, dbeta)
-    dx = inv * (gx - gx.mean(axis=stat_axes, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=stat_axes, keepdims=True))
-    return (dx, dgamma, dbeta)
+                axis: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dgamma, dbeta) of xhat * gamma + beta for the output gradient
+    ``g``, read in the [rows, C] shape of the normalized input ``xhat``, and
+    1 / sqrt(var + NORM_EPS) ``inv``, with the statistics taken as
+    ``_center`` takes them: along each row (``axis`` -1, layer norm), along
+    each column (0, batch norm) or, for None, fixed ones that do not depend
+    on x (batch-norm eval).
+
+    dgamma and dbeta are ``_lead_sums``. The two statistic means, of
+    g * gamma and of g * gamma * xhat, are matrix-vector products of g and
+    g * xhat with gamma / C along rows, and gamma * dbeta / rows and
+    gamma * dgamma / rows along columns. dx has g's shape."""
+    shape, g = g.shape, g.reshape(xhat.shape)
+    gxhat = g * xhat
+    dgamma, dbeta = _lead_sums(gxhat), _lead_sums(g)
+    if axis is None:
+        return ((g * (gamma * inv)).reshape(shape), dgamma, dbeta)
+    n = g.shape[axis]
+    if axis == -1:
+        w = (gamma / n).reshape(-1, 1)
+        mean_gx, mean_gxhat = g @ w, gxhat @ w
+    else:
+        mean_gx, mean_gxhat = gamma * dbeta / n, gamma * dgamma / n
+    dx = g * gamma
+    dx -= mean_gx
+    dx -= np.multiply(xhat, mean_gxhat, out=gxhat)
+    dx *= inv
+    return (dx.reshape(shape), dgamma, dbeta)
 
 
 def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
     """x + gelu(layer_norm(x) @ w1 + b1) @ w2 + b2 over the last (channel)
-    axis, ``_MLP_ROWS`` tokens at a time.
+    axis, ``_MLP_ROWS`` tokens at a time, forward and backward.
 
     ``x`` is [..., C], ``gamma`` and ``beta`` [C], ``w1`` [C, H], ``b1``
     [H], ``w2`` [H, C] and ``b2`` [C]; see the module docstring for the
@@ -792,13 +834,28 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
 
     def bwd(g):
         g = g.reshape(m, c)
-        xhat = (xf - mu) * inv
-        gw2 = (pre * cdf).T @ g
-        gh = _gelu_grad(g @ w2.data.T, pre, cdf)
-        gw1 = (xhat * gamma.data + beta.data).T @ gh
-        dx, dgamma, dbeta = _norm_grads(gh @ w1.data.T, xhat, inv, gamma.data, -1)
-        dx += g
-        return (dx.reshape(x.shape), dgamma, dbeta, gw1, gh.sum(axis=0), gw2, g.sum(axis=0))
+        dx = np.empty((m, c), dtype)
+        dgamma, dbeta, gb1 = np.zeros(c, dtype), np.zeros(c, dtype), np.zeros(hidden, dtype)
+        gw1, gw2 = np.zeros((c, hidden), dtype), np.zeros((hidden, c), dtype)
+        act, gpre = np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)
+        xhat, normed = np.empty((rows, c), dtype), np.empty((rows, c), dtype)
+        for r0 in range(0, m, rows):
+            r1 = min(r0 + rows, m)
+            gt, h, phi, scale = g[r0:r1], pre[r0:r1], cdf[r0:r1], inv[r0:r1]
+            a, gh, xh, ln = act[:r1 - r0], gpre[:r1 - r0], xhat[:r1 - r0], normed[:r1 - r0]
+            gw2 += np.multiply(h, phi, out=a).T @ gt
+            _gelu_grad(np.matmul(gt, w2.data.T, out=gh), h, phi, gh)
+            np.subtract(xf[r0:r1], mu[r0:r1], out=xh)
+            xh *= scale
+            np.multiply(xh, gamma.data, out=ln)
+            ln += beta.data
+            gw1 += ln.T @ gh
+            gb1 += _lead_sums(gh)
+            dxt, dgt, dbt = _norm_grads(gh @ w1.data.T, xh, scale, gamma.data, -1)
+            dgamma += dgt
+            dbeta += dbt
+            np.add(dxt, gt, out=dx[r0:r1])
+        return (dx.reshape(x.shape), dgamma, dbeta, gw1, gb1, gw2, _lead_sums(g))
 
     return _apply("residual_mlp", inputs, out.reshape(x.shape), bwd)
 
@@ -855,9 +912,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         np.subtract(xf, mean, out=out)
         inv = np.empty_like(var)
     _scale_shift(out, var, inv, gamma.data, beta.data)
-    stat_axes = (0, 1, 2) if mode == "train" else None
+    axis = 0 if mode == "train" else None
     return _apply("batch_norm", (x, gamma, beta), out.reshape(x.shape),
-                  lambda g: _norm_grads(g, (x.data - mean) * inv, inv, gamma.data, stat_axes))
+                  lambda g: _norm_grads(g, (xf - mean) * inv, inv, gamma.data, axis))
 
 
 # --------------------------------------------------------------------------
@@ -914,7 +971,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         gx = gxp[:, p:p + h, p:p + wd, :] if p else gxp
         grads = [gx, gw]
         if bias is not None:
-            grads.append(g.sum(axis=(0, 1, 2)))
+            grads.append(_lead_sums(g, 3))
         return tuple(grads)
 
     inputs = (x, w) if bias is None else (x, w, bias)
@@ -983,7 +1040,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ShapeError(f"labels out of range for {k} classes")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logsumexp = np.log(_row_sums(np.exp(shifted)))
     logp = shifted - logsumexp
     loss = -logp[np.arange(n), labels].mean()
 

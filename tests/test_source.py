@@ -116,3 +116,40 @@ def test_every_public_definition_is_read_exported_or_benchmarked():
                     and node.name not in kept | elsewhere | reads(tree, skip=node):
                 dead.append(f"{path.name}: {node.name}")
     assert dead == []
+
+
+# The dead softmax path keeps numpy's reductions until it is deleted.
+AXIS_REDUCTIONS_ALLOWED = {"_row_sums", "_lead_sums", "softmax", "_softmax_rows"}
+
+
+def axis_reductions(source: str) -> list[str]:
+    """Top-level functions of ``source`` that call ``sum`` or ``mean`` with
+    an axis, as a method (``a.sum(0)``, ``a.mean(axis=1)``) or a numpy
+    function (``np.sum(a, 0)``, ``np.mean(a, axis=1)``)."""
+    found = []
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("sum", "mean")):
+                continue
+            method = not (isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+            if any(k.arg == "axis" for k in node.keywords) or len(node.args) > (0 if method else 1):
+                found.append(func.name)
+    return found
+
+
+def test_axis_reduction_check_flags_every_form():
+    source = ("def a(x):\n    return x.sum(axis=0)\n"
+              "def b(x):\n    return np.mean(x, 1)\n"
+              "def c(x):\n    return x.mean(-1) + np.sum(x, axis=(0, 1))\n"
+              "def d(x):\n    return x.sum() + np.mean(x) + sum(x, 0)\n")
+    assert axis_reductions(source) == ["a", "b", "c", "c"]
+
+
+def test_tensor_reduces_along_axes_only_through_matrix_vector_products():
+    # numpy reduces a float32 array along a short axis several times slower
+    # than one BLAS matrix-vector product with a vector of ones does
+    found = axis_reductions((PACKAGE / "tensor.py").read_text())
+    assert sorted(set(found) - AXIS_REDUCTIONS_ALLOWED) == []

@@ -725,6 +725,51 @@ def test_residual_mlp_gradients_match_finite_differences():
                         [x, *params])
 
 
+def mlp_gradients(x, params, probe, fused: bool) -> list[np.ndarray]:
+    """Gradients of sum(out * probe) in x and the six parameters, through
+    ``residual_mlp`` or through the taped unfused ops it stands for."""
+    leaves = [Tensor(a, requires_grad=True) for a in (x, *params)]
+    xt, gamma, beta, w1, b1, w2, b2 = leaves
+    with Tape() as tape:
+        if fused:
+            out = residual_mlp(*leaves)
+        else:
+            hidden = gelu(add(matmul(layer_norm(xt, gamma, beta), w1), b1))
+            out = add(add(matmul(hidden, w2), b2), xt)
+        loss = sum_all(mul(out, Tensor(probe)))
+    tape.backward(loss)
+    return [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("tokens", [7, 8, 9], ids=["tile-1", "tile", "tile+1"])
+def test_residual_mlp_gradients_match_the_unfused_ops_at_row_tile_edges(tokens):
+    rng = np.random.default_rng(48)
+    x = rng.normal(0.5, 2.0, size=(1, tokens, 5))
+    params, probe = mlp_params(rng, 5, 20), rng.normal(size=x.shape)
+    with mock.patch.object(tensor_module, "_MLP_ROWS", 8):
+        got = mlp_gradients(x, params, probe, fused=True)
+    want = mlp_gradients(x, params, probe, fused=False)
+    for name, a, b in zip(("x", "gamma", "beta", "w1", "b1", "w2", "b2"), got, want):
+        assert a.shape == b.shape and np.abs(a - b).max() < 1e-12, name
+
+
+def test_residual_mlp_float32_gradients_match_the_float64_unfused_ops():
+    # Bound: each float32 gradient is within n * eps32 times the largest
+    # float64 entry of its tensor, n = max(C, H) + tokens, the longest chain
+    # of sums behind one entry (0.007 of that was the worst over seeds 49-54).
+    rng = np.random.default_rng(49)
+    tokens, c, hidden = 1100, 12, 48
+    x = rng.normal(0.5, 2.0, size=(2, tokens // 2, c))
+    params, probe = mlp_params(rng, c, hidden), rng.normal(size=x.shape)
+    got = mlp_gradients(x.astype(np.float32), [p.astype(np.float32) for p in params],
+                        probe.astype(np.float32), fused=True)
+    want = mlp_gradients(x, params, probe, fused=False)
+    n = max(c, hidden) + tokens
+    for name, a, b in zip(("x", "gamma", "beta", "w1", "b1", "w2", "b2"), got, want):
+        assert a.dtype == np.float32
+        assert np.abs(a - b).max() <= n * EPS32 * np.abs(b).max(), name
+
+
 def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     rng = np.random.default_rng(44)
     c, hidden = 96, 384
@@ -742,6 +787,32 @@ def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     rows = tensor_module._MLP_ROWS
     scratch = (rows * (c + 3 * hidden) + min(rows * hidden, _BLOCK)) * x.itemsize
     assert peak <= out.data.nbytes + scratch + 2 ** 20
+
+
+def test_residual_mlp_backward_allocates_no_hidden_size_array():
+    # The tape keeps the statistics, pre-activations and cdf; the backward
+    # pass adds dx, the weight gradients and row-tile scratch. Unfused, it
+    # held three [3136, 384] float32 arrays of 4.6 MiB at once.
+    rng = np.random.default_rng(50)
+    c, hidden = 96, 384
+    x = Tensor(rng.normal(size=(1, 3136, c)).astype(np.float32), requires_grad=True)
+    params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, c, hidden, np.float32)]
+    g = rng.normal(size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = residual_mlp(x, *params)
+        (_, _, backward), = tape._nodes
+        grads = backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    m, rows = x.size // c, tensor_module._MLP_ROWS
+    kept = 2 * m * (hidden + 1) + out.data.size
+    gradients = sum(grad.size for grad in grads)
+    scratch = rows * (2 * hidden + 5 * c) + 2 * c * hidden + min(rows * hidden, _BLOCK)
+    assert peak <= (kept + gradients + scratch) * x.data.itemsize + 2 ** 20
 
 
 def test_residual_mlp_names_itself_for_a_non_finite_output():
@@ -812,6 +883,57 @@ def test_batch_norm_running_stats_recursion():
         batch_norm(tensor(b), gamma, beta, state, "train")
     assert np.abs(state.mean - mean).max() < 1e-12
     assert np.abs(state.var - var).max() < 1e-12
+
+
+NORMS = {
+    "layer_norm": lambda x, c: layer_norm(x, tensor(np.ones(c)), tensor(np.zeros(c))),
+    "batch_norm": lambda x, c: batch_norm(x, tensor(np.ones(c)), tensor(np.zeros(c)),
+                                          BatchNormState(), "train"),
+    "residual_mlp": lambda x, c: residual_mlp(
+        x, *(Tensor(p) for p in mlp_params(np.random.default_rng(51), c, 4 * c))),
+}
+
+
+@pytest.mark.parametrize("op", NORMS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos_inf", "neg_inf"])
+def test_a_norm_rejects_a_non_finite_input_anywhere(op, bad):
+    # the row and column sums are matrix-vector products, which must carry
+    # the bad value into the statistics of its row or column
+    shape = (2, 3, 5, 4)
+    for flat in (0, 37, math.prod(shape) - 1):
+        x = np.random.default_rng(flat).normal(size=shape)
+        x.flat[flat] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=op):
+            NORMS[op](tensor(x), shape[-1])
+
+
+@pytest.mark.parametrize("op", ["add", "conv2d"])
+def test_zero_rows_give_zero_bias_gradients(op):
+    x = Tensor(np.zeros((0, 4, 4, 3)), requires_grad=True)
+    bias = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        out = add(x, bias) if op == "add" else conv2d(x, tensor(np.ones((1, 1, 3, 3))), bias)
+        loss = sum_all(out)
+    tape.backward(loss)
+    assert out.shape == (0, 4, 4, 3) and loss.item() == 0.0
+    assert bias.grad.shape == (3,) and np.all(bias.grad == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(8192, 16), (3136, 96), (7, 1000), (1, 1)])
+def test_float32_row_and_column_sums_are_within_the_summation_bound(shape):
+    # a float32 sum of n terms is within n * eps32 * sum|terms| of the exact one
+    a = np.random.default_rng(52).normal(3.0, 10.0, size=shape).astype(np.float32)
+    a64 = a.astype(np.float64)
+    rows = tensor_module._row_sums(a)
+    assert rows.dtype == np.float32 and rows.shape == (shape[0], 1)
+    assert np.all(np.abs(rows - a64.sum(axis=1, keepdims=True))
+                  <= shape[1] * EPS32 * np.abs(a64).sum(axis=1, keepdims=True))
+    columns = tensor_module._lead_sums(a)
+    assert columns.dtype == np.float32 and columns.shape == (shape[1],)
+    assert np.all(np.abs(columns - a64.sum(axis=0))
+                  <= shape[0] * EPS32 * np.abs(a64).sum(axis=0))
+    lead = tensor_module._lead_sums(a.reshape(1, shape[0], 1, shape[1]), 3)
+    assert lead.shape == (shape[1],) and np.array_equal(lead, columns)
 
 
 def test_conv2d_1x1_identity_kernel():
