@@ -7,8 +7,7 @@ from .blocks import (MlpBlockParams, MsaParams, PatchEmbedParams,
                      TransformerBlockParams, mlp_block, msa, patch_embed,
                      transformer_block)
 from .checkpoint import load_tensors, save_tensors
-from .dtm import (DeformableConvParams, DtmParams, deformable_conv,
-                  dtm_forward, trace_offsets)
+from .dtm import DtmParams, deformable_conv, dtm_forward, trace_offsets
 from .equivalence import (attention_as_conv, build_msa_as_conv,
                           receptive_field_probe, verify_fc_equals_1x1_conv)
 from .errors import (ConfigError, LitError, NumericError, ShapeError,

@@ -127,7 +127,7 @@ class MsaParams:
         return out
 
 
-# Unused by the model; kept because perfbench clears its cache (ROADMAP item 4).
+# Unused by the model; kept because perfbench clears its cache (ROADMAP item 1).
 @lru_cache(maxsize=None)
 def relative_index_map(h: int, w: int) -> np.ndarray:
     """[T, T] indices into a (2h-1)(2w-1) displacement table.

@@ -217,13 +217,8 @@ def cmd_train(args, out_dir: Path) -> int:
             print(f"epoch {stats.epoch:4d}  lr {stats.lr:.6f}  loss {stats.loss:.4f}  "
                   f"acc {stats.train_acc:.3f}")
 
-    try:
-        result = run_training(model, images, labels, settings, out_dir=out_dir,
-                              resume=Path(args.resume) if args.resume else None,
-                              on_epoch=report)
-    except NumericError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = run_training(model, images, labels, settings, out_dir=out_dir,
+                          resume=Path(args.resume) if args.resume else None, on_epoch=report)
     write_train_log(out_dir / "train_log.csv", result.history)
     print(f"final train accuracy: {result.final_accuracy:.4f}")
     print(f"checkpoints: {', '.join(str(p) for p in result.checkpoints)}")

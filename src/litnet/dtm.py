@@ -7,7 +7,8 @@ merging composes one such conv with batch norm and GELU and halves the
 spatial extents. Deformable token merging (DTM) has the offset
 predictor; the uniform patch-merging baseline is the same module
 without it, a stride-2 2x2 conv, which is what the deformable conv
-computes when every offset is zero.
+computes when every offset is zero. One class, ``DtmParams``, holds
+both: the conv, its optional offset predictor and the batch norm.
 """
 
 from __future__ import annotations
@@ -31,20 +32,23 @@ def tap_grid(kernel: int) -> np.ndarray:
 
 
 @dataclass
-class DeformableConvParams:
-    """Main kernel plus an optional offset-predicting conv (same kernel
-    and stride).
+class DtmParams:
+    """Token merging: GELU(BN(DC(x))), stride-2 2x2 kernel.
 
-    The offset conv has 2*K*K output channels, (dy, dx) per tap, and is
-    zero-initialized in both weights and biases so initial offsets are
-    exactly zero. Without it (``offset_w`` and ``offset_b`` None) only
-    the regular grid is sampled, so ``deformable_conv`` does not apply.
+    The conv has an offset predictor (same kernel and stride) for DTM
+    and none for the uniform merge (``offset_w`` and ``offset_b`` None),
+    which then samples only the regular grid. The predictor has 2*K*K
+    output channels, (dy, dx) per tap, and is zero-initialized in both
+    weights and biases, so initial offsets are exactly zero.
     """
 
     w: Tensor                 # [K, K, Cin, Cout]
     b: Tensor                 # [Cout]
     offset_w: Tensor | None   # [K, K, Cin, 2*K*K]
     offset_b: Tensor | None   # [2*K*K]
+    bn_g: Tensor
+    bn_b: Tensor
+    bn_state: BatchNormState = field(default_factory=BatchNormState)
     stride: ClassVar[int] = 2
     padding: ClassVar[int] = 0
 
@@ -53,14 +57,15 @@ class DeformableConvParams:
         return self.w.shape[0]
 
     @classmethod
-    def create(cls, rng: np.random.Generator, cin: int, cout: int, dtype=np.float32,
-               deformable: bool = True) -> "DeformableConvParams":
-        """The merge's conv: 2x2 kernel, stride 2."""
+    def create(cls, rng: np.random.Generator, cin: int, cout: int,
+               dtype=np.float32, deformable: bool = True) -> "DtmParams":
         return cls(
             w=weight(rng, (2, 2, cin, cout), dtype),
             b=zeros(cout, dtype),
             offset_w=zeros((2, 2, cin, 8), dtype) if deformable else None,
             offset_b=zeros(8, dtype) if deformable else None,
+            bn_g=ones(cout, dtype),
+            bn_b=zeros(cout, dtype),
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -68,10 +73,22 @@ class DeformableConvParams:
         if self.offset_w is not None:
             out[f"{prefix}.offset_conv.w"] = self.offset_w
             out[f"{prefix}.offset_conv.b"] = self.offset_b
+        out[f"{prefix}.bn.g"] = self.bn_g
+        out[f"{prefix}.bn.b"] = self.bn_b
         return out
 
+    @staticmethod
+    def state_names(prefix: str) -> tuple[str, str]:
+        """Checkpoint names of the running mean and variance, set or not."""
+        return f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
 
-def deformable_conv(x: Tensor, p: DeformableConvParams) -> tuple[Tensor, np.ndarray]:
+    def named_state(self, prefix: str) -> dict[str, np.ndarray]:
+        if self.bn_state.mean is None:
+            return {}
+        return dict(zip(self.state_names(prefix), (self.bn_state.mean, self.bn_state.var)))
+
+
+def deformable_conv(x: Tensor, p: DtmParams) -> tuple[Tensor, np.ndarray]:
     """Deformable convolution of an NHWC tensor.
 
     Each output location accumulates bilinear samples taken at the
@@ -98,44 +115,6 @@ def deformable_conv(x: Tensor, p: DeformableConvParams) -> tuple[Tensor, np.ndar
     return out, offsets.data.copy()
 
 
-@dataclass
-class DtmParams:
-    """Token merging: GELU(BN(DC(x))), stride-2 2x2 kernel.
-
-    ``dc`` has an offset predictor for DTM and none for the uniform merge.
-    """
-
-    dc: DeformableConvParams
-    bn_g: Tensor
-    bn_b: Tensor
-    bn_state: BatchNormState = field(default_factory=BatchNormState)
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, cin: int, cout: int,
-               dtype=np.float32, deformable: bool = True) -> "DtmParams":
-        return cls(
-            dc=DeformableConvParams.create(rng, cin, cout, dtype, deformable),
-            bn_g=ones(cout, dtype),
-            bn_b=zeros(cout, dtype),
-        )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = self.dc.named(prefix)
-        out[f"{prefix}.bn.g"] = self.bn_g
-        out[f"{prefix}.bn.b"] = self.bn_b
-        return out
-
-    @staticmethod
-    def state_names(prefix: str) -> tuple[str, str]:
-        """Checkpoint names of the running mean and variance, set or not."""
-        return f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
-
-    def named_state(self, prefix: str) -> dict[str, np.ndarray]:
-        if self.bn_state.mean is None:
-            return {}
-        return dict(zip(self.state_names(prefix), (self.bn_state.mean, self.bn_state.var)))
-
-
 def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, np.ndarray | None]:
     """Merge tokens: halve each spatial extent, map Cin to Cout channels.
 
@@ -145,17 +124,17 @@ def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, n
     _, h, w, _ = x.shape
     if h % 2 or w % 2:
         raise ConfigError(f"token merging requires even spatial extents, got {h}x{w}")
-    if p.dc.offset_w is None:
-        y, offsets = conv2d(x, p.dc.w, p.dc.b, p.dc.stride, p.dc.padding), None
+    if p.offset_w is None:
+        y, offsets = conv2d(x, p.w, p.b, p.stride, p.padding), None
     else:
-        y, offsets = deformable_conv(x, p.dc)
+        y, offsets = deformable_conv(x, p)
     y = batch_norm(y, p.bn_g, p.bn_b, p.bn_state, mode)
     return gelu(y), offsets
 
 
-def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int],
-                  batch_index: int = 0) -> np.ndarray:
-    """Expand one final-stage token through the three merge modules.
+def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int]) -> np.ndarray:
+    """Expand one final-stage token of the first image through the three
+    merge modules.
 
     ``offset_fields`` maps stage index (2, 3, 4) to that stage's offset
     field [N, Ho, Wo, K*K, 2], as ``ForwardRecord.offsets`` holds them
@@ -182,7 +161,7 @@ def trace_offsets(offset_fields: Mapping[int, np.ndarray], token: tuple[int, int
     taps = tap_grid(2).astype(np.float64)
     positions = [np.asarray(token, dtype=np.float64)]
     for stage in (4, 3, 2):
-        field_arr = np.asarray(offset_fields[stage], dtype=np.float64)[batch_index]
+        field_arr = np.asarray(offset_fields[stage][0], dtype=np.float64)
         ho, wo = field_arr.shape[0], field_arr.shape[1]
         children = []
         for pos in positions:

@@ -173,7 +173,6 @@ class ReceptiveFieldReport:
 
     query: tuple[int, int]
     masks: list[np.ndarray]
-    magnitudes: list[np.ndarray]
     k_eff: int
 
 
@@ -185,10 +184,10 @@ def _mask_extent(mask: np.ndarray) -> int:
 
 
 def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tuple[int, int],
-                          query: tuple[int, int], channels: int = 3,
+                          query: tuple[int, int],
                           rng: np.random.Generator | None = None) -> ReceptiveFieldReport:
     """Differentiate each prefix of ``stack``, a sequence of functions from
-    an [N, H, W, C] image to one of the same grid, at one query pixel.
+    a 3-channel [1, H, W, 3] image to one of the same grid, at one query pixel.
 
     The scalar probed is the channel sum of the output at ``query``; the
     gradient with respect to the input image gives the influence map.
@@ -198,9 +197,9 @@ def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tup
     qy, qx = query
     if not (0 <= qy < h and 0 <= qx < w):
         raise ConfigError(f"query {query} outside grid {grid}")
-    base = rng.uniform(-1.0, 1.0, size=(1, h, w, channels))
+    base = rng.uniform(-1.0, 1.0, size=(1, h, w, 3))
 
-    masks, magnitudes = [], []
+    masks = []
     for depth in range(1, len(stack) + 1):
         x = Tensor(base.copy(), requires_grad=True)
         with Tape() as tape:
@@ -215,9 +214,7 @@ def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tup
         peak = mag.max()
         mask = mag > (INFLUENCE_THRESHOLD * peak if peak > 0 else INFLUENCE_THRESHOLD)
         masks.append(mask)
-        magnitudes.append(mag)
-    return ReceptiveFieldReport(query=(qy, qx), masks=masks, magnitudes=magnitudes,
-                                k_eff=_mask_extent(masks[-1]))
+    return ReceptiveFieldReport(query=(qy, qx), masks=masks, k_eff=_mask_extent(masks[-1]))
 
 
 def export_attention_maps(attention: Mapping[tuple[int, int], np.ndarray], stage: int,

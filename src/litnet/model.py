@@ -373,7 +373,7 @@ class LitModel:
                 if have in state and lack not in state:
                     raise ConfigError(f"checkpoint holds {have} without {lack}")
             if mean_key in state:
-                shapes[mean_key] = shapes[var_key] = (self.config.stages[stage - 1].channels,)
+                shapes[mean_key] = shapes[var_key] = self.merges[stage].bn_g.shape
         for name, shape in shapes.items():
             if np.shape(state[name]) != shape:
                 raise ConfigError(f"{name}: checkpoint shape {np.shape(state[name])} "
@@ -397,9 +397,8 @@ class LitModel:
 
     def seed_norm_stats(self) -> None:
         """Seed every batch-norm state with identity statistics."""
-        for stage, merge in self.merges.items():
-            c = self.config.stages[stage - 1].channels
-            merge.bn_state.seed_identity(c, self.dtype)
+        for merge in self.merges.values():
+            merge.bn_state.seed_identity(merge.bn_g.shape[0], self.dtype)
 
     # -- forward ---------------------------------------------------------------
 

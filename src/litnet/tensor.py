@@ -402,7 +402,7 @@ def _scatter_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarr
     return sums.astype(values.dtype, copy=False).reshape(rows, width)
 
 
-# Unused by the model; kept because perfbench wraps it by name (ROADMAP item 4).
+# Unused by the model; kept because perfbench wraps it by name (ROADMAP item 1).
 def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     """out[..., *index.shape] = a[..., index]; gradient scatter-adds into ``a``."""
     index = np.asarray(index, dtype=np.int64)
@@ -466,7 +466,7 @@ def _softmax_rows(z: np.ndarray, out: np.ndarray, what: str) -> None:
     out /= out.sum(axis=-1, keepdims=True)
 
 
-# Unused by the model; kept because perfbench wraps it by name (ROADMAP item 4).
+# Unused by the model; kept because perfbench wraps it by name (ROADMAP item 1).
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis (max subtraction always
     on), in tiles of whole rows of about ``_BLOCK`` elements."""
@@ -884,8 +884,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     """Channel-wise batch normalization over the N, H, W axes of an NHWC tensor.
 
     Train mode normalizes with the batch statistics (biased variance) and
-    moves the running ones in ``state`` toward them by ``BN_MOMENTUM``; eval
-    mode uses the running ones, which must be initialized.
+    moves the running ones in ``state`` toward them by ``BN_MOMENTUM``; it
+    refuses an empty batch, whose statistics would be 0 / 0. Eval mode uses
+    the running ones, which must be initialized.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects an NHWC tensor, got shape {x.shape}")
@@ -894,6 +895,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ShapeError(f"batch_norm: affine shapes {gamma.shape}/{beta.shape} do not match channels {c}")
     if mode not in ("train", "eval"):
         raise ValidationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "train" and 0 in x.shape[:3]:
+        raise ShapeError(f"batch_norm: batch statistics need at least one N*H*W row, got shape {x.shape}")
     xf = x.data.reshape(-1, c)
     out = np.empty(xf.shape, xf.dtype)
     if mode == "train":

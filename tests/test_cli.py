@@ -294,7 +294,8 @@ def test_train_names_the_layer_and_step_of_a_non_finite_value(trained, tmp_path,
                     "--out", str(tmp_path / "out"))
     assert code == cli.EXIT_NUMERIC
     assert len(err.strip().splitlines()) == 1, err
-    assert "epoch 1 step 2: stage3.block1: non-finite values produced by matmul" in err
+    assert err.startswith("numeric error: epoch 1 step 2: stage3.block1: "
+                          "non-finite values produced by matmul"), err
 
 
 def u64(*values: int) -> bytes:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import check_gradients, deformable_conv_loop, micro_config
-from litnet.dtm import (DeformableConvParams, DtmParams, deformable_conv,
-                        dtm_forward, trace_offsets)
+from litnet.dtm import DtmParams, deformable_conv, dtm_forward, trace_offsets
 from litnet.errors import ConfigError, NumericError, StateError
 from litnet.model import ForwardRecord, build, toy_config
 from litnet.tensor import Tensor, conv2d, mul, sum_all, tensor
 
 
 def make_dc(rng, cin=3, cout=4):
-    return DeformableConvParams.create(rng, cin, cout, dtype=np.float64)
+    return DtmParams.create(rng, cin, cout, dtype=np.float64)
 
 
 def test_zero_offsets_reduce_to_standard_conv():
@@ -127,10 +126,20 @@ def test_dtm_zero_offsets_is_gelu_bn_of_strided_conv():
     x = tensor(rng.normal(size=(1, 6, 6, 2)))
     out, _ = dtm_forward(x, p, mode="eval")
     from litnet.tensor import batch_norm, gelu, BatchNormState
-    ref = gelu(batch_norm(conv2d(x, p.dc.w, p.dc.b, stride=2),
+    ref = gelu(batch_norm(conv2d(x, p.w, p.b, stride=2),
                           p.bn_g, p.bn_b, BatchNormState().seed_identity(3, np.float64),
                           "eval"))
     assert np.abs(out.data - ref.data).max() < 1e-12
+
+
+@pytest.mark.parametrize("deformable", [True, False], ids=["dtm", "uniform"])
+def test_merge_checkpoint_names_and_order(deformable):
+    p = DtmParams.create(np.random.default_rng(14), 3, 4, deformable=deformable)
+    offset = ["m.offset_conv.w", "m.offset_conv.b"] if deformable else []
+    assert list(p.named("m")) == ["m.conv.w", "m.conv.b", *offset, "m.bn.g", "m.bn.b"]
+    if deformable:
+        out, offsets = deformable_conv(tensor(np.ones((1, 4, 4, 3), np.float32)), p)
+        assert out.shape == (1, 2, 2, 4) and offsets.shape == (1, 2, 2, 4, 2)
 
 
 def test_dtm_rejects_odd_extents():
@@ -143,13 +152,13 @@ def test_dtm_rejects_odd_extents():
 def test_dtm_gradients_including_offset_predictor():
     rng = np.random.default_rng(11)
     p = DtmParams.create(rng, 2, 3, dtype=np.float64)
-    p.dc.offset_w.data = rng.normal(0.0, 0.25, size=p.dc.offset_w.shape)
-    p.dc.offset_b.data = rng.normal(0.0, 0.2, size=p.dc.offset_b.shape)
+    p.offset_w.data = rng.normal(0.0, 0.25, size=p.offset_w.shape)
+    p.offset_b.data = rng.normal(0.0, 0.2, size=p.offset_b.shape)
     x = tensor(rng.uniform(-2, 2, size=(1, 6, 6, 2)), requires_grad=True)
     probe = Tensor(rng.normal(size=(1, 3, 3, 3)))
     check_gradients(
         lambda: sum_all(mul(dtm_forward(x, p, "train")[0], probe)),
-        [x, p.dc.offset_w, p.dc.offset_b, p.bn_g, p.bn_b])
+        [x, p.offset_w, p.offset_b, p.bn_g, p.bn_b])
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +213,7 @@ def test_trace_zero_offsets_tiles_the_token_footprint():
 def test_trace_always_returns_64_coordinates():
     model = build(micro_config(resolution=32), seed=0)
     fields = recorded_offsets(model, np.zeros((2, 32, 32, 3), dtype=np.float32))
-    coords = trace_offsets(fields, (0, 0), batch_index=1)
+    coords = trace_offsets(fields, (0, 0))
     assert coords.shape == (64, 2)
 
 

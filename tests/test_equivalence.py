@@ -165,17 +165,17 @@ def test_receptive_field_attention_matches_conv_probe():
 def test_receptive_field_grows_with_sqrt_heads(heads):
     kernel = int(round(heads ** 0.5))
     rng = np.random.default_rng(9 + heads)
-    conv_w = rng.normal(size=(kernel, kernel, 2, 2))
+    conv_w = rng.normal(size=(kernel, kernel, 3, 3))
     report = receptive_field_probe([lambda x: attention_as_conv(x, conv_w)], (9, 9), (4, 4),
-                                   channels=2, rng=rng)
+                                   rng=rng)
     assert report.k_eff == kernel
 
 
 def test_receptive_field_stacked_convs_compose():
     rng = np.random.default_rng(10)
-    w1, w2 = rng.normal(size=(3, 3, 2, 2)), rng.normal(size=(3, 3, 2, 2))
+    w1, w2 = rng.normal(size=(3, 3, 3, 3)), rng.normal(size=(3, 3, 3, 3))
     stack = [lambda x: padded_conv(x, w1), lambda x: padded_conv(x, w2)]
-    report = receptive_field_probe(stack, (11, 11), (5, 5), channels=2, rng=rng)
+    report = receptive_field_probe(stack, (11, 11), (5, 5), rng=rng)
     assert report.masks[0].sum() == 9
     assert report.masks[1].sum() == 25
     assert report.k_eff == 5

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import micro_config
 from litnet import blocks
-from litnet.errors import ConfigError, NumericError, StateError
+from litnet.errors import ConfigError, NumericError, ShapeError, StateError
 from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
                           ModelConfig, StageSpec, ablate, build, preset, toy_config)
 from litnet.tensor import Tape, attention, sum_all
@@ -153,6 +153,14 @@ def test_eval_before_training_requires_seeded_stats():
         model.forward(np.zeros((1, 32, 32, 3)), mode="eval")
     model.seed_norm_stats()
     model.forward(np.zeros((1, 32, 32, 3)), mode="eval")
+
+
+def test_train_forward_of_no_images_leaves_the_merge_statistics_unset():
+    model = build(micro_config(), seed=0)
+    with pytest.raises(ShapeError):
+        model.forward(np.zeros((0, 32, 32, 3)), mode="train")
+    assert model.merges and all(m.bn_state.mean is None and m.bn_state.var is None
+                                for m in model.merges.values())
 
 
 def test_absolute_encoding_tables_exist_only_where_attention_lives():

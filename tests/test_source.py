@@ -153,3 +153,40 @@ def test_tensor_reduces_along_axes_only_through_matrix_vector_products():
     # than one BLAS matrix-vector product with a vector of ones does
     found = axis_reductions((PACKAGE / "tensor.py").read_text())
     assert sorted(set(found) - AXIS_REDUCTIONS_ALLOWED) == []
+
+
+def dataclass_fields(source: str) -> list[str]:
+    """``Class.field`` for each field of every dataclass in ``source``; a
+    ``ClassVar`` annotation is a class attribute, not a field."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list):
+            continue
+        found += [f"{cls.name}.{node.target.id}" for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and "ClassVar" not in ast.unparse(node.annotation)]
+    return found
+
+
+def unread_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """Dataclass fields of the ``defining`` sources that no ``reading``
+    source reads as an attribute."""
+    read = {n.attr for source in reading for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f for source in defining for f in dataclass_fields(source) if f.split(".")[1] not in read]
+
+
+def test_dataclass_field_check_flags_only_unread_fields():
+    source = ("@dataclass\nclass A:\n    x: int\n    y: int\n    k: ClassVar[int] = 2\n"
+              "@dataclass(frozen=True)\nclass B:\n    z: int = 0\n"
+              "class C:\n    w: int\n"
+              "def f(a):\n    a.y = 1\n    return a.x\n")
+    assert dataclass_fields(source) == ["A.x", "A.y", "B.z"]
+    assert unread_fields([source], [source]) == ["A.y", "B.z"]
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no code in the package, its tests or the benchmark reads
+    # is state that is built and carried for nothing
+    reading = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *(TESTS.parent / "perfbench").rglob("*.py")]
+    assert unread_fields([p.read_text() for p in SOURCES], [p.read_text() for p in reading]) == []

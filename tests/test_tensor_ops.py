@@ -866,6 +866,16 @@ def test_batch_norm_eval_before_train_errors():
         batch_norm(x, tensor(np.ones(3)), tensor(np.zeros(3)), BatchNormState(), "eval")
 
 
+def test_batch_norm_refuses_an_empty_batch_before_touching_its_state():
+    state = BatchNormState().seed_identity(3, np.float64)
+    before = state.mean.tobytes(), state.var.tobytes()
+    for shape in ((0, 2, 2, 3), (2, 0, 2, 3), (2, 2, 0, 3)):
+        with pytest.raises(ShapeError) as exc:
+            batch_norm(tensor(np.zeros(shape)), tensor(np.ones(3)), tensor(np.zeros(3)), state, "train")
+        assert str(shape) in str(exc.value)
+    assert (state.mean.tobytes(), state.var.tobytes()) == before
+
+
 def test_batch_norm_running_stats_recursion():
     rng = np.random.default_rng(7)
     state = BatchNormState()
