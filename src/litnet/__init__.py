@@ -15,7 +15,7 @@ from .errors import (ConfigError, LitError, NumericError, ShapeError,
 from .model import (ForwardRecord, LitModel, ModelConfig, StageSpec, ablate,
                     build, preset, toy_config)
 from .tensor import (BatchNormState, Tape, Tensor, attention, batch_norm, conv2d,
-                     gelu, layer_norm, matmul, softmax, softmax_cross_entropy, tensor)
+                     gelu, layer_norm, matmul, softmax_cross_entropy, tensor)
 from .train import AdamW, TrainSettings, cosine_lr, run_training, train_step
 
 __version__ = "0.1.0"

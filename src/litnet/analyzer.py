@@ -22,8 +22,9 @@ from .model import ABSOLUTE_POS_STAGES, BLOCK_TRANSFORMER, MERGE_DTM, ModelConfi
 PARAM_TOLERANCE = 0.03
 FLOP_TOLERANCE = 0.05
 
-# Reference cost budgets for the stock family at 224x224 (backbone
-# parameters in units, headline FLOPs per image).
+# Reference cost budgets for the stock family, which hold only at
+# REFERENCE_RESOLUTION (backbone parameters in units, headline FLOPs per image).
+REFERENCE_RESOLUTION = 224
 REFERENCE_COSTS: dict[str, tuple[float, float]] = {
     "lit-ti": (19e6, 3.6e9),
     "lit-s": (27e6, 4.1e9),
@@ -205,12 +206,11 @@ class AuditReport:
         return self.msa_ok and all(r.ok for r in self.rows)
 
 
-def audit(configs: Mapping[str, ModelConfig] | None = None,
-          resolution: int = 224) -> AuditReport:
+def audit(configs: Mapping[str, ModelConfig] | None = None) -> AuditReport:
     """Compare stock variants, by default every preset with a reference
     budget, against their reference budgets.
 
-    Backbone totals (head excluded) are compared at ``resolution``
+    Backbone totals (head excluded) are compared at ``REFERENCE_RESOLUTION``
     against the reference figures with the stated tolerances; the
     single-attention reference point is always checked.
     """
@@ -226,7 +226,7 @@ def audit(configs: Mapping[str, ModelConfig] | None = None,
         if name not in REFERENCE_COSTS:
             raise ConfigError(f"no reference budget for {name!r}")
         p_target, f_target = REFERENCE_COSTS[name]
-        report = cost_report(config, resolution)
+        report = cost_report(config, REFERENCE_RESOLUTION)
         p, f = report.backbone_params, report.backbone_flops
         p_dev = (p - p_target) / p_target
         f_dev = (f - f_target) / f_target

@@ -24,8 +24,8 @@ from .errors import ConfigError, LitError, NumericError
 from .exports import (format_audit_text, format_cost_text, write_attention_exports,
                       write_cost_csv, write_manifest, write_offset_trace,
                       write_train_log)
-from .model import (MERGE_DTM, ForwardRecord, ModelConfig, PRESET_NAMES, build,
-                    preset, toy_config)
+from .model import (BLOCK_TRANSFORMER, MERGE_DTM, ForwardRecord, ModelConfig, PRESET_NAMES,
+                    build, preset, toy_config)
 from .train import (AdamW, TrainSettings, check_run_counters, load_training_checkpoint,
                     run_training)
 
@@ -105,9 +105,9 @@ def cmd_audit(args, out_dir: Path) -> int:
 
     audited = {n: c for n, c in configs.items() if n in analyzer.REFERENCE_COSTS}
     summary = {}
-    if args.resolution == 224 and audited:
-        audit_report = analyzer.audit(audited, resolution=args.resolution)
-        text = format_audit_text(audit_report, args.resolution)
+    if args.resolution == analyzer.REFERENCE_RESOLUTION and audited:
+        audit_report = analyzer.audit(audited)
+        text = format_audit_text(audit_report)
         sys.stdout.write(text)
         (out_dir / "audit.txt").write_text(text)
         all_ok = audit_report.ok
@@ -243,31 +243,34 @@ def _eval_record(model, images: np.ndarray) -> ForwardRecord:
 
 def cmd_inspect(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
-    model = build(config, seed=args.seed)
-    if args.checkpoint:
-        model.load(args.checkpoint)
-    images, _ = _dataset(args, config)
-
+    # every flag is checked before the model is built or any file is read
     grids = config.grids()
     if args.mode == "attn":
-        stage = args.stage
+        stage, block = args.stage, args.block
         if not 1 <= stage <= 4:
             raise ConfigError(f"--stage must be 1-4, got {stage}")
-        if config.stages[stage - 1].block_kind != "transformer":
-            raise ConfigError(f"stage {stage} has no self-attention layers; "
-                              "the first two stages use MLP blocks")
+        spec = config.stages[stage - 1]
+        if spec.block_kind != BLOCK_TRANSFORMER:
+            raise ConfigError(f"stage {stage} has MLP blocks, which have no self-attention layers")
+        if not 0 <= block < spec.depth:
+            raise ConfigError(f"stage {stage} has blocks 0-{spec.depth - 1}, got block {block}")
         queries = _grid_points(args.query, "query", grids[stage - 1], f"stage-{stage}")
-        attn = equivalence.export_attention_maps(_eval_record(model, images).attention,
-                                                 stage, args.block)
-        files = write_attention_exports(out_dir, attn, grids[stage - 1], queries)
-        print(f"wrote {len(files)} attention export files to {out_dir}")
     else:
         plain = sorted({s.merge_kind for s in config.stages[1:]} - {MERGE_DTM})
         if plain:
             raise ConfigError(f"{', '.join(plain)} merges have no offset predictor; "
                               f"offset traces need {MERGE_DTM!r} merges in stages 2-4")
         tokens = _grid_points(args.token, "token", grids[3], "final-stage")
-        record = _eval_record(model, images)
+    model = build(config, seed=args.seed)
+    if args.checkpoint:
+        model.load(args.checkpoint)
+    images, _ = _dataset(args, config)
+    record = _eval_record(model, images)
+    if args.mode == "attn":
+        files = write_attention_exports(out_dir, record.attention[(stage, block)],
+                                        grids[stage - 1], queries)
+        print(f"wrote {len(files)} attention export files to {out_dir}")
+    else:
         for token in tokens:
             coords = dtm.trace_offsets(record.offsets, token)
             path = out_dir / f"offsets_token{token[0]}_{token[1]}.csv"

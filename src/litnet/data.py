@@ -30,7 +30,7 @@ _PALETTE = np.array([
 ], dtype=np.float64)
 
 
-def _shape_mask(cls: int, size: int, cy: float, cx: float, r: float,
+def _shape_mask(cls: int, cy: float, cx: float, r: float,
                 yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
     dy, dx = yy - cy, xx - cx
     dist = np.sqrt(dy * dy + dx * dx)
@@ -84,7 +84,7 @@ def synthetic_dataset(num_images: int, seed: int, size: int = 64,
         r = rng.uniform(size * 0.16, size * 0.26)
         cy = rng.uniform(r + 1, size - r - 1)
         cx = rng.uniform(r + 1, size - r - 1)
-        mask = _shape_mask(cls, size, cy, cx, r, yy, xx)
+        mask = _shape_mask(cls, cy, cx, r, yy, xx)
         color = np.clip(_PALETTE[cls] + rng.normal(0.0, 0.04, size=3), 0.05, 1.0)
         img = background
         img[mask] = color + rng.normal(0.0, 0.015, size=(int(mask.sum()), 3))
@@ -118,6 +118,8 @@ def load_dataset_dir(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"images.npy must be [N, H, W, 3], got {images.shape}")
     if images.shape[0] == 0:
         raise ConfigError(f"{path} holds no images")
+    if 0 in images.shape[1:3]:
+        raise ConfigError(f"images.npy must have H and W of at least 1, got {images.shape}")
     if labels.shape != (images.shape[0],):
         raise ConfigError(f"labels.npy shape {labels.shape} does not match {images.shape[0]} images")
     # a cast to int64 would truncate 1.7 to 1 and wrap what int64 cannot hold

@@ -22,7 +22,7 @@ functions as its layer stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -215,20 +215,3 @@ def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tup
         mask = mag > (INFLUENCE_THRESHOLD * peak if peak > 0 else INFLUENCE_THRESHOLD)
         masks.append(mask)
     return ReceptiveFieldReport(query=(qy, qx), masks=masks, k_eff=_mask_extent(masks[-1]))
-
-
-def export_attention_maps(attention: Mapping[tuple[int, int], np.ndarray], stage: int,
-                          block: int = 0) -> np.ndarray:
-    """Average attention probabilities [heads, T, T] over an image batch.
-
-    ``attention`` maps (stage, block) to [N, heads, T, T], as
-    ``ForwardRecord.attention`` holds them after a forward pass.
-    """
-    blocks = sorted(b for s, b in attention if s == stage)
-    if not blocks:
-        raise ConfigError(
-            f"stage {stage} block {block} has no attention; "
-            "the first two stages do not have self-attention layers")
-    if block not in blocks:
-        raise ConfigError(f"stage {stage} has blocks {blocks[0]}-{blocks[-1]}, got block {block}")
-    return attention[(stage, block)].mean(axis=0)

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analyzer import AuditReport, CostReport
+from .analyzer import REFERENCE_RESOLUTION, AuditReport, CostReport
 
 
 def write_pgm(path: str | Path, values: np.ndarray) -> None:
@@ -41,12 +41,11 @@ def write_offset_trace(path: str | Path, token: tuple[int, int],
     write_csv(path, ["token_y", "token_x", "leaf_index", "image_y", "image_x"], rows)
 
 
-def write_attention_exports(out_dir: str | Path, attn: np.ndarray,
-                            grid: tuple[int, int],
+def write_attention_exports(out_dir: Path, maps: np.ndarray, grid: tuple[int, int],
                             queries: Sequence[tuple[int, int]]) -> list[Path]:
-    """Per-head PGM maps for each query pixel plus one CSV of raw values."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Per-head PGM maps for each query pixel plus one CSV of raw values, of
+    the attention maps [N, heads, T, T] averaged over the N images."""
+    attn = maps.mean(axis=0)
     h, w = grid
     heads = attn.shape[0]
     written = []
@@ -91,9 +90,10 @@ def format_cost_text(report: CostReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_audit_text(report: AuditReport, resolution: int) -> str:
+def format_audit_text(report: AuditReport) -> str:
     lines = [
-        f"cost audit at {resolution}x{resolution} (backbone basis, head excluded)",
+        f"cost audit at {REFERENCE_RESOLUTION}x{REFERENCE_RESOLUTION} "
+        "(backbone basis, head excluded)",
         f"reference MSA (56x56 tokens, C=96): {report.msa_flops / 1e9:.4f} G "
         f"(dev {report.msa_deviation:+.2%}) -> {'PASS' if report.msa_ok else 'FAIL'}",
     ]
@@ -107,12 +107,9 @@ def format_audit_text(report: AuditReport, resolution: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_manifest(out_dir: str | Path, payload: Mapping) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-    return path
+def write_manifest(out_dir: Path, payload: Mapping) -> None:
+    (out_dir / "manifest.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def write_train_log(path: str | Path, history) -> None:

@@ -279,7 +279,6 @@ class LitModel:
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         config.check()
         self.config = config
-        self.seed = seed
         self.dtype = np.dtype(dtype).type
 
         rng = np.random.Generator(np.random.PCG64(seed))

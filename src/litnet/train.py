@@ -2,10 +2,10 @@
 optimizer, warmup-plus-cosine schedule, and a plain epoch loop.
 
 Offset-predictor parameters live in their own group with an independent
-learning rate (default 1e-5) and no weight decay; everything else trains
-at the base rate with decoupled decay. Data order is derived statelessly
-from (seed, epoch), so resuming from an epoch-boundary checkpoint
-reproduces the uninterrupted run bit for bit.
+learning rate (``TrainSettings.offset_lr``) and no weight decay; the rest
+trains at the base rate with decoupled decay. Data order is derived
+statelessly from (seed, epoch), so resuming from an epoch-boundary
+checkpoint reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -23,19 +23,42 @@ from .model import LitModel
 from .tensor import Tape, Tensor, _all_finite, softmax_cross_entropy
 
 
-def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int = 0) -> float:
-    """Linear warmup to ``base_lr`` followed by cosine decay to zero."""
+def cosine_lr(step: int, total_steps: int, warmup_steps: int = 0) -> float:
+    """Scale of the base rate: linear warmup to 1, then cosine decay to zero."""
     if step > total_steps:
         raise ConfigError(f"step {step} exceeds total_steps {total_steps}")
     if warmup_steps > 0 and step < warmup_steps:
-        return base_lr * step / warmup_steps
+        return step / warmup_steps
     span = max(total_steps - warmup_steps, 1)
     progress = (step - warmup_steps) / span
-    return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+    return 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 def is_offset_param(name: str) -> bool:
     return ".offset_conv." in name
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    epochs: int = 200
+    batch_size: int = 32
+    lr: float = 1e-3
+    offset_lr: float = 1e-5
+    weight_decay: float = 5e-2
+    warmup_frac: float = 0.05
+    seed: int = 0
+    checkpoint_every: int = 50   # epochs between checkpoints; 0 writes only the final one
+
+    def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("lr", "offset_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and at least 0, got {value}")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ConfigError(f"warmup_frac must lie in [0, 1], got {self.warmup_frac}")
 
 
 @dataclass
@@ -50,22 +73,21 @@ class AdamW:
 
     beta1 = 0.9, beta2 = 0.999, eps = 1e-8. ``step`` applies, per group,
     lr_t = lr_scale * group.lr; decay is p -= lr_t * wd * p, applied with
-    the same step's rate. The DTM offset predictors form their own group,
-    with ``offset_lr`` and no weight decay.
+    the same step's rate. The rates come from ``settings``: the DTM offset
+    predictors form their own group, with ``offset_lr`` and no weight decay.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
-                 weight_decay: float = 5e-2, offset_lr: float = 1e-5):
+    def __init__(self, params: Mapping[str, Tensor], settings: TrainSettings = TrainSettings()):
         self.params = dict(params)
         offset_names = [n for n in self.params if is_offset_param(n)]
         main_names = [n for n in self.params if not is_offset_param(n)]
         self.groups = [
-            ParamGroup(main_names, lr, weight_decay),
-            ParamGroup(offset_names, offset_lr, 0.0),
+            ParamGroup(main_names, settings.lr, settings.weight_decay),
+            ParamGroup(offset_names, settings.offset_lr, 0.0),
         ]
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -138,35 +160,12 @@ def train_step(model: LitModel, images: np.ndarray, labels: np.ndarray,
 
 
 def evaluate_accuracy(model: LitModel, images: np.ndarray, labels: np.ndarray,
-                      batch_size: int = 32) -> float:
+                      batch_size: int) -> float:
     correct = 0
     for start in range(0, len(images), batch_size):
         logits = model.forward(images[start:start + batch_size], mode="eval")
         correct += int((logits.data.argmax(axis=1) == labels[start:start + batch_size]).sum())
     return correct / len(images)
-
-
-@dataclass
-class TrainSettings:
-    epochs: int = 200
-    batch_size: int = 32
-    lr: float = 1e-3
-    offset_lr: float = 1e-5
-    weight_decay: float = 5e-2
-    warmup_frac: float = 0.05
-    seed: int = 0
-    checkpoint_every: int = 50   # epochs between checkpoints; 0 writes only the final one
-
-    def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("checkpoint_every", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("lr", "offset_lr", "weight_decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and at least 0, got {value}")
-        if not 0.0 <= self.warmup_frac <= 1.0:
-            raise ConfigError(f"warmup_frac must lie in [0, 1], got {self.warmup_frac}")
 
 
 @dataclass
@@ -252,9 +251,7 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
     total_steps = settings.epochs * steps_per_epoch
     warmup_steps = int(round(settings.warmup_frac * total_steps))
 
-    optimizer = AdamW(model.named_params(), lr=settings.lr,
-                      weight_decay=settings.weight_decay,
-                      offset_lr=settings.offset_lr)
+    optimizer = AdamW(model.named_params(), settings)
     start_epoch = 0
     if resume is not None:
         start_epoch = load_training_checkpoint(resume, model, optimizer, settings.epochs)
@@ -272,7 +269,7 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
         last_lr = 0.0
         for start in range(0, n, settings.batch_size):
             batch_idx = order[start:start + settings.batch_size]
-            lr_scale = cosine_lr(global_step, total_steps, 1.0, warmup_steps)
+            lr_scale = cosine_lr(global_step, total_steps, warmup_steps)
             last_lr = lr_scale * settings.lr
             try:
                 loss, correct = train_step(model, images[batch_idx], labels[batch_idx],
@@ -299,6 +296,5 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
         final = out_dir / "ckpt_final.litckpt"
         save_training_checkpoint(final, model, optimizer, settings.epochs)
         result.checkpoints.append(final)
-    result.final_accuracy = evaluate_accuracy(model, images, labels,
-                                              settings.batch_size)
+    result.final_accuracy = evaluate_accuracy(model, images, labels, settings.batch_size)
     return result

@@ -87,12 +87,37 @@ def test_inspect_offsets_rejects_a_token_outside_the_final_grid(tmp_path, capsys
     assert_config_error(code, err, "outside the 2x2 final-stage grid")
 
 
-def test_inspect_offsets_on_uniform_merges_says_there_is_no_predictor(tmp_path, capsys):
+def uniform_config(tmp_path) -> str:
     config = tmp_path / "uniform.json"
     toy_config(merge_kind="uniform_conv").save_json(config)
-    code, err = run(capsys, "inspect", "--mode", "offsets", "--config", str(config),
+    return str(config)
+
+
+def test_inspect_offsets_on_uniform_merges_says_there_is_no_predictor(tmp_path, capsys):
+    code, err = run(capsys, "inspect", "--mode", "offsets", "--config", uniform_config(tmp_path),
                     "--num-images", "1", "--out", str(tmp_path / "out"))
     assert_config_error(code, err, "no offset predictor")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["attn", "--stage", "5"], "--stage must be 1-4, got 5"),
+    (["attn", "--stage", "1"], "stage 1 has MLP blocks, which have no self-attention layers"),
+    (["attn", "--block", "7"], "stage 3 has blocks 0-1, got block 7"),
+    (["attn", "--query", "9,9"], "query (9, 9) outside the 4x4 stage-3 grid"),
+    (["offsets", "--token", "2,0"], "token (2, 0) outside the 2x2 final-stage grid"),
+    (["offsets", "--config", uniform_config], "uniform_conv merges have no offset predictor"),
+], ids=["stage_5", "stage_1", "block_7", "query_9_9", "token_2_0", "uniform_merges"])
+def test_inspect_refuses_a_flag_before_it_builds_the_model_or_reads_data(tmp_path, capsys,
+                                                                          monkeypatch, argv,
+                                                                          message):
+    def never(*args, **kwargs):
+        raise AssertionError("inspect went past its flag checks")
+
+    monkeypatch.setattr(cli, "build", never)
+    monkeypatch.setattr(cli, "_dataset", never)
+    argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
+    code, err = run(capsys, "inspect", "--mode", *argv, "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, message)
 
 
 def test_inspect_offsets_writes_64_leaves(tmp_path, capsys):
@@ -203,9 +228,7 @@ def test_a_non_finite_pixel_is_a_config_error(tmp_path, capsys, command, value):
 def test_inspect_refuses_a_checkpoint_of_another_merge_kind(tmp_path, capsys):
     ckpt = tmp_path / "dtm.litckpt"
     build(toy_config(), seed=0).save(ckpt)
-    config = tmp_path / "uniform.json"
-    toy_config(merge_kind="uniform_conv").save_json(config)
-    code, err = run(capsys, "inspect", "--mode", "attn", "--config", str(config),
+    code, err = run(capsys, "inspect", "--mode", "attn", "--config", uniform_config(tmp_path),
                     "--checkpoint", str(ckpt), "--num-images", "1",
                     "--out", str(tmp_path / "out"))
     assert_config_error(code, err, "does not own")
@@ -521,6 +544,10 @@ def small_image_data(tmp_path, trained) -> str:
     return write_images(tmp_path / "data", np.zeros((2, 32, 32, 3), dtype=np.float32))
 
 
+def zero_pixel_data(tmp_path, trained) -> str:
+    return write_images(tmp_path / "data", np.zeros((2, 0, 0, 3), dtype=np.float32))
+
+
 def label_99_data(tmp_path, trained) -> str:
     path = write_images(tmp_path / "data", np.zeros((2, 64, 64, 3), dtype=np.float32))
     np.save(tmp_path / "data" / "labels.npy", np.array([0, 99]))
@@ -563,6 +590,9 @@ BAD_INPUT = {
     "train_stage1_channels_negative": (["train", "--epochs", "1", "--num-images", "1",
                                         "--config", toy_config_with(1, channels=-16)],
                                        cli.EXIT_CONFIG, "stage 1: channels must be >= 1, got -16"),
+    "train_zero_pixel_images": (["train", "--epochs", "1", "--data", zero_pixel_data],
+                                cli.EXIT_CONFIG, "config error: images.npy must have H and W "
+                                "of at least 1, got (2, 0, 0, 3)"),
     "train_float32_overflow_pixel": (["train", "--epochs", "1", "--data", float32_overflow_data],
                                      cli.EXIT_CONFIG, "images.npy holds non-finite pixels"),
     # 2**24 epochs of one step each: refused before the first step, not at the last one
@@ -588,6 +618,12 @@ BAD_INPUT = {
     "inspect_float32_overflow_pixel": (["inspect", "--mode", "attn", "--data",
                                         float32_overflow_data], cli.EXIT_CONFIG,
                                        "images.npy holds non-finite pixels"),
+    "inspect_zero_pixel_images": (["inspect", "--mode", "attn", "--data", zero_pixel_data],
+                                  cli.EXIT_CONFIG, "config error: images.npy must have H and W "
+                                  "of at least 1, got (2, 0, 0, 3)"),
+    "inspect_stage1_has_no_attention": (["inspect", "--mode", "attn", "--stage", "1"],
+                                        cli.EXIT_CONFIG, "config error: stage 1 has MLP blocks, "
+                                        "which have no self-attention layers"),
     "inspect_stage1_channels_zero": (["inspect", "--mode", "attn", "--num-images", "1",
                                       "--config", toy_config_with(1, channels=0)],
                                      cli.EXIT_CONFIG, "stage 1: channels must be >= 1, got 0"),

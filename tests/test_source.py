@@ -190,3 +190,35 @@ def test_every_dataclass_field_is_read():
     # is state that is built and carried for nothing
     reading = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *(TESTS.parent / "perfbench").rglob("*.py")]
     assert unread_fields([p.read_text() for p in SOURCES], [p.read_text() for p in reading]) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a function in ``source``
+    that its body never reads; ``x += y`` reads x. Dunder protocol methods,
+    such as ``__exit__``, are exempt: their protocol fixes the parameters."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or func.name.startswith("__") and func.name.endswith("__"):
+            continue
+        a = func.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = ast.Module(body=func.body, type_ignores=[])
+        read = name_reads(body) | {n.target.id for n in ast.walk(body)
+                                   if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        found += [f"{func.name}.{p}" for p in params if p not in read]
+    return found
+
+
+def test_unread_parameter_check_flags_only_unread_parameters():
+    source = ("def f(a, b, *c, d=1, **e):\n    a += 1\n    return lambda: d\n"
+              "class C:\n    def __exit__(self, *exc):\n        pass\n"
+              "    def g(self, x):\n        x.y = 1\n        self[0] = 2\n"
+              "def h(p, q=None):\n    return p\n")
+    assert unread_parameters(source) == ["f.b", "f.c", "f.e", "h.q"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter its function never reads is an option that does nothing
+    assert unread_parameters(path.read_text()) == []

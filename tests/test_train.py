@@ -15,21 +15,21 @@ from litnet.train import (AdamW, TrainSettings, cosine_lr, evaluate_accuracy,
 
 
 def test_cosine_endpoints():
-    assert cosine_lr(100, 1000, 2e-3, warmup_steps=100) == pytest.approx(2e-3)
-    assert cosine_lr(1000, 1000, 2e-3, warmup_steps=100) == pytest.approx(0.0, abs=1e-18)
-    assert cosine_lr(550, 1000, 2e-3, warmup_steps=100) == pytest.approx(1e-3)
-    assert cosine_lr(0, 1000, 2e-3, warmup_steps=100) == 0.0
-    assert cosine_lr(50, 1000, 2e-3, warmup_steps=100) == pytest.approx(1e-3)
+    assert cosine_lr(100, 1000, warmup_steps=100) == pytest.approx(1.0)
+    assert cosine_lr(1000, 1000, warmup_steps=100) == pytest.approx(0.0, abs=1e-18)
+    assert cosine_lr(550, 1000, warmup_steps=100) == pytest.approx(0.5)
+    assert cosine_lr(0, 1000, warmup_steps=100) == 0.0
+    assert cosine_lr(50, 1000, warmup_steps=100) == pytest.approx(0.5)
 
 
 def test_cosine_rejects_step_past_total():
     with pytest.raises(ConfigError):
-        cosine_lr(1001, 1000, 1e-3)
+        cosine_lr(1001, 1000)
 
 
 def test_adamw_zero_gradients_decay_only():
     p = Tensor(np.array([2.0, -4.0], dtype=np.float64), requires_grad=True)
-    opt = AdamW({"w": p}, lr=0.1, weight_decay=0.5)
+    opt = AdamW({"w": p}, TrainSettings(lr=0.1, weight_decay=0.5))
     p.grad = np.zeros(2)
     opt.step()
     assert np.allclose(p.data, [2.0 * (1 - 0.05), -4.0 * (1 - 0.05)], atol=1e-15)
@@ -38,7 +38,7 @@ def test_adamw_zero_gradients_decay_only():
 def test_adamw_matches_hand_unrolled_recursion():
     grads = [0.3, -0.7, 0.2, 0.9, -0.1]
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"w": p}, lr=1e-2, weight_decay=0.04)
+    opt = AdamW({"w": p}, TrainSettings(lr=1e-2, weight_decay=0.04))
 
     # textbook recursion, decoupled decay applied with the same step rate
     theta, m, v = 1.0, 0.0, 0.0
@@ -57,7 +57,7 @@ def test_adamw_matches_hand_unrolled_recursion():
 
 def test_offset_parameters_form_their_own_group():
     model = build(micro_config(), seed=0)
-    opt = AdamW(model.named_params(), lr=1e-3, offset_lr=1e-5)
+    opt = AdamW(model.named_params(), TrainSettings(lr=1e-3, offset_lr=1e-5))
     main, offset = opt.groups
     assert offset.lr == 1e-5 and offset.weight_decay == 0.0
     assert all(is_offset_param(n) for n in offset.names)
@@ -65,10 +65,18 @@ def test_offset_parameters_form_their_own_group():
     assert not any(is_offset_param(n) for n in main.names)
 
 
+def test_adamw_takes_its_default_rates_from_train_settings():
+    # the benchmark's toy train step builds its optimizer this way
+    defaults = TrainSettings()
+    main, offset = AdamW(build(micro_config(), seed=0).named_params()).groups
+    assert (main.lr, main.weight_decay) == (defaults.lr, defaults.weight_decay)
+    assert (offset.lr, offset.weight_decay) == (defaults.offset_lr, 0.0)
+
+
 def test_train_step_runs_and_reports():
     model = build(micro_config(num_classes=3), seed=0)
     images, labels = synthetic_dataset(8, seed=0, size=32, num_classes=3)
-    opt = AdamW(model.named_params(), lr=1e-3)
+    opt = AdamW(model.named_params(), TrainSettings(lr=1e-3))
     loss, correct = train_step(model, images, labels, opt, lr_scale=1.0)
     assert np.isfinite(loss)
     assert 0 <= correct <= 8
