@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analyzer, dtm, equivalence
-from .data import load_dataset_dir, synthetic_dataset
+from .checkpoint import load_tensors
+from .data import NUM_CLASSES, load_dataset_dir, synthetic_dataset
 from .errors import ConfigError, LitError, NumericError
 from .exports import (format_audit_text, format_cost_text, write_attention_exports,
                       write_cost_csv, write_manifest, write_offset_trace,
@@ -49,8 +50,9 @@ def _dataset(args, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     if args.data == "synthetic":
         if args.num_images < 1:
             raise ConfigError(f"--num-images must be at least 1, got {args.num_images}")
+        # the synthetic classes' labels are valid for a head of any larger width
         return synthetic_dataset(args.num_images, seed=args.seed, size=config.resolution,
-                                 num_classes=config.num_classes)
+                                 num_classes=min(config.num_classes, NUM_CLASSES))
     return load_dataset_dir(args.data)
 
 
@@ -230,17 +232,6 @@ def cmd_train(args, out_dir: Path) -> int:
 # --------------------------------------------------------------------------
 
 
-def _eval_record(model, images: np.ndarray) -> ForwardRecord:
-    """Attention maps and offsets of an eval-mode pass, which changes no
-    running statistics, so each image's export is independent of the batch.
-    A model without running statistics gets identity ones first."""
-    if any(merge.bn_state.mean is None for merge in model.merges.values()):
-        model.seed_norm_stats()
-    record = ForwardRecord()
-    model.forward(images, mode="eval", record=record)
-    return record
-
-
 def cmd_inspect(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
     # every flag is checked before the model is built or any file is read
@@ -255,17 +246,24 @@ def cmd_inspect(args, out_dir: Path) -> int:
         if not 0 <= block < spec.depth:
             raise ConfigError(f"stage {stage} has blocks 0-{spec.depth - 1}, got block {block}")
         queries = _grid_points(args.query, "query", grids[stage - 1], f"stage-{stage}")
+        wanted = [(stage, block)]
     else:
         plain = sorted({s.merge_kind for s in config.stages[1:]} - {MERGE_DTM})
         if plain:
             raise ConfigError(f"{', '.join(plain)} merges have no offset predictor; "
                               f"offset traces need {MERGE_DTM!r} merges in stages 2-4")
         tokens = _grid_points(args.token, "token", grids[3], "final-stage")
+        wanted = []
     model = build(config, seed=args.seed)
     if args.checkpoint:
-        model.load(args.checkpoint)
+        model.load_state(load_tensors(args.checkpoint))
     images, _ = _dataset(args, config)
-    record = _eval_record(model, images)
+    # an eval-mode pass changes no running statistics, so each image's export
+    # is independent of the batch; a model without them gets identity ones
+    if any(merge.bn_state.mean is None for merge in model.merges.values()):
+        model.seed_norm_stats()
+    record = ForwardRecord(attention=dict.fromkeys(wanted))
+    model.forward(images, mode="eval", record=record)
     if args.mode == "attn":
         files = write_attention_exports(out_dir, record.attention[(stage, block)],
                                         grids[stage - 1], queries)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import (MlpBlockParams, PatchEmbedParams, TransformerBlockParams,
                      mlp_block, patch_embed, transformer_block)
-from .checkpoint import load_tensors, read_counter, save_tensors
+from .checkpoint import read_counter
 from .dtm import DtmParams, dtm_forward
 from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
@@ -257,12 +257,14 @@ def _layer(path: str):
 class ForwardRecord:
     """Inspection data captured during one forward pass.
 
-    Passing one to ``LitModel.forward`` asks every attention block for its
-    [N, heads, T, T] probabilities, which are built in full only then (or
-    under a tape); a forward pass without a record never holds them.
+    ``offsets`` receives the offset field of every DTM merge. ``attention``
+    is keyed by the (stage, block) pairs whose [N, heads, T, T]
+    probabilities the caller wants, each set to None before the pass;
+    ``LitModel.forward`` builds those maps in full (or keeps them from the
+    tape) and no others, so a pass without such keys holds none.
     """
 
-    attention: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    attention: dict[tuple[int, int], np.ndarray | None] = field(default_factory=dict)
     offsets: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -347,10 +349,11 @@ class LitModel:
         ``state`` may hold only the records of a training checkpoint:
         ``opt.step``, ``meta.epoch`` and the moments ``opt.<param>.m`` and
         ``.v`` of the model's own parameters; any other name is refused. So is
-        a running mean without its variance or the reverse, any array whose
-        shape differs from the model's (for a moment ``opt.<param>.m`` or
-        ``.v``, its parameter's), and a bad ``opt.step`` or ``meta.epoch``,
-        all before anything is loaded.
+        a running mean without its variance or the reverse, running
+        statistics for some merges but not all, any array whose shape differs
+        from the model's (for a moment ``opt.<param>.m`` or ``.v``, its
+        parameter's), and a bad ``opt.step`` or ``meta.epoch``, all before
+        anything is loaded; ``train.load_training_checkpoint`` checks no record again.
         """
         params = self.named_params()
         missing = [n for n in params if n not in state]
@@ -373,6 +376,10 @@ class LitModel:
                     raise ConfigError(f"checkpoint holds {have} without {lack}")
             if mean_key in state:
                 shapes[mean_key] = shapes[var_key] = self.merges[stage].bn_g.shape
+        with_stats = [stage for stage, (mean_key, _) in stat_names.items() if mean_key in state]
+        if with_stats and len(with_stats) < len(stat_names):
+            raise ConfigError(f"checkpoint holds running statistics for the stage-{with_stats[0]} merge "
+                              f"but not the stage-{min(set(stat_names) - set(with_stats))} one")
         for name, shape in shapes.items():
             if np.shape(state[name]) != shape:
                 raise ConfigError(f"{name}: checkpoint shape {np.shape(state[name])} "
@@ -387,12 +394,6 @@ class LitModel:
             if mean_key in state:
                 merge.bn_state.mean = np.asarray(state[mean_key], dtype=self.dtype).copy()
                 merge.bn_state.var = np.asarray(state[var_key], dtype=self.dtype).copy()
-
-    def save(self, path) -> None:
-        save_tensors(path, self.named_state())
-
-    def load(self, path) -> None:
-        self.load_state(load_tensors(path))
 
     def seed_norm_stats(self) -> None:
         """Seed every batch-norm state with identity statistics."""
@@ -439,9 +440,9 @@ class LitModel:
                     if spec.block_kind == BLOCK_MLP:
                         tokens = mlp_block(tokens, block)
                     else:
-                        tokens, attn = transformer_block(tokens, block,
-                                                         with_attn=record is not None)
-                        if record is not None:
+                        wanted = record is not None and (stage, i) in record.attention
+                        tokens, attn = transformer_block(tokens, block, with_attn=wanted)
+                        if wanted:
                             record.attention[(stage, i)] = attn
 
         with _layer("head"):

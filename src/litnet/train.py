@@ -132,19 +132,6 @@ class AdamW:
         out["opt.step"] = np.array([self.step_count], dtype=np.float32)
         return out
 
-    def load_state_arrays(self, state: Mapping[str, np.ndarray]) -> None:
-        """Load the moments and step count; a moment whose shape is not its
-        parameter's, or a bad step count, is refused before anything loads."""
-        for key, p in ((f"opt.{n}.{m}", p) for n, p in self.params.items() for m in "mv"):
-            if np.shape(state[key]) != p.data.shape:
-                raise ConfigError(f"{key}: checkpoint shape {np.shape(state[key])} "
-                                  f"does not match parameter shape {p.data.shape}")
-        step = read_counter(state, "opt.step")
-        for name, p in self.params.items():
-            self.m[name] = np.array(state[f"opt.{name}.m"], dtype=p.data.dtype)
-            self.v[name] = np.array(state[f"opt.{name}.v"], dtype=p.data.dtype)
-        self.step_count = step
-
 
 def train_step(model: LitModel, images: np.ndarray, labels: np.ndarray,
                optimizer: AdamW, lr_scale: float = 1.0) -> tuple[float, int]:
@@ -219,7 +206,8 @@ def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW, epoc
     """Load a ``save_training_checkpoint`` file into ``model`` and ``optimizer``
     and return its epoch. A file that is not one, or that was saved outside the
     0..epochs of a run of ``epochs`` epochs, raises ConfigError before anything
-    loads."""
+    loads; so does any record that ``LitModel.load_state``, the one checker of
+    a checkpoint's names, shapes and counters, refuses."""
     state = load_tensors(path)
     missing = [k for k in (*optimizer.state_arrays(), "meta.epoch") if k not in state]
     if missing:
@@ -231,22 +219,24 @@ def load_training_checkpoint(path: Path, model: LitModel, optimizer: AdamW, epoc
         raise ConfigError(f"{path} was saved at epoch {epoch}, outside the "
                           f"0-{epochs} epochs of this run")
     model.load_state(state)  # checks the optimizer and meta records too
-    optimizer.load_state_arrays(state)
+    for name, p in optimizer.params.items():
+        optimizer.m[name] = np.array(state[f"opt.{name}.m"], dtype=p.data.dtype)
+        optimizer.v[name] = np.array(state[f"opt.{name}.v"], dtype=p.data.dtype)
+    optimizer.step_count = read_counter(state, "opt.step")
     return epoch
 
 
 def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
-                 settings: TrainSettings, out_dir: Path | None = None,
-                 resume: Path | None = None,
+                 settings: TrainSettings, out_dir: Path, resume: Path | None = None,
                  on_epoch: Callable[[EpochStats], None] | None = None) -> TrainResult:
     """Train to the epoch budget; deterministic under (settings.seed, data).
-    With an ``out_dir`` to checkpoint into, a run whose counters a checkpoint
-    cannot store is refused before it trains."""
+    Checkpoints go into ``out_dir``. An empty training set, a run whose
+    counters a checkpoint cannot store and a ``resume`` file that does not
+    load are refused before ``out_dir`` is created or anything trains."""
     n = len(images)
     if n == 0:
         raise ConfigError("empty training set")
-    if out_dir is not None:
-        check_run_counters(n, settings)
+    check_run_counters(n, settings)
     steps_per_epoch = math.ceil(n / settings.batch_size)
     total_steps = settings.epochs * steps_per_epoch
     warmup_steps = int(round(settings.warmup_frac * total_steps))
@@ -256,10 +246,9 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
     if resume is not None:
         start_epoch = load_training_checkpoint(resume, model, optimizer, settings.epochs)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = TrainResult()
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     global_step = start_epoch * steps_per_epoch
     for epoch in range(start_epoch, settings.epochs):
@@ -286,15 +275,13 @@ def run_training(model: LitModel, images: np.ndarray, labels: np.ndarray,
         result.history.append(stats)
         if on_epoch is not None:
             on_epoch(stats)
-        if out_dir is not None and settings.checkpoint_every > 0 \
-                and (epoch + 1) % settings.checkpoint_every == 0:
+        if settings.checkpoint_every > 0 and (epoch + 1) % settings.checkpoint_every == 0:
             path = out_dir / f"ckpt_epoch{epoch + 1:04d}.litckpt"
             save_training_checkpoint(path, model, optimizer, epoch + 1)
             result.checkpoints.append(path)
 
-    if out_dir is not None:
-        final = out_dir / "ckpt_final.litckpt"
-        save_training_checkpoint(final, model, optimizer, settings.epochs)
-        result.checkpoints.append(final)
+    final = out_dir / "ckpt_final.litckpt"
+    save_training_checkpoint(final, model, optimizer, settings.epochs)
+    result.checkpoints.append(final)
     result.final_accuracy = evaluate_accuracy(model, images, labels, settings.batch_size)
     return result

@@ -83,10 +83,10 @@ def test_model_state_round_trip_bit_exact(tmp_path):
     model = build(micro_config(), seed=3)
     model.forward(np.random.default_rng(0).normal(size=(2, 32, 32, 3)), mode="train")
     path = tmp_path / "model.litckpt"
-    model.save(path)
+    save_tensors(path, model.named_state())
 
     other = build(micro_config(), seed=99)
-    other.load(path)
+    other.load_state(load_tensors(path))
     for name, arr in model.named_state().items():
         assert other.named_state()[name].tobytes() == np.asarray(arr, dtype=np.float32).tobytes(), name
 
@@ -99,10 +99,10 @@ def test_model_state_round_trip_bit_exact(tmp_path):
 
 def test_a_dtm_checkpoint_does_not_load_into_a_uniform_merge_model(tmp_path):
     path = tmp_path / "dtm.litckpt"
-    build(toy_config(), seed=0).save(path)
+    save_tensors(path, build(toy_config(), seed=0).named_state())
     uniform = build(toy_config(merge_kind="uniform_conv"), seed=0)
     with pytest.raises(ConfigError, match=r"does not own: \['stage2\.merge\.offset_conv\.w'.*\.\.\.$"):
-        uniform.load(path)
+        uniform.load_state(load_tensors(path))
 
 
 # tests/test_cli.py refuses opt.bogus.m and meta.anything end to end

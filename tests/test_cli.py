@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import litnet
-from litnet import cli
+from litnet import blocks, cli
 from litnet.analyzer import cost_report
 from litnet.checkpoint import load_tensors, save_tensors
 from litnet.data import synthetic_dataset
 from litnet.model import PRESET_NAMES, ModelConfig, build, preset, toy_config
+from litnet.tensor import attention
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -74,7 +75,7 @@ def test_inspect_attn_rejects_a_stage_outside_1_to_4(tmp_path, capsys, stage):
 
 def test_train_resume_from_a_model_only_checkpoint_names_the_missing_records(tmp_path, capsys):
     ckpt = tmp_path / "model.litckpt"
-    build(toy_config(), seed=0).save(ckpt)
+    save_tensors(ckpt, build(toy_config(), seed=0).named_state())
     code, err = run(capsys, "train", "--resume", str(ckpt), "--num-images", "4",
                     "--epochs", "1", "--out", str(tmp_path / "out"))
     assert_config_error(code, err, "opt.patch_embed.w.m")
@@ -225,9 +226,32 @@ def test_a_non_finite_pixel_is_a_config_error(tmp_path, capsys, command, value):
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("mode,maps", [("attn", 1), ("offsets", 0)])
+def test_inspect_builds_only_the_attention_map_it_writes(tmp_path, capsys, monkeypatch, mode, maps):
+    asked = []
+
+    def counted(*args, with_probs=False):
+        asked.append(with_probs)
+        return attention(*args, with_probs=with_probs)
+
+    monkeypatch.setattr(blocks, "attention", counted)
+    code, err = run(capsys, "inspect", "--mode", mode, "--num-images", "1", "--out", str(tmp_path))
+    assert code == cli.EXIT_OK, err
+    assert len(asked) == 3  # the toy layout's transformer blocks
+    assert sum(asked) == maps
+
+
+def test_inspect_runs_a_preset_on_synthetic_data(tmp_path, capsys):
+    # the presets' 1000-class heads take the synthetic data's 10 classes
+    code, err = run(capsys, "inspect", "--mode", "attn", "--preset", "lit-ti",
+                    "--num-images", "1", "--out", str(tmp_path))
+    assert code == cli.EXIT_OK, err
+    assert (tmp_path / "attention.csv").is_file()
+
+
 def test_inspect_refuses_a_checkpoint_of_another_merge_kind(tmp_path, capsys):
     ckpt = tmp_path / "dtm.litckpt"
-    build(toy_config(), seed=0).save(ckpt)
+    save_tensors(ckpt, build(toy_config(), seed=0).named_state())
     code, err = run(capsys, "inspect", "--mode", "attn", "--config", uniform_config(tmp_path),
                     "--checkpoint", str(ckpt), "--num-images", "1",
                     "--out", str(tmp_path / "out"))
@@ -329,8 +353,8 @@ def setitem(name: str, value):
     return lambda state: state.__setitem__(name, np.asarray(value, dtype=np.float32))
 
 
-def pop(name: str):
-    return lambda state: state.pop(name)
+def pop(*names: str):
+    return lambda state: [state.pop(name) for name in names]
 
 
 # each edit turns the trained checkpoint into a malformed one: bytes are
@@ -356,6 +380,9 @@ MALFORMED_CHECKPOINTS = {
                          "holds stage3.merge.bn.running_var without stage3.merge.bn.running_mean"),
     "mean_of_3": (setitem("stage2.merge.bn.running_mean", np.zeros(3)),
                   "stage2.merge.bn.running_mean: checkpoint shape (3,) does not match model shape (32,)"),
+    "stage3_stats_missing": (pop("stage3.merge.bn.running_mean", "stage3.merge.bn.running_var"),
+                             "checkpoint holds running statistics for the stage-2 merge "
+                             "but not the stage-3 one"),
 }
 
 

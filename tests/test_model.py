@@ -252,7 +252,7 @@ def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):
     monkeypatch.setattr(blocks, "attention", keep_probs)
     model = build(micro_config(), seed=0)
     images = np.random.default_rng(1).normal(size=(2, 32, 32, 3))
-    record = ForwardRecord()
+    record = ForwardRecord(attention=dict.fromkeys([(3, 0), (4, 0)]))
     with Tape() as tape:
         loss = sum_all(model.forward(images, mode="train", record=record))
     tape.backward(loss)
@@ -260,7 +260,7 @@ def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):
     for got, want in zip(record.attention.values(), taped, strict=True):
         assert got.tobytes() == want.tobytes()
         assert np.abs(got.sum(axis=-1) - 1.0).max() < 1e-6
-    plain = ForwardRecord()
+    plain = ForwardRecord(attention=dict.fromkeys([(3, 0), (4, 0)]))
     model.forward(images, mode="train", record=plain)
     for key, got in plain.attention.items():
         assert got.tobytes() == record.attention[key].tobytes()

@@ -168,11 +168,16 @@ def dataclass_fields(source: str) -> list[str]:
     return found
 
 
+def attribute_reads(sources: list[str]) -> set[str]:
+    """Attribute names read, not assigned, in ``sources``."""
+    return {n.attr for source in sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_fields(defining: list[str], reading: list[str]) -> list[str]:
     """Dataclass fields of the ``defining`` sources that no ``reading``
     source reads as an attribute."""
-    read = {n.attr for source in reading for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read = attribute_reads(reading)
     return [f for source in defining for f in dataclass_fields(source) if f.split(".")[1] not in read]
 
 
@@ -190,6 +195,39 @@ def test_every_dataclass_field_is_read():
     # is state that is built and carried for nothing
     reading = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *(TESTS.parent / "perfbench").rglob("*.py")]
     assert unread_fields([p.read_text() for p in SOURCES], [p.read_text() for p in reading]) == []
+
+
+def public_methods(source: str) -> list[str]:
+    """``Class.method`` for each public method or property of every class in
+    ``source``; dunder and underscore-prefixed methods are not public."""
+    return [f"{cls.name}.{node.name}" for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def unread_methods(defining: list[str], reading: list[str]) -> list[str]:
+    """Public methods of the ``defining`` sources that no ``reading`` source
+    reads as an attribute."""
+    read = attribute_reads(reading)
+    return [m for source in defining for m in public_methods(source) if m.split(".")[1] not in read]
+
+
+def test_method_check_flags_only_unread_methods():
+    source = ("class A:\n    def __init__(self):\n        self.n = self.used()\n"
+              "    def used(self):\n        return 1\n    def unused(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"
+              "    @property\n    def shown(self):\n        return 2\n"
+              "    @classmethod\n    def make(cls):\n        return cls()\n"
+              "def f(a):\n    a.unused = 3\n    return a.shown, A.make\n")
+    assert public_methods(source) == ["A.used", "A.unused", "A.shown", "A.make"]
+    assert unread_methods([source], [source]) == ["A.unused"]
+
+
+def test_every_public_method_is_read():
+    # a method or property that no code in the package or the benchmark reads
+    # is kept alive by its tests alone; reads in tests do not count
+    reading = [*PACKAGE.glob("*.py"), *(TESTS.parent / "perfbench").glob("*.py")]
+    assert unread_methods([p.read_text() for p in SOURCES], [p.read_text() for p in reading]) == []
 
 
 def unread_parameters(source: str) -> list[str]:

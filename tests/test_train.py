@@ -5,6 +5,7 @@ import pytest
 
 from helpers import micro_config
 from litnet import train as train_module
+from litnet.checkpoint import save_tensors
 from litnet.data import synthetic_dataset
 from litnet.errors import ConfigError, NumericError
 from litnet.model import build, toy_config
@@ -92,13 +93,13 @@ def test_train_settings_reject_out_of_range_values(field, value):
         TrainSettings(**{field: value})
 
 
-def test_training_is_bit_deterministic():
+def test_training_is_bit_deterministic(tmp_path):
     settings = TrainSettings(epochs=2, batch_size=8, seed=5, checkpoint_every=0)
     images, labels = synthetic_dataset(16, seed=1, size=32, num_classes=3)
 
     def run():
         model = build(micro_config(num_classes=3), seed=5)
-        run_training(model, images, labels, settings)
+        run_training(model, images, labels, settings, out_dir=tmp_path)
         return {n: p.data.copy() for n, p in model.named_params().items()}
 
     a, b = run(), run()
@@ -111,7 +112,8 @@ def test_resume_continues_bit_identically(tmp_path):
 
     straight = build(micro_config(num_classes=3), seed=3)
     run_training(straight, images, labels,
-                 TrainSettings(epochs=4, batch_size=8, seed=3, checkpoint_every=0))
+                 TrainSettings(epochs=4, batch_size=8, seed=3, checkpoint_every=0),
+                 out_dir=tmp_path / "straight")
 
     # same 4-epoch schedule, checkpointing at the epoch-2 boundary
     half = build(micro_config(num_classes=3), seed=3)
@@ -121,7 +123,7 @@ def test_resume_continues_bit_identically(tmp_path):
     resumed = build(micro_config(num_classes=3), seed=3)
     run_training(resumed, images, labels,
                  TrainSettings(epochs=4, batch_size=8, seed=3, checkpoint_every=0),
-                 resume=tmp_path / "ckpt_epoch0002.litckpt")
+                 out_dir=tmp_path / "resumed", resume=tmp_path / "ckpt_epoch0002.litckpt")
 
     for name, p in straight.named_params().items():
         assert p.data.tobytes() == resumed.named_params()[name].data.tobytes(), name
@@ -135,7 +137,7 @@ def test_a_resume_past_the_epoch_budget_loads_nothing(tmp_path):
     images, labels = synthetic_dataset(4, seed=0, size=32, num_classes=3)
     with pytest.raises(ConfigError, match="saved at epoch 3, outside the 0-2 epochs of this run"):
         run_training(model, images, labels, TrainSettings(epochs=2, batch_size=4),
-                     resume=tmp_path / "ahead.litckpt")
+                     out_dir=tmp_path / "out", resume=tmp_path / "ahead.litckpt")
     after = model.named_state()
     assert all(np.array_equal(before[name], after[name]) for name in before)
 
@@ -177,23 +179,23 @@ def test_a_run_a_checkpoint_cannot_count_is_refused_before_it_trains(tmp_path, m
     assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
-def test_offset_lr_zero_freezes_offsets_exactly():
+def test_offset_lr_zero_freezes_offsets_exactly(tmp_path):
     model = build(micro_config(num_classes=3), seed=0)
     images, labels = synthetic_dataset(8, seed=0, size=32, num_classes=3)
     settings = TrainSettings(epochs=3, batch_size=8, seed=0, offset_lr=0.0,
                              checkpoint_every=0)
-    run_training(model, images, labels, settings)
+    run_training(model, images, labels, settings, out_dir=tmp_path)
     for name, p in model.named_params().items():
         if is_offset_param(name):
             assert np.all(p.data == 0.0), name
 
 
-def test_loss_decreases_on_tiny_overfit():
+def test_loss_decreases_on_tiny_overfit(tmp_path):
     model = build(micro_config(num_classes=3), seed=0)
     images, labels = synthetic_dataset(12, seed=4, size=32, num_classes=3)
     result = run_training(model, images, labels,
                           TrainSettings(epochs=30, batch_size=12, seed=0,
-                                        checkpoint_every=0))
+                                        checkpoint_every=0), out_dir=tmp_path)
     first = np.mean([s.loss for s in result.history[:5]])
     last = np.mean([s.loss for s in result.history[-5:]])
     assert last < first
@@ -226,12 +228,19 @@ def test_adamw_refuses_a_non_finite_gradient_before_changing_anything():
         assert all(was[n].tobytes() == now[n].tobytes() for n in was)
 
 
-def test_adamw_refuses_a_moment_shaped_unlike_its_parameter_before_loading_any():
-    opt = AdamW(build(toy_config(), seed=0).named_params())
-    state = {k: v + 1.0 for k, v in opt.state_arrays().items()}
+def test_a_moment_shaped_unlike_its_parameter_is_refused_before_anything_loads(tmp_path):
+    model = build(toy_config(), seed=0)
+    opt = AdamW(model.named_params())
+    before = model.named_state()
+    state = {k: v + 1.0 for k, v in {**before, **opt.state_arrays()}.items()}
     state["opt.head.w.m"] = np.arange(640, dtype=np.float32).reshape(10, 64)
+    state["meta.epoch"] = np.array([1.0], dtype=np.float32)
+    save_tensors(tmp_path / "ckpt.litckpt", state)
     with pytest.raises(ConfigError, match=r"^opt\.head\.w\.m: checkpoint shape \(10, 64\) does "
-                                          r"not match parameter shape \(64, 10\)$"):
-        opt.load_state_arrays(state)
+                                          r"not match model shape \(64, 10\)$"):
+        load_training_checkpoint(tmp_path / "ckpt.litckpt", model, opt, 2)
     assert opt.step_count == 0
     assert all(not m.any() and not v.any() for m, v in zip(opt.m.values(), opt.v.values()))
+    after = model.named_state()
+    assert list(after) == list(before)
+    assert all(before[name].tobytes() == after[name].tobytes() for name in before)
