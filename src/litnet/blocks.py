@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
-from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, relative_slot,
-                     reshape, residual_mlp, transpose)
+from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, reshape, residual_mlp,
+                     transpose)
 
 PATCH_SIZE = 4
 PATCH_DIM = PATCH_SIZE * PATCH_SIZE * 3  # 48
@@ -135,9 +135,8 @@ def relative_index_map(h: int, w: int) -> np.ndarray:
     Entry (i, j) encodes the 2-d displacement between token i and token j
     of an h x w grid, so equal displacements share one table slot.
     """
-    ys, xs = np.divmod(np.arange(h * w), w)
-    return relative_slot(ys[:, None] - ys[None, :], xs[:, None] - xs[None, :],
-                         h, w).astype(np.int64)
+    ys, xs = np.divmod(np.arange(h * w, dtype=np.int64), w)
+    return (ys[:, None] - ys + (h - 1)) * (2 * w - 1) + (xs[:, None] - xs + (w - 1))
 
 
 def msa(x: Tensor, p: MsaParams, with_attn: bool = False) -> tuple[Tensor, np.ndarray | None]:

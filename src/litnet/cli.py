@@ -234,7 +234,8 @@ def cmd_train(args, out_dir: Path) -> int:
 
 def cmd_inspect(args, out_dir: Path) -> int:
     name, config = _resolve_config(args)
-    # every flag is checked before the model is built or any file is read
+    # every flag and the data are checked before the model is built or the
+    # checkpoint is read
     grids = config.grids()
     if args.mode == "attn":
         stage, block = args.stage, args.block
@@ -254,10 +255,10 @@ def cmd_inspect(args, out_dir: Path) -> int:
                               f"offset traces need {MERGE_DTM!r} merges in stages 2-4")
         tokens = _grid_points(args.token, "token", grids[3], "final-stage")
         wanted = []
+    images, _ = _dataset(args, config)
     model = build(config, seed=args.seed)
     if args.checkpoint:
         model.load_state(load_tensors(args.checkpoint))
-    images, _ = _dataset(args, config)
     # an eval-mode pass changes no running statistics, so each image's export
     # is independent of the batch; a model without them gets identity ones
     if any(merge.bn_state.mean is None for merge in model.merges.values()):

@@ -82,9 +82,11 @@ differently from one full-size product, so float32 outputs are not
 bit-identical to the unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they
 stay within 8 float32 ulps of max(P @ |v|), the largest sum of |terms|
 behind one output (6.7 was the worst measured against a float64 unfused
-result, on either exp path). The table's gradient is scatter-added with
-one flat ``np.bincount``, as is ``gather_last``'s, by a [T, T] slot index
-that only the backward pass forms.
+result, on either exp path). The backward pass takes the softmax row sums
+as D_i = sum_j dP_ij P_ij = g_i . o_i from the output o, as FlashAttention's
+does, and sums the table's gradient through the forward's window: each
+query adds its block of dS, summed over images, into a writeable window of
+a zeroed flipped table. Beside dP and its image sum it forms no [T, T] array.
 
 ``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
 as one op, after the fused elementwise chains of "Data Movement Is All
@@ -392,16 +394,6 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     return _apply("mean_axis", (a,), _lead_sums(np.moveaxis(a.data, axis, 0)) * s, bwd)
 
 
-def _scatter_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
-    """[rows, width] sums out[r, k] of values[r, j] over the j with index[j] == k,
-    for [rows, n] ``values`` and an [n] ``index``: one bincount over the
-    flat bins r * width + index[j]."""
-    rows = values.shape[0]
-    bins = (np.arange(rows)[:, None] * width + index).reshape(-1)
-    sums = np.bincount(bins, weights=values.reshape(-1), minlength=rows * width)
-    return sums.astype(values.dtype, copy=False).reshape(rows, width)
-
-
 # Unused by the model; kept because perfbench wraps it by name (ROADMAP item 1).
 def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     """out[..., *index.shape] = a[..., index]; gradient scatter-adds into ``a``."""
@@ -412,8 +404,9 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     rows = math.prod(a.shape[:-1])
 
     def bwd(g):
-        ga = _scatter_rows(g.reshape(rows, index.size), index.reshape(-1), last)
-        return (ga.reshape(a.shape),)
+        bins = (np.arange(rows)[:, None] * last + index.reshape(-1)).reshape(-1)
+        sums = np.bincount(bins, weights=g.reshape(-1), minlength=rows * last)
+        return (sums.astype(g.dtype, copy=False).reshape(a.shape),)
 
     return _apply("gather_last", (a,), a.data[..., index], bwd)
 
@@ -482,11 +475,13 @@ def softmax(x: Tensor) -> Tensor:
                   lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
-def relative_slot(dy, dx, h: int, w: int):
-    """Flat slot of the (query - key) displacement (dy, dx) in an h x w
-    grid's [2h-1, 2w-1] relative-bias table; elementwise on arrays, where
-    the grouped scalars keep it at one pass per operator."""
-    return (dy + (h - 1)) * (2 * w - 1) + (dx + (w - 1))
+def _bias_window(flipped: np.ndarray) -> np.ndarray:
+    """[heads, H, W, H, W] view of a [heads, 2H-1, 2W-1] table flipped on both
+    grid axes: [h, yi, xi] is query (yi, xi)'s [H, W] bias, each row of it a
+    contiguous run. Writeable, so adding each query's block into it sums the
+    blocks into the slots they were read from."""
+    gh, gw = ((e + 1) // 2 for e in flipped.shape[1:])
+    return sliding_window_view(flipped, (gh, gw), axis=(1, 2), writeable=True)[:, ::-1, ::-1]
 
 
 def _max_abs(arr: np.ndarray) -> float:
@@ -545,8 +540,8 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     the logits z directly when the Cauchy-Schwarz bound on |z| shows that
     exp(z), the row sums and exp(z) @ v stay in range, and otherwise check
     the tile and take exp(z - row max). Differentiable in ``qkv`` and the
-    table, whose gradient the backward pass sums by ``relative_slot``; see
-    the module docstring for the tiling and the bound.
+    table, whose gradient adds dS back through the window it was read
+    from; see the module docstring for the tiling and the bound.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads) or 0 in qkv.shape[1:]:
         raise ShapeError(f"attention: qkv {qkv.shape} is not [N, T, 3 * {heads} * d] with T, d > 0")
@@ -561,10 +556,7 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
             raise ShapeError(f"attention: bias table {bias.shape} is not [{heads}, 2H-1, 2W-1] "
                              f"for an H x W grid of {t} queries")
         rows = max(1, round(rows / gw)) * gw
-        # window[h, yi, xi] is the [H, W] bias of query (yi, xi) over every
-        # key; flipping a copy of the table keeps each window row contiguous
-        flipped = np.ascontiguousarray(bias.data[:, ::-1, ::-1])
-        window = sliding_window_view(flipped, (gh, gw), axis=(1, 2))[:, ::-1, ::-1]
+        window = _bias_window(np.ascontiguousarray(bias.data[:, ::-1, ::-1]))
         inputs += (bias,)
     tape = _recording_tape(inputs)
     s = 1.0 / math.sqrt(d)
@@ -606,12 +598,14 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
                     z /= sums
 
     def bwd(g):
-        g = g.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
+        g = g.reshape(n, t, heads, d)
+        g_dot_o = _row_sums(g * out)  # sum_j dP_ij P_ij = g_i . o_i, token-major as out is
+        g = g.transpose(0, 2, 1, 3)
         grad = np.empty((n, t, 3, heads, d), dtype)  # laid out as qkv
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
         np.matmul(probs.swapaxes(-1, -2), g, out=gv)
         ds = g @ v.swapaxes(-1, -2)
-        ds -= _row_sums(ds * probs)
+        ds -= g_dot_o.transpose(0, 2, 1, 3)
         ds *= probs
         np.matmul(ds, k, out=gq)
         gq *= s
@@ -619,11 +613,13 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
         gk *= s
         if bias is None:
             return (grad.reshape(qkv.shape),)
-        ys, xs = np.divmod(np.arange(t), gw)
-        slots = relative_slot(ys[:, None] - ys, xs[:, None] - xs, gh, gw)
-        per_head = _lead_sums(ds).reshape(heads, t * t)
-        gb = _scatter_rows(per_head, slots.reshape(-1), bias.size // heads)
-        return (grad.reshape(qkv.shape), gb.reshape(bias.shape))
+        blocks = _lead_sums(ds).reshape(heads, gh, gw, gh, gw)
+        gflipped = np.zeros(bias.shape, dtype)
+        gwindow = _bias_window(gflipped)
+        for yi, xi in np.ndindex(gh, gw):  # queries in the forward's row-tile order
+            cell = gwindow[:, yi, xi]
+            cell += blocks[:, yi, xi]
+        return (grad.reshape(qkv.shape), gflipped[:, ::-1, ::-1])
 
     result = _apply("attention", inputs, out.reshape(n, t, heads * d), bwd)
     return result, (probs if with_probs else None)

@@ -177,6 +177,18 @@ def test_inspect_attn_rejects_an_empty_batch(tmp_path, capsys):
     assert not (tmp_path / "out" / "attention.csv").exists()
 
 
+def test_inspect_checks_the_data_before_it_builds_the_model_or_reads_a_checkpoint(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("inspect built the model before checking --num-images")
+
+    monkeypatch.setattr(cli, "build", never)
+    code, err = run(capsys, "inspect", "--mode", "attn", "--num-images", "0",
+                    "--checkpoint", str(tmp_path / "missing.litckpt"),
+                    "--out", str(tmp_path / "out"))
+    assert_config_error(code, err, "--num-images must be at least 1, got 0")
+
+
 @pytest.mark.parametrize("command", [["train", "--epochs", "1"], ["inspect", "--mode", "attn"]])
 def test_a_data_directory_without_images_is_a_config_error(tmp_path, capsys, command):
     data = tmp_path / "data"
@@ -635,7 +647,7 @@ BAD_INPUT = {
                                     cli.EXIT_CONFIG, "error: Unable to allocate 46.6 TiB"),
     "inspect_resolution_past_memory": (["inspect", "--mode", "attn", "--config",
                                         toy_config_with(None, resolution=2 ** 24)],
-                                       cli.EXIT_CONFIG, "error: Unable to allocate 96.0 TiB"),
+                                       cli.EXIT_CONFIG, "error: Unable to allocate 4.00 PiB"),
     "inspect_query_not_a_point": (["inspect", "--mode", "attn", "--query", "1;2"],
                                   cli.EXIT_CONFIG, "config error: --query must be 'y,x', got '1;2'"),
     "inspect_token_not_a_point": (["inspect", "--mode", "offsets", "--token", "a,b"],

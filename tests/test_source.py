@@ -118,6 +118,62 @@ def test_every_public_definition_is_read_exported_or_benchmarked():
     assert dead == []
 
 
+# The comment above each definition that only the benchmark still uses;
+# removing the benchmark's use (ROADMAP item 1) deletes exactly these.
+BENCHMARK_ONLY = "# Unused by the model; kept because perfbench"
+
+
+def marked_benchmark_only(tree: ast.Module, source: str) -> list[ast.AST]:
+    """Top-level functions and classes of ``tree``, parsed from ``source``,
+    whose first line, the first decorator's if any, follows a
+    ``BENCHMARK_ONLY`` comment."""
+    lines = ["", *source.splitlines()]  # lines[i] is line i, lines[0] none
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and lines[min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1]
+            .startswith(BENCHMARK_ONLY)]
+
+
+def benchmark_only_faults(sources: dict[str, str], benchmark: set[str]) -> list[str]:
+    """What is wrong with the marked definitions of ``sources``, module name
+    to text: one that package code outside its own body reads, or one that
+    ``benchmark``, the names in the benchmark's sources, no longer holds."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    faults = []
+    for name, text in sources.items():
+        for node in marked_benchmark_only(trees[name], text):
+            readers = [other for other, tree in trees.items()
+                       if node.name in reads(tree, skip=node if other == name else None)]
+            if readers:
+                faults.append(f"{name}: {node.name} is read in {', '.join(readers)}")
+            if node.name not in benchmark:
+                faults.append(f"{name}: {node.name} is not named by the benchmark")
+    return faults
+
+
+def test_benchmark_only_check_flags_a_read_and_an_unnamed_definition():
+    mark = BENCHMARK_ONLY + " wraps it by name.\n"
+    sources = {
+        "a.py": (f"{mark}def kept():\n    return kept\n"
+                 f"{mark}@cache\ndef read():\n    pass\n"
+                 f"{mark}def unnamed():\n    pass\n"
+                 "def plain():\n    return read()\n"),
+        "b.py": "def user(m):\n    return m.read\n",
+    }
+    marked = marked_benchmark_only(ast.parse(sources["a.py"]), sources["a.py"])
+    assert [n.name for n in marked] == ["kept", "read", "unnamed"]
+    assert benchmark_only_faults(sources, {"kept", "read"}) == [
+        "a.py: read is read in a.py, b.py", "a.py: unnamed is not named by the benchmark"]
+
+
+def test_definitions_kept_for_the_benchmark_alone_are_used_by_it_alone():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    marked = sorted(n.name for text in sources.values()
+                    for n in marked_benchmark_only(ast.parse(text), text))
+    assert marked == ["gather_last", "relative_index_map", "softmax"]
+    assert benchmark_only_faults(sources, benchmark_names()) == []
+
+
 # The dead softmax path keeps numpy's reductions until it is deleted.
 AXIS_REDUCTIONS_ALLOWED = {"_row_sums", "_lead_sums", "softmax", "_softmax_rows"}
 

@@ -27,6 +27,7 @@ from litnet.train import AdamW, train_step
 tensor_module = importlib.import_module("litnet.tensor")
 
 EPS32 = float(np.finfo(np.float32).eps)
+EPS64 = float(np.finfo(np.float64).eps)
 
 # frozen with mpmath at 50 digits: gelu(1) = 1 * Phi(1)
 GELU_AT_ONE = 0.8413447460685429
@@ -420,14 +421,91 @@ def attention_gradients(q, k, v, table, g, fused):
     return [*np.split(split_heads(qkv.grad, 3 * heads), 3, axis=1), bias.grad]
 
 
-def test_attention_gradients_equal_the_composed_ops():
+# grids that are not square, one grid row or column, and a single token;
+# the hypothesis properties draw only H, W <= 4
+@pytest.mark.parametrize("grid", [(2, 3), (5, 8), (1, 7), (7, 1), (1, 1)],
+                         ids=lambda grid: f"{grid[0]}x{grid[1]}")
+def test_attention_gradients_equal_the_composed_ops(grid):
     rng = np.random.default_rng(26)
-    q, k, v = attention_inputs(rng, 2, 3, 6, 4, np.float64)
-    table = bias_table(rng, 3, (2, 3), np.float64)
-    g = np.random.default_rng(27).normal(size=(2, 3, 6, 4))
+    t = grid[0] * grid[1]
+    q, k, v = attention_inputs(rng, 2, 3, t, 4, np.float64)
+    table = bias_table(rng, 3, grid, np.float64)
+    g = np.random.default_rng(27).normal(size=(2, 3, t, 4))
     for fused, composed in zip(attention_gradients(q, k, v, table, g, True),
                                attention_gradients(q, k, v, table, g, False)):
         assert np.abs(fused - composed).max() < 1e-12
+
+
+def table_gradient_and_ds(q, k, v, table, g):
+    """The fused op's table gradient and the [N, heads, T, T] dS its backward
+    pass sums into the table, caught where it is summed over images."""
+    seen = []
+    lead_sums = tensor_module._lead_sums
+
+    def spy(a, ndim=1):
+        if a.ndim == 4:
+            seen.append(a.copy())
+        return lead_sums(a, ndim)
+
+    with mock.patch.object(tensor_module, "_lead_sums", spy):
+        gb = attention_gradients(q, k, v, table, g, True)[3]
+    (ds,) = seen
+    return gb, ds
+
+
+@pytest.mark.parametrize("n,heads,grid", [(2, 3, (5, 8)), (3, 2, (12, 10)), (1, 1, (1, 9))],
+                         ids=["5x8", "12x10", "1x9"])
+def test_float32_table_gradient_is_within_the_summation_bound_of_float64(n, heads, grid):
+    # the float32 backward sums each slot's terms in float32: first over
+    # images, then query by query. A float32 sum of n terms is within
+    # n * eps32 * sum|terms| of their exact sum, and the terms themselves,
+    # float32 dS, differ from float64 dS by an error that the sum carries
+    # through unchanged: sum|dS32 - dS64| over the slot's terms. The float64
+    # result carries the same summation bound in eps64.
+    rng = np.random.default_rng(29)
+    t = grid[0] * grid[1]
+    inputs = [*attention_inputs(rng, n, heads, t, 8), bias_table(rng, heads, grid),
+              rng.normal(size=(n, heads, t, 8)).astype(np.float32)]
+    gb32, ds32 = table_gradient_and_ds(*inputs)
+    gb64, ds64 = table_gradient_and_ds(*(a.astype(np.float64) for a in inputs))
+    assert gb32.dtype == np.float32 and gb32.shape == inputs[3].shape
+    slots = relative_index_loop(*grid).reshape(-1)
+    width = inputs[3][0].size
+
+    def slot_sums(per_pair):
+        """[heads, 2H-1, 2W-1] sums of [N, heads, T, T] terms over images and slots."""
+        return np.stack([np.bincount(slots, per_pair[:, h].sum(axis=0).reshape(-1), width)
+                         for h in range(heads)]).reshape(gb32.shape)
+
+    terms = n * np.bincount(slots, minlength=width).reshape(gb32.shape[1:])
+    ds32 = ds32.astype(np.float64)
+    bound = (terms * (EPS32 * slot_sums(np.abs(ds32)) + EPS64 * slot_sums(np.abs(ds64)))
+             + slot_sums(np.abs(ds32 - ds64)))
+    assert np.all(np.abs(gb32 - gb64) <= bound)
+    # the bound is not vacuous: it is far below the gradient's own size
+    assert bound.max() < 1e-3 * np.abs(gb64).max()
+
+
+def test_taped_attention_backward_allocates_only_the_gradients_dp_and_its_image_sum():
+    n, heads, grid, d = 1, 3, 32, 32
+    t = grid * grid
+    rng = np.random.default_rng(30)
+    qkv = Tensor(rng.normal(size=(n, t, 3 * heads * d)).astype(np.float32), requires_grad=True)
+    bias = Tensor(bias_table(rng, heads, (grid, grid)), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(attention(qkv, heads, bias)[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # above the forward's probabilities, the backward pass holds the two
+    # gradients, dP = g v^T (turned into dS in place) and dS summed over
+    # images; no index array, no float64 copy and no dS * P product
+    logits = n * heads * t * t * qkv.data.itemsize
+    assert peak <= qkv.grad.nbytes + bias.grad.nbytes + 2 * logits + 2 ** 20
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
