@@ -11,13 +11,21 @@ WEIGHT_STD = 0.02
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal(0, WEIGHT_STD) resampled until every draw lies within two std."""
-    out = rng.normal(0.0, WEIGHT_STD, size=shape)
+    """Normal(0, WEIGHT_STD) resampled until every draw lies within two std.
+
+    Each round redraws, in index order, only the entries still out of
+    bounds, and checks only the new draws.
+    """
+    out = rng.standard_normal(shape)
+    out *= WEIGHT_STD
+    flat = out.reshape(-1)
     bound = 2.0 * WEIGHT_STD
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, WEIGHT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > bound
+    bad = np.flatnonzero(np.abs(flat) > bound)
+    while bad.size:
+        redrawn = rng.standard_normal(bad.size)
+        redrawn *= WEIGHT_STD
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > bound]
     return out
 
 

@@ -2,10 +2,15 @@
 
 Data lives in numpy arrays: channels last, row major, float32 or float64.
 Ops are pure functions of their inputs. While a ``Tape`` is active on the
-current thread, each differentiable op appends one node to it;
-``Tape.backward`` replays the nodes in reverse and accumulates gradients
-into every ``requires_grad`` leaf. A tape serves exactly one forward
-computation and is consumed by its backward pass.
+current thread, each differentiable op appends one node to it: the
+output's ``key``, one entry per input and the op's backward function. An
+entry is None for an input that needs no gradient, else the input's key,
+with the ``Tensor`` itself only for a leaf, an input the tape did not
+produce. So the tape holds no intermediate tensor, and an output that no
+backward function reads is freed as soon as the forward drops it.
+``Tape.backward`` replays the nodes in reverse, routes gradients by key
+and accumulates them into every ``requires_grad`` leaf. A tape serves
+exactly one forward computation and is consumed by its backward pass.
 
 Every op checks its output for non-finite values and raises
 ``NumericError`` instead of propagating them. Nothing here counts work
@@ -95,13 +100,16 @@ at a time: layer norm (the two steps above), the first product and its
 bias, GELU (the shared kernel above), the second product, its bias and
 the residual, each step into tile-sized scratch, so that no [T, 4C]
 array exists outside a tape. Under a tape it keeps the layer-norm
-statistics, the pre-activations and the GELU cdf in full. The backward
-pass runs in the same row tiles and recomputes the rest from them: the
-GELU output for fc2's weight gradient, fc2's input gradient with the GELU
-slope applied in place (``_gelu_grad``), then x-hat and the layer-norm
-output for fc1's weight gradient and the row-local layer-norm gradient.
-Beside the tile scratch it allocates only dx and the parameter
-gradients, which the tiles accumulate.
+statistics and the GELU cdf in full, and not the pre-activations. The
+backward pass runs in the same row tiles and recomputes the rest from
+them, with the forward's own ops in the forward's order, so that the
+gradients are those of a kept pre-activation: x-hat and the layer-norm
+output, the pre-activation as one more fc1 product and bias add (the
+recomputation trade of Chen et al., arXiv 1604.06174), the GELU output
+for fc2's weight gradient, fc2's input gradient with the GELU slope
+applied in place (``_gelu_grad``), then fc1's weight gradient and the
+row-local layer-norm gradient. Beside the tile scratch it allocates only
+dx and the parameter gradients, which the tiles accumulate.
 
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
 four per sample: its output is S @ x and its input gradient S^T @ g.
@@ -109,6 +117,7 @@ four per sample: its output is S @ x and its input gradient S^T @ g.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Sequence
@@ -152,16 +161,19 @@ _ERF_P = tuple(np.float32(0.5 * c) for c in (
 _ERF_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
+# Every Tensor's ``key``, in creation order.
+_KEYS = itertools.count()
 
 
 class Tensor:
     """A dense n-dimensional array with optional gradient tracking.
 
     ``grad`` is populated (same shape as ``data``) only after a backward
-    pass reaches this tensor as a ``requires_grad`` leaf.
+    pass reaches this tensor as a ``requires_grad`` leaf. ``key`` names the
+    tensor on a tape: unlike ``id()``, no later tensor reuses it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         if not isinstance(data, np.ndarray):
@@ -171,6 +183,7 @@ class Tensor:
         self.data = data
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -228,12 +241,19 @@ class Tape:
     Use as a context manager around the forward pass, then call
     ``backward`` on the recorded loss. Tapes are confined to one thread
     and one computation; backward consumes the tape.
+
+    A node is (output key, input entries, backward function). An entry is
+    None for an input that needs no gradient, else (key, leaf): the input's
+    key and, only when this tape did not produce it, the input itself, so
+    that its ``grad`` can be set. Gradients are routed by key, and the tape
+    holds no intermediate tensor: what a backward function reads, its
+    closure keeps.
     """
 
     __slots__ = ("_nodes", "_produced", "_consumed")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._nodes: list[tuple[int, tuple[tuple[int, Tensor | None] | None, ...], Callable]] = []
         self._produced: set[int] = set()
         self._consumed = False
 
@@ -250,40 +270,36 @@ class Tape:
         stack.pop()
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
-        self._nodes.append((out, inputs, backward_fn))
-        self._produced.add(id(out))
+        entries = tuple((t.key, None if t.key in self._produced else t) if t.requires_grad else None
+                        for t in inputs)
+        self._nodes.append((out.key, entries, backward_fn))
+        self._produced.add(out.key)
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
         if self._consumed:
             raise StateError("tape already consumed by a previous backward pass")
-        if id(loss) not in self._produced:
+        if loss.key not in self._produced:
             raise StateError("loss was not produced under this tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
-        for out, inputs, backward_fn in reversed(self._nodes):
-            g = grads.pop(id(out), None)
+        for out_key, entries, backward_fn in reversed(self._nodes):
+            g = grads.pop(out_key, None)
             if g is None:
                 continue
-            input_grads = backward_fn(g)
-            for t, ig in zip(inputs, input_grads):
-                if ig is None or not t.requires_grad:
+            for entry, ig in zip(entries, backward_fn(g)):
+                if entry is None or ig is None:
                     continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + ig
-                else:
-                    grads[key] = ig
-                if key not in self._produced:
-                    leaves[key] = t
+                key, leaf = entry
+                grads[key] = grads[key] + ig if key in grads else ig
+                if leaf is not None:
+                    leaves[key] = leaf
         for key, t in leaves.items():
-            g = grads.get(key)
-            if g is None:
-                continue
+            g = grads[key]
             t.grad = g.copy() if t.grad is None else t.grad + g
 
 
@@ -327,8 +343,11 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 def _lead_sums(a: np.ndarray, ndim: int = 1) -> np.ndarray:
     """Sums of ``a`` over its first ``ndim`` axes, as one vector-matrix
-    product ones[m] @ a.reshape(m, -1)."""
+    product ones[m] @ a.reshape(m, -1), or a copy of ``a`` when m is 1:
+    the product takes several times as long as the copy."""
     m, rest = math.prod(a.shape[:ndim]), a.shape[ndim:]
+    if m == 1:
+        return a.reshape(rest).copy()
     return (np.ones(m, a.dtype) @ a.reshape(m, math.prod(rest))).reshape(rest)
 
 
@@ -376,9 +395,9 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-    return _apply("sum_all", (a,), np.asarray(a.data.sum(), dtype=a.data.dtype),
-                  lambda g: (np.broadcast_to(g, shape).astype(a.data.dtype, copy=True),))
+    shape, dtype = a.shape, a.dtype
+    return _apply("sum_all", (a,), np.asarray(a.data.sum(), dtype=dtype),
+                  lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
@@ -398,7 +417,7 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     """out[..., *index.shape] = a[..., index]; gradient scatter-adds into ``a``."""
     index = np.asarray(index, dtype=np.int64)
-    last = a.shape[-1]
+    shape, last = a.shape, a.shape[-1]
     if index.size and (index.min() < 0 or index.max() >= last):
         raise ShapeError(f"gather_last: index out of range for extent {last}")
     rows = math.prod(a.shape[:-1])
@@ -406,7 +425,7 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
     def bwd(g):
         bins = (np.arange(rows)[:, None] * last + index.reshape(-1)).reshape(-1)
         sums = np.bincount(bins, weights=g.reshape(-1), minlength=rows * last)
-        return (sums.astype(g.dtype, copy=False).reshape(a.shape),)
+        return (sums.astype(g.dtype, copy=False).reshape(shape),)
 
     return _apply("gather_last", (a,), a.data[..., index], bwd)
 
@@ -420,7 +439,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product ``[..., m, k] @ [..., k, n]``.
 
     Leading axes must match exactly, or ``b`` may be a plain 2-d weight
-    matrix shared over all leading axes of ``a``.
+    matrix shared over all leading axes of ``a``. The backward pass forms
+    no gradient for an ``a`` that needs none, such as image patches.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
@@ -428,12 +448,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.shape[-2] != k:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    grad_a = a.requires_grad
     if b.ndim == 2:
         def bwd(g):
-            return (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1]))
+            return (g @ bd.T if grad_a else None, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1]))
     elif a.shape[:-2] == b.shape[:-2]:
         def bwd(g):
-            return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+            return (g @ bd.swapaxes(-1, -2) if grad_a else None, ad.swapaxes(-1, -2) @ g)
     else:
         raise ShapeError(f"matmul: leading axes differ, {a.shape} @ {b.shape}")
     return _apply("matmul", (a, b), ad @ bd, bwd)
@@ -808,17 +829,17 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     rows = max(1, min(m, _MLP_ROWS))
     out = np.empty((m, c), dtype)
     normed = np.empty((rows, c), dtype)
-    act = np.empty((rows, hidden), dtype)
+    pre, act = np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)
     squares = np.empty(min(rows * hidden, _BLOCK), dtype)
-    # under a tape the statistics, pre-activations and cdf are kept in full
+    # under a tape the statistics and the cdf are kept in full
     keep = m if tape is not None else rows
     mu, inv = np.empty((keep, 1), dtype), np.empty((keep, 1), dtype)
-    pre, cdf = np.empty((keep, hidden), dtype), np.empty((keep, hidden), dtype)
+    cdf = np.empty((keep, hidden), dtype)
     for r0 in range(0, m, rows):
         r1 = min(r0 + rows, m)
         k0, k1 = (r0, r1) if tape is not None else (0, r1 - r0)
         xt, ln, o = xf[r0:r1], normed[:r1 - r0], out[r0:r1]
-        h, a, phi, scale = pre[k0:k1], act[:r1 - r0], cdf[k0:k1], inv[k0:k1]
+        h, a, phi, scale = pre[:r1 - r0], act[:r1 - r0], cdf[k0:k1], inv[k0:k1]
         _center(xt, -1, ln, o, mu[k0:k1], scale)
         _scale_shift(ln, scale, scale, gamma.data, beta.data)
         np.matmul(ln, w1.data, out=h)
@@ -833,18 +854,22 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         dx = np.empty((m, c), dtype)
         dgamma, dbeta, gb1 = np.zeros(c, dtype), np.zeros(c, dtype), np.zeros(hidden, dtype)
         gw1, gw2 = np.zeros((c, hidden), dtype), np.zeros((hidden, c), dtype)
-        act, gpre = np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)
+        pre, gpre = np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)
         xhat, normed = np.empty((rows, c), dtype), np.empty((rows, c), dtype)
         for r0 in range(0, m, rows):
             r1 = min(r0 + rows, m)
-            gt, h, phi, scale = g[r0:r1], pre[r0:r1], cdf[r0:r1], inv[r0:r1]
-            a, gh, xh, ln = act[:r1 - r0], gpre[:r1 - r0], xhat[:r1 - r0], normed[:r1 - r0]
-            gw2 += np.multiply(h, phi, out=a).T @ gt
-            _gelu_grad(np.matmul(gt, w2.data.T, out=gh), h, phi, gh)
+            gt, phi, scale = g[r0:r1], cdf[r0:r1], inv[r0:r1]
+            h, gh, xh, ln = pre[:r1 - r0], gpre[:r1 - r0], xhat[:r1 - r0], normed[:r1 - r0]
+            # the forward's layer norm, fc1 product and bias add, op for op, so h
+            # has the bits the forward's GELU read
             np.subtract(xf[r0:r1], mu[r0:r1], out=xh)
             xh *= scale
             np.multiply(xh, gamma.data, out=ln)
             ln += beta.data
+            np.matmul(ln, w1.data, out=h)
+            h += b1.data
+            gw2 += np.multiply(h, phi, out=gh).T @ gt
+            _gelu_grad(np.matmul(gt, w2.data.T, out=gh), h, phi, gh)
             gw1 += ln.T @ gh
             gb1 += _lead_sums(gh)
             dxt, dgt, dbt = _norm_grads(gh @ w1.data.T, xh, scale, gamma.data, -1)

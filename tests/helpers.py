@@ -8,6 +8,7 @@ plain Python loops, independent of the library's vectorized paths.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +63,20 @@ def check_gradients(make_loss: Callable[[], Tensor], params: Sequence[Tensor],
         errors[idx] = err
         assert err < tol, f"parameter {idx}: gradient error {err:.2e} >= {tol}"
     return errors
+
+
+def traced_bytes(fn: Callable[[], object]) -> tuple[int, int]:
+    """(kept, peak): the bytes that ``fn()`` allocated and still held when it
+    returned, its result among them, and the most it held at once, both
+    above what was held when it started, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()  # held until the memory is read
+        kept, peak = tracemalloc.get_traced_memory()
+        return kept - base, peak - base
+    finally:
+        tracemalloc.stop()
 
 
 # --------------------------------------------------------------------------

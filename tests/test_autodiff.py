@@ -4,8 +4,10 @@ against central finite differences (fp64, h = 1e-5, rel error < 1e-4)."""
 import numpy as np
 import pytest
 
-from helpers import check_gradients
+from helpers import GRAD_TOL, check_gradients, fd_gradient, grad_rel_error, traced_bytes
+from litnet.data import synthetic_dataset
 from litnet.errors import ShapeError, StateError
+from litnet.model import build, toy_config
 from litnet.tensor import (BatchNormState, Tape, Tensor, add, attention, batch_norm, conv2d,
                            deform_sample, gather_last, gelu, layer_norm, matmul, mean_axis,
                            mul, reshape, softmax, softmax_cross_entropy, sum_all, tensor,
@@ -110,6 +112,78 @@ def test_grad_matmul_both_modes():
     check_gradients(projected(rng, lambda: matmul(ab, bb)), [ab, bb])
     lead = rand(rng, 2, 6, 3)
     check_gradients(projected(rng, lambda: matmul(lead, w)), [lead, w])
+
+
+def test_a_taped_matmul_forms_no_gradient_for_an_operand_that_needs_none():
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(6, 3)))
+    w = rand(rng, 3, 4)
+    g = rng.normal(size=(6, 4))
+    with Tape() as tape:
+        matmul(a, w)
+    (_, _, backward), = tape._nodes
+    ga, gw = backward(g)
+    assert ga is None
+    assert np.array_equal(gw, a.data.T @ g)
+
+
+def test_gradients_route_by_key_when_freed_tensors_give_up_their_ids():
+    # The tape keeps no intermediate, so each matmul output is freed once the
+    # next is made, and CPython may hand its id() to the bias leaf made next.
+    # Routed by id(), that leaf's gradient would reach the freed product's
+    # backward, and the leaf would count as produced and get none.
+    rng = np.random.default_rng(4)
+    x = rand(rng, 2, 3)
+    w = tensor(np.eye(3) + 0.01 * rng.normal(size=(3, 3)), requires_grad=True)
+    b = tensor(0.01 * rng.normal(size=3), requires_grad=True)
+    steps, products, biases = 100, [], []
+
+    def loss():
+        y = x
+        for _ in range(steps):
+            product = matmul(y, w)
+            biases.append(Tensor(b.data, requires_grad=True))  # reads b's perturbed data
+            products.append(id(product))
+            y = add(product, biases[-1])
+        return sum_all(mul(y, y))
+
+    check_gradients(loss, [x, w])  # runs the taped forward first
+    taped = biases[:steps]
+    assert {id(t) for t in taped} & set(products[:steps])
+    numeric = fd_gradient(lambda: loss().item(), b)
+    assert grad_rel_error(sum(t.grad for t in taped), numeric) < GRAD_TOL
+
+
+def test_a_tape_holds_no_tensor_but_its_leaves():
+    model = build(toy_config(), seed=0)
+    images, labels = synthetic_dataset(4, seed=0, size=toy_config().resolution)
+    with Tape() as tape:
+        loss = softmax_cross_entropy(model.forward(images, mode="train"), labels)
+    params = {t.key for t in model.named_params().values()}
+    outputs = [key for key, _, _ in tape._nodes]
+    entries = [entry for _, node_entries, _ in tape._nodes for entry in node_entries
+               if entry is not None]
+    held = [leaf for _, leaf in entries if leaf is not None]
+    assert all(type(key) is int for key in outputs + [key for key, _ in entries])
+    assert loss.key in outputs and not params & set(outputs)
+    assert {t.key for t in held} == params
+
+
+def test_a_tape_keeps_no_output_that_no_backward_reads():
+    # matmul's backward reads its inputs and add's reads nothing, so after
+    # the forward only the sum, the tape and the closures are held
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(4096, 64)))
+    w = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+    b = Tensor(rng.normal(size=64), requires_grad=True)
+
+    def forward():
+        with Tape() as tape:
+            y = add(matmul(x, w), b)
+        return tape, y
+
+    kept, _ = traced_bytes(forward)
+    assert kept < x.data.nbytes + 2 ** 16  # the sum is x's size, as the product would be
 
 
 def test_grad_softmax_gelu():

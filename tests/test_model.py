@@ -9,9 +9,32 @@ import pytest
 from helpers import micro_config
 from litnet import blocks
 from litnet.errors import ConfigError, NumericError, ShapeError, StateError
+from litnet.init import WEIGHT_STD, trunc_normal
 from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
                           ModelConfig, StageSpec, ablate, build, preset, toy_config)
 from litnet.tensor import Tape, attention, sum_all
+
+
+def trunc_normal_rescanning(rng, shape):
+    """The truncated normal as first written: draw, then redraw every entry
+    still out of bounds, rescanning the whole array each round."""
+    out = rng.normal(0.0, WEIGHT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * WEIGHT_STD
+    while bad.any():
+        out[bad] = rng.normal(0.0, WEIGHT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * WEIGHT_STD
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), 7, (96, 384), (3, 5, 9), (2, 0)])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_trunc_normal_makes_the_draws_of_the_rescanning_loop(shape, seed):
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, got = trunc_normal_rescanning(want_rng, shape), trunc_normal(got_rng, shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.abs(got).max(initial=0.0) <= 2.0 * WEIGHT_STD
 
 
 def test_preset_table():

@@ -3,7 +3,6 @@ oracles."""
 
 import importlib
 import math
-import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop, matmul_loop,
-                     relative_index_loop)
+                     relative_index_loop, traced_bytes)
 from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
@@ -94,14 +93,8 @@ def test_softmax_rejects_non_finite_input():
 
 def test_softmax_allocates_only_its_output():
     x = np.random.default_rng(28).normal(size=(1, 3, 1024, 1024)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = softmax(Tensor(x))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.data.nbytes + 2 ** 20
+    _, peak = traced_bytes(lambda: softmax(Tensor(x)))
+    assert peak <= x.nbytes + 2 ** 20  # the output is x's size
 
 
 def attention_inputs(rng, n, heads, t, d, dtype=np.float32):
@@ -494,13 +487,7 @@ def test_taped_attention_backward_allocates_only_the_gradients_dp_and_its_image_
     bias = Tensor(bias_table(rng, heads, (grid, grid)), requires_grad=True)
     with Tape() as tape:
         loss = sum_all(attention(qkv, heads, bias)[0])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_bytes(lambda: tape.backward(loss))
     # above the forward's probabilities, the backward pass holds the two
     # gradients, dP = g v^T (turned into dS in place) and dS summed over
     # images; no index array, no float64 copy and no dS * P product
@@ -516,17 +503,12 @@ def test_attention_allocates_only_its_output_and_tile_scratch(n, heads, grid, wi
     qkv = Tensor(rng.normal(size=(n, t, 3 * heads * 32)).astype(np.float32))
     table = np.zeros((heads, 2 * grid - 1, 2 * grid - 1), np.float32) if with_bias else None
     bias = None if table is None else Tensor(table)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out, _ = attention(qkv, heads, bias)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # the logits tile and the bias tile, each no larger than all the logits;
-    # the full probabilities of the row_tiles case would take 12 MiB
+    _, peak = traced_bytes(lambda: attention(qkv, heads, bias))
+    # the output, a third of qkv, and the logits tile and the bias tile, each
+    # no larger than all the logits; the full probabilities of the row_tiles
+    # case would take 12 MiB
     tile = min(_ATTN_TILE, n * heads * t * t)
-    assert peak <= out.data.nbytes + 2 * tile * qkv.data.itemsize + 2 ** 20
+    assert peak <= qkv.data.nbytes // 3 + 2 * tile * qkv.data.itemsize + 2 ** 20
 
 
 @st.composite
@@ -710,19 +692,18 @@ def test_a_taped_norm_keeps_its_statistics_and_no_normalized_input(shape):
     x = Tensor(np.random.default_rng(47).normal(size=shape).astype(np.float32),
                requires_grad=True)
     affine = [Tensor(np.full(shape[-1], v, np.float32), requires_grad=True) for v in (1.0, 0.0)]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        with Tape():
+
+    def forward():
+        with Tape() as tape:
             if len(shape) == 3:
                 out = layer_norm(x, *affine)
             else:
                 out = batch_norm(x, *affine, BatchNormState(), "train")
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    assert held <= out.data.nbytes + 2 ** 20
+        assert out.requires_grad
+        return tape, out  # the tape is held too, or its nodes are freed unmeasured
+
+    held, _ = traced_bytes(forward)
+    assert held <= x.data.nbytes + 2 ** 20  # the output is x's size
 
 
 def mlp_params(rng, c, hidden, dtype=np.float64):
@@ -853,42 +834,36 @@ def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     c, hidden = 96, 384
     x = rng.normal(size=(1, 3136, c)).astype(np.float32)
     params = tuple(Tensor(p) for p in mlp_params(rng, c, hidden, np.float32))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = residual_mlp(Tensor(x), *params)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # the normed, pre-activation, GELU and cdf tiles and the GELU block
-    # scratch; the unfused ops held several [3136, 384] arrays of 4.6 MiB
+    _, peak = traced_bytes(lambda: residual_mlp(Tensor(x), *params))
+    # the output, x's size, the normed, pre-activation, GELU and cdf tiles
+    # and the GELU block scratch; the unfused ops held several [3136, 384]
+    # arrays of 4.6 MiB
     rows = tensor_module._MLP_ROWS
     scratch = (rows * (c + 3 * hidden) + min(rows * hidden, _BLOCK)) * x.itemsize
-    assert peak <= out.data.nbytes + scratch + 2 ** 20
+    assert peak <= x.nbytes + scratch + 2 ** 20
 
 
 def test_residual_mlp_backward_allocates_no_hidden_size_array():
-    # The tape keeps the statistics, pre-activations and cdf; the backward
-    # pass adds dx, the weight gradients and row-tile scratch. Unfused, it
-    # held three [3136, 384] float32 arrays of 4.6 MiB at once.
+    # The tape keeps the statistics and the cdf, and not the pre-activations,
+    # which the backward pass recomputes tile by tile; it adds dx, the weight
+    # gradients and row-tile scratch. Unfused, it held three [3136, 384]
+    # float32 arrays of 4.6 MiB at once.
     rng = np.random.default_rng(50)
     c, hidden = 96, 384
     x = Tensor(rng.normal(size=(1, 3136, c)).astype(np.float32), requires_grad=True)
     params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, c, hidden, np.float32)]
     g = rng.normal(size=x.shape).astype(np.float32)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+
+    def forward_and_backward():
         with Tape() as tape:
-            out = residual_mlp(x, *params)
+            residual_mlp(x, *params)
         (_, _, backward), = tape._nodes
-        grads = backward(g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        return backward(g)
+
+    _, peak = traced_bytes(forward_and_backward)
     m, rows = x.size // c, tensor_module._MLP_ROWS
-    kept = 2 * m * (hidden + 1) + out.data.size
-    gradients = sum(grad.size for grad in grads)
+    kept = m * (hidden + 2) + x.size  # the statistics, the cdf and the output
+    gradients = x.size + sum(p.size for p in params)
     scratch = rows * (2 * hidden + 5 * c) + 2 * c * hidden + min(rows * hidden, _BLOCK)
     assert peak <= (kept + gradients + scratch) * x.data.itemsize + 2 ** 20
 
@@ -1022,6 +997,16 @@ def test_float32_row_and_column_sums_are_within_the_summation_bound(shape):
                   <= shape[0] * EPS32 * np.abs(a64).sum(axis=0))
     lead = tensor_module._lead_sums(a.reshape(1, shape[0], 1, shape[1]), 3)
     assert lead.shape == (shape[1],) and np.array_equal(lead, columns)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_lead_sums_over_an_extent_of_one_is_a_copy(ndim):
+    # a sum of one term is that term; the caller may write into the result
+    a = np.random.default_rng(53).normal(size=(1, 1, 3, 5)).astype(np.float32)
+    sums = tensor_module._lead_sums(a, ndim)
+    assert sums.shape == a.shape[ndim:] and sums.dtype == a.dtype
+    assert np.array_equal(sums, a.reshape(sums.shape))
+    assert not np.shares_memory(sums, a)
 
 
 def test_conv2d_1x1_identity_kernel():
@@ -1184,14 +1169,8 @@ def test_deform_sample_eval_memory_is_the_output_and_a_few_words_per_sample():
     pos = rng.uniform(-1.5, 16.5, size=(2, 8, 8, 4, 2)).astype(np.float32)
     samples = pos.size // 2
     deform_sample(Tensor(x), Tensor(pos))  # warm-up: first-call imports and caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = deform_sample(Tensor(x), Tensor(pos))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.data.nbytes + 512 * samples
+    _, peak = traced_bytes(lambda: deform_sample(Tensor(x), Tensor(pos)))
+    assert peak <= samples * x.shape[-1] * x.itemsize + 512 * samples  # the output, a few words per sample
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
