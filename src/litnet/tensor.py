@@ -10,7 +10,7 @@ produce. So the tape holds no intermediate tensor, and an output that no
 backward function reads is freed as soon as the forward drops it.
 ``Tape.backward`` replays the nodes in reverse, routes gradients by key
 and accumulates them into every ``requires_grad`` leaf. A tape serves
-exactly one forward computation and is consumed by its backward pass.
+one forward computation; its backward pass consumes it and drops its nodes.
 
 Every op checks its output for non-finite values and raises
 ``NumericError`` instead of propagating them. Nothing here counts work
@@ -28,7 +28,7 @@ NaN or infinity among the terms reaches the sum. Only the ``softmax``
 that the model no longer calls keeps numpy's reductions.
 
 ``gelu`` and ``residual_mlp`` share one GELU kernel, ``_gelu_into``, which
-runs in blocks of ``_BLOCK`` elements into preallocated scratch: float64
+runs in blocks of ``_BLOCK`` elements and may write in place: float64
 data goes through scipy's ``erf``, float32 data through the clamped
 odd/even rational ``erf`` of Eigen and XLA. The float32 result differs
 from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where eps32 is
@@ -97,9 +97,9 @@ a zeroed flipped table. Beside dP and its image sum it forms no [T, T] array.
 as one op, after the fused elementwise chains of "Data Movement Is All
 You Need" (Ivanov et al., arXiv 2007.00072). It runs ``_MLP_ROWS`` tokens
 at a time: layer norm (the two steps above), the first product and its
-bias, GELU (the shared kernel above), the second product, its bias and
-the residual, each step into tile-sized scratch, so that no [T, 4C]
-array exists outside a tape. Under a tape it keeps the layer-norm
+bias, GELU in place on it (the shared kernel above), the second product,
+its bias and the residual. Outside a tape this needs one [rows, 4C] tile
+and block scratch for the GELU cdf. Under a tape it keeps the layer-norm
 statistics and the GELU cdf in full, and not the pre-activations. The
 backward pass runs in the same row tiles and recomputes the rest from
 them, with the forward's own ops in the forward's order, so that the
@@ -298,6 +298,7 @@ class Tape:
                 grads[key] = grads[key] + ig if key in grads else ig
                 if leaf is not None:
                     leaves[key] = leaf
+        self._nodes.clear()  # frees what the backward functions' closures held
         for key, t in leaves.items():
             g = grads[key]
             t.grad = g.copy() if t.grad is None else t.grad + g
@@ -646,29 +647,30 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     return result, (probs if with_probs else None)
 
 
-def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndarray) -> None:
-    """x * Phi(x) into ``out``, which must not overlap x: Phi from scipy's
-    ``erf`` for float64 data, from the clamped rational ``erf`` for float32.
+def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray) -> None:
+    """x * Phi(x) into ``out``, which may be x itself if x is contiguous: Phi
+    from scipy's ``erf`` for float64 data, from the clamped rational ``erf``
+    for float32. Runs block by block with ufuncs, z and z^2 in block scratch.
 
-    Runs block by block with ufuncs. ``phi`` receives Phi(x) when it holds
-    at least x.size elements; a smaller ``phi`` is block scratch, as
-    ``squares`` is (each at least min(x.size, ``_BLOCK``) elements).
+    ``phi`` receives Phi(x) when it holds at least x.size elements; a
+    smaller ``phi`` is block scratch. ``phi`` may be ``out`` unless out is x.
     """
     flat, res, phi = x.reshape(-1), out.reshape(-1), phi.reshape(-1)
     n = flat.size
     keep = phi.size >= n
+    scratch = np.empty((2, min(n, _BLOCK)), x.dtype)
     for lo in range(0, n, _BLOCK):
         xb = flat[lo:lo + _BLOCK]
         m = xb.size
         p = phi[lo:lo + m] if keep else phi[:m]
-        # The output block holds z, then Q(z^2) (float32), then the result.
-        z, z2 = res[lo:lo + m], squares[:m]
+        # z's block holds z, then Q(z^2) (float32)
+        z, z2 = scratch[0, :m], scratch[1, :m]
         np.multiply(xb, _INV_SQRT2, out=z)
         if xb.dtype != np.float32:
             erf(z, out=p)
             p += 1.0
             p *= 0.5
-            np.multiply(xb, p, out=z)
+            np.multiply(xb, p, out=res[lo:lo + m])
             continue
         np.clip(z, -_ERF_CLAMP, _ERF_CLAMP, out=z)
         np.multiply(z, z, out=z2)
@@ -686,7 +688,7 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray, squares: np.ndar
         q += _ERF_Q[-1]
         p /= q
         p += 0.5
-        np.multiply(xb, p, out=q)
+        np.multiply(xb, p, out=res[lo:lo + m])
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -709,13 +711,12 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with the erf-based normal CDF, by ``_gelu_into``
-    (see the module docstring for its float32 ``erf`` and error). Only a
-    call that records on a tape keeps Phi(x) for the backward pass."""
+    (see the module docstring for its float32 ``erf`` and error). Only a call
+    that records on a tape keeps Phi(x); any other takes it in the output."""
     xd = x.data
     out = np.empty(xd.shape, xd.dtype)
-    squares = np.empty(min(xd.size, _BLOCK), xd.dtype)
-    cdf = np.empty_like(out) if _recording_tape((x,)) is not None else np.empty_like(squares)
-    _gelu_into(xd, out, cdf, squares)
+    cdf = np.empty_like(out) if _recording_tape((x,)) is not None else out
+    _gelu_into(xd, out, cdf)
     return _apply("gelu", (x,), out,
                   lambda g: (_gelu_grad(g, xd, cdf, np.empty(xd.shape, xd.dtype)),))
 
@@ -829,23 +830,22 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     rows = max(1, min(m, _MLP_ROWS))
     out = np.empty((m, c), dtype)
     normed = np.empty((rows, c), dtype)
-    pre, act = np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)
-    squares = np.empty(min(rows * hidden, _BLOCK), dtype)
-    # under a tape the statistics and the cdf are kept in full
+    pre = np.empty((rows, hidden), dtype)
+    # under a tape the statistics and the cdf are kept in full; else the cdf is block scratch
     keep = m if tape is not None else rows
     mu, inv = np.empty((keep, 1), dtype), np.empty((keep, 1), dtype)
-    cdf = np.empty((keep, hidden), dtype)
+    cdf = np.empty((m, hidden) if tape is not None else min(rows * hidden, _BLOCK), dtype)
     for r0 in range(0, m, rows):
         r1 = min(r0 + rows, m)
         k0, k1 = (r0, r1) if tape is not None else (0, r1 - r0)
         xt, ln, o = xf[r0:r1], normed[:r1 - r0], out[r0:r1]
-        h, a, phi, scale = pre[:r1 - r0], act[:r1 - r0], cdf[k0:k1], inv[k0:k1]
+        h, scale = pre[:r1 - r0], inv[k0:k1]
         _center(xt, -1, ln, o, mu[k0:k1], scale)
         _scale_shift(ln, scale, scale, gamma.data, beta.data)
         np.matmul(ln, w1.data, out=h)
         h += b1.data
-        _gelu_into(h, a, phi, squares)
-        np.matmul(a, w2.data, out=o)
+        _gelu_into(h, h, cdf[r0:r1] if tape is not None else cdf)
+        np.matmul(h, w2.data, out=o)
         o += b2.data
         o += xt
 
@@ -982,7 +982,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     wmat = w.data.reshape(k * k * cin, cout)
     out = (cols @ wmat).reshape(n, ho, wo, cout)
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
 
     def bwd(g):
         gmat = g.reshape(n * ho * wo, cout)

@@ -186,6 +186,21 @@ def test_a_tape_keeps_no_output_that_no_backward_reads():
     assert kept < x.data.nbytes + 2 ** 16  # the sum is x's size, as the product would be
 
 
+def test_a_consumed_tape_frees_what_its_backward_functions_held():
+    # gelu's backward keeps a cdf of x's size; once the tape's backward has
+    # run, x's gradient is all that stays, though the tape is still held
+    x = Tensor(np.random.default_rng(6).normal(size=(512, 512)), requires_grad=True)
+
+    def forward_and_backward():
+        with Tape() as tape:
+            loss = sum_all(gelu(x))
+        tape.backward(loss)
+        return tape, loss
+
+    kept, _ = traced_bytes(forward_and_backward)
+    assert kept < x.data.nbytes + 2 ** 16
+
+
 def test_grad_softmax_gelu():
     rng = np.random.default_rng(3)
     x = rand(rng, 3, 7)

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import micro_config
+from helpers import micro_config, traced_bytes
 from litnet import blocks
+from litnet.data import synthetic_dataset
 from litnet.errors import ConfigError, NumericError, ShapeError, StateError
 from litnet.init import WEIGHT_STD, trunc_normal
 from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
@@ -262,6 +263,18 @@ def test_an_eval_forward_never_holds_a_whole_stage1_attention_map():
         tracemalloc.stop()
     tokens = config.grids()[0][0] * config.grids()[0][1]
     assert peak < 1 * stages[0].heads * tokens * tokens * np.dtype(np.float32).itemsize
+
+
+def test_a_lit_s_eval_forward_holds_one_mlp_tile():
+    # lit-s's eval peak, about 4.4 MiB, is at its stage-2 MLP row tile,
+    # [512, 768] float32 of 1.5 MiB. A second such tile, for the GELU output
+    # or the cdf, would pass the bound; with both the forward peaked at 6.92 MiB
+    model = build(preset("lit-s"), seed=0)
+    model.seed_norm_stats()
+    images, _ = synthetic_dataset(1, seed=0, size=224)
+    model.forward(images, mode="eval")  # warm-up: fills the relative-index cache
+    _, peak = traced_bytes(lambda: model.forward(images, mode="eval"))
+    assert peak < 5.2 * 2 ** 20
 
 
 def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):

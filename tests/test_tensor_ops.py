@@ -630,6 +630,15 @@ def test_gelu_float32_non_contiguous_input_equals_the_flat_result():
     assert got.tobytes() == gelu(Tensor(x)).data[::2, ::3].tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_gelu_in_place_equals_the_out_of_place_result(size, dtype):
+    x = np.random.default_rng(8).normal(scale=3.0, size=size).astype(dtype)
+    want = gelu(Tensor(x)).data
+    tensor_module._gelu_into(x, x, np.empty(min(size, _BLOCK), dtype))
+    assert x.tobytes() == want.tobytes()
+
+
 def test_gelu_float32_on_a_tape_equals_the_eval_result():
     x = np.random.default_rng(5).normal(scale=3.0, size=2 * _BLOCK + 3).astype(np.float32)
     with Tape():
@@ -835,12 +844,35 @@ def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     x = rng.normal(size=(1, 3136, c)).astype(np.float32)
     params = tuple(Tensor(p) for p in mlp_params(rng, c, hidden, np.float32))
     _, peak = traced_bytes(lambda: residual_mlp(Tensor(x), *params))
-    # the output, x's size, the normed, pre-activation, GELU and cdf tiles
-    # and the GELU block scratch; the unfused ops held several [3136, 384]
-    # arrays of 4.6 MiB
+    # the output, x's size, the normed tile, the one pre-activation tile
+    # that GELU overwrites in place, and three GELU blocks: z, z^2 and the
+    # cdf. Separate GELU and cdf tiles would add 1.5 MiB; the unfused ops
+    # held several [3136, 384] arrays of 4.6 MiB
     rows = tensor_module._MLP_ROWS
-    scratch = (rows * (c + 3 * hidden) + min(rows * hidden, _BLOCK)) * x.itemsize
-    assert peak <= x.nbytes + scratch + 2 ** 20
+    scratch = (rows * (c + hidden) + 3 * min(rows * hidden, _BLOCK)) * x.itemsize
+    assert peak <= x.nbytes + scratch + 2 ** 18
+
+
+def test_a_taped_residual_mlp_forward_allocates_its_kept_arrays_and_one_tile():
+    # the tape keeps the statistics and the cdf in full beside the output;
+    # the forward adds the normed and pre-activation tiles and the z and
+    # z^2 GELU blocks
+    rng = np.random.default_rng(51)
+    c, hidden = 96, 384
+    x = Tensor(rng.normal(size=(1, 3136, c)).astype(np.float32), requires_grad=True)
+    params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, c, hidden, np.float32)]
+
+    def forward():
+        with Tape() as tape:
+            out = residual_mlp(x, *params)
+        return tape, out
+
+    kept, peak = traced_bytes(forward)
+    m, rows = x.size // c, tensor_module._MLP_ROWS
+    held = (m * (hidden + 2) + x.size) * x.data.itemsize
+    scratch = (rows * (c + hidden) + 2 * min(rows * hidden, _BLOCK)) * x.data.itemsize
+    assert kept <= held + 2 ** 16
+    assert peak <= held + scratch + 2 ** 18
 
 
 def test_residual_mlp_backward_allocates_no_hidden_size_array():
