@@ -33,14 +33,10 @@ def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    seen: set[str] = set()
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             for name, arr in tensors.items():
-                if name in seen:
-                    raise ValidationError(f"duplicate tensor name {name!r}")
-                seen.add(name)
                 raw = name.encode("utf-8")
                 data = np.asarray(arr, dtype="<f4")
                 if not data.flags.c_contiguous:  # ascontiguousarray would promote 0-d to 1-d
@@ -60,10 +56,12 @@ def save_tensors(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container written by :func:`save_tensors`."""
+    """Read a container written by :func:`save_tensors`. The file is read once,
+    and each record is a writeable float32 view of that one buffer, which lives
+    as long as any one of its records does."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(MAGIC)] != MAGIC:
+    blob = np.fromfile(path, dtype=np.uint8)
+    if blob[: len(MAGIC)].tobytes() != MAGIC:
         raise ValidationError(f"{path} is not a LITCKPT1 container")
     out: dict[str, np.ndarray] = {}
     pos = len(MAGIC)
@@ -81,7 +79,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         if pos + name_len > len(blob):
             raise ValidationError(f"{path}: truncated tensor name")
         try:
-            name = blob[pos : pos + name_len].decode("utf-8")
+            name = blob[pos : pos + name_len].tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise ValidationError(f"{path}: the tensor name at byte {pos} "
                                   "is not valid UTF-8") from None
@@ -99,7 +97,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         pos += 4 * count
         if name in out:
             raise ValidationError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = arr.copy()
+        out[name] = arr
     return out
 
 

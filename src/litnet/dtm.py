@@ -92,9 +92,8 @@ def deformable_conv(x: Tensor, p: DtmParams) -> tuple[Tensor, np.ndarray]:
     """Deformable convolution of an NHWC tensor.
 
     Each output location accumulates bilinear samples taken at the
-    regular tap positions shifted by the predicted offsets. Returns the
-    output and a detached copy of the offset field
-    [N, Ho, Wo, K*K, 2] for inspection.
+    regular tap positions shifted by the predicted offsets. Returns the output
+    and, for inspection, the offset field [N, Ho, Wo, K*K, 2], which no op writes into.
     """
     n, h, w, cin = x.shape
     k, s, pad = p.kernel, p.stride, p.padding
@@ -112,7 +111,7 @@ def deformable_conv(x: Tensor, p: DtmParams) -> tuple[Tensor, np.ndarray]:
     samples = deform_sample(x, positions)                       # [N, Ho, Wo, K*K, Cin]
     flat = reshape(samples, (n, ho, wo, k * k * cin))
     out = add(matmul(flat, reshape(p.w, (k * k * cin, cout))), p.b)
-    return out, offsets.data.copy()
+    return out, offsets.data
 
 
 def dtm_forward(x: Tensor, p: DtmParams, mode: str = "train") -> tuple[Tensor, np.ndarray | None]:

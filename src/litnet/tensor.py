@@ -247,7 +247,9 @@ class Tape:
     key and, only when this tape did not produce it, the input itself, so
     that its ``grad`` can be set. Gradients are routed by key, and the tape
     holds no intermediate tensor: what a backward function reads, its
-    closure keeps.
+    closure keeps. A leaf's ``grad`` is the backward's own array; ``add`` returns
+    one array to both its inputs, so two leaves can share one gradient array, and
+    nothing may write into a gradient in place.
     """
 
     __slots__ = ("_nodes", "_produced", "_consumed")
@@ -301,7 +303,7 @@ class Tape:
         self._nodes.clear()  # frees what the backward functions' closures held
         for key, t in leaves.items():
             g = grads[key]
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            t.grad = g if t.grad is None else t.grad + g
 
 
 # --------------------------------------------------------------------------

@@ -201,6 +201,16 @@ def test_a_consumed_tape_frees_what_its_backward_functions_held():
     assert kept < x.data.nbytes + 2 ** 16
 
 
+def test_a_leaf_takes_the_gradient_array_its_backward_built():
+    # sum_all's backward builds one array of w's size; a copy of it for
+    # w.grad would double the peak
+    w = Tensor(np.ones(2 ** 20, dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(w)
+    _, peak = traced_bytes(lambda: tape.backward(loss))
+    assert peak < 1.5 * w.data.nbytes
+
+
 def test_grad_softmax_gelu():
     rng = np.random.default_rng(3)
     x = rand(rng, 3, 7)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import micro_config
+from helpers import micro_config, traced_bytes
 from litnet.checkpoint import MAGIC, load_tensors, save_tensors
 from litnet.errors import ConfigError, ValidationError
 from litnet.model import build, toy_config
@@ -24,6 +24,17 @@ def test_round_trip_bit_exact(tmp_path):
     for name, arr in tensors.items():
         assert loaded[name].shape == arr.shape
         assert loaded[name].tobytes() == arr.tobytes()
+
+
+def test_load_reads_the_file_once_and_copies_no_record(tmp_path):
+    # an 8 MiB container: bytes read whole and then one copy per record
+    # would peak at twice its size
+    tensors = {name: np.full((1024, 1024), i, dtype=np.float32) for i, name in enumerate("ab")}
+    path = tmp_path / "big.litckpt"
+    save_tensors(path, tensors)
+    _, peak = traced_bytes(lambda: load_tensors(path))
+    assert peak < 1.5 * path.stat().st_size
+    assert all(arr.flags.writeable for arr in load_tensors(path).values())
 
 
 def test_header_layout(tmp_path):

@@ -374,6 +374,7 @@ def pop(*names: str):
 MALFORMED_CHECKPOINTS = {
     "name_not_utf8": (u64(2) + b"\xff\xfe" + u64(1, 1) + bytes(4), "is not valid UTF-8"),
     "extent_2_63": (u64(1) + b"x" + u64(1, 2 ** 63), "truncated data for tensor 'x'"),
+    "step_twice": (u64(8) + b"opt.step" + u64(1, 1) + bytes(4), "duplicate tensor name 'opt.step'"),
     "step_0d": (setitem("opt.step", 2.0), "opt.step must hold one value, got shape ()"),
     "epoch_0d": (setitem("meta.epoch", 1.0), "meta.epoch must hold one value, got shape ()"),
     "epoch_nan": (setitem("meta.epoch", [np.nan]), "meta.epoch must be an integer in 0-16777215, got nan"),

@@ -272,7 +272,8 @@ def test_a_lit_s_eval_forward_holds_one_mlp_tile():
     model = build(preset("lit-s"), seed=0)
     model.seed_norm_stats()
     images, _ = synthetic_dataset(1, seed=0, size=224)
-    model.forward(images, mode="eval")  # warm-up: fills the relative-index cache
+    # warm-up: the first forward's one-off allocations (~20 KiB) stay out of the peak
+    model.forward(images, mode="eval")
     _, peak = traced_bytes(lambda: model.forward(images, mode="eval"))
     assert peak < 5.2 * 2 ** 20
 
