@@ -147,11 +147,12 @@ def msa(x: Tensor, p: MsaParams, with_attn: bool = False) -> tuple[Tensor, np.nd
     The probabilities are returned only when ``with_attn`` is set; asking
     for them builds the full [N, heads, T, T] array, which ``attention``
     otherwise never holds outside a tape. ``attention`` reads q, k and v in
-    place from the qkv projection, so the block records five ops.
+    place from the qkv projection; both projections add their bias in ``matmul``:
+    three ops. Rebinding ``x`` frees the input, then qkv, outside a tape.
     """
-    qkv = add(matmul(x, p.qkv_w), p.qkv_b)
-    ctx, attn = attention(qkv, p.num_heads, p.rel_bias, with_probs=with_attn)
-    return add(matmul(ctx, p.out_w), p.out_b), attn
+    x = matmul(x, p.qkv_w, p.qkv_b)
+    x, attn = attention(x, p.num_heads, p.rel_bias, with_probs=with_attn)
+    return matmul(x, p.out_w, p.out_b), attn
 
 
 @dataclass
@@ -215,4 +216,4 @@ def patch_embed(images: Tensor, p: PatchEmbedParams) -> Tensor:
     x = reshape(images, (n, gh, PATCH_SIZE, gw, PATCH_SIZE, 3))
     x = transpose(x, (0, 1, 3, 2, 4, 5))
     x = reshape(x, (n, gh * gw, PATCH_DIM))
-    return add(matmul(x, p.w), p.b)
+    return matmul(x, p.w, p.b)

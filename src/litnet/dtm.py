@@ -110,7 +110,7 @@ def deformable_conv(x: Tensor, p: DtmParams) -> tuple[Tensor, np.ndarray]:
 
     samples = deform_sample(x, positions)                       # [N, Ho, Wo, K*K, Cin]
     flat = reshape(samples, (n, ho, wo, k * k * cin))
-    out = add(matmul(flat, reshape(p.w, (k * k * cin, cout))), p.b)
+    out = matmul(flat, reshape(p.w, (k * k * cin, cout)), p.b)
     return out, offsets.data
 
 

@@ -448,7 +448,7 @@ class LitModel:
         with _layer("head"):
             tokens = layer_norm(tokens, self.final_ln_g, self.final_ln_b)
             pooled = mean_axis(tokens, 1)
-            return add(matmul(pooled, self.head_w), self.head_b)
+            return matmul(pooled, self.head_w, self.head_b)
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> LitModel:

@@ -113,6 +113,9 @@ dx and the parameter gradients, which the tiles accumulate.
 
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
 four per sample: its output is S @ x and its input gradient S^T @ g.
+
+``matmul`` adds a projection's bias in place into its fresh product, the
+fused elementwise step of Ivanov et al., so no pre-bias copy stays alive.
 """
 
 from __future__ import annotations
@@ -360,8 +363,8 @@ def _lead_sums(a: np.ndarray, ndim: int = 1) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also be a suffix of ``a``'s shape (bias,
-    positional table, shared attention bias), broadcast over leading axes;
+    """Elementwise sum; ``b`` may also be a suffix of ``a``'s shape (position
+    table, DTM tap grid, ``mlp_block``'s replay), broadcast over leading axes;
     any other pair of shapes, ``a`` a suffix of ``b`` too, is a ShapeError."""
     if a.shape == b.shape:
         return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
@@ -406,7 +409,8 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     """Mean over ``axis``, as the sum times 1 / extent; the gradient is
     g / extent broadcast back over the axis."""
-    axis = axis % a.ndim
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"mean_axis: axis {axis} out of range for shape {a.shape}")
     shape = a.shape
     s = 1.0 / shape[axis]
 
@@ -438,18 +442,21 @@ def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product ``[..., m, k] @ [..., k, n]``.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product ``[..., m, k] @ [..., k, n]``, plus ``bias`` [n] when given.
 
     Leading axes must match exactly, or ``b`` may be a plain 2-d weight
-    matrix shared over all leading axes of ``a``. The backward pass forms
-    no gradient for an ``a`` that needs none, such as image patches.
+    matrix shared over all leading axes of ``a``. The bias is added in place,
+    so this is ``add(matmul(a, b), bias)`` in one op and one product-size
+    array. The backward pass forms no gradient for an ``a`` that needs none.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     k = a.shape[-1]
     if b.shape[-2] != k:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
+    if bias is not None and bias.shape != b.shape[-1:]:
+        raise ShapeError(f"matmul: bias shape {bias.shape} does not match {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     grad_a = a.requires_grad
     if b.ndim == 2:
@@ -460,7 +467,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return (g @ bd.swapaxes(-1, -2) if grad_a else None, ad.swapaxes(-1, -2) @ g)
     else:
         raise ShapeError(f"matmul: leading axes differ, {a.shape} @ {b.shape}")
-    return _apply("matmul", (a, b), ad @ bd, bwd)
+    if bias is None:
+        return _apply("matmul", (a, b), ad @ bd, bwd)
+    out = ad @ bd  # a float64 bias widens a float32 product, as in ``add``
+    out = np.add(out, bias.data, out=out if np.can_cast(bias.dtype, out.dtype) else None)
+    return _apply("matmul", (a, b, bias), out, lambda g: (*bwd(g), _lead_sums(g, g.ndim - 1)))
 
 
 # --------------------------------------------------------------------------
@@ -962,8 +973,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel must be square, got {w.shape}")
     if wcin != cin:
         raise ShapeError(f"conv2d: input channels {cin} do not match kernel {w.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match output channels {cout}")
     k, s, p = kh, stride, padding
@@ -995,10 +1006,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             for kx in range(k):
                 gxp[:, ky:ky + s * ho:s, kx:kx + s * wo:s, :] += gcols[:, :, :, ky, kx, :]
         gx = gxp[:, p:p + h, p:p + wd, :] if p else gxp
-        grads = [gx, gw]
-        if bias is not None:
-            grads.append(_lead_sums(g, 3))
-        return tuple(grads)
+        return (gx, gw) if bias is None else (gx, gw, _lead_sums(g, 3))
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _apply("conv2d", inputs, out, bwd)

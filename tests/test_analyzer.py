@@ -108,8 +108,8 @@ def test_msa_formula_matches_instrumented_forward(monkeypatch):
     # where msa looks it up, and attention's two products likewise
     macs = []
 
-    def counted(a, b):
-        out = matmul(a, b)
+    def counted(a, b, bias=None):
+        out = matmul(a, b, bias)
         macs.append(out.size * a.shape[-1])
         return out
 

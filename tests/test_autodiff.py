@@ -114,6 +114,13 @@ def test_grad_matmul_both_modes():
     check_gradients(projected(rng, lambda: matmul(lead, w)), [lead, w])
 
 
+def test_grad_matmul_with_bias():
+    rng = np.random.default_rng(7)
+    w, b = rand(rng, 3, 4), rand(rng, 4)
+    for a in (rand(rng, 5, 3), rand(rng, 2, 6, 3)):
+        check_gradients(projected(rng, lambda: matmul(a, w, b)), [a, w, b])
+
+
 def test_a_taped_matmul_forms_no_gradient_for_an_operand_that_needs_none():
     rng = np.random.default_rng(3)
     a = Tensor(rng.normal(size=(6, 3)))

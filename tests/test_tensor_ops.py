@@ -18,7 +18,7 @@ from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
 from litnet.tensor import (_ATTN_TILE, _BLOCK, NORM_EPS, BatchNormState, Tape, Tensor, add,
                            attention, batch_norm, conv2d, deform_sample, gather_last, gelu,
-                           layer_norm, matmul, mul, reshape, residual_mlp, softmax,
+                           layer_norm, matmul, mean_axis, mul, reshape, residual_mlp, softmax,
                            softmax_cross_entropy, sum_all, tensor, transpose)
 from litnet.train import AdamW, train_step
 
@@ -56,6 +56,35 @@ def test_matmul_shape_error_reports_both_shapes():
     with pytest.raises(ShapeError) as exc:
         matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 2))))
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("dtype,bias_dtype", [(np.float32, np.float32), (np.float64, np.float64),
+                                              (np.float32, np.float64), (np.float64, np.float32)])
+@pytest.mark.parametrize("a_shape", [(5, 3), (2, 5, 3)], ids=["2d", "3d"])
+def test_matmul_bias_is_bit_equal_to_adding_it_after(a_shape, dtype, bias_dtype):
+    rng = np.random.default_rng(2)
+    a, w = (tensor(rng.normal(size=s), dtype=dtype) for s in (a_shape, (3, 4)))
+    bias = tensor(rng.normal(size=4), dtype=bias_dtype)
+    got, want = matmul(a, w, bias).data, add(matmul(a, w), bias).data
+    assert got.dtype == want.dtype == np.result_type(dtype, bias_dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bias_shape", [(5,), (1, 4)])
+def test_matmul_rejects_a_bias_that_does_not_fit(bias_shape):
+    with pytest.raises(ShapeError, match="bias shape"):
+        matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((3, 4))), tensor(np.zeros(bias_shape)))
+
+
+def test_matmul_names_itself_for_a_non_finite_bias():
+    with pytest.raises(NumericError, match="non-finite values produced by matmul"):
+        matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((3, 4))), tensor([0.0, np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("axis", [3, -4])
+def test_mean_axis_rejects_an_axis_outside_the_rank(axis):
+    with pytest.raises(ShapeError, match="mean_axis: axis"):
+        mean_axis(tensor(np.ones((2, 3, 4))), axis)
 
 
 def test_softmax_symmetry():
@@ -1088,6 +1117,11 @@ def test_conv2d_rejects_bad_stride_and_channels():
         conv2d(x, tensor(np.zeros((2, 2, 3, 4))))
     with pytest.raises(ShapeError):
         conv2d(x, tensor(np.zeros((2, 2, 2, 4))), stride=0)
+
+
+def test_conv2d_rejects_a_negative_padding():
+    with pytest.raises(ShapeError, match="padding >= 0"):
+        conv2d(tensor(np.zeros((1, 4, 4, 2))), tensor(np.zeros((1, 1, 2, 3))), padding=-1)
 
 
 def sample_at(img: np.ndarray, y: float, x: float) -> np.ndarray:
