@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .init import ones, weight, zeros
-from .tensor import (Tensor, add, attention, gelu, layer_norm, matmul, reshape, residual_mlp,
-                     transpose)
+from .tensor import (Tensor, add, attention, conv2d, gelu, layer_norm, matmul, reshape,
+                     residual_mlp)
 
 PATCH_SIZE = 4
 PATCH_DIM = PATCH_SIZE * PATCH_SIZE * 3  # 48
@@ -192,7 +192,8 @@ def transformer_block(x: Tensor, p: TransformerBlockParams,
 
 @dataclass
 class PatchEmbedParams:
-    """Non-overlapping 4x4 patch flattening plus linear projection."""
+    """Non-overlapping 4x4 patches projected to C1 channels, a stride-4 4x4
+    conv: the [48, C1] weight's (py, px, c) rows are its kernel's (ky, kx, cin)."""
 
     w: Tensor  # [48, C1]
     b: Tensor  # [C1]
@@ -206,14 +207,11 @@ class PatchEmbedParams:
 
 
 def patch_embed(images: Tensor, p: PatchEmbedParams) -> Tensor:
-    """[N, H, W, 3] images to [N, (H/4)(W/4), C1] tokens."""
+    """[N, H, W, 3] images to [N, (H/4)(W/4), C1] tokens by a stride-4 4x4 ``conv2d``."""
     n, h, w, c = images.shape
     if c != 3:
         raise ConfigError(f"patch embedding expects RGB input, got {c} channels")
     if h % PATCH_SIZE or w % PATCH_SIZE:
         raise ConfigError(f"image extents {h}x{w} are not divisible by the patch size {PATCH_SIZE}")
-    gh, gw = h // PATCH_SIZE, w // PATCH_SIZE
-    x = reshape(images, (n, gh, PATCH_SIZE, gw, PATCH_SIZE, 3))
-    x = transpose(x, (0, 1, 3, 2, 4, 5))
-    x = reshape(x, (n, gh * gw, PATCH_DIM))
-    return matmul(x, p.w, p.b)
+    x = conv2d(images, reshape(p.w, (PATCH_SIZE, PATCH_SIZE, 3, -1)), p.b, stride=PATCH_SIZE)
+    return reshape(x, (n, x.shape[1] * x.shape[2], x.shape[3]))

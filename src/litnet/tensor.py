@@ -114,6 +114,11 @@ dx and the parameter gradients, which the tiles accumulate.
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
 four per sample: its output is S @ x and its input gradient S^T @ g.
 
+``conv2d`` is one product of patch rows and the [K*K*Cin, Cout] kernel;
+``_im2col`` gathers the rows in (ky, kx, c) order as one strided copy. A
+taped conv keeps its input, zero-padded if need be, not the rows: its
+backward gathers them again for the weight gradient (Chen et al. again).
+
 ``matmul`` adds a projection's bias in place into its fresh product, the
 fused elementwise step of Ivanov et al., so no pre-bias copy stays alive.
 """
@@ -389,15 +394,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {in_shape} as {shape}") from exc
     return _apply("reshape", (a,), out, lambda g: (g.reshape(in_shape),))
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(int(d) for d in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of rank {a.ndim}")
-    inverse = tuple(np.argsort(axes))
-    return _apply("transpose", (a,), np.ascontiguousarray(a.data.transpose(axes)),
-                  lambda g: (g.transpose(inverse),))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -959,12 +955,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 # --------------------------------------------------------------------------
 
 
+def _im2col(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """[N*Ho*Wo, K*K*C] patch rows of the NHWC ``xp`` in (ky, kx, c) order, one copy."""
+    n, c = xp.shape[0], xp.shape[3]
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]  # [N, Ho, Wo, C, K, K]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, k * k * c)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution of an NHWC input with a KxKxCinxCout kernel.
-
-    Zero padding; output extents floor((H + 2*pad - K) / stride) + 1.
-    """
+    """2-d convolution of an NHWC input with a KxKxCinxCout kernel of its dtype,
+    zero padding; output extents floor((H + 2*pad - K) / stride) + 1. The
+    backward pass forms no gradient for an ``x`` that needs none."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected NHWC input and KKCC kernel, got {x.shape} and {w.shape}")
     n, h, wd, cin = x.shape
@@ -977,6 +979,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match output channels {cout}")
+    dtypes = {x.dtype, w.dtype, x.dtype if bias is None else bias.dtype}
+    if len(dtypes) > 1:
+        raise ShapeError(f"conv2d: x, w and bias mix {' and '.join(sorted(map(str, dtypes)))}")
     k, s, p = kh, stride, padding
     hp, wp = h + 2 * p, wd + 2 * p
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
@@ -987,29 +992,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if p:
         xp = np.zeros((n, hp, wp, cin), dtype=x.data.dtype)
         xp[:, p:p + h, p:p + wd, :] = x.data
-    patches = np.empty((n, ho, wo, k, k, cin), dtype=x.data.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            patches[:, :, :, ky, kx, :] = xp[:, ky:ky + s * ho:s, kx:kx + s * wo:s, :]
-    cols = patches.reshape(n * ho * wo, k * k * cin)
     wmat = w.data.reshape(k * k * cin, cout)
-    out = (cols @ wmat).reshape(n, ho, wo, cout)
+    out = (_im2col(xp, k, s, ho, wo) @ wmat).reshape(n, ho, wo, cout)
     if bias is not None:
         out += bias.data
+    grad_x = x.requires_grad
 
     def bwd(g):
         gmat = g.reshape(n * ho * wo, cout)
-        gw = (cols.T @ gmat).reshape(w.shape)
-        gcols = (gmat @ wmat.T).reshape(n, ho, wo, k, k, cin)
-        gxp = np.zeros((n, hp, wp, cin), dtype=g.dtype)
-        for ky in range(k):
-            for kx in range(k):
-                gxp[:, ky:ky + s * ho:s, kx:kx + s * wo:s, :] += gcols[:, :, :, ky, kx, :]
-        gx = gxp[:, p:p + h, p:p + wd, :] if p else gxp
+        gw = (_im2col(xp, k, s, ho, wo).T @ gmat).reshape(k, k, cin, cout)
+        gx = None
+        if grad_x:
+            gcols = (gmat @ wmat.T).reshape(n, ho, wo, k, k, cin)
+            gx = np.zeros((n, hp, wp, cin), dtype=g.dtype)
+            for ky in range(k):
+                for kx in range(k):
+                    gx[:, ky:ky + s * ho:s, kx:kx + s * wo:s, :] += gcols[:, :, :, ky, kx, :]
+            gx = gx[:, p:p + h, p:p + wd, :] if p else gx
         return (gx, gw) if bias is None else (gx, gw, _lead_sums(g, 3))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _apply("conv2d", inputs, out, bwd)
+    return _apply("conv2d", (x, w) if bias is None else (x, w, bias), out, bwd)
 
 
 def deform_sample(x: Tensor, positions: Tensor) -> Tensor:

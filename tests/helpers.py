@@ -118,6 +118,25 @@ def conv2d_loop(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None,
     return out
 
 
+def conv2d_weight_grad_loop(x: np.ndarray, g: np.ndarray, k: int,
+                            stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Gradient of sum(conv2d(x, w) * g) in the [K, K, Cin, Cout] kernel w:
+    each tap's sum over outputs of the input pixel it reads times g."""
+    n, h, wd, cin = x.shape
+    _, ho, wo, cout = g.shape
+    gw = np.zeros((k, k, cin, cout), dtype=np.float64)
+    for b in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for ky in range(k):
+                    for kx in range(k):
+                        yy = i * stride + ky - padding
+                        xx = j * stride + kx - padding
+                        if 0 <= yy < h and 0 <= xx < wd:
+                            gw[ky, kx] += np.outer(x[b, yy, xx, :], g[b, i, j, :])
+    return gw
+
+
 def bilinear_scalar(img: np.ndarray, y: float, x: float) -> np.ndarray:
     """Scalar bilinear interpolation; out-of-bounds neighbors contribute zero."""
     h, w, c = img.shape

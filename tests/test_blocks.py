@@ -248,6 +248,54 @@ def test_patch_embed_identity_projection_recovers_flattened_patch():
     assert np.all(tok[0, :, 48:] == 0.0)
 
 
+def patchify(images: np.ndarray) -> np.ndarray:
+    """[N, H, W, 3] images to [N, (H/4)(W/4), 48] rows, each patch flattened
+    in (py, px, c) order, patches in row-major grid order."""
+    n, h, w, _ = images.shape
+    gh, gw = h // 4, w // 4
+    rows = np.empty((n, gh * gw, 48))
+    for b in range(n):
+        for gy in range(gh):
+            for gx in range(gw):
+                rows[b, gy * gw + gx] = images[b, 4 * gy:4 * gy + 4, 4 * gx:4 * gx + 4].reshape(-1)
+    return rows
+
+
+def test_patch_embed_matches_patchify_then_project():
+    rng = np.random.default_rng(16)
+    p = PatchEmbedParams.create(rng, 10, dtype=np.float64)
+    p.b.data[:] = rng.normal(size=10)
+    images = rng.normal(size=(2, 8, 12, 3))
+    want = patchify(images) @ p.w.data + p.b.data
+    assert np.abs(patch_embed(tensor(images), p).data - want).max() < 1e-12
+
+
+def test_patch_embed_gradients_in_weight_and_bias():
+    rng = np.random.default_rng(17)
+    p = PatchEmbedParams.create(rng, 3, dtype=np.float64)
+    p.b.data[:] = rng.normal(size=3)
+    images = tensor(rng.normal(size=(2, 8, 4, 3)))
+    probe = Tensor(rng.normal(size=(2, 2, 3)))
+    check_gradients(lambda: sum_all(mul(patch_embed(images, p), probe)), [p.w, p.b])
+
+
+def test_a_taped_patch_embed_keeps_no_copy_of_the_patches():
+    # the conv's backward rebuilds the patch rows from the images, which the
+    # caller holds; a kept [N, T, 48] patch matrix is the images' size again
+    rng = np.random.default_rng(18)
+    p = PatchEmbedParams.create(rng, 16)
+    images = tensor(rng.normal(size=(8, 64, 64, 3)), dtype=np.float32)
+
+    def forward():
+        with Tape() as tape:
+            out = patch_embed(images, p)
+        return tape, out
+
+    kept, _ = traced_bytes(forward)
+    tokens = 8 * 16 * 16 * 16 * 4
+    assert kept < tokens + images.data.nbytes // 2
+
+
 def test_patch_embed_rejects_indivisible_extents():
     rng = np.random.default_rng(15)
     p = PatchEmbedParams.create(rng, 8)

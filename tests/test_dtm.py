@@ -138,7 +138,7 @@ def test_merge_checkpoint_names_and_order(deformable):
     offset = ["m.offset_conv.w", "m.offset_conv.b"] if deformable else []
     assert list(p.named("m")) == ["m.conv.w", "m.conv.b", *offset, "m.bn.g", "m.bn.b"]
     if deformable:
-        out, offsets = deformable_conv(tensor(np.ones((1, 4, 4, 3), np.float32)), p)
+        out, offsets = deformable_conv(tensor(np.ones((1, 4, 4, 3)), dtype=np.float32), p)
         assert out.shape == (1, 2, 2, 4) and offsets.shape == (1, 2, 2, 4, 2)
 
 

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop, matmul_loop,
-                     relative_index_loop, traced_bytes)
+from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop,
+                     conv2d_weight_grad_loop, matmul_loop, relative_index_loop, traced_bytes)
 from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
 from litnet.tensor import (_ATTN_TILE, _BLOCK, NORM_EPS, BatchNormState, Tape, Tensor, add,
                            attention, batch_norm, conv2d, deform_sample, gather_last, gelu,
                            layer_norm, matmul, mean_axis, mul, reshape, residual_mlp, softmax,
-                           softmax_cross_entropy, sum_all, tensor, transpose)
+                           softmax_cross_entropy, sum_all, tensor)
 from litnet.train import AdamW, train_step
 
 # the module itself: the package binds ``litnet.tensor`` to the tensor() factory
@@ -415,11 +415,11 @@ def test_attention_rejects_a_projection_that_does_not_split(shape, heads):
         attention(Tensor(np.zeros(shape)), heads)
 
 
-def composed_attention(q, k, v, table):
-    """softmax(q k^T / sqrt(d) + bias) v of unfused ops, the bias gathered
-    from the flattened table at ``relative_index_loop``."""
+def composed_attention(q, kt, v, table):
+    """softmax(q k^T / sqrt(d) + bias) v of unfused ops, with k^T given as
+    ``kt``, the bias gathered from the flattened table at ``relative_index_loop``."""
     s = Tensor(np.full(q.shape, 1.0 / math.sqrt(q.shape[-1])))
-    logits = matmul(mul(q, s), transpose(k, (0, 1, 3, 2)))
+    logits = matmul(mul(q, s), kt)
     heads, h2, w2 = table.shape
     flat = reshape(table, (heads, h2 * w2))
     bias = gather_last(flat, relative_index_loop((h2 + 1) // 2, (w2 + 1) // 2))
@@ -431,11 +431,12 @@ def attention_gradients(q, k, v, table, g, fused):
     the fused op's are split out of its one qkv gradient."""
     heads = q.shape[1]
     if not fused:
-        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v, table)]
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k.swapaxes(-1, -2), v, table)]
         with Tape() as tape:
             loss = sum_all(mul(composed_attention(*leaves), Tensor(g)))
         tape.backward(loss)
-        return [t.grad for t in leaves]
+        q_grad, kt_grad, v_grad, table_grad = (t.grad for t in leaves)
+        return [q_grad, kt_grad.swapaxes(-1, -2), v_grad, table_grad]
     qkv, bias = Tensor(pack_qkv(q, k, v), requires_grad=True), Tensor(table, requires_grad=True)
     with Tape() as tape:
         loss = sum_all(mul(attention(qkv, heads, bias)[0], Tensor(merge_heads(g))))
@@ -1122,6 +1123,57 @@ def test_conv2d_rejects_bad_stride_and_channels():
 def test_conv2d_rejects_a_negative_padding():
     with pytest.raises(ShapeError, match="padding >= 0"):
         conv2d(tensor(np.zeros((1, 4, 4, 2))), tensor(np.zeros((1, 1, 2, 3))), padding=-1)
+
+
+@pytest.mark.parametrize("odd", ["x", "w", "bias"])
+def test_conv2d_refuses_mixed_dtypes_before_it_allocates(odd):
+    # the model runs in one dtype, so a mix is the caller's error: refused by
+    # name, before the 1-MiB output or the padded input exists
+    arrays = {"x": np.zeros((4, 64, 64, 8)), "w": np.zeros((3, 3, 8, 16)), "bias": np.zeros(16)}
+    x, w, bias = (tensor(a, dtype=np.float64 if name == odd else np.float32)
+                  for name, a in arrays.items())
+
+    def refused():
+        with pytest.raises(ShapeError) as info:
+            conv2d(x, w, bias, padding=1)
+        return str(info.value)
+
+    message = refused()
+    _, peak = traced_bytes(refused)
+    assert message == "conv2d: x, w and bias mix float32 and float64"
+    assert peak < 2 ** 16  # the output alone is 1 MiB
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv2d_weight_gradient_matches_the_loop_oracle_for_a_constant_input(stride, padding):
+    rng = np.random.default_rng(54)
+    x = rng.normal(size=(2, 6, 5, 3))
+    w = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
+    constant = Tensor(x)
+    with Tape() as tape:
+        out = conv2d(constant, w, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        loss = sum_all(mul(out, Tensor(g)))
+    tape.backward(loss)
+    assert constant.grad is None
+    assert np.abs(w.grad - conv2d_weight_grad_loop(x, g, 3, stride, padding)).max() < 1e-12
+
+
+def test_a_taped_conv2d_keeps_its_input_not_its_patch_rows():
+    # a stride-2 2x2 kernel reads every pixel once, so its [N*Ho*Wo, 4*Cin]
+    # patch rows are as large as the input; the backward rebuilds them
+    rng = np.random.default_rng(55)
+    x = Tensor(rng.normal(size=(8, 32, 32, 16)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 2, 16, 16)).astype(np.float32), requires_grad=True)
+
+    def forward():
+        with Tape() as tape:
+            out = conv2d(x, w, stride=2)
+        return tape, out
+
+    kept, _ = traced_bytes(forward)
+    out_bytes = x.data.nbytes // 4
+    assert kept < out_bytes + x.data.nbytes // 2
 
 
 def sample_at(img: np.ndarray, y: float, x: float) -> np.ndarray:
