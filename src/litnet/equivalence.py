@@ -28,7 +28,7 @@ import numpy as np
 
 from .blocks import MsaParams, msa
 from .errors import ConfigError
-from .tensor import Tape, Tensor, conv2d, matmul, mul, reshape, sum_all
+from .tensor import Tape, Tensor, conv2d, matmul, reshape
 
 INFLUENCE_THRESHOLD = 1e-8  # relative to the strongest pixel
 Shifts = Sequence[tuple[int, int]]  # one (dy, dx) pixel shift per head
@@ -206,10 +206,9 @@ def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tup
             y = x
             for layer in stack[:depth]:
                 y = layer(y)
-            pick = np.zeros(y.shape)
-            pick[0, qy, qx, :] = 1.0
-            scalar = sum_all(mul(y, Tensor(pick)))
-        tape.backward(scalar)
+        pick = np.zeros(y.shape, y.dtype)
+        pick[0, qy, qx, :] = 1.0
+        tape.backward(y, pick)
         mag = np.abs(x.grad[0]).max(axis=-1)
         peak = mag.max()
         mask = mag > (INFLUENCE_THRESHOLD * peak if peak > 0 else INFLUENCE_THRESHOLD)

@@ -12,6 +12,11 @@ backward function reads is freed as soon as the forward drops it.
 and accumulates them into every ``requires_grad`` leaf. A tape serves
 one forward computation; its backward pass consumes it and drops its nodes.
 
+The model runs in one dtype, so an op of several Tensor operands refuses a
+float32 and float64 mix by ``_one_dtype``, a one-line ``ShapeError`` before it
+allocates. ``Tape.backward`` starts from d(loss)/d(out), a seed of out's shape
+and dtype: ones for a scalar loss, or the caller's array for any other output.
+
 Every op checks its output for non-finite values and raises
 ``NumericError`` instead of propagating them. Nothing here counts work
 or times ops; the benchmark in ``perfbench/`` does that from outside by
@@ -184,10 +189,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
-        if not isinstance(data, np.ndarray):
+        if not isinstance(data, np.ndarray) or data.dtype not in (np.float32, np.float64):
             data = np.asarray(data, dtype=np.float64)
-        if data.dtype not in (np.float32, np.float64):
-            data = data.astype(np.float64)
         self.data = data
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -219,7 +222,7 @@ class Tensor:
 
 
 def tensor(values, dtype=np.float64, requires_grad: bool = False) -> Tensor:
-    """Wrap ``values`` in a Tensor with the given dtype."""
+    """Wrap ``values`` in a Tensor of ``dtype``, float64 unless given, whatever their own dtype."""
     return Tensor(np.asarray(values, dtype=dtype), requires_grad=requires_grad)
 
 
@@ -231,11 +234,9 @@ _LOCAL = threading.local()
 
 
 def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+    if not hasattr(_LOCAL, "stack"):
+        _LOCAL.stack = []
+    return _LOCAL.stack
 
 
 def _current_tape() -> "Tape | None":
@@ -257,7 +258,8 @@ class Tape:
     holds no intermediate tensor: what a backward function reads, its
     closure keeps. A leaf's ``grad`` is the backward's own array; ``add`` returns
     one array to both its inputs, so two leaves can share one gradient array, and
-    nothing may write into a gradient in place.
+    nothing may write into a gradient in place. The seed stays the caller's,
+    uncopied: it can become a leaf's ``grad``, or a view of one through ``reshape`` or ``add``.
     """
 
     __slots__ = ("_nodes", "_produced", "_consumed")
@@ -285,17 +287,22 @@ class Tape:
         self._nodes.append((out.key, entries, backward_fn))
         self._produced.add(out.key)
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
+    def backward(self, out: Tensor, grad: np.ndarray | None = None) -> None:
+        """Populate ``grad`` on every requires_grad leaf reachable from ``out``,
+        seeded with ``grad``, d(loss)/d(out) in out's shape and dtype (None: ones
+        for a scalar ``out``). A refused seed leaves the tape unconsumed."""
         if self._consumed:
             raise StateError("tape already consumed by a previous backward pass")
-        if loss.key not in self._produced:
-            raise StateError("loss was not produced under this tape")
-        if loss.data.size != 1:
-            raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if out.key not in self._produced:
+            raise StateError("output was not produced under this tape")
+        if grad is None and out.data.size == 1:
+            grad = np.ones_like(out.data)
+        if grad is None or grad.shape != out.shape or grad.dtype != out.dtype:
+            seed = "no seed" if grad is None else f"a {grad.shape} {grad.dtype} seed"
+            raise ShapeError(f"backward: {seed} for a {out.shape} {out.dtype} output")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {out.key: grad}
         leaves: dict[int, Tensor] = {}
         for out_key, entries, backward_fn in reversed(self._nodes):
             g = grads.pop(out_key, None)
@@ -310,8 +317,7 @@ class Tape:
                     leaves[key] = leaf
         self._nodes.clear()  # frees what the backward functions' closures held
         for key, t in leaves.items():
-            g = grads[key]
-            t.grad = g if t.grad is None else t.grad + g
+            t.grad = grads[key] if t.grad is None else t.grad + grads[key]
 
 
 # --------------------------------------------------------------------------
@@ -328,6 +334,16 @@ def _all_finite(arr: np.ndarray) -> bool:
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not _all_finite(arr):
         raise NumericError(f"non-finite values produced by {op}")
+
+
+def _one_dtype(op: str, **operands: Tensor | None) -> np.dtype:
+    """The dtype all non-None ``operands`` of ``op`` share; a mix is a one-line ShapeError."""
+    dtypes = {name: t.dtype for name, t in operands.items() if t is not None}
+    mixed = set(dtypes.values())
+    if len(mixed) > 1:
+        *names, last = dtypes
+        raise ShapeError(f"{op}: {', '.join(names)} and {last} mix {' and '.join(sorted(map(str, mixed)))}")
+    return mixed.pop()
 
 
 def _recording_tape(inputs: tuple[Tensor, ...]) -> "Tape | None":
@@ -371,19 +387,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also be a suffix of ``a``'s shape (position
     table, DTM tap grid, ``mlp_block``'s replay), broadcast over leading axes;
     any other pair of shapes, ``a`` a suffix of ``b`` too, is a ShapeError."""
-    if a.shape == b.shape:
-        return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
     extra = a.ndim - b.ndim
-    if extra > 0 and a.shape[extra:] == b.shape:
-        return _apply("add", (a, b), a.data + b.data, lambda g: (g, _lead_sums(g, extra)))
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    return _apply("mul", (a, b), ad * bd, lambda g: (g * bd, g * ad))
+    if extra < 0 or a.shape[extra:] != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    _one_dtype("add", a=a, b=b)
+    return _apply("add", (a, b), a.data + b.data, lambda g: (g, _lead_sums(g, extra) if extra else g))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -394,12 +402,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {in_shape} as {shape}") from exc
     return _apply("reshape", (a,), out, lambda g: (g.reshape(in_shape),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape, dtype = a.shape, a.dtype
-    return _apply("sum_all", (a,), np.asarray(a.data.sum(), dtype=dtype),
-                  lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
@@ -413,7 +415,7 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     def bwd(g):
         return (np.broadcast_to(np.expand_dims(g * s, axis), shape).astype(g.dtype, copy=True),)
 
-    return _apply("mean_axis", (a,), _lead_sums(np.moveaxis(a.data, axis, 0)) * s, bwd)
+    return _apply("mean_axis", (a,), np.asarray(_lead_sums(np.moveaxis(a.data, axis, 0)) * s), bwd)
 
 
 # Unused by the model; kept because perfbench wraps it by name (ROADMAP item 1).
@@ -463,10 +465,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             return (g @ bd.swapaxes(-1, -2) if grad_a else None, ad.swapaxes(-1, -2) @ g)
     else:
         raise ShapeError(f"matmul: leading axes differ, {a.shape} @ {b.shape}")
+    _one_dtype("matmul", a=a, b=b, bias=bias)
     if bias is None:
         return _apply("matmul", (a, b), ad @ bd, bwd)
-    out = ad @ bd  # a float64 bias widens a float32 product, as in ``add``
-    out = np.add(out, bias.data, out=out if np.can_cast(bias.dtype, out.dtype) else None)
+    out = ad @ bd
+    out += bias.data
     return _apply("matmul", (a, b, bias), out, lambda g: (*bwd(g), _lead_sums(g, g.ndim - 1)))
 
 
@@ -587,11 +590,11 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
             raise ShapeError(f"attention: bias table {bias.shape} is not [{heads}, 2H-1, 2W-1] "
                              f"for an H x W grid of {t} queries")
         rows = max(1, round(rows / gw)) * gw
-        window = _bias_window(np.ascontiguousarray(bias.data[:, ::-1, ::-1]))
         inputs += (bias,)
+    dtype = _one_dtype("attention", qkv=qkv, bias=bias)  # before the flipped table is copied
+    window = _bias_window(np.ascontiguousarray(bias.data[:, ::-1, ::-1])) if bias is not None else None
     tape = _recording_tape(inputs)
     s = 1.0 / math.sqrt(d)
-    dtype = np.result_type(*(x.data for x in inputs))
     table_peak = _max_abs(bias.data) if bias is not None else 0.0
     shift = not _unshifted_exp_fits(q, k, v, s, table_peak, np.finfo(dtype))
     out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
@@ -763,9 +766,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channels {c}")
+    dtype = _one_dtype("layer_norm", x=x, gamma=gamma, beta=beta)
     xf = x.data.reshape(-1, c)
-    out = np.empty(xf.shape, xf.dtype)
-    mean, inv = (np.empty((xf.shape[0], 1), xf.dtype) for _ in range(2))
+    out = np.empty(xf.shape, dtype)
+    mean, inv = (np.empty((xf.shape[0], 1), dtype) for _ in range(2))
     _center(xf, -1, out, np.empty_like(out), mean, inv)
     _scale_shift(out, inv, inv, gamma.data, beta.data)
     return _apply("layer_norm", (x, gamma, beta), out.reshape(x.shape),
@@ -831,9 +835,9 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
             or b1.shape != (hidden,) or w2.shape != (hidden, c) or b2.shape != (c,):
         raise ShapeError(f"residual_mlp: parameters {gamma.shape}, {beta.shape}, {w1.shape}, "
                          f"{b1.shape}, {w2.shape}, {b2.shape} do not fit {c} channels")
+    dtype = _one_dtype("residual_mlp", x=x, gamma=gamma, beta=beta, w1=w1, b1=b1, w2=w2, b2=b2)
     inputs = (x, gamma, beta, w1, b1, w2, b2)
     tape = _recording_tape(inputs)
-    dtype = np.result_type(*(t.data for t in inputs))
     xf = x.data.reshape(-1, c)
     m = xf.shape[0]
     rows = max(1, min(m, _MLP_ROWS))
@@ -927,10 +931,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ValidationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and 0 in x.shape[:3]:
         raise ShapeError(f"batch_norm: batch statistics need at least one N*H*W row, got shape {x.shape}")
+    dtype = _one_dtype("batch_norm", x=x, gamma=gamma, beta=beta)
     xf = x.data.reshape(-1, c)
-    out = np.empty(xf.shape, xf.dtype)
+    out = np.empty(xf.shape, dtype)
     if mode == "train":
-        mean, var = np.empty((1, c), xf.dtype), np.empty((1, c), xf.dtype)
+        mean, var = np.empty((1, c), dtype), np.empty((1, c), dtype)
         _center(xf, 0, out, np.empty_like(out), mean, var)
         if state.mean is None:
             state.mean, state.var = mean[0].copy(), var[0].copy()
@@ -979,18 +984,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match output channels {cout}")
-    dtypes = {x.dtype, w.dtype, x.dtype if bias is None else bias.dtype}
-    if len(dtypes) > 1:
-        raise ShapeError(f"conv2d: x, w and bias mix {' and '.join(sorted(map(str, dtypes)))}")
     k, s, p = kh, stride, padding
     hp, wp = h + 2 * p, wd + 2 * p
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel {k} does not fit input {x.shape} with padding {p}")
+    dtype = _one_dtype("conv2d", x=x, w=w, bias=bias)
 
     xp = x.data
     if p:
-        xp = np.zeros((n, hp, wp, cin), dtype=x.data.dtype)
+        xp = np.zeros((n, hp, wp, cin), dtype)
         xp[:, p:p + h, p:p + wd, :] = x.data
     wmat = w.data.reshape(k * k * cin, cout)
     out = (_im2col(xp, k, s, ho, wo) @ wmat).reshape(n, ho, wo, cout)
@@ -1030,6 +1033,7 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
         raise ShapeError(f"deform_sample expects an NHWC tensor, got {x.shape}")
     if positions.ndim != 5 or positions.shape[-1] != 2 or positions.shape[0] != x.shape[0]:
         raise ShapeError(f"deform_sample: bad positions shape {positions.shape} for input {x.shape}")
+    _one_dtype("deform_sample", x=x, positions=positions)
     if not _all_finite(positions.data):
         raise NumericError("non-finite sampling positions")
     n, h, w, c = x.shape

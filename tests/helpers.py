@@ -42,23 +42,27 @@ def grad_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def check_gradients(make_loss: Callable[[], Tensor], params: Sequence[Tensor],
-                    h: float = FD_STEP, tol: float = GRAD_TOL) -> dict[int, float]:
-    """Compare tape gradients of ``make_loss`` against central differences.
+def check_gradients(make_out: Callable[[], Tensor], params: Sequence[Tensor],
+                    probe: np.ndarray | None = None, h: float = FD_STEP,
+                    tol: float = GRAD_TOL) -> dict[int, float]:
+    """Compare tape gradients of the scalar (out * probe).sum() against
+    central differences.
 
-    ``make_loss`` must rebuild the loss from current parameter values on
+    ``make_out`` must rebuild its output from current parameter values on
     every call (it runs once under a tape and twice per scalar for the
-    finite differences).
+    finite differences). The tape is seeded with ``probe``, of the output's
+    shape and dtype; None stands for a scalar output's one.
     """
     for p in params:
         p.grad = None
     with Tape() as tape:
-        loss = make_loss()
-    tape.backward(loss)
+        out = make_out()
+    tape.backward(out, probe)
+    weights = np.ones(out.shape) if probe is None else probe
     errors = {}
     for idx, p in enumerate(params):
         assert p.grad is not None, f"parameter {idx} received no gradient"
-        numeric = fd_gradient(lambda: make_loss().item(), p, h)
+        numeric = fd_gradient(lambda: float((make_out().data * weights).sum()), p, h)
         err = grad_rel_error(p.grad, numeric)
         errors[idx] = err
         assert err < tol, f"parameter {idx}: gradient error {err:.2e} >= {tol}"

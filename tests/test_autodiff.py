@@ -10,35 +10,38 @@ from litnet.errors import ShapeError, StateError
 from litnet.model import build, toy_config
 from litnet.tensor import (BatchNormState, Tape, Tensor, add, attention, batch_norm, conv2d,
                            deform_sample, gather_last, gelu, layer_norm, matmul, mean_axis,
-                           mul, reshape, softmax, softmax_cross_entropy, sum_all, tensor)
+                           reshape, softmax, softmax_cross_entropy, tensor)
 
 
 def rand(rng, *shape):
     return tensor(rng.uniform(-2.0, 2.0, size=shape), requires_grad=True)
 
 
-def projected(rng, f):
-    """Wrap ``f`` with one fixed random projection to a scalar.
+def projected(rng, f, params):
+    """check_gradients of ``f`` seeded with one fixed random probe of its
+    output's shape, drawn once so that the tape pass and every
+    finite-difference evaluation measure the same projection."""
+    return check_gradients(f, params, rng.normal(size=f().shape))
 
-    The projection is drawn once so repeated calls (tape pass plus every
-    finite-difference evaluation) measure the same loss.
-    """
-    probe = Tensor(rng.normal(size=f().shape))
-    return lambda: sum_all(mul(f(), probe))
+
+def dot(a, b):
+    """a . b of two tensors of one size, as a [1, 1] matmul of reshapes."""
+    return matmul(reshape(a, (1, -1)), reshape(b, (-1, 1)))
 
 
 def test_backward_sum_is_ones():
+    # a seed of ones is d(sum y)/dy
     x = tensor([1.0, -2.0, 3.0], requires_grad=True)
     with Tape() as t:
-        loss = sum_all(x)
-    t.backward(loss)
+        y = reshape(x, (3, 1))
+    t.backward(y, np.ones((3, 1)))
     assert np.array_equal(x.grad, np.ones(3))
 
 
 def test_backward_quadratic():
     x = tensor([1.0, 2.0], requires_grad=True)
     with Tape() as t:
-        loss = sum_all(mul(x, x))
+        loss = dot(x, x)
     t.backward(loss)
     assert np.allclose(x.grad, [2.0, 4.0], atol=1e-15)
 
@@ -46,15 +49,32 @@ def test_backward_quadratic():
 def test_backward_requires_scalar_loss():
     x = tensor([1.0, 2.0], requires_grad=True)
     with Tape() as t:
-        y = mul(x, x)
+        y = add(x, x)
     with pytest.raises(ShapeError):
         t.backward(y)
+
+
+@pytest.mark.parametrize("seed,message", [
+    (None, "no seed for a (2,) float64 output"),
+    (np.ones(3), "a (3,) float64 seed for a (2,) float64 output"),
+    (np.ones((2, 1)), "a (2, 1) float64 seed for a (2,) float64 output"),
+    (np.ones(2, np.float32), "a (2,) float32 seed for a (2,) float64 output"),
+], ids=["none", "size", "shape", "dtype"])
+def test_a_refused_seed_leaves_the_tape_unconsumed(seed, message):
+    x = tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as t:
+        y = add(x, x)
+    with pytest.raises(ShapeError) as info:
+        t.backward(y, seed)
+    assert str(info.value) == f"backward: {message}"
+    t.backward(y, np.array([1.0, 3.0]))
+    assert np.array_equal(x.grad, [2.0, 6.0])
 
 
 def test_backward_twice_is_a_dead_tape():
     x = tensor([1.0], requires_grad=True)
     with Tape() as t:
-        loss = sum_all(x)
+        loss = reshape(x, ())
     t.backward(loss)
     with pytest.raises(StateError):
         t.backward(loss)
@@ -62,7 +82,7 @@ def test_backward_twice_is_a_dead_tape():
 
 def test_backward_without_tape_errors():
     x = tensor([1.0], requires_grad=True)
-    loss = sum_all(x)  # no live tape: nothing recorded
+    loss = reshape(x, ())  # no live tape: nothing recorded
     with pytest.raises(StateError):
         Tape().backward(loss)
 
@@ -70,9 +90,9 @@ def test_backward_without_tape_errors():
 def test_tapes_do_not_leak_between_computations():
     x = tensor([2.0], requires_grad=True)
     with Tape() as t1:
-        loss1 = sum_all(mul(x, x))
+        loss1 = dot(x, x)
     with Tape() as t2:
-        loss2 = sum_all(mul(x, tensor([3.0])))
+        loss2 = dot(x, tensor([3.0]))
     t2.backward(loss2)
     assert np.allclose(x.grad, [3.0])
     x.grad = None
@@ -83,7 +103,7 @@ def test_tapes_do_not_leak_between_computations():
 def test_grad_accumulates_across_reuse_in_one_graph():
     x = tensor([3.0], requires_grad=True)
     with Tape() as t:
-        loss = sum_all(add(mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
+        loss = add(dot(x, x), reshape(x, (1, 1)))  # d/dx (x^2 + x) = 2x + 1
     t.backward(loss)
     assert np.allclose(x.grad, [7.0])
 
@@ -94,30 +114,30 @@ def test_grad_elementwise_and_structural_ops(seed):
     x = rand(rng, 3, 4)
     y = rand(rng, 3, 4)
     b = rand(rng, 4)
-    check_gradients(projected(rng, lambda: add(mul(x, y), b)), [x, y, b])
+    projected(rng, lambda: add(add(x, y), b), [x, y, b])
 
     z = rand(rng, 2, 3, 4)
-    check_gradients(projected(rng, lambda: reshape(z, (2, 12, 1))), [z])
-    check_gradients(projected(rng, lambda: mean_axis(z, 1)), [z])
+    projected(rng, lambda: reshape(z, (2, 12, 1)), [z])
+    projected(rng, lambda: mean_axis(z, 1), [z])
 
 
 def test_grad_matmul_both_modes():
     rng = np.random.default_rng(2)
     a = rand(rng, 5, 3)
     w = rand(rng, 3, 4)
-    check_gradients(projected(rng, lambda: matmul(a, w)), [a, w])
+    projected(rng, lambda: matmul(a, w), [a, w])
     ab = rand(rng, 2, 3, 4, 5)
     bb = rand(rng, 2, 3, 5, 2)
-    check_gradients(projected(rng, lambda: matmul(ab, bb)), [ab, bb])
+    projected(rng, lambda: matmul(ab, bb), [ab, bb])
     lead = rand(rng, 2, 6, 3)
-    check_gradients(projected(rng, lambda: matmul(lead, w)), [lead, w])
+    projected(rng, lambda: matmul(lead, w), [lead, w])
 
 
 def test_grad_matmul_with_bias():
     rng = np.random.default_rng(7)
     w, b = rand(rng, 3, 4), rand(rng, 4)
     for a in (rand(rng, 5, 3), rand(rng, 2, 6, 3)):
-        check_gradients(projected(rng, lambda: matmul(a, w, b)), [a, w, b])
+        projected(rng, lambda: matmul(a, w, b), [a, w, b])
 
 
 def test_a_taped_matmul_forms_no_gradient_for_an_operand_that_needs_none():
@@ -151,7 +171,7 @@ def test_gradients_route_by_key_when_freed_tensors_give_up_their_ids():
             biases.append(Tensor(b.data, requires_grad=True))  # reads b's perturbed data
             products.append(id(product))
             y = add(product, biases[-1])
-        return sum_all(mul(y, y))
+        return dot(y, y)
 
     check_gradients(loss, [x, w])  # runs the taped forward first
     taped = biases[:steps]
@@ -199,20 +219,20 @@ def test_a_consumed_tape_frees_what_its_backward_functions_held():
 
     def forward_and_backward():
         with Tape() as tape:
-            loss = sum_all(gelu(x))
-        tape.backward(loss)
-        return tape, loss
+            y = gelu(x)
+        tape.backward(y, np.ones(y.shape))
+        return tape
 
     kept, _ = traced_bytes(forward_and_backward)
     assert kept < x.data.nbytes + 2 ** 16
 
 
 def test_a_leaf_takes_the_gradient_array_its_backward_built():
-    # sum_all's backward builds one array of w's size; a copy of it for
+    # mean_axis's backward builds one array of w's size; a copy of it for
     # w.grad would double the peak
     w = Tensor(np.ones(2 ** 20, dtype=np.float32), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(w)
+        loss = mean_axis(w, 0)
     _, peak = traced_bytes(lambda: tape.backward(loss))
     assert peak < 1.5 * w.data.nbytes
 
@@ -220,8 +240,8 @@ def test_a_leaf_takes_the_gradient_array_its_backward_built():
 def test_grad_softmax_gelu():
     rng = np.random.default_rng(3)
     x = rand(rng, 3, 7)
-    check_gradients(projected(rng, lambda: softmax(x)), [x])
-    check_gradients(projected(rng, lambda: gelu(x)), [x])
+    projected(rng, lambda: softmax(x), [x])
+    projected(rng, lambda: gelu(x), [x])
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
@@ -231,7 +251,7 @@ def test_grad_attention(with_bias):
     qkv = rand(rng, 2, t, 3 * 3 * 2)  # 3 heads of d = 2
     table = rand(rng, 3, 3, 5) if with_bias else None
     params = [qkv, table] if with_bias else [qkv]
-    check_gradients(projected(rng, lambda: attention(qkv, 3, table)[0]), params)
+    projected(rng, lambda: attention(qkv, 3, table)[0], params)
 
 
 def test_grad_layer_norm():
@@ -239,7 +259,7 @@ def test_grad_layer_norm():
     x = rand(rng, 2, 5, 6)
     g = rand(rng, 6)
     b = rand(rng, 6)
-    check_gradients(projected(rng, lambda: layer_norm(x, g, b)), [x, g, b])
+    projected(rng, lambda: layer_norm(x, g, b), [x, g, b])
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -249,7 +269,7 @@ def test_grad_batch_norm(mode):
     g = rand(rng, 4)
     b = rand(rng, 4)
     state = BatchNormState().seed_identity(4, np.float64)
-    check_gradients(projected(rng, lambda: batch_norm(x, g, b, state, mode)), [x, g, b])
+    projected(rng, lambda: batch_norm(x, g, b, state, mode), [x, g, b])
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -258,7 +278,7 @@ def test_grad_conv2d(stride, padding):
     x = rand(rng, 2, 5, 5, 2)
     w = rand(rng, 3, 3, 2, 3)
     b = rand(rng, 3)
-    check_gradients(projected(rng, lambda: conv2d(x, w, b, stride, padding)), [x, w, b])
+    projected(rng, lambda: conv2d(x, w, b, stride, padding), [x, w, b])
 
 
 @pytest.mark.parametrize("seed,x_shape,positions", [
@@ -273,14 +293,14 @@ def test_grad_deform_sample(seed, x_shape, positions):
     pos_data = positions(rng)
     pos_data += 0.01 * (np.abs(pos_data % 1.0 - 0.0) < 1e-3)
     pos = tensor(pos_data, requires_grad=True)
-    check_gradients(projected(rng, lambda: deform_sample(x, pos)), [x, pos])
+    projected(rng, lambda: deform_sample(x, pos), [x, pos])
 
 
 def test_grad_gather_last():
     rng = np.random.default_rng(9)
     table = rand(rng, 3, 9)
     idx = rng.integers(0, 9, size=(4, 4))
-    check_gradients(projected(rng, lambda: gather_last(table, idx)), [table])
+    projected(rng, lambda: gather_last(table, idx), [table])
 
 
 def test_grad_cross_entropy():

@@ -13,7 +13,7 @@ from litnet.errors import ConfigError, NumericError, ShapeError, StateError
 from litnet.init import WEIGHT_STD, trunc_normal
 from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
                           ModelConfig, StageSpec, ablate, build, preset, toy_config)
-from litnet.tensor import Tape, attention, sum_all
+from litnet.tensor import Tape, attention
 
 
 def trunc_normal_rescanning(rng, shape):
@@ -291,8 +291,8 @@ def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):
     images = np.random.default_rng(1).normal(size=(2, 32, 32, 3))
     record = ForwardRecord(attention=dict.fromkeys([(3, 0), (4, 0)]))
     with Tape() as tape:
-        loss = sum_all(model.forward(images, mode="train", record=record))
-    tape.backward(loss)
+        logits = model.forward(images, mode="train", record=record)
+    tape.backward(logits, np.ones_like(logits.data))
     assert list(record.attention) == [(3, 0), (4, 0)]
     for got, want in zip(record.attention.values(), taped, strict=True):
         assert got.tobytes() == want.tobytes()

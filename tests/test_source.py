@@ -316,3 +316,41 @@ def test_unread_parameter_check_flags_only_unread_parameters():
 def test_every_parameter_is_read(path):
     # a parameter its function never reads is an option that does nothing
     assert unread_parameters(path.read_text()) == []
+
+
+def dtype_checks(source: str) -> dict[str, list[str]]:
+    """For each public module-level function of ``source`` with two or more
+    Tensor-annotated parameters, the ones among them that no ``_one_dtype``
+    call in its body passes by name, as ``p=p``."""
+    found = {}
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef) or func.name.startswith("_"):
+            continue
+        a = func.args
+        tensors = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs) if p.annotation
+                   and "Tensor" in {n.id for n in ast.walk(p.annotation) if isinstance(n, ast.Name)}]
+        if len(tensors) < 2:
+            continue
+        passed = {kw.arg for call in ast.walk(func) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", None) == "_one_dtype" for kw in call.keywords
+                  if getattr(kw.value, "id", None) == kw.arg}
+        found[func.name] = [p for p in tensors if p not in passed]
+    return found
+
+
+def test_dtype_check_flags_each_operand_not_passed_by_name():
+    source = ("def f(a: Tensor, b: Tensor | None = None):\n    _one_dtype('f', a=a, b=b)\n"
+              "def g(a: Tensor, b: Tensor, n: int):\n    _one_dtype('g', a=a, b=a)\n"
+              "def h(a: Tensor, b: np.ndarray):\n    pass\n"
+              "def _k(a: Tensor, b: Tensor):\n    pass\n"
+              "def m(a: Tensor, *, b: Tensor):\n    if b is not None:\n        _one_dtype('m', a=a)\n")
+    assert dtype_checks(source) == {"f": [], "g": ["b"], "m": ["b"]}
+
+
+def test_every_op_of_several_tensors_refuses_mixed_dtypes_through_one_helper():
+    # the model runs in one dtype; an op that left an operand out of
+    # _one_dtype would widen or narrow it instead of refusing the mix
+    checks = dtype_checks((PACKAGE / "tensor.py").read_text())
+    assert sorted(checks) == ["add", "attention", "batch_norm", "conv2d", "deform_sample",
+                              "layer_norm", "matmul", "residual_mlp"]
+    assert {op: missing for op, missing in checks.items() if missing} == {}

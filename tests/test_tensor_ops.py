@@ -4,6 +4,7 @@ oracles."""
 import importlib
 import math
 from contextlib import contextmanager
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -18,8 +19,8 @@ from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
 from litnet.tensor import (_ATTN_TILE, _BLOCK, NORM_EPS, BatchNormState, Tape, Tensor, add,
                            attention, batch_norm, conv2d, deform_sample, gather_last, gelu,
-                           layer_norm, matmul, mean_axis, mul, reshape, residual_mlp, softmax,
-                           softmax_cross_entropy, sum_all, tensor)
+                           layer_norm, matmul, mean_axis, reshape, residual_mlp, softmax,
+                           softmax_cross_entropy, tensor)
 from litnet.train import AdamW, train_step
 
 # the module itself: the package binds ``litnet.tensor`` to the tensor() factory
@@ -65,8 +66,12 @@ def test_matmul_bias_is_bit_equal_to_adding_it_after(a_shape, dtype, bias_dtype)
     rng = np.random.default_rng(2)
     a, w = (tensor(rng.normal(size=s), dtype=dtype) for s in (a_shape, (3, 4)))
     bias = tensor(rng.normal(size=4), dtype=bias_dtype)
+    if dtype != bias_dtype:  # the model runs in one dtype; a mix is refused
+        with pytest.raises(ShapeError, match="^matmul: a, b and bias mix float32 and float64$"):
+            matmul(a, w, bias)
+        return
     got, want = matmul(a, w, bias).data, add(matmul(a, w), bias).data
-    assert got.dtype == want.dtype == np.result_type(dtype, bias_dtype)
+    assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
 
@@ -85,6 +90,16 @@ def test_matmul_names_itself_for_a_non_finite_bias():
 def test_mean_axis_rejects_an_axis_outside_the_rank(axis):
     with pytest.raises(ShapeError, match="mean_axis: axis"):
         mean_axis(tensor(np.ones((2, 3, 4))), axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_axis_keeps_the_dtype_down_to_a_scalar(dtype):
+    # a 0-d product is a numpy scalar, which Tensor would widen to float64
+    x = Tensor(np.arange(4.0, dtype=dtype), requires_grad=True)
+    with Tape() as tape:
+        out = mean_axis(x, 0)
+    tape.backward(out)
+    assert out.dtype == x.grad.dtype == dtype and out.item() == 1.5
 
 
 def test_softmax_symmetry():
@@ -418,8 +433,8 @@ def test_attention_rejects_a_projection_that_does_not_split(shape, heads):
 def composed_attention(q, kt, v, table):
     """softmax(q k^T / sqrt(d) + bias) v of unfused ops, with k^T given as
     ``kt``, the bias gathered from the flattened table at ``relative_index_loop``."""
-    s = Tensor(np.full(q.shape, 1.0 / math.sqrt(q.shape[-1])))
-    logits = matmul(mul(q, s), kt)
+    scale = Tensor(np.eye(q.shape[-1], dtype=q.dtype) / math.sqrt(q.shape[-1]))  # q @ scale is q * s
+    logits = matmul(matmul(q, scale), kt)
     heads, h2, w2 = table.shape
     flat = reshape(table, (heads, h2 * w2))
     bias = gather_last(flat, relative_index_loop((h2 + 1) // 2, (w2 + 1) // 2))
@@ -433,14 +448,14 @@ def attention_gradients(q, k, v, table, g, fused):
     if not fused:
         leaves = [Tensor(a, requires_grad=True) for a in (q, k.swapaxes(-1, -2), v, table)]
         with Tape() as tape:
-            loss = sum_all(mul(composed_attention(*leaves), Tensor(g)))
-        tape.backward(loss)
+            out = composed_attention(*leaves)
+        tape.backward(out, g)
         q_grad, kt_grad, v_grad, table_grad = (t.grad for t in leaves)
         return [q_grad, kt_grad.swapaxes(-1, -2), v_grad, table_grad]
     qkv, bias = Tensor(pack_qkv(q, k, v), requires_grad=True), Tensor(table, requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(mul(attention(qkv, heads, bias)[0], Tensor(merge_heads(g))))
-    tape.backward(loss)
+        out = attention(qkv, heads, bias)[0]
+    tape.backward(out, merge_heads(g))
     return [*np.split(split_heads(qkv.grad, 3 * heads), 3, axis=1), bias.grad]
 
 
@@ -516,8 +531,9 @@ def test_taped_attention_backward_allocates_only_the_gradients_dp_and_its_image_
     qkv = Tensor(rng.normal(size=(n, t, 3 * heads * d)).astype(np.float32), requires_grad=True)
     bias = Tensor(bias_table(rng, heads, (grid, grid)), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(attention(qkv, heads, bias)[0])
-    _, peak = traced_bytes(lambda: tape.backward(loss))
+        out = attention(qkv, heads, bias)[0]
+    seed = np.ones_like(out.data)
+    _, peak = traced_bytes(lambda: tape.backward(out, seed))
     # above the forward's probabilities, the backward pass holds the two
     # gradients, dP = g v^T (turned into dS in place) and dS summed over
     # images; no index array, no float64 copy and no dS * P product
@@ -634,8 +650,8 @@ def test_gelu_float32_gradient_is_within_4_ulps_of_float64():
     x = np.linspace(-8.0, 8.0, 3 * _BLOCK + 5, dtype=np.float32)
     leaf = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(gelu(leaf))
-    tape.backward(loss)
+        out = gelu(leaf)
+    tape.backward(out, np.ones_like(x))
     assert leaf.grad.dtype == np.float32
     x64 = x.astype(np.float64)
     pdf = np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
@@ -695,8 +711,8 @@ def test_gelu_float64_gradient_is_bit_identical_to_the_full_size_expression():
     g = rng.normal(size=x.size)
     leaf = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(mul(gelu(leaf), Tensor(g)))
-    tape.backward(loss)
+        out = gelu(leaf)
+    tape.backward(out, g)
     cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
     pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
     assert leaf.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
@@ -817,10 +833,9 @@ def test_residual_mlp_gradients_match_finite_differences():
     rng = np.random.default_rng(43)
     x = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
     params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, 3, 4)]
-    probe = Tensor(rng.normal(size=(1, 5, 3)))
+    probe = rng.normal(size=(1, 5, 3))
     with mock.patch.object(tensor_module, "_MLP_ROWS", 2):
-        check_gradients(lambda: sum_all(mul(residual_mlp(x, *params), probe)),
-                        [x, *params])
+        check_gradients(lambda: residual_mlp(x, *params), [x, *params], probe)
 
 
 def mlp_gradients(x, params, probe, fused: bool) -> list[np.ndarray]:
@@ -834,8 +849,7 @@ def mlp_gradients(x, params, probe, fused: bool) -> list[np.ndarray]:
         else:
             hidden = gelu(add(matmul(layer_norm(xt, gamma, beta), w1), b1))
             out = add(add(matmul(hidden, w2), b2), xt)
-        loss = sum_all(mul(out, Tensor(probe)))
-    tape.backward(loss)
+    tape.backward(out, probe)
     return [t.grad for t in leaves]
 
 
@@ -1038,9 +1052,8 @@ def test_zero_rows_give_zero_bias_gradients(op):
     bias = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
         out = add(x, bias) if op == "add" else conv2d(x, tensor(np.ones((1, 1, 3, 3))), bias)
-        loss = sum_all(out)
-    tape.backward(loss)
-    assert out.shape == (0, 4, 4, 3) and loss.item() == 0.0
+    tape.backward(out, np.ones(out.shape))
+    assert out.shape == (0, 4, 4, 3)
     assert bias.grad.shape == (3,) and np.all(bias.grad == 0.0)
 
 
@@ -1144,6 +1157,46 @@ def test_conv2d_refuses_mixed_dtypes_before_it_allocates(odd):
     assert peak < 2 ** 16  # the output alone is 1 MiB
 
 
+# Every op of two or more Tensor operands: the operands' shapes, named as the
+# op's parameters, each set giving a float32 output of 256 KiB, and the op.
+MULTI_OPERAND_OPS = {
+    "add": ({"a": (256, 256), "b": (256,)}, add),
+    "matmul": ({"a": (256, 64), "b": (64, 256), "bias": (256,)}, matmul),
+    "attention": ({"qkv": (1, 256, 768), "bias": (2, 31, 31)}, partial(attention, heads=2)),
+    "layer_norm": ({"x": (256, 256), "gamma": (256,), "beta": (256,)}, layer_norm),
+    "residual_mlp": ({"x": (256, 256), "gamma": (256,), "beta": (256,), "w1": (256, 16),
+                      "b1": (16,), "w2": (16, 256), "b2": (256,)}, residual_mlp),
+    "batch_norm": ({"x": (1, 16, 16, 256), "gamma": (256,), "beta": (256,)},
+                   partial(batch_norm, state=BatchNormState())),
+    "conv2d": ({"x": (1, 16, 16, 256), "w": (1, 1, 256, 256), "bias": (256,)}, conv2d),
+    "deform_sample": ({"x": (1, 8, 8, 256), "positions": (1, 16, 16, 1, 2)}, deform_sample),
+}
+
+
+@pytest.mark.parametrize("op,odd,odd_dtype", [
+    (op, odd, odd_dtype) for op, (shapes, _) in MULTI_OPERAND_OPS.items()
+    for odd in shapes for odd_dtype in (np.float64, np.float32)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else v)
+def test_every_multi_operand_op_refuses_mixed_dtypes_before_it_allocates(op, odd, odd_dtype):
+    # one operand in the other dtype is refused by name, before the op's
+    # 256-KiB output or any scratch exists
+    shapes, fn = MULTI_OPERAND_OPS[op]
+    base = np.float32 if odd_dtype == np.float64 else np.float64
+    operands = {name: Tensor(np.zeros(shape, odd_dtype if name == odd else base))
+                for name, shape in shapes.items()}
+
+    def refused():
+        with pytest.raises(ShapeError) as info:
+            fn(**operands)
+        return str(info.value)
+
+    message = refused()
+    _, peak = traced_bytes(refused)
+    *names, last = shapes
+    assert message == f"{op}: {', '.join(names)} and {last} mix float32 and float64"
+    assert peak < 2 ** 16
+
+
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_conv2d_weight_gradient_matches_the_loop_oracle_for_a_constant_input(stride, padding):
     rng = np.random.default_rng(54)
@@ -1153,8 +1206,7 @@ def test_conv2d_weight_gradient_matches_the_loop_oracle_for_a_constant_input(str
     with Tape() as tape:
         out = conv2d(constant, w, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
-        loss = sum_all(mul(out, Tensor(g)))
-    tape.backward(loss)
+    tape.backward(out, g)
     assert constant.grad is None
     assert np.abs(w.grad - conv2d_weight_grad_loop(x, g, 3, stride, padding)).max() < 1e-12
 
@@ -1254,8 +1306,8 @@ def test_deform_sample_property_matches_the_bilinear_oracle(case):
 @given(deform_cases(dtypes=(np.float64,), max_extent=4, smooth=True))
 def test_deform_sample_property_gradients_match_finite_differences(case):
     x, pos = (Tensor(a, requires_grad=True) for a in case)
-    probe = Tensor(np.random.default_rng(0).normal(size=pos.shape[:-1] + x.shape[-1:]))
-    check_gradients(lambda: sum_all(mul(deform_sample(x, pos), probe)), [x, pos])
+    probe = np.random.default_rng(0).normal(size=pos.shape[:-1] + x.shape[-1:])
+    check_gradients(lambda: deform_sample(x, pos), [x, pos], probe)
 
 
 @PROPERTIES
@@ -1297,8 +1349,8 @@ def test_deform_sample_gradients_keep_the_input_dtype(dtype):
     x = Tensor(rng.normal(size=(2, 5, 4, 3)).astype(dtype), requires_grad=True)
     pos = Tensor(rng.uniform(-1.5, 5.5, size=(2, 2, 3, 4, 2)).astype(dtype), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(deform_sample(x, pos))
-    tape.backward(loss)
+        out = deform_sample(x, pos)
+    tape.backward(out, np.ones_like(out.data))
     assert x.grad.dtype == dtype and pos.grad.dtype == dtype
 
 
@@ -1316,14 +1368,14 @@ def test_non_finite_op_output_raises():
 
 def test_an_empty_op_output_passes_the_finite_check():
     empty = tensor(np.zeros((0, 3)))
-    assert mul(empty, empty).shape == (0, 3)
+    assert add(empty, empty).shape == (0, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_each_non_finite_value_in_an_op_output_raises(bad):
     x = tensor([1.0, bad, -2.0], dtype=np.float32)
     with pytest.raises(NumericError):
-        mul(x, tensor(np.ones(3), dtype=np.float32))
+        add(x, tensor(np.zeros(3), dtype=np.float32))
 
 
 def test_determinism_bit_identical():
