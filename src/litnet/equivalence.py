@@ -206,9 +206,10 @@ def receptive_field_probe(stack: Sequence[Callable[[Tensor], Tensor]], grid: tup
             y = x
             for layer in stack[:depth]:
                 y = layer(y)
-        pick = np.zeros(y.shape, y.dtype)
-        pick[0, qy, qx, :] = 1.0
-        tape.backward(y, pick)
+            pick = np.zeros(y.shape, y.dtype)
+            pick[0, qy, qx, :] = 1.0
+            scalar = matmul(Tensor(pick.reshape(1, -1)), reshape(y, (-1, 1)))  # the query's channel sum
+        tape.backward(scalar)
         mag = np.abs(x.grad[0]).max(axis=-1)
         peak = mag.max()
         mask = mag > (INFLUENCE_THRESHOLD * peak if peak > 0 else INFLUENCE_THRESHOLD)

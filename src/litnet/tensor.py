@@ -14,8 +14,7 @@ one forward computation; its backward pass consumes it and drops its nodes.
 
 The model runs in one dtype, so an op of several Tensor operands refuses a
 float32 and float64 mix by ``_one_dtype``, a one-line ``ShapeError`` before it
-allocates. ``Tape.backward`` starts from d(loss)/d(out), a seed of out's shape
-and dtype: ones for a scalar loss, or the caller's array for any other output.
+allocates. A fixed weighting of an output is a ``matmul`` of the two flattened.
 
 Every op checks its output for non-finite values and raises
 ``NumericError`` instead of propagating them. Nothing here counts work
@@ -189,8 +188,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
-        if not isinstance(data, np.ndarray) or data.dtype not in (np.float32, np.float64):
+        if not isinstance(data, np.ndarray):
             data = np.asarray(data, dtype=np.float64)
+        if data.dtype not in (np.float32, np.float64):
+            data = data.astype(np.float64)
         self.data = data
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -234,9 +235,11 @@ _LOCAL = threading.local()
 
 
 def _tape_stack() -> list:
-    if not hasattr(_LOCAL, "stack"):
-        _LOCAL.stack = []
-    return _LOCAL.stack
+    stack = getattr(_LOCAL, "stack", None)
+    if stack is None:
+        stack = []
+        _LOCAL.stack = stack
+    return stack
 
 
 def _current_tape() -> "Tape | None":
@@ -258,8 +261,7 @@ class Tape:
     holds no intermediate tensor: what a backward function reads, its
     closure keeps. A leaf's ``grad`` is the backward's own array; ``add`` returns
     one array to both its inputs, so two leaves can share one gradient array, and
-    nothing may write into a gradient in place. The seed stays the caller's,
-    uncopied: it can become a leaf's ``grad``, or a view of one through ``reshape`` or ``add``.
+    nothing may write into a gradient in place.
     """
 
     __slots__ = ("_nodes", "_produced", "_consumed")
@@ -287,22 +289,17 @@ class Tape:
         self._nodes.append((out.key, entries, backward_fn))
         self._produced.add(out.key)
 
-    def backward(self, out: Tensor, grad: np.ndarray | None = None) -> None:
-        """Populate ``grad`` on every requires_grad leaf reachable from ``out``,
-        seeded with ``grad``, d(loss)/d(out) in out's shape and dtype (None: ones
-        for a scalar ``out``). A refused seed leaves the tape unconsumed."""
+    def backward(self, loss: Tensor) -> None:
+        """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
         if self._consumed:
             raise StateError("tape already consumed by a previous backward pass")
-        if out.key not in self._produced:
-            raise StateError("output was not produced under this tape")
-        if grad is None and out.data.size == 1:
-            grad = np.ones_like(out.data)
-        if grad is None or grad.shape != out.shape or grad.dtype != out.dtype:
-            seed = "no seed" if grad is None else f"a {grad.shape} {grad.dtype} seed"
-            raise ShapeError(f"backward: {seed} for a {out.shape} {out.dtype} output")
+        if loss.key not in self._produced:
+            raise StateError("loss was not produced under this tape")
+        if loss.data.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {out.key: grad}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
         for out_key, entries, backward_fn in reversed(self._nodes):
             g = grads.pop(out_key, None)
@@ -317,7 +314,8 @@ class Tape:
                     leaves[key] = leaf
         self._nodes.clear()  # frees what the backward functions' closures held
         for key, t in leaves.items():
-            t.grad = grads[key] if t.grad is None else t.grad + grads[key]
+            g = grads[key]
+            t.grad = g if t.grad is None else t.grad + g
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +408,7 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"mean_axis: axis {axis} out of range for shape {a.shape}")
     shape = a.shape
-    s = 1.0 / shape[axis]
+    s = a.dtype.type(1.0 / shape[axis])  # a Python float would widen a float32 0-d sum on NumPy 1.x
 
     def bwd(g):
         return (np.broadcast_to(np.expand_dims(g * s, axis), shape).astype(g.dtype, copy=True),)
@@ -459,7 +457,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     grad_a = a.requires_grad
     if b.ndim == 2:
         def bwd(g):
-            return (g @ bd.T if grad_a else None, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1]))
+            rows = math.prod(ad.shape[:-1])  # not -1, which a zero inner or output extent leaves undefined
+            return (g @ bd.T if grad_a else None, ad.reshape(rows, k).T @ g.reshape(rows, bd.shape[1]))
     elif a.shape[:-2] == b.shape[:-2]:
         def bwd(g):
             return (g @ bd.swapaxes(-1, -2) if grad_a else None, ad.swapaxes(-1, -2) @ g)

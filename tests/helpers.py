@@ -15,7 +15,7 @@ import numpy as np
 
 from litnet.model import (BLOCK_MLP, BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR,
                           ModelConfig, StageSpec)
-from litnet.tensor import Tape, Tensor
+from litnet.tensor import Tape, Tensor, matmul, reshape
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -42,27 +42,30 @@ def grad_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def check_gradients(make_out: Callable[[], Tensor], params: Sequence[Tensor],
-                    probe: np.ndarray | None = None, h: float = FD_STEP,
-                    tol: float = GRAD_TOL) -> dict[int, float]:
-    """Compare tape gradients of the scalar (out * probe).sum() against
-    central differences.
+def dot(a: Tensor, b: Tensor) -> Tensor:
+    """The scalar a . b of two tensors of one size and dtype, as a [1, 1]
+    matmul of reshapes: ``dot(Tensor(probe), out)`` weights ``out`` by a fixed
+    array, and the constant ``probe`` gets no gradient array."""
+    return matmul(reshape(a, (1, -1)), reshape(b, (-1, 1)))
 
-    ``make_out`` must rebuild its output from current parameter values on
+
+def check_gradients(make_loss: Callable[[], Tensor], params: Sequence[Tensor],
+                    h: float = FD_STEP, tol: float = GRAD_TOL) -> dict[int, float]:
+    """Compare tape gradients of ``make_loss`` against central differences.
+
+    ``make_loss`` must rebuild the loss from current parameter values on
     every call (it runs once under a tape and twice per scalar for the
-    finite differences). The tape is seeded with ``probe``, of the output's
-    shape and dtype; None stands for a scalar output's one.
+    finite differences).
     """
     for p in params:
         p.grad = None
     with Tape() as tape:
-        out = make_out()
-    tape.backward(out, probe)
-    weights = np.ones(out.shape) if probe is None else probe
+        loss = make_loss()
+    tape.backward(loss)
     errors = {}
     for idx, p in enumerate(params):
         assert p.grad is not None, f"parameter {idx} received no gradient"
-        numeric = fd_gradient(lambda: float((make_out().data * weights).sum()), p, h)
+        numeric = fd_gradient(lambda: make_loss().item(), p, h)
         err = grad_rel_error(p.grad, numeric)
         errors[idx] = err
         assert err < tol, f"parameter {idx}: gradient error {err:.2e} >= {tol}"

@@ -4,11 +4,11 @@ literal-summation oracle, gradients, and offset traces."""
 import numpy as np
 import pytest
 
-from helpers import check_gradients, deformable_conv_loop, micro_config
+from helpers import check_gradients, deformable_conv_loop, dot, micro_config
 from litnet.dtm import DtmParams, deformable_conv, dtm_forward, trace_offsets
 from litnet.errors import ConfigError, NumericError, StateError
 from litnet.model import ForwardRecord, build, toy_config
-from litnet.tensor import conv2d, tensor
+from litnet.tensor import Tensor, conv2d, tensor
 
 
 def make_dc(rng, cin=3, cout=4):
@@ -80,7 +80,8 @@ def test_offset_gradients_zero_for_constant_input():
     p.offset_b.grad = None
     with Tape() as t:
         out, _ = deformable_conv(x, p)
-    t.backward(out, pick)
+        loss = dot(Tensor(pick), out)
+    t.backward(loss)
     assert np.abs(p.offset_b.grad).max() < 1e-10
 
 
@@ -92,7 +93,8 @@ def test_offset_gradients_nonzero_for_structured_input():
     from litnet.tensor import Tape
     with Tape() as t:
         out, _ = deformable_conv(x, p)
-    t.backward(out, np.ones(out.shape))
+        loss = dot(Tensor(np.ones_like(out.data)), out)
+    t.backward(loss)
     assert np.abs(p.offset_b.grad).max() > 1e-6
 
 
@@ -102,8 +104,10 @@ def test_deformable_conv_gradients_match_finite_differences():
     p.offset_w.data = rng.normal(0.0, 0.3, size=p.offset_w.shape)
     p.offset_b.data = rng.normal(0.0, 0.2, size=p.offset_b.shape)
     x = tensor(rng.uniform(-2, 2, size=(1, 6, 6, 2)), requires_grad=True)
-    probe = rng.normal(size=(1, 3, 3, 2))
-    check_gradients(lambda: deformable_conv(x, p)[0], [x, p.w, p.b, p.offset_w, p.offset_b], probe)
+    probe = Tensor(rng.normal(size=(1, 3, 3, 2)))
+    check_gradients(
+        lambda: dot(probe, deformable_conv(x, p)[0]),
+        [x, p.w, p.b, p.offset_w, p.offset_b])
 
 
 def test_dtm_output_extents_and_seeded_bn():
@@ -151,9 +155,10 @@ def test_dtm_gradients_including_offset_predictor():
     p.offset_w.data = rng.normal(0.0, 0.25, size=p.offset_w.shape)
     p.offset_b.data = rng.normal(0.0, 0.2, size=p.offset_b.shape)
     x = tensor(rng.uniform(-2, 2, size=(1, 6, 6, 2)), requires_grad=True)
-    probe = rng.normal(size=(1, 3, 3, 3))
-    check_gradients(lambda: dtm_forward(x, p, "train")[0],
-                    [x, p.offset_w, p.offset_b, p.bn_g, p.bn_b], probe)
+    probe = Tensor(rng.normal(size=(1, 3, 3, 3)))
+    check_gradients(
+        lambda: dot(probe, dtm_forward(x, p, "train")[0]),
+        [x, p.offset_w, p.offset_b, p.bn_g, p.bn_b])
 
 
 # --------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import micro_config, traced_bytes
+from helpers import dot, micro_config, traced_bytes
 from litnet import blocks
 from litnet.data import synthetic_dataset
 from litnet.errors import ConfigError, NumericError, ShapeError, StateError
 from litnet.init import WEIGHT_STD, trunc_normal
 from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
                           ModelConfig, StageSpec, ablate, build, preset, toy_config)
-from litnet.tensor import Tape, attention
+from litnet.tensor import Tape, Tensor, attention
 
 
 def trunc_normal_rescanning(rng, shape):
@@ -292,7 +292,8 @@ def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):
     record = ForwardRecord(attention=dict.fromkeys([(3, 0), (4, 0)]))
     with Tape() as tape:
         logits = model.forward(images, mode="train", record=record)
-    tape.backward(logits, np.ones_like(logits.data))
+        loss = dot(Tensor(np.ones_like(logits.data)), logits)
+    tape.backward(loss)
     assert list(record.attention) == [(3, 0), (4, 0)]
     for got, want in zip(record.attention.values(), taped, strict=True):
         assert got.tobytes() == want.tobytes()

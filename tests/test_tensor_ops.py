@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop,
-                     conv2d_weight_grad_loop, matmul_loop, relative_index_loop, traced_bytes)
+                     conv2d_weight_grad_loop, dot, matmul_loop, relative_index_loop, traced_bytes)
 from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
@@ -448,14 +448,14 @@ def attention_gradients(q, k, v, table, g, fused):
     if not fused:
         leaves = [Tensor(a, requires_grad=True) for a in (q, k.swapaxes(-1, -2), v, table)]
         with Tape() as tape:
-            out = composed_attention(*leaves)
-        tape.backward(out, g)
+            loss = dot(Tensor(g), composed_attention(*leaves))
+        tape.backward(loss)
         q_grad, kt_grad, v_grad, table_grad = (t.grad for t in leaves)
         return [q_grad, kt_grad.swapaxes(-1, -2), v_grad, table_grad]
     qkv, bias = Tensor(pack_qkv(q, k, v), requires_grad=True), Tensor(table, requires_grad=True)
     with Tape() as tape:
-        out = attention(qkv, heads, bias)[0]
-    tape.backward(out, merge_heads(g))
+        loss = dot(Tensor(merge_heads(g)), attention(qkv, heads, bias)[0])
+    tape.backward(loss)
     return [*np.split(split_heads(qkv.grad, 3 * heads), 3, axis=1), bias.grad]
 
 
@@ -532,8 +532,8 @@ def test_taped_attention_backward_allocates_only_the_gradients_dp_and_its_image_
     bias = Tensor(bias_table(rng, heads, (grid, grid)), requires_grad=True)
     with Tape() as tape:
         out = attention(qkv, heads, bias)[0]
-    seed = np.ones_like(out.data)
-    _, peak = traced_bytes(lambda: tape.backward(out, seed))
+        loss = dot(Tensor(np.ones_like(out.data)), out)
+    _, peak = traced_bytes(lambda: tape.backward(loss))
     # above the forward's probabilities, the backward pass holds the two
     # gradients, dP = g v^T (turned into dS in place) and dS summed over
     # images; no index array, no float64 copy and no dS * P product
@@ -650,8 +650,8 @@ def test_gelu_float32_gradient_is_within_4_ulps_of_float64():
     x = np.linspace(-8.0, 8.0, 3 * _BLOCK + 5, dtype=np.float32)
     leaf = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        out = gelu(leaf)
-    tape.backward(out, np.ones_like(x))
+        loss = dot(Tensor(np.ones_like(x)), gelu(leaf))
+    tape.backward(loss)
     assert leaf.grad.dtype == np.float32
     x64 = x.astype(np.float64)
     pdf = np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
@@ -711,8 +711,8 @@ def test_gelu_float64_gradient_is_bit_identical_to_the_full_size_expression():
     g = rng.normal(size=x.size)
     leaf = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        out = gelu(leaf)
-    tape.backward(out, g)
+        loss = dot(Tensor(g), gelu(leaf))
+    tape.backward(loss)
     cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
     pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
     assert leaf.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
@@ -833,9 +833,9 @@ def test_residual_mlp_gradients_match_finite_differences():
     rng = np.random.default_rng(43)
     x = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
     params = [Tensor(p, requires_grad=True) for p in mlp_params(rng, 3, 4)]
-    probe = rng.normal(size=(1, 5, 3))
+    probe = Tensor(rng.normal(size=(1, 5, 3)))
     with mock.patch.object(tensor_module, "_MLP_ROWS", 2):
-        check_gradients(lambda: residual_mlp(x, *params), [x, *params], probe)
+        check_gradients(lambda: dot(probe, residual_mlp(x, *params)), [x, *params])
 
 
 def mlp_gradients(x, params, probe, fused: bool) -> list[np.ndarray]:
@@ -849,7 +849,8 @@ def mlp_gradients(x, params, probe, fused: bool) -> list[np.ndarray]:
         else:
             hidden = gelu(add(matmul(layer_norm(xt, gamma, beta), w1), b1))
             out = add(add(matmul(hidden, w2), b2), xt)
-    tape.backward(out, probe)
+        loss = dot(Tensor(probe), out)
+    tape.backward(loss)
     return [t.grad for t in leaves]
 
 
@@ -1052,8 +1053,9 @@ def test_zero_rows_give_zero_bias_gradients(op):
     bias = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
         out = add(x, bias) if op == "add" else conv2d(x, tensor(np.ones((1, 1, 3, 3))), bias)
-    tape.backward(out, np.ones(out.shape))
-    assert out.shape == (0, 4, 4, 3)
+        loss = dot(Tensor(np.ones(out.shape)), out)
+    tape.backward(loss)
+    assert out.shape == (0, 4, 4, 3) and loss.item() == 0.0
     assert bias.grad.shape == (3,) and np.all(bias.grad == 0.0)
 
 
@@ -1206,7 +1208,8 @@ def test_conv2d_weight_gradient_matches_the_loop_oracle_for_a_constant_input(str
     with Tape() as tape:
         out = conv2d(constant, w, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
-    tape.backward(out, g)
+        loss = dot(Tensor(g), out)
+    tape.backward(loss)
     assert constant.grad is None
     assert np.abs(w.grad - conv2d_weight_grad_loop(x, g, 3, stride, padding)).max() < 1e-12
 
@@ -1306,8 +1309,8 @@ def test_deform_sample_property_matches_the_bilinear_oracle(case):
 @given(deform_cases(dtypes=(np.float64,), max_extent=4, smooth=True))
 def test_deform_sample_property_gradients_match_finite_differences(case):
     x, pos = (Tensor(a, requires_grad=True) for a in case)
-    probe = np.random.default_rng(0).normal(size=pos.shape[:-1] + x.shape[-1:])
-    check_gradients(lambda: deform_sample(x, pos), [x, pos], probe)
+    probe = Tensor(np.random.default_rng(0).normal(size=pos.shape[:-1] + x.shape[-1:]))
+    check_gradients(lambda: dot(probe, deform_sample(x, pos)), [x, pos])
 
 
 @PROPERTIES
@@ -1350,7 +1353,8 @@ def test_deform_sample_gradients_keep_the_input_dtype(dtype):
     pos = Tensor(rng.uniform(-1.5, 5.5, size=(2, 2, 3, 4, 2)).astype(dtype), requires_grad=True)
     with Tape() as tape:
         out = deform_sample(x, pos)
-    tape.backward(out, np.ones_like(out.data))
+        loss = dot(Tensor(np.ones_like(out.data)), out)
+    tape.backward(loss)
     assert x.grad.dtype == dtype and pos.grad.dtype == dtype
 
 
