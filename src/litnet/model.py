@@ -336,7 +336,8 @@ class LitModel:
         return out
 
     def named_state(self) -> dict[str, np.ndarray]:
-        """Parameters plus batch-norm running statistics."""
+        """Parameters plus batch-norm running statistics, as the live arrays:
+        the next optimizer step overwrites them, so copy them to snapshot."""
         out = {name: t.data for name, t in self.named_params().items()}
         for stage, merge in self.merges.items():
             out.update(merge.named_state(f"stage{stage}.merge"))

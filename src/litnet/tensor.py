@@ -10,7 +10,9 @@ produce. So the tape holds no intermediate tensor, and an output that no
 backward function reads is freed as soon as the forward drops it.
 ``Tape.backward`` replays the nodes in reverse, routes gradients by key
 and accumulates them into every ``requires_grad`` leaf. A tape serves
-one forward computation; its backward pass consumes it and drops its nodes.
+one forward computation; its backward pass consumes it and drops each node
+once the node's backward function has returned, so what a closure keeps is
+freed before the earlier nodes run, not when the pass ends.
 
 The model runs in one dtype, so an op of several Tensor operands refuses a
 float32 and float64 mix by ``_one_dtype``, a one-line ``ShapeError`` before it
@@ -259,7 +261,8 @@ class Tape:
     key and, only when this tape did not produce it, the input itself, so
     that its ``grad`` can be set. Gradients are routed by key, and the tape
     holds no intermediate tensor: what a backward function reads, its
-    closure keeps. A leaf's ``grad`` is the backward's own array; ``add`` returns
+    closure keeps, until ``backward`` drops the node once the function has
+    returned. A leaf's ``grad`` is the backward's own array; ``add`` returns
     one array to both its inputs, so two leaves can share one gradient array, and
     nothing may write into a gradient in place.
     """
@@ -301,7 +304,9 @@ class Tape:
 
         grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
-        for out_key, entries, backward_fn in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:  # a node's closure is freed when the next pop rebinds backward_fn
+            out_key, entries, backward_fn = nodes.pop()
             g = grads.pop(out_key, None)
             if g is None:
                 continue
@@ -312,7 +317,6 @@ class Tape:
                 grads[key] = grads[key] + ig if key in grads else ig
                 if leaf is not None:
                     leaves[key] = leaf
-        self._nodes.clear()  # frees what the backward functions' closures held
         for key, t in leaves.items():
             g = grads[key]
             t.grad = g if t.grad is None else t.grad + g

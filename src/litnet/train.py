@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import COUNTER_LIMIT, load_tensors, read_counter, save_tensors
 from .errors import ConfigError, NumericError
 from .model import LitModel
-from .tensor import Tape, Tensor, _all_finite, softmax_cross_entropy
+from .tensor import _BLOCK, Tape, Tensor, _all_finite, softmax_cross_entropy
 
 
 def cosine_lr(step: int, total_steps: int, warmup_steps: int = 0) -> float:
@@ -75,6 +75,10 @@ class AdamW:
     lr_t = lr_scale * group.lr; decay is p -= lr_t * wd * p, applied with
     the same step's rate. The rates come from ``settings``: the DTM offset
     predictors form their own group, with ``offset_lr`` and no weight decay.
+
+    ``step`` writes each parameter and its moments in place, ``_BLOCK``
+    elements at a time through two block-sized scratch arrays, in the order
+    of ops, and so with the bits, of p - lr_t * update - (lr_t * wd) * p.
     """
 
     BETA1 = 0.9
@@ -108,17 +112,33 @@ class AdamW:
             lr_t = lr_scale * group.lr
             for name in group.names:
                 p = self.params[name]
-                g = p.grad
-                if g is None:
-                    continue
-                m = self.m[name]
-                v = self.v[name]
-                m *= self.BETA1
-                m += (1.0 - self.BETA1) * g
-                v *= self.BETA2
-                v += (1.0 - self.BETA2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
-                p.data = p.data - lr_t * update - lr_t * group.weight_decay * p.data
+                if p.grad is not None:
+                    self._update(p.data, p.grad, self.m[name], self.v[name], lr_t,
+                                 lr_t * group.weight_decay, bc1, bc2)
+
+    def _update(self, p, g, m, v, lr_t, decay, bc1, bc2) -> None:
+        """The moments, then p - lr_t * (m / bc1) / (sqrt(v / bc2) + eps) - decay * p, in place."""
+        flats = [a.reshape(-1) for a in (p, g, m, v)]
+        scratch = np.empty((2, min(p.size, _BLOCK)), p.dtype)
+        for lo in range(0, p.size, _BLOCK):
+            pb, gb, mb, vb = (f[lo:lo + _BLOCK] for f in flats)
+            a, b = scratch[:, :pb.size]
+            mb *= self.BETA1
+            np.multiply(gb, 1.0 - self.BETA1, out=a)
+            mb += a
+            vb *= self.BETA2
+            np.multiply(gb, 1.0 - self.BETA2, out=a)
+            a *= gb
+            vb += a
+            np.divide(mb, bc1, out=a)
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.EPS
+            a /= b
+            a *= lr_t
+            np.subtract(pb, a, out=a)
+            np.multiply(pb, decay, out=b)
+            np.subtract(a, b, out=pb)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

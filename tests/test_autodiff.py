@@ -211,6 +211,32 @@ def test_a_consumed_tape_frees_what_its_backward_functions_held():
     assert kept < x.data.nbytes + 2 ** 16
 
 
+def test_a_backward_frees_each_node_before_the_earlier_ones_run():
+    # the conv runs first and its backward last, and that backward gathers an
+    # im2col copy 25x its input's size; the gelus' closures, which keep a cdf
+    # and an input each, must be gone by then, so that the peak stays below
+    # what the forward kept plus that copy
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(1, 64, 64, 8)))
+    w = Tensor(0.1 * rng.normal(size=(5, 5, 8, 8)), requires_grad=True)
+
+    def forward():
+        with Tape() as tape:
+            y = conv2d(x, w, padding=2)
+            for _ in range(3):
+                y = gelu(y)
+            loss = dot(Tensor(np.ones(y.shape)), y)
+        return tape, loss
+
+    def forward_and_backward():
+        tape, loss = forward()
+        tape.backward(loss)
+
+    kept, _ = traced_bytes(forward)
+    _, peak = traced_bytes(forward_and_backward)
+    assert peak < kept + 64 * 64 * 5 * 5 * 8 * x.data.itemsize
+
+
 def test_a_leaf_takes_the_gradient_array_its_backward_built():
     # mean_axis's backward builds one array of w's size; a copy of it for
     # w.grad would double the peak
