@@ -39,7 +39,8 @@ data goes through scipy's ``erf``, float32 data through the clamped
 odd/even rational ``erf`` of Eigen and XLA. The float32 result differs
 from the float64 GELU by at most 4 * eps32 * max(|x|, 1), where eps32 is
 the float32 machine epsilon (2.2 measured on a dense grid over [-8, 8]).
-The GELU backward pass of either dtype runs in the same blocks.
+The GELU backward pass of either dtype builds the slope in the same
+blocks, in place in its output (``_gelu_slope``).
 
 Layer norm (Ba et al., arXiv 1607.06450) and batch norm (Ioffe & Szegedy,
 arXiv 1502.03167) normalise over different axes, and ``layer_norm``, each
@@ -84,20 +85,28 @@ squared norm that overflows, fails B, and every table entry is the bias
 of some (query, key) pair, so every bad logit meets a check. The row
 norms are reduced from the strided q and k views, in their dtype, with
 no full-size copy. The [N, heads, T, T]
-probabilities are built in full only when a tape records the op, whose
-backward pass reads them, or when the caller asks for them; they are then
-the kept tiles divided by the same row sums, so the output is the same
-bits whether taped, with probabilities or plain. Otherwise the output and
-the tile scratch are all the op allocates. Row tiles round their products
+probabilities are built in full only when the caller asks for them, for a
+``ForwardRecord``; they are then the tiles divided by the same row sums,
+so the output is the same bits whether taped, with probabilities or
+plain. Otherwise the output and the tile scratch are all the op
+allocates, and a tape keeps only the output beside qkv and the flipped
+table. Row tiles round their products
 differently from one full-size product, so float32 outputs are not
 bit-identical to the unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they
 stay within 8 float32 ulps of max(P @ |v|), the largest sum of |terms|
 behind one output (6.7 was the worst measured against a float64 unfused
-result, on either exp path). The backward pass takes the softmax row sums
-as D_i = sum_j dP_ij P_ij = g_i . o_i from the output o, as FlashAttention's
-does, and sums the table's gradient through the forward's window: each
-query adds its block of dS, summed over images, into a writeable window of
-a zeroed flipped table. Beside dP and its image sum it forms no [T, T] array.
+result, on either exp path). The backward pass runs over the forward's
+tiles, as FlashAttention's does (the recomputation trade of Chen et al.,
+arXiv 1604.06174): it rebuilds each tile's logits and exp with the
+forward's own code and ``_exp_rows``, row max and row sums included, so
+the tile of P has the bits the forward's had. It takes the softmax row sums
+as D_i = sum_j dP_ij P_ij = g_i . o_i from the output o, writes dq for the
+tile's rows, and adds dk and dv up over row tiles, the first row tile
+writing them in place and later ones through one [T, d] product. The
+table's gradient goes back through the forward's window (``_window_add``):
+each query adds its block of dS, summed over the tile's images, into a
+writeable window of a zeroed flipped table. So beside the gradients it
+holds one tile each of P and dS and forms no [T, T] array.
 
 ``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
 as one op, after the fused elementwise chains of "Data Movement Is All
@@ -110,15 +119,22 @@ statistics and the GELU cdf in full, and not the pre-activations. The
 backward pass runs in the same row tiles and recomputes the rest from
 them, with the forward's own ops in the forward's order, so that the
 gradients are those of a kept pre-activation: x-hat and the layer-norm
-output, the pre-activation as one more fc1 product and bias add (the
-recomputation trade of Chen et al., arXiv 1604.06174), the GELU output
-for fc2's weight gradient, fc2's input gradient with the GELU slope
-applied in place (``_gelu_grad``), then fc1's weight gradient and the
-row-local layer-norm gradient. Beside the tile scratch it allocates only
-dx and the parameter gradients, which the tiles accumulate.
+output, the pre-activation as one more fc1 product and bias add (Chen et
+al. again), the GELU output for fc2's weight gradient, the GELU slope
+(``_gelu_slope``) in place in that tile, fc2's input gradient into the
+freed pre-activation tile and multiplied into the slope, then fc1's weight
+gradient and the row-local layer-norm gradient, whose input and g * x-hat
+take the freed layer-norm output and pre-activation tiles and whose dx is
+written in place. The first tile writes the weight gradients with its
+products; later tiles add theirs through one [C, H] scratch. It allocates
+dx, the parameter gradients and its tiles up front, and nothing per tile
+larger than a [C] or [H] vector.
 
 ``deform_sample`` builds one sparse matrix S of bilinear corner weights,
-four per sample: its output is S @ x and its input gradient S^T @ g.
+four per sample: its output is S @ x and its input gradient S^T @ g. Its
+tape node keeps only the positions: the backward pass rebuilds S and the
+corner weights by ``_bilinear_corners``, the forward's own helper, whose
+int32 index arithmetic over one axis at a time makes the rebuild cheap.
 
 ``conv2d`` is one product of patch rows and the [K*K*Cin, Cout] kernel;
 ``_im2col`` gathers the rows in (ky, kx, c) order as one strided copy. A
@@ -559,6 +575,57 @@ def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, shift: bool) ->
     np.matmul(z, ones, out=sums)
 
 
+def _matmul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, partial: np.ndarray | None) -> None:
+    """a @ b written into ``out``, or, given ``partial`` scratch of out's
+    shape, added to it through that scratch: a tile's share of a gradient
+    that the tiles accumulate."""
+    if partial is None:
+        np.matmul(a, b, out=out)
+    else:
+        out += np.matmul(a, b, out=partial)
+
+
+def _window_add(window: np.ndarray, ds: np.ndarray) -> None:
+    """Add the [images, heads, rows, T] tile ``ds`` of dS, summed over
+    images, into its [heads, rows / W, W, H, W] ``window`` of a zeroed
+    flipped table gradient: one query's [heads, H, W] block at a time, in
+    row-major query order, into the slots its bias was read from."""
+    blocks = (_lead_sums(ds) if ds.shape[0] > 1 else ds[0]).reshape(window.shape)
+    for yi, xi in np.ndindex(window.shape[1:3]):
+        cell = window[:, yi, xi]
+        cell += blocks[:, yi, xi]
+
+
+def _tiles(n: int, images: int, heads: int, tile_heads: int, t: int, rows: int):
+    """The (images, heads, rows) slices of each attention tile of ``images``
+    images, ``tile_heads`` heads and ``rows`` queries, rows outermost."""
+    for r0 in range(0, t, rows):
+        for h0 in range(0, heads, tile_heads):
+            for b0 in range(0, n, images):
+                yield (slice(b0, min(b0 + images, n)), slice(h0, min(h0 + tile_heads, heads)),
+                       slice(r0, min(r0 + rows, t)))
+
+
+def _tile_view(scratch: np.ndarray, b: slice, h: slice, r: slice, width: int) -> np.ndarray:
+    """The [images, heads, rows, width] view of a tile in the front of the flat ``scratch``."""
+    shape = (b.stop - b.start, h.stop - h.start, r.stop - r.start, width)
+    return scratch[:math.prod(shape)].reshape(shape)
+
+
+def _exp_logits(z: np.ndarray, qs: np.ndarray, sums: np.ndarray, q: np.ndarray, k: np.ndarray,
+                s: float, window: np.ndarray | None, ones: np.ndarray, shift: bool) -> None:
+    """One tile's logits, q k^T scaled by ``s`` plus its bias, into ``z``,
+    exponentiated by ``_exp_rows`` with their row sums into ``sums``; ``qs``
+    is scratch of q's shape. ``window`` is the tile's [heads, rows / W, W,
+    H, W] slice of the bias window, or None."""
+    np.multiply(q, s, out=qs)
+    np.matmul(qs, k.swapaxes(-1, -2), out=z)
+    if window is not None:  # a tile is contiguous, so zb is a view of it
+        zb = z.reshape(z.shape[:2] + window.shape[1:])
+        np.add(zb, window, out=zb)
+    _exp_rows(z, ones, sums, shift)
+
+
 def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
               with_probs: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """softmax(q @ k^T / sqrt(d) + B) @ v, one tile at a time.
@@ -572,13 +639,13 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     the table holds B as [heads, H, W, H, W], so a tile of whole grid rows
     adds one slice of it. Returns the [N, T, heads * d] output and the
     [N, heads, T, T] probabilities when ``with_probs`` is set, else None.
-    The probabilities are built in full only when asked for or when a tape
-    records the op, whose backward pass needs them. The tiles exponentiate
-    the logits z directly when the Cauchy-Schwarz bound on |z| shows that
-    exp(z), the row sums and exp(z) @ v stay in range, and otherwise check
-    the tile and take exp(z - row max). Differentiable in ``qkv`` and the
-    table, whose gradient adds dS back through the window it was read
-    from; see the module docstring for the tiling and the bound.
+    The probabilities are built in full only when asked for; a tape keeps
+    none of them, and the backward pass recomputes them tile by tile. The
+    tiles exponentiate the logits z directly when the Cauchy-Schwarz bound
+    on |z| shows that exp(z), the row sums and exp(z) @ v stay in range,
+    and otherwise check the tile and take exp(z - row max). Differentiable
+    in ``qkv`` and the table, whose gradient adds dS back through the window
+    it was read from; see the module docstring for the tiling and the bound.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads) or 0 in qkv.shape[1:]:
         raise ShapeError(f"attention: qkv {qkv.shape} is not [N, T, 3 * {heads} * d] with T, d > 0")
@@ -596,70 +663,66 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
         inputs += (bias,)
     dtype = _one_dtype("attention", qkv=qkv, bias=bias)  # before the flipped table is copied
     window = _bias_window(np.ascontiguousarray(bias.data[:, ::-1, ::-1])) if bias is not None else None
-    tape = _recording_tape(inputs)
     s = 1.0 / math.sqrt(d)
     table_peak = _max_abs(bias.data) if bias is not None else 0.0
     shift = not _unshifted_exp_fits(q, k, v, s, table_peak, np.finfo(dtype))
-    out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
-    probs = np.empty((n, heads, t, t), dtype) if with_probs or tape is not None else None
     # A tile is whole rows of one head, whole heads when a head fits in a
     # tile, or whole images when an image's heads all fit.
     tile_heads = max(1, min(heads, _ATTN_TILE // (t * t))) if rows == t else 1
     images = max(1, min(n, _ATTN_TILE // (heads * t * t))) if tile_heads == heads else 1
     tile = images * tile_heads * rows
-    q_scratch = np.empty(tile * d, dtype)
-    z_scratch = np.empty(tile * t, dtype) if probs is None else None
-    sum_scratch = np.empty(tile, dtype)
     ones = np.ones((t, 1), dtype)
-    for r0 in range(0, t, rows):
-        r1 = min(r0 + rows, t)
-        for h0 in range(0, heads, tile_heads):
-            h1 = min(h0 + tile_heads, heads)
-            for b0 in range(0, n, images):
-                b1 = min(b0 + images, n)
-                shape = (b1 - b0, h1 - h0, r1 - r0)
-                cells = math.prod(shape)
-                qs = np.multiply(q[b0:b1, h0:h1, r0:r1], s,
-                                 out=q_scratch[:cells * d].reshape(shape + (d,)))
-                z = probs[b0:b1, h0:h1, r0:r1] if probs is not None \
-                    else z_scratch[:cells * t].reshape(shape + (t,))
-                np.matmul(qs, k[b0:b1, h0:h1].swapaxes(-1, -2), out=z)
-                if bias is not None:  # a tile is contiguous, so zb is a view of it
-                    zb = z.reshape(shape[:2] + (-1, gw, gh, gw))
-                    np.add(zb, window[h0:h1, r0 // gw:r1 // gw], out=zb)
-                sums = sum_scratch[:cells].reshape(shape + (1,))
-                _exp_rows(z, ones, sums, shift)
-                o = np.matmul(z, v[b0:b1, h0:h1], out=out[b0:b1, r0:r1, h0:h1].swapaxes(1, 2))
-                o /= sums
-                if probs is not None:
-                    z /= sums
+
+    out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
+    probs = np.empty((n, heads, t, t), dtype) if with_probs else None
+    z_scratch = np.empty(tile * t, dtype) if probs is None else None
+    q_scratch, sum_scratch = np.empty(tile * d, dtype), np.empty(tile, dtype)
+    for b, h, r in _tiles(n, images, heads, tile_heads, t, rows):
+        z = probs[b, h, r] if probs is not None else _tile_view(z_scratch, b, h, r, t)
+        sums = _tile_view(sum_scratch, b, h, r, 1)
+        _exp_logits(z, _tile_view(q_scratch, b, h, r, d), sums, q[b, h, r], k[b, h], s,
+                    window if window is None else window[h, r.start // gw:r.stop // gw], ones, shift)
+        o = np.matmul(z, v[b, h], out=out[b, r, h].swapaxes(1, 2))
+        o /= sums
+        if probs is not None:
+            z /= sums
 
     def bwd(g):
         g = g.reshape(n, t, heads, d)
-        g_dot_o = _row_sums(g * out)  # sum_j dP_ij P_ij = g_i . o_i, token-major as out is
+        g_dot_o = _row_sums(g * out).transpose(0, 2, 1, 3)  # sum_j dP_ij P_ij = g_i . o_i
         g = g.transpose(0, 2, 1, 3)
         grad = np.empty((n, t, 3, heads, d), dtype)  # laid out as qkv
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
-        np.matmul(probs.swapaxes(-1, -2), g, out=gv)
-        ds = g @ v.swapaxes(-1, -2)
-        ds -= g_dot_o.transpose(0, 2, 1, 3)
-        ds *= probs
-        np.matmul(ds, k, out=gq)
+        gflipped = np.zeros(bias.shape, dtype) if bias is not None else None
+        gwindow = _bias_window(gflipped) if bias is not None else None
+        # one tile's probabilities and dS, and a [T, d] partial product for
+        # dk and dv when row tiles split a head's queries
+        p_scratch, ds_scratch = np.empty((2, tile * t), dtype)
+        q_scratch, sum_scratch = np.empty(tile * d, dtype), np.empty(tile, dtype)
+        partial = np.empty((1, 1, t, d), dtype) if rows < t else None
+        for b, h, r in _tiles(n, images, heads, tile_heads, t, rows):
+            p, ds = _tile_view(p_scratch, b, h, r, t), _tile_view(ds_scratch, b, h, r, t)
+            sums = _tile_view(sum_scratch, b, h, r, 1)
+            _exp_logits(p, _tile_view(q_scratch, b, h, r, d), sums, q[b, h, r], k[b, h], s,
+                        window if window is None else window[h, r.start // gw:r.stop // gw], ones, shift)
+            p /= sums
+            gt, later = g[b, h, r], None if r.start == 0 else partial
+            _matmul_into(p.swapaxes(-1, -2), gt, gv[b, h], later)
+            np.matmul(gt, v[b, h].swapaxes(-1, -2), out=ds)
+            ds -= g_dot_o[b, h, r]
+            ds *= p
+            np.matmul(ds, k[b, h], out=gq[b, h, r])
+            _matmul_into(ds.swapaxes(-1, -2), q[b, h, r], gk[b, h], later)
+            if gwindow is not None:
+                _window_add(gwindow[h, r.start // gw:r.stop // gw], ds)
         gq *= s
-        np.matmul(ds.swapaxes(-1, -2), q, out=gk)
         gk *= s
         if bias is None:
             return (grad.reshape(qkv.shape),)
-        blocks = _lead_sums(ds).reshape(heads, gh, gw, gh, gw)
-        gflipped = np.zeros(bias.shape, dtype)
-        gwindow = _bias_window(gflipped)
-        for yi, xi in np.ndindex(gh, gw):  # queries in the forward's row-tile order
-            cell = gwindow[:, yi, xi]
-            cell += blocks[:, yi, xi]
         return (grad.reshape(qkv.shape), gflipped[:, ::-1, ::-1])
 
     result = _apply("attention", inputs, out.reshape(n, t, heads * d), bwd)
-    return result, (probs if with_probs else None)
+    return result, probs
 
 
 def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray) -> None:
@@ -706,21 +769,18 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray) -> None:
         np.multiply(xb, p, out=res[lo:lo + m])
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g * (Phi(x) + x * pdf(x)) into the contiguous ``out``, which may be
-    ``g`` itself, block by block with block-sized scratch; returns ``out``."""
-    gf, xf, cf, of = g.reshape(-1), x.reshape(-1), cdf.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(xf.size, _BLOCK), x.dtype)
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The GELU slope Phi(x) + x * pdf(x) into the contiguous ``out``, which
+    is neither x nor ``cdf``, block by block in place; returns ``out``."""
+    xf, cf, of = x.reshape(-1), cdf.reshape(-1), out.reshape(-1)
     for lo in range(0, xf.size, _BLOCK):
-        xb = xf[lo:lo + _BLOCK]
-        t = scratch[:xb.size]
+        xb, t = xf[lo:lo + _BLOCK], of[lo:lo + _BLOCK]
         np.multiply(xb, xb, out=t)
         t *= -0.5
         np.exp(t, out=t)
         t *= _INV_SQRT_2PI
         t *= xb
         t += cf[lo:lo + _BLOCK]
-        np.multiply(gf[lo:lo + _BLOCK], t, out=of[lo:lo + _BLOCK])
     return out
 
 
@@ -732,8 +792,13 @@ def gelu(x: Tensor) -> Tensor:
     out = np.empty(xd.shape, xd.dtype)
     cdf = np.empty_like(out) if _recording_tape((x,)) is not None else out
     _gelu_into(xd, out, cdf)
-    return _apply("gelu", (x,), out,
-                  lambda g: (_gelu_grad(g, xd, cdf, np.empty(xd.shape, xd.dtype)),))
+
+    def bwd(g):
+        slope = _gelu_slope(xd, cdf, np.empty(xd.shape, xd.dtype))
+        slope *= g
+        return (slope,)
+
+    return _apply("gelu", (x,), out, bwd)
 
 
 def _center(x: np.ndarray, axis: int, out: np.ndarray, squares: np.ndarray,
@@ -780,7 +845,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
-                axis: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                axis: int | None, dx: np.ndarray | None = None,
+                gxhat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dx, dgamma, dbeta) of xhat * gamma + beta for the output gradient
     ``g``, read in the [rows, C] shape of the normalized input ``xhat``, and
     1 / sqrt(var + NORM_EPS) ``inv``, with the statistics taken as
@@ -791,9 +857,11 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndar
     dgamma and dbeta are ``_lead_sums``. The two statistic means, of
     g * gamma and of g * gamma * xhat, are matrix-vector products of g and
     g * xhat with gamma / C along rows, and gamma * dbeta / rows and
-    gamma * dgamma / rows along columns. dx has g's shape."""
+    gamma * dgamma / rows along columns. dx has g's shape. For ``axis`` -1
+    or 0, ``dx`` and ``gxhat``, when given, are arrays of xhat's shape that
+    dx and the g * xhat scratch are written into."""
     shape, g = g.shape, g.reshape(xhat.shape)
-    gxhat = g * xhat
+    gxhat = np.multiply(g, xhat, out=gxhat)
     dgamma, dbeta = _lead_sums(gxhat), _lead_sums(g)
     if axis is None:
         return ((g * (gamma * inv)).reshape(shape), dgamma, dbeta)
@@ -803,7 +871,7 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndar
         mean_gx, mean_gxhat = g @ w, gxhat @ w
     else:
         mean_gx, mean_gxhat = gamma * dbeta / n, gamma * dgamma / n
-    dx = g * gamma
+    dx = np.multiply(g, gamma, out=dx)
     dx -= mean_gx
     dx -= np.multiply(xhat, mean_gxhat, out=gxhat)
     dx *= inv
@@ -869,13 +937,18 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         g = g.reshape(m, c)
         dx = np.empty((m, c), dtype)
         dgamma, dbeta, gb1 = np.zeros(c, dtype), np.zeros(c, dtype), np.zeros(hidden, dtype)
-        gw1, gw2 = np.zeros((c, hidden), dtype), np.zeros((hidden, c), dtype)
-        pre, gpre = np.empty((rows, hidden), dtype), np.empty((rows, hidden), dtype)
-        xhat, normed = np.empty((rows, c), dtype), np.empty((rows, c), dtype)
+        gw1, gw2 = np.empty((c, hidden), dtype), np.empty((hidden, c), dtype)
+        # two hidden-size tiles, each wide enough to hold a [rows, C] one too
+        pre, gpre = np.empty((2, rows * max(hidden, c)), dtype)
+        xhat, normed = np.empty((2, rows, c), dtype)
+        partial = np.empty(c * hidden, dtype) if m > rows else None  # later tiles' weight products
         for r0 in range(0, m, rows):
             r1 = min(r0 + rows, m)
+            gw2_partial, gw1_partial = (None, None) if r0 == 0 else \
+                (partial.reshape(hidden, c), partial.reshape(c, hidden))
             gt, phi, scale = g[r0:r1], cdf[r0:r1], inv[r0:r1]
-            h, gh, xh, ln = pre[:r1 - r0], gpre[:r1 - r0], xhat[:r1 - r0], normed[:r1 - r0]
+            h, gh = (a[:(r1 - r0) * hidden].reshape(r1 - r0, hidden) for a in (pre, gpre))
+            xh, ln = xhat[:r1 - r0], normed[:r1 - r0]
             # the forward's layer norm, fc1 product and bias add, op for op, so h
             # has the bits the forward's GELU read
             np.subtract(xf[r0:r1], mu[r0:r1], out=xh)
@@ -884,14 +957,19 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
             ln += beta.data
             np.matmul(ln, w1.data, out=h)
             h += b1.data
-            gw2 += np.multiply(h, phi, out=gh).T @ gt
-            _gelu_grad(np.matmul(gt, w2.data.T, out=gh), h, phi, gh)
-            gw1 += ln.T @ gh
+            # the GELU output for fc2's weight gradient, then its slope, both in gh
+            _matmul_into(np.multiply(h, phi, out=gh).T, gt, gw2, gw2_partial)
+            _gelu_slope(h, phi, gh)
+            gh *= np.matmul(gt, w2.data.T, out=h)  # fc2's input gradient, into the freed h
+            _matmul_into(ln.T, gh, gw1, gw1_partial)
             gb1 += _lead_sums(gh)
-            dxt, dgt, dbt = _norm_grads(gh @ w1.data.T, xh, scale, gamma.data, -1)
+            # the layer-norm gradient: its input in the freed ln, its g * xhat in
+            # the freed h, and dx written in place
+            _, dgt, dbt = _norm_grads(np.matmul(gh, w1.data.T, out=ln), xh, scale, gamma.data, -1,
+                                      dx[r0:r1], pre[:(r1 - r0) * c].reshape(r1 - r0, c))
             dgamma += dgt
             dbeta += dbt
-            np.add(dxt, gt, out=dx[r0:r1])
+            dx[r0:r1] += gt
         return (dx.reshape(x.shape), dgamma, dbeta, gw1, gb1, gw2, _lead_sums(g))
 
     return _apply("residual_mlp", inputs, out.reshape(x.shape), bwd)
@@ -1020,6 +1098,50 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     return _apply("conv2d", (x, w) if bias is None else (x, w, bias), out, bwd)
 
 
+def _bilinear_corners(pos: np.ndarray, h: int, w: int) -> tuple[csr_array, np.ndarray, np.ndarray]:
+    """(S, fy, fx) of [N, M, 2] (y, x) positions on N maps of h x w pixels.
+
+    S is the [N*M, N*h*w] CSR matrix of each sample's four corner weights
+    fy * fx, in the order (y0, x0), (y0, x0 + 1), (y0 + 1, x0),
+    (y0 + 1, x0 + 1); fy and fx are their [N, M, 4] factors, both zero at a
+    corner off the map. An off-map corner's column is that of the nearest
+    pixel, as ``np.ravel_multi_index``'s mode "clip" gives. The indices are
+    built in int32 (int64 past 2**31 pixels), one axis plane at a time: a
+    floor more than a pixel off the map is first clipped to one pixel off,
+    which leaves both its corners off and the cast in range.
+    """
+    n = pos.shape[0]
+    index, unsigned = (np.int32, np.uint32) if n * h * w < 2 ** 31 else (np.int64, np.uint64)
+    fy = np.empty(pos.shape[:2] + (4,), pos.dtype)
+    fx = np.empty_like(fy)
+    cols = np.empty(fy.shape, index)
+    planes = []
+    for axis, extent in ((0, h), (1, w)):
+        p = pos[..., axis]
+        lo = np.floor(p)
+        frac = p - lo
+        # np.maximum and np.minimum, not np.clip, whose Python wrapper fills a
+        # cache of ~10 KB over its first hundred calls that a traced peak counts
+        c0 = np.minimum(np.maximum(lo, -2, out=lo), extent, out=lo).astype(index)
+        c1 = c0 + 1
+        # negative corners wrap to large unsigned values, so one test finds both edges
+        on_map = [c.view(unsigned) < extent for c in (c0, c1)]
+        for c in (c0, c1):
+            np.minimum(np.maximum(c, 0, out=c), extent - 1, out=c)
+        planes.append(((1.0 - frac, frac), on_map, (c0, c1)))
+    (wy, vy, cy), (wx, vx, cx) = planes
+    base = (np.arange(n, dtype=index) * (h * w))[:, None]
+    starts = [base + c * w for c in cy]
+    for corner, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        inside = vy[a] & vx[b]
+        np.multiply(wy[a], inside, out=fy[..., corner])
+        np.multiply(wx[b], inside, out=fx[..., corner])
+        np.add(starts[a], cx[b], out=cols[..., corner])
+    sample = csr_array(((fy * fx).reshape(-1), cols.reshape(-1), np.arange(0, cols.size + 1, 4, dtype=index)),
+                       shape=(cols.size // 4, n * h * w))
+    return sample, fy, fx
+
+
 def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
     """Bilinear samples of an NHWC map at fractional positions.
 
@@ -1030,7 +1152,9 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
     S, a [N*Ho*Wo*K, N*H*W] CSR matrix, holds each sample's four corner
     weights, zero off the map. The output is S @ x, the input gradient
     S^T @ g, and each position gradient sum_C(g * (S_d @ x)), where S_d
-    has S's pattern and the weights' derivatives in y or x (backward only).
+    has S's pattern and the weights' derivatives in y or x. A tape keeps
+    the positions, not S: the backward pass rebuilds S and the weights by
+    ``_bilinear_corners``, as the forward built them.
     """
     if x.ndim != 4:
         raise ShapeError(f"deform_sample expects an NHWC tensor, got {x.shape}")
@@ -1041,24 +1165,19 @@ def deform_sample(x: Tensor, positions: Tensor) -> Tensor:
         raise NumericError("non-finite sampling positions")
     n, h, w, c = x.shape
     pos = positions.data.reshape(n, math.prod(positions.shape[1:4]), 2)
-    y0, x0 = np.floor(pos[..., 0]), np.floor(pos[..., 1])
-    wy, wx = pos[..., 0] - y0, pos[..., 1] - x0
-    # corners (y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1), in that order
-    cy = y0.astype(np.int64)[..., None] + (0, 0, 1, 1)
-    cx = x0.astype(np.int64)[..., None] + (0, 1, 0, 1)
-    inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-    fy = np.where(inside, np.stack((1.0 - wy, 1.0 - wy, wy, wy), axis=-1), 0)
-    fx = np.where(inside, np.stack((1.0 - wx, wx, 1.0 - wx, wx), axis=-1), 0)
-    cols = np.ravel_multi_index((np.arange(n)[:, None, None], cy, cx), (n, h, w), mode="clip")
-    sample = csr_array(((fy * fx).ravel(), cols.ravel(), np.arange(0, cols.size + 1, 4)),
-                       shape=(cols.size // 4, n * h * w))
     flat = x.data.reshape(-1, c)
-    out = (sample @ flat).reshape(positions.shape[:-1] + (c,))
+    out = (_bilinear_corners(pos, h, w)[0] @ flat).reshape(positions.shape[:-1] + (c,))
 
     def bwd(g):
         g = g.reshape(-1, c)
-        dy = np.array((-1, -1, 1, 1), dtype=pos.dtype) * fx     # d(fy * fx) / dy
-        dx = fy * np.array((-1, 1, -1, 1), dtype=pos.dtype)     # d(fy * fx) / dx
+        sample, fy, fx = _bilinear_corners(pos, h, w)
+        # d(fy * fx) / dy is fx with its y0 corners negated, d / dx fy with its
+        # x0 ones, one strided corner plane at a time (np.negative in place on
+        # such a float32 view reads the wrong elements on numpy 2.4)
+        dy, dx = fx.copy(), fy.copy()
+        for d, corners in ((dy, (0, 1)), (dx, (0, 2))):
+            for corner in corners:
+                d[..., corner] *= -1
         slopes = (csr_array((d.ravel(), sample.indices, sample.indptr), shape=sample.shape)
                   for d in (dy, dx))
         gpos = np.stack([np.einsum("sc,sc->s", g, s @ flat) for s in slopes], axis=-1)

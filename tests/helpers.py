@@ -86,6 +86,19 @@ def traced_bytes(fn: Callable[[], object]) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+def kept_by_node(op: Callable[[], Tensor]) -> int:
+    """The bytes that the tape node of one op holds once its forward has
+    returned: what ``op()`` allocated under a fresh tape and still holds
+    while the tape lives, its output dropped (a node that keeps its output
+    counts it). Inputs allocated before the call are not counted."""
+    def forward():
+        with Tape() as tape:
+            op()
+        return tape
+
+    return traced_bytes(forward)[0]
+
+
 # --------------------------------------------------------------------------
 # Oracles
 # --------------------------------------------------------------------------
@@ -233,6 +246,40 @@ def attention_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                     out[b, h, i, c] = math.fsum(e[j] * float(v[b, h, j, c])
                                                 for j in range(width)) / total
     return out
+
+
+def attention_gradients_loop(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                             table: np.ndarray | None, g: np.ndarray) -> list:
+    """float64 gradients of sum(attention(q, k, v, table) * g) in [N, heads,
+    T, d] q, k, v and the [heads, 2H-1, 2W-1] table (None without one), one
+    query row at a time from the softmax Jacobian: dS_ij = P_ij (dP_ij -
+    sum_l P_il dP_il), dP_ij = g_i . v_j. Query i's bias row is the table at
+    slots (yi - yj + H - 1, xi - xj + W - 1) over keys j, all distinct."""
+    q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
+    n, heads, t, d = q.shape
+    s = 1.0 / math.sqrt(d)
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    dtable = None
+    if table is not None:
+        h, w = (table.shape[1] + 1) // 2, (table.shape[2] + 1) // 2
+        yj, xj = np.divmod(np.arange(t), w)
+        flat = np.reshape(np.asarray(table, dtype=np.float64), (heads, -1))
+        dtable = np.zeros_like(flat)
+    for b, head, i in np.ndindex(n, heads, t):
+        z = s * (k[b, head] @ q[b, head, i])
+        if table is not None:
+            slots = (i // w - yj + h - 1) * (2 * w - 1) + (i % w - xj + w - 1)
+            z += flat[head, slots]
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        dv[b, head] += np.outer(p, g[b, head, i])
+        dp = v[b, head] @ g[b, head, i]
+        ds = p * (dp - p @ dp)
+        dq[b, head, i] = s * (ds @ k[b, head])
+        dk[b, head] += s * np.outer(ds, q[b, head, i])
+        if table is not None:
+            dtable[head, slots] += ds
+    return [dq, dk, dv, None if table is None else dtable.reshape(np.shape(table))]
 
 
 def delta_attention_loop(shifts: Sequence[tuple[int, int]], h: int, w: int) -> np.ndarray:

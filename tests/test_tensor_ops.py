@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from helpers import (attention_loop, bilinear_scalar, check_gradients, conv2d_loop,
-                     conv2d_weight_grad_loop, dot, matmul_loop, relative_index_loop, traced_bytes)
+from helpers import (attention_gradients_loop, attention_loop, bilinear_scalar, check_gradients,
+                     conv2d_loop, conv2d_weight_grad_loop, dot, kept_by_node, matmul_loop,
+                     relative_index_loop, traced_bytes)
 from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
@@ -443,7 +444,8 @@ def composed_attention(q, kt, v, table):
 
 def attention_gradients(q, k, v, table, g, fused):
     """Gradients of sum(attention(q, k, v, table) * g) in q, k, v and the table;
-    the fused op's are split out of its one qkv gradient."""
+    the fused op's are split out of its one qkv gradient, and its table may be
+    None, which gives None for the table's gradient."""
     heads = q.shape[1]
     if not fused:
         leaves = [Tensor(a, requires_grad=True) for a in (q, k.swapaxes(-1, -2), v, table)]
@@ -452,11 +454,12 @@ def attention_gradients(q, k, v, table, g, fused):
         tape.backward(loss)
         q_grad, kt_grad, v_grad, table_grad = (t.grad for t in leaves)
         return [q_grad, kt_grad.swapaxes(-1, -2), v_grad, table_grad]
-    qkv, bias = Tensor(pack_qkv(q, k, v), requires_grad=True), Tensor(table, requires_grad=True)
+    qkv = Tensor(pack_qkv(q, k, v), requires_grad=True)
+    bias = None if table is None else Tensor(table, requires_grad=True)
     with Tape() as tape:
         loss = dot(Tensor(merge_heads(g)), attention(qkv, heads, bias)[0])
     tape.backward(loss)
-    return [*np.split(split_heads(qkv.grad, 3 * heads), 3, axis=1), bias.grad]
+    return [*np.split(split_heads(qkv.grad, 3 * heads), 3, axis=1), None if bias is None else bias.grad]
 
 
 # grids that are not square, one grid row or column, and a single token;
@@ -476,16 +479,16 @@ def test_attention_gradients_equal_the_composed_ops(grid):
 
 def table_gradient_and_ds(q, k, v, table, g):
     """The fused op's table gradient and the [N, heads, T, T] dS its backward
-    pass sums into the table, caught where it is summed over images."""
+    pass sums into the table, caught where a tile of it is summed over images
+    (every case here is one tile)."""
     seen = []
-    lead_sums = tensor_module._lead_sums
+    window_add = tensor_module._window_add
 
-    def spy(a, ndim=1):
-        if a.ndim == 4:
-            seen.append(a.copy())
-        return lead_sums(a, ndim)
+    def spy(window, ds):
+        seen.append(ds.copy())
+        window_add(window, ds)
 
-    with mock.patch.object(tensor_module, "_lead_sums", spy):
+    with mock.patch.object(tensor_module, "_window_add", spy):
         gb = attention_gradients(q, k, v, table, g, True)[3]
     (ds,) = seen
     return gb, ds
@@ -539,6 +542,89 @@ def test_taped_attention_backward_allocates_only_the_gradients_dp_and_its_image_
     # images; no index array, no float64 copy and no dS * P product
     logits = n * heads * t * t * qkv.data.itemsize
     assert peak <= qkv.grad.nbytes + bias.grad.nbytes + 2 * logits + 2 ** 20
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+@pytest.mark.parametrize("case", TILE_EDGES)
+def test_attention_tile_edge_gradients_match_the_loop_oracle(case, with_bias):
+    # the backward recomputes each of the forward's tiles and adds dk, dv
+    # and the table gradient up over row tiles, heads and images
+    rng = np.random.default_rng(33)
+    plain, (n, heads, grid) = TILE_EDGES[case]
+    n, heads, t, tile = (n, heads, grid[0] * grid[1], _ATTN_TILE) if with_bias else plain
+    q, k, v = attention_inputs(rng, n, heads, t, 8, np.float64)
+    table = bias_table(rng, heads, grid, np.float64) if with_bias else None
+    g = rng.normal(size=(n, heads, t, 8))
+    want = attention_gradients_loop(q, k, v, table, g)
+    for path in EXP_PATHS:
+        with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path(path):
+            got = attention_gradients(q, k, v, table, g, True)
+        for name, a, b in zip(("q", "k", "v", "table"), got, want):
+            assert (a is None) == (b is None), name
+            assert b is None or np.abs(a - b).max() < 1e-12, (path, name)
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_attention_gradients_in_row_tiles_match_finite_differences(with_bias):
+    rng = np.random.default_rng(34)
+    n, heads, grid, d = 2, 2, (3, 4), 3
+    t = grid[0] * grid[1]
+    qkv = Tensor(rng.normal(size=(n, t, 3 * heads * d)), requires_grad=True)
+    bias = Tensor(bias_table(rng, heads, grid, np.float64), requires_grad=True) if with_bias else None
+    probe = Tensor(rng.normal(size=(n, t, heads * d)))
+    # 5 queries per tile, the last tile of a head short; a bias rounds them to one grid row
+    with mock.patch.object(tensor_module, "_ATTN_TILE", 5 * t):
+        check_gradients(lambda: dot(probe, attention(qkv, heads, bias)[0]),
+                        [qkv] if bias is None else [qkv, bias])
+
+
+@pytest.mark.parametrize("where", ["q", "k", "v", "table"])
+def test_a_taped_attention_refuses_a_nan_before_it_records(where):
+    rng = np.random.default_rng(35)
+    q, k, v = attention_inputs(rng, 1, 2, 30, 4)
+    table = bias_table(rng, 2, (5, 6))
+    if where == "table":
+        table[1, 8, 7] = np.nan
+    else:
+        {"q": q, "k": k, "v": v}[where][0, 1, 29, 3] = np.nan
+    qkv, bias = Tensor(pack_qkv(q, k, v), requires_grad=True), Tensor(table, requires_grad=True)
+    with mock.patch.object(tensor_module, "_ATTN_TILE", 12 * 30), Tape() as tape, \
+            np.errstate(invalid="ignore"), pytest.raises(NumericError, match="attention"):
+        attention(qkv, 2, bias)
+    assert not tape._nodes
+
+
+def test_a_taped_attention_keeps_no_probability_map():
+    n, heads, grid, d = 1, 3, 32, 32
+    rng = np.random.default_rng(36)
+    qkv = Tensor(rng.normal(size=(n, grid * grid, 3 * heads * d)).astype(np.float32), requires_grad=True)
+    bias = Tensor(bias_table(rng, heads, (grid, grid)), requires_grad=True)
+    kept = kept_by_node(lambda: attention(qkv, heads, bias))
+    # the output, which the backward's g . o reads, and the flipped table
+    # that its windows view; the [1, 3, 1024, 1024] probabilities take 12 MiB
+    assert kept <= qkv.data.nbytes // 3 + bias.data.nbytes + 2 ** 16
+
+
+def test_a_taped_attention_and_its_backward_peak_at_the_gradients_and_two_tiles():
+    n, heads, grid, d = 1, 3, 32, 32
+    t = grid * grid
+    rng = np.random.default_rng(37)
+    qkv = Tensor(rng.normal(size=(n, t, 3 * heads * d)).astype(np.float32), requires_grad=True)
+    bias = Tensor(bias_table(rng, heads, (grid, grid)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(n, t, heads * d)).astype(np.float32))
+
+    def forward_and_backward():
+        with Tape() as tape:
+            loss = dot(probe, attention(qkv, heads, bias)[0])
+        tape.backward(loss)
+
+    _, peak = traced_bytes(forward_and_backward)
+    # the gradients of qkv and the table; the output, its gradient and g * o,
+    # each a third of qkv; the backward's probability and dS tiles. The full
+    # [1, 3, 1024, 1024] map and dS would take 12 MiB each
+    out = qkv.data.nbytes // 3
+    tiles = 2 * min(_ATTN_TILE, n * heads * t * t) * qkv.data.itemsize
+    assert peak <= qkv.data.nbytes + bias.data.nbytes + 3 * out + tiles + 2 ** 20
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
@@ -923,8 +1009,9 @@ def test_a_taped_residual_mlp_forward_allocates_its_kept_arrays_and_one_tile():
 def test_residual_mlp_backward_allocates_no_hidden_size_array():
     # The tape keeps the statistics and the cdf, and not the pre-activations,
     # which the backward pass recomputes tile by tile; it adds dx, the weight
-    # gradients and row-tile scratch. Unfused, it held three [3136, 384]
-    # float32 arrays of 4.6 MiB at once.
+    # gradients, two hidden-size and two [rows, C] tiles, and one [C, H]
+    # product for the tiles after the first, and nothing per tile. Unfused,
+    # it held three [3136, 384] float32 arrays of 4.6 MiB at once.
     rng = np.random.default_rng(50)
     c, hidden = 96, 384
     x = Tensor(rng.normal(size=(1, 3136, c)).astype(np.float32), requires_grad=True)
@@ -939,10 +1026,10 @@ def test_residual_mlp_backward_allocates_no_hidden_size_array():
 
     _, peak = traced_bytes(forward_and_backward)
     m, rows = x.size // c, tensor_module._MLP_ROWS
-    kept = m * (hidden + 2) + x.size  # the statistics, the cdf and the output
+    kept = m * (hidden + 2)  # the statistics and the cdf; the output is dropped
     gradients = x.size + sum(p.size for p in params)
-    scratch = rows * (2 * hidden + 5 * c) + 2 * c * hidden + min(rows * hidden, _BLOCK)
-    assert peak <= (kept + gradients + scratch) * x.data.itemsize + 2 ** 20
+    scratch = rows * (2 * hidden + 2 * c) + c * hidden
+    assert peak <= (kept + gradients + scratch) * x.data.itemsize + 2 ** 19
 
 
 def test_residual_mlp_names_itself_for_a_non_finite_output():
@@ -1344,6 +1431,58 @@ def test_deform_sample_eval_memory_is_the_output_and_a_few_words_per_sample():
     deform_sample(Tensor(x), Tensor(pos))  # warm-up: first-call imports and caches
     _, peak = traced_bytes(lambda: deform_sample(Tensor(x), Tensor(pos)))
     assert peak <= samples * x.shape[-1] * x.itemsize + 512 * samples  # the output, a few words per sample
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_deform_sample_corner_indices_clip_as_ravel_multi_index_does(dtype):
+    n, h, w = 2, 3, 5
+    # on the map, and off each edge by a fraction, by a pixel or more, and far off
+    ys = [-1e6, -3.5, -1.0, -0.5, 0.0, 1.25, h - 1, h - 0.5, h, h + 2.5, 1e6]
+    xs = [-1e6, -2.0, -0.75, 0.0, 2.5, w - 1, w - 0.25, w, w + 1.5, 1e6]
+    grid = np.array([(y, x) for y in ys for x in xs], dtype)
+    pos = np.stack([grid, grid[::-1]])
+    sample, fy, fx = tensor_module._bilinear_corners(pos, h, w)
+    cy = np.floor(pos[..., 0]).astype(np.int64)[..., None] + (0, 0, 1, 1)
+    cx = np.floor(pos[..., 1]).astype(np.int64)[..., None] + (0, 1, 0, 1)
+    want = np.ravel_multi_index((np.arange(n)[:, None, None], cy, cx), (n, h, w), mode="clip")
+    assert np.array_equal(sample.indices, want.reshape(-1))
+    off = (cy < 0) | (cy >= h) | (cx < 0) | (cx >= w)
+    assert off.any() and not fy[off].any() and not fx[off].any()
+    assert fy.dtype == fx.dtype == sample.dtype == dtype
+    assert np.array_equal(sample.data, (fy * fx).reshape(-1))
+
+
+def test_deform_sample_float32_gradients_match_float64():
+    # the backward rebuilds the corner weights and negates corner planes of
+    # them in place for the position gradient; every corner's sign shows here
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(2, 6, 5, 3))
+    pos = np.stack([rng.uniform(-1.5, 6.5, size=(2, 3, 3, 4)),
+                    rng.uniform(-1.5, 5.5, size=(2, 3, 3, 4))], axis=-1)
+    pos = np.floor(pos) + np.clip(pos % 1.0, 0.05, 0.95)
+    probe = rng.normal(size=pos.shape[:-1] + x.shape[-1:])
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        xt, pt = (Tensor(a.astype(dtype), requires_grad=True) for a in (x, pos))
+        with Tape() as tape:
+            loss = dot(Tensor(probe.astype(dtype)), deform_sample(xt, pt))
+        tape.backward(loss)
+        grads[dtype] = (xt.grad, pt.grad)
+    for got, want in zip(grads[np.float32], grads[np.float64]):
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_a_taped_deform_sample_keeps_its_positions_not_its_sampling_matrix():
+    # the toy model's first DTM merge: batch 32, a 16 x 16 map of 16
+    # channels, 8 x 8 outputs of 2 x 2 taps
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(32, 16, 16, 16)).astype(np.float32), requires_grad=True)
+    pos = Tensor(rng.uniform(-1.5, 16.5, size=(32, 8, 8, 4, 2)).astype(np.float32), requires_grad=True)
+    deform_sample(x, pos)  # warm-up: first-call imports and caches
+    # the node holds views of x and the positions, allocated before the
+    # call, and not the output; the corner weights, indices and sparse
+    # matrix that the backward rebuilds took 0.7 MiB
+    assert kept_by_node(lambda: deform_sample(x, pos)) <= 2 ** 16
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
