@@ -60,53 +60,70 @@ output. The optional B is a relative position bias
 looked up by 2-d displacement, as in Swin (Liu et al., arXiv 2103.14030),
 in a [heads, 2H-1, 2W-1] table of an H x W token grid. No [T, T] index is
 built: B for query (yi, xi) is an [H, W] window of a flipped copy of the
-table, read in place. The op works on tiles of about ``_ATTN_TILE``
-logits: whole rows of one head (under a bias, the nearest whole number of
-grid rows, at least one), whole heads when a head is smaller than a tile,
-or whole images when all of an image's heads are. For each tile the scaled
-logits are written into scratch with one matrix product and the bias is
-added from the window view. The tile is left unnormalised, as exp(z) or
-exp(z - row max), and its row sums come from one matrix-vector product
-with a column of ones. One more product writes its rows of the output,
-and only those [rows, d] rows are divided by the row sums, as
-FlashAttention-2 (Dao, arXiv 2307.08691) does. Softmax is
-shift-invariant, which is also what the online normaliser of Milakov &
-Gimelshein (arXiv 1805.02867) rests on, so the row-max shift only keeps
-exp in range. One Cauchy-Schwarz bound per call, B = max_i |q_i| max_j
-|k_j| / sqrt(d) + max|table| on every logit |z|, picks the mode of all
-tiles. When B < -ln(tiny), every exp(z) is a normal number, and when
-B + ln T + ln max(1, max|v|) < ln(max / 4), neither a row sum nor
-exp(z) @ v can overflow (tiny and max of the dtype, from ``np.finfo``);
-then each tile takes exp(z) directly, with no row max, subtract or check.
-Otherwise each tile first checks its minimum and row maxima, which
-refuses a non-finite or overflowing logit before it writes anything, and
-takes exp(z - row max). A NaN or infinity in q, k or the table, or a
-squared norm that overflows, fails B, and every table entry is the bias
-of some (query, key) pair, so every bad logit meets a check. The row
-norms are reduced from the strided q and k views, in their dtype, with
-no full-size copy. The [N, heads, T, T]
-probabilities are built in full only when the caller asks for them, for a
-``ForwardRecord``; they are then the tiles divided by the same row sums,
-so the output is the same bits whether taped, with probabilities or
-plain. Otherwise the output and the tile scratch are all the op
-allocates, and a tape keeps only the output beside qkv and the flipped
-table. Row tiles round their products
-differently from one full-size product, so float32 outputs are not
-bit-identical to the unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they
-stay within 8 float32 ulps of max(P @ |v|), the largest sum of |terms|
-behind one output (6.7 was the worst measured against a float64 unfused
-result, on either exp path). The backward pass runs over the forward's
-tiles, as FlashAttention's does (the recomputation trade of Chen et al.,
-arXiv 1604.06174): it rebuilds each tile's logits and exp with the
-forward's own code and ``_exp_rows``, row max and row sums included, so
-the tile of P has the bits the forward's had. It takes the softmax row sums
-as D_i = sum_j dP_ij P_ij = g_i . o_i from the output o, writes dq for the
-tile's rows, and adds dk and dv up over row tiles, the first row tile
-writing them in place and later ones through one [T, d] product. The
-table's gradient goes back through the forward's window (``_window_add``):
-each query adds its block of dS, summed over the tile's images, into a
-writeable window of a zeroed flipped table. So beside the gradients it
-holds one tile each of P and dS and forms no [T, T] array.
+table, read in place.
+
+The op works on tiles. A head whose T x T logits fit in ``_ATTN_TILE`` is
+one tile, with more whole heads, or whole images, in it when they fit. A
+larger head runs in the loop order of FlashAttention-2 (Dao, arXiv
+2307.08691): a block of about 2s queries meets blocks of about s keys in
+turn, s = sqrt(``_ATTN_TILE`` / 4), each side rounded to whole grid rows
+under a bias (at least one). A tile is then about half of ``_ATTN_TILE``;
+at the 56 x 56 grid of the all-attention layout's stage 1 it is 13 query
+by 6 key grid rows, 0.93 MiB of float32. Each tile writes its scaled
+logits into scratch with one matrix product, adds the bias from the window
+view and exponentiates in place; one matrix-vector product with a column
+of ones takes its row sums, and one more product exp(z) @ v. Each key
+block adds these into its queries' zeroed sums and rows of the output, and
+after the last the [rows, d] output rows are divided by their sums, as
+FlashAttention-2 does.
+
+The exponent is exp(z) or exp(z - m). One Cauchy-Schwarz bound per call,
+B = max_i |q_i| max_j |k_j| / sqrt(d) + max|table| on every logit |z|,
+picks the mode of all tiles. When B < -ln(tiny), every exp(z) is a normal
+number, and when B + ln T + ln max(1, max|v|) < ln(max / 4), neither a
+row sum nor exp(z) @ v can overflow (tiny and max of the dtype, from
+``np.finfo``); then each tile takes exp(z) directly, with no row max,
+subtract or check. Otherwise each tile first checks its minimum and row
+maxima, which refuses a non-finite or overflowing logit before it writes
+anything, and takes exp(z - m), where m is the row's running maximum over
+the key blocks so far, the online normaliser of Milakov & Gimelshein
+(arXiv 1805.02867): a key block that raises it first scales the row's sum
+and output so far by exp(old m - new m). Softmax is shift-invariant, so
+the shift only keeps exp in range. A NaN or infinity in q, k or the
+table, or a squared norm that overflows, fails B, and every table entry
+is the bias of some (query, key) pair, so every bad logit meets a check.
+The row norms are reduced from the strided q and k views, in their dtype,
+with no full-size copy.
+
+The op keeps each query row's softmax sum, and its final m when shifted,
+as [N, heads, T] arrays; a tape keeps them and the output beside qkv and
+the table. The [N, heads, T, T] probabilities are built in full only when
+the caller asks for them, for a ``ForwardRecord``: one more pass over the
+tiles after the output rebuilds each tile's logits and takes
+exp(z - m) / sum, so the output is the same bits whether taped, with
+probabilities or plain. Tiles round their products differently from one
+full-size product, so float32 outputs are not bit-identical to the
+unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they stay within 8
+float32 ulps of max(P @ |v|), the largest sum of |terms| behind one output
+(6.0 was the worst measured against a float64 unfused result, on either
+exp path). A cut head's float32 bits depend on its block shape.
+
+The backward pass runs over the forward's tiles, as FlashAttention's does
+(the recomputation trade of Chen et al., arXiv 1604.06174): it rebuilds
+each tile's logits with the forward's own code and takes P = exp(z - m) /
+sum from the kept row statistics, so a head within one tile gets the
+forward's bits of P. It takes the softmax row sums as D_i = sum_j dP_ij
+P_ij = g_i . o_i from the output o, and adds dq up over key blocks and dk
+and dv over query blocks, the first block writing in place and later ones
+through one [rows, d] or [keys, d] product. The table's gradient sums each
+tile's dS along the table's diagonals (``_diagonal_sums``): with the
+tile's images summed, each head's [W, W] blocks, one per query and key
+grid row, are written skewed by yi - yj into scratch and one product with
+ones sums the key rows; the sums are written skewed by xi - xj into a
+second scratch, and a second product sums the query columns. Neither
+write touches a slot twice, and no Python loop runs per query. Beside the
+gradients the backward holds one tile each of P and dS and the two skew
+scratches, and forms no [T, T] array.
 
 ``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
 as one op, after the fused elementwise chains of "Data Movement Is All
@@ -166,10 +183,16 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # alone uses ``_softmax_rows``), sized so that a block and its scratch
 # arrays stay in a core's L2 cache.
 _BLOCK = 65536
-# Logits per attention tile (2 MiB of float32). Each tile runs two matrix
-# products, which gain from more rows per call: lit-s's stage-1 attention
-# ([1, 3, 3136, 32] with bias) took 166 ms in 2**19-logit tiles and 280 ms
-# in _BLOCK-sized ones (2-vCPU x86-64, OpenBLAS, best of 5).
+# Logits per attention tile (2 MiB of float32). A head of at most this many
+# logits is one tile; a larger one is cut into blocks of 2s queries by s
+# keys, s = sqrt(_ATTN_TILE / 4), about half a tile, whose passes stay in a
+# core's L2 cache. The all-attention layout's stage-1 attention ([1, 3,
+# 3136, 32] with bias, eval) took 75.9 ms in its 13 x 6-grid-row blocks,
+# 70.8 ms in the 18 x 9 blocks of a 2**20 tile, 79.6 ms in the 9 x 5 ones
+# of a 2**18 tile, and 79.1 ms in the whole-row tiles of 168 queries used
+# before key blocks (2-vCPU x86-64, OpenBLAS, medians of 31 calls
+# interleaved in one process). The blocks' smaller scratch is what they
+# buy: that layer's eval peak fell from 6.84 to 5.91 MiB.
 _ATTN_TILE = 2 ** 19
 # Tokens per row tile of ``residual_mlp``. Its two products gain from more
 # rows per call: lit-s's stage-1 MLP block (T 3136, C 96) took 17.6 ms in
@@ -528,13 +551,20 @@ def softmax(x: Tensor) -> Tensor:
                   lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
-def _bias_window(flipped: np.ndarray) -> np.ndarray:
-    """[heads, H, W, H, W] view of a [heads, 2H-1, 2W-1] table flipped on both
-    grid axes: [h, yi, xi] is query (yi, xi)'s [H, W] bias, each row of it a
-    contiguous run. Writeable, so adding each query's block into it sums the
-    blocks into the slots they were read from."""
-    gh, gw = ((e + 1) // 2 for e in flipped.shape[1:])
-    return sliding_window_view(flipped, (gh, gw), axis=(1, 2), writeable=True)[:, ::-1, ::-1]
+def _bias_window(table: np.ndarray) -> np.ndarray:
+    """[heads, H, W, H, W] view of a copy of the [heads, 2H-1, 2W-1] table
+    flipped on both grid axes: [h, yi, xi, yj, xj] is the bias of query
+    (yi, xi) for key (yj, xj), each [W] run of it contiguous, so a tile of
+    whole query and key grid rows reads its bias as one slice."""
+    gh, gw = ((e + 1) // 2 for e in table.shape[1:])
+    flipped = np.ascontiguousarray(table[:, ::-1, ::-1])
+    return sliding_window_view(flipped, (gh, gw), axis=(1, 2))[:, ::-1, ::-1]
+
+
+def _window_tile(window: np.ndarray | None, gw: int, h: slice, r: slice, c: slice) -> np.ndarray | None:
+    """The [heads, query grid rows, W, key grid rows, W] slice of ``window``
+    for the tile of heads ``h``, queries ``r`` and keys ``c``, or None."""
+    return None if window is None else window[h, r.start // gw:r.stop // gw, :, c.start // gw:c.stop // gw]
 
 
 def _max_abs(arr: np.ndarray) -> float:
@@ -560,19 +590,29 @@ def _unshifted_exp_fits(q: np.ndarray, k: np.ndarray, v: np.ndarray, s: float,
     return bound < -math.log(info.tiny) and bound + spread < math.log(info.max / 4)
 
 
-def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray, shift: bool) -> None:
-    """exp(z - row max) of each last-axis row of the logits tile ``z`` when
-    ``shift``, else exp(z), in place, and the row sums into ``sums`` as one
-    matrix-vector product z @ ``ones``. A shifted tile is checked first: NaN
-    and -inf in its minimum and +inf in a row maximum raise NumericError
-    before anything is written."""
-    if shift:
+def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray,
+              rowmax: np.ndarray | None) -> np.ndarray | None:
+    """exp(z) of each last-axis row of the logits tile ``z`` in place when
+    ``rowmax`` is None, else exp(z - m), and the row sums into ``sums`` as
+    one matrix-vector product z @ ``ones``. m is ``rowmax``, the rows'
+    running maximum over the earlier key blocks (-inf before the first),
+    raised in place to this tile's row maxima. Returns exp(old m - new m),
+    the factor that rescales what the earlier key blocks added, or None
+    when unshifted. A shifted tile is checked first: NaN and -inf in its
+    minimum and +inf in a row maximum raise NumericError before anything
+    is written."""
+    scale = None
+    if rowmax is not None:
         zmax = z.max(axis=-1, keepdims=True)
         if not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
             raise NumericError("non-finite attention logits")
-        np.subtract(z, zmax, out=z)
+        np.maximum(zmax, rowmax, out=zmax)
+        scale = np.exp(rowmax - zmax)
+        rowmax[...] = zmax
+        np.subtract(z, rowmax, out=z)
     np.exp(z, out=z)
     np.matmul(z, ones, out=sums)
+    return scale
 
 
 def _matmul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, partial: np.ndarray | None) -> None:
@@ -585,25 +625,45 @@ def _matmul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, partial: np.ndar
         out += np.matmul(a, b, out=partial)
 
 
-def _window_add(window: np.ndarray, ds: np.ndarray) -> None:
-    """Add the [images, heads, rows, T] tile ``ds`` of dS, summed over
-    images, into its [heads, rows / W, W, H, W] ``window`` of a zeroed
-    flipped table gradient: one query's [heads, H, W] block at a time, in
-    row-major query order, into the slots its bias was read from."""
-    blocks = (_lead_sums(ds) if ds.shape[0] > 1 else ds[0]).reshape(window.shape)
-    for yi, xi in np.ndindex(window.shape[1:3]):
-        cell = window[:, yi, xi]
-        cell += blocks[:, yi, xi]
+def _diagonal_sums(ds: np.ndarray, gw: int, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The [heads, QY + KY - 1, 2W - 1] sums of the [images, heads, QY * W,
+    KY * W] tile ``ds`` of QY query and KY key grid rows along the bias
+    table's diagonals: [h, yi - yj + KY - 1, xi - xj + W - 1] sums the
+    tile's pairs of queries (yi, xi) and keys (yj, xj) at that displacement
+    over its images. After the images are summed, each head takes two
+    strided writes, neither of which writes a slot twice, and two products
+    with ones: key row yj's [W, W] block of query row yi goes to row
+    yi - yj + K - 1 of slab yj of ``y``, and the slabs are summed; entry
+    (xi, xj) of each summed block goes to column xj - xi + W - 1 of slab xi
+    of ``x``, and those slabs are summed. ``y`` is [K, Q + K - 1, W, W] and
+    ``x`` [W, Q + K - 1, 2W - 1] scratch for the largest block, of Q query
+    and K key grid rows. Only the slots the writes reach are read, so ``x``
+    is zeroed once and ``y`` whenever QY changes."""
+    blocks = _lead_sums(ds) if ds.shape[0] > 1 else ds[0]
+    qy, ky, full = ds.shape[2] // gw, ds.shape[3] // gw, y.shape[0]
+    dy = qy + ky - 1
+    sy, sx = y.strides, x.strides
+    y_skew = np.ndarray((qy, gw, ky, gw), y.dtype, y, (full - 1) * sy[1], (sy[1], sy[2], sy[0] - sy[1], sy[3]))
+    x_skew = np.ndarray((dy, gw, gw), x.dtype, x, (gw - 1) * sx[2], (sx[1], sx[0] - sx[2], sx[2]))
+    sums = np.empty((len(blocks), dy, 2 * gw - 1), ds.dtype)
+    for block, head_sums in zip(blocks, sums):
+        y_skew[...] = block.reshape(qy, gw, ky, gw)
+        x_skew[...] = _lead_sums(y[:ky])[full - ky:full - ky + dy]
+        head_sums[...] = _lead_sums(x)[:dy, ::-1]
+    return sums
 
 
-def _tiles(n: int, images: int, heads: int, tile_heads: int, t: int, rows: int):
-    """The (images, heads, rows) slices of each attention tile of ``images``
-    images, ``tile_heads`` heads and ``rows`` queries, rows outermost."""
+def _tiles(n: int, images: int, heads: int, tile_heads: int, t: int, rows: int, keys: int):
+    """The (images, heads, queries, keys) slices of each attention tile of
+    ``images`` images, ``tile_heads`` heads, ``rows`` queries and ``keys``
+    keys, query blocks outermost and key blocks innermost, so that each
+    block of queries meets every key block in turn."""
     for r0 in range(0, t, rows):
         for h0 in range(0, heads, tile_heads):
             for b0 in range(0, n, images):
-                yield (slice(b0, min(b0 + images, n)), slice(h0, min(h0 + tile_heads, heads)),
-                       slice(r0, min(r0 + rows, t)))
+                for c0 in range(0, t, keys):
+                    yield (slice(b0, min(b0 + images, n)), slice(h0, min(h0 + tile_heads, heads)),
+                           slice(r0, min(r0 + rows, t)), slice(c0, min(c0 + keys, t)))
 
 
 def _tile_view(scratch: np.ndarray, b: slice, h: slice, r: slice, width: int) -> np.ndarray:
@@ -612,18 +672,28 @@ def _tile_view(scratch: np.ndarray, b: slice, h: slice, r: slice, width: int) ->
     return scratch[:math.prod(shape)].reshape(shape)
 
 
-def _exp_logits(z: np.ndarray, qs: np.ndarray, sums: np.ndarray, q: np.ndarray, k: np.ndarray,
-                s: float, window: np.ndarray | None, ones: np.ndarray, shift: bool) -> None:
-    """One tile's logits, q k^T scaled by ``s`` plus its bias, into ``z``,
-    exponentiated by ``_exp_rows`` with their row sums into ``sums``; ``qs``
-    is scratch of q's shape. ``window`` is the tile's [heads, rows / W, W,
-    H, W] slice of the bias window, or None."""
+def _logits(z: np.ndarray, qs: np.ndarray, q: np.ndarray, k: np.ndarray, s: float,
+            window: np.ndarray | None) -> None:
+    """One tile's logits, q k^T scaled by ``s`` plus its bias, into ``z``;
+    ``qs`` is scratch of q's shape. ``window`` is the tile's [heads, query
+    grid rows, W, key grid rows, W] slice of the bias window, or None."""
     np.multiply(q, s, out=qs)
     np.matmul(qs, k.swapaxes(-1, -2), out=z)
-    if window is not None:  # a tile is contiguous, so zb is a view of it
+    if window is not None:  # splitting z's last two axes into grid rows keeps a view
         zb = z.reshape(z.shape[:2] + window.shape[1:])
         np.add(zb, window, out=zb)
-    _exp_rows(z, ones, sums, shift)
+
+
+def _probs_tile(p: np.ndarray, qs: np.ndarray, q: np.ndarray, k: np.ndarray, s: float,
+                window: np.ndarray | None, rowmax: np.ndarray | None, sums: np.ndarray) -> None:
+    """One tile of the probabilities, exp(logits - m) / sum, into ``p``,
+    from the rows' final maximum m (``rowmax``, None when unshifted) and
+    softmax sum that the forward pass left; the arguments are ``_logits``'s."""
+    _logits(p, qs, q, k, s, window)
+    if rowmax is not None:
+        p -= rowmax
+    np.exp(p, out=p)
+    p /= sums
 
 
 def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
@@ -636,16 +706,19 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     is the [heads, 2H-1, 2W-1] table of an H x W grid of T = H * W
     row-major tokens, and
     B[h, i, j] = bias[h, yi - yj + H - 1, xi - xj + W - 1]. A window view of
-    the table holds B as [heads, H, W, H, W], so a tile of whole grid rows
-    adds one slice of it. Returns the [N, T, heads * d] output and the
-    [N, heads, T, T] probabilities when ``with_probs`` is set, else None.
-    The probabilities are built in full only when asked for; a tape keeps
-    none of them, and the backward pass recomputes them tile by tile. The
-    tiles exponentiate the logits z directly when the Cauchy-Schwarz bound
-    on |z| shows that exp(z), the row sums and exp(z) @ v stay in range,
-    and otherwise check the tile and take exp(z - row max). Differentiable
-    in ``qkv`` and the table, whose gradient adds dS back through the window
-    it was read from; see the module docstring for the tiling and the bound.
+    the table holds B as [heads, H, W, H, W], so a tile of whole query and
+    key grid rows adds one slice of it. Returns the [N, T, heads * d] output
+    and the [N, heads, T, T] probabilities when ``with_probs`` is set, else
+    None; the probabilities are built only when asked for. A head of more
+    than ``_ATTN_TILE`` logits runs in blocks of about 2s queries by s keys,
+    s = sqrt(``_ATTN_TILE`` / 4), in whole grid rows. The tiles exponentiate
+    the logits z directly when the Cauchy-Schwarz bound on |z| shows that
+    exp(z), the row sums and exp(z) @ v stay in range, and otherwise check
+    each tile and shift it by its rows' running maximum. A tape keeps the
+    output and each row's sum and maximum, not the probabilities.
+    Differentiable in ``qkv`` and the table, whose gradient sums dS along
+    the table's diagonals; see the module docstring for the tiling and the
+    bound.
     """
     if qkv.ndim != 3 or heads < 1 or qkv.shape[2] % (3 * heads) or 0 in qkv.shape[1:]:
         raise ShapeError(f"attention: qkv {qkv.shape} is not [N, T, 3 * {heads} * d] with T, d > 0")
@@ -653,39 +726,57 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     d = channels // (3 * heads)
     q, k, v = qkv.data.reshape(n, t, 3, heads, d).transpose(2, 0, 3, 1, 4)
     inputs = (qkv,)
-    rows = max(1, min(t, _ATTN_TILE // t))
+    gw = 1  # without a bias a block is any number of tokens
     if bias is not None:
         gh, gw = ((e + 1) // 2 for e in bias.shape[1:]) if bias.ndim == 3 else (0, 0)
         if bias.shape[:1] != (heads,) or not all(e % 2 for e in bias.shape[1:]) or gh * gw != t:
             raise ShapeError(f"attention: bias table {bias.shape} is not [{heads}, 2H-1, 2W-1] "
                              f"for an H x W grid of {t} queries")
-        rows = max(1, round(rows / gw)) * gw
         inputs += (bias,)
     dtype = _one_dtype("attention", qkv=qkv, bias=bias)  # before the flipped table is copied
-    window = _bias_window(np.ascontiguousarray(bias.data[:, ::-1, ::-1])) if bias is not None else None
+    window = _bias_window(bias.data) if bias is not None else None
     s = 1.0 / math.sqrt(d)
     table_peak = _max_abs(bias.data) if bias is not None else 0.0
     shift = not _unshifted_exp_fits(q, k, v, s, table_peak, np.finfo(dtype))
-    # A tile is whole rows of one head, whole heads when a head fits in a
-    # tile, or whole images when an image's heads all fit.
-    tile_heads = max(1, min(heads, _ATTN_TILE // (t * t))) if rows == t else 1
-    images = max(1, min(n, _ATTN_TILE // (heads * t * t))) if tile_heads == heads else 1
+    if t * t <= _ATTN_TILE:  # one head per tile, or whole heads, or whole images
+        rows = keys = t
+        tile_heads = max(1, min(heads, _ATTN_TILE // (t * t)))
+        images = max(1, min(n, _ATTN_TILE // (heads * t * t))) if tile_heads == heads else 1
+    else:
+        side = math.isqrt(_ATTN_TILE // 4)
+        rows, keys = (min(t, max(1, round(e / gw)) * gw) for e in (2 * side, side))
+        tile_heads = images = 1
     tile = images * tile_heads * rows
     ones = np.ones((t, 1), dtype)
 
-    out = np.empty((n, t, heads, d), dtype)  # token-major, as the output projection reads it
+    # the output, token-major as the output projection reads it, and each
+    # query row's softmax sum and, when shifted, its running maximum; the
+    # key blocks add into the first two
+    out = np.zeros((n, t, heads, d), dtype)
+    sums = np.zeros((n, heads, t, 1), dtype)
+    rowmax = np.full((n, heads, t, 1), -np.inf, dtype) if shift else None
+
+    def row_max(b: slice, h: slice, r: slice) -> np.ndarray | None:
+        return None if rowmax is None else rowmax[b, h, r]
+
+    z_scratch, q_scratch, part_scratch = (np.empty(tile * e, dtype) for e in (keys, d, 1))
+    for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
+        z, qs = _tile_view(z_scratch, b, h, r, c.stop - c.start), _tile_view(q_scratch, b, h, r, d)
+        _logits(z, qs, q[b, h, r], k[b, h, c], s, _window_tile(window, gw, h, r, c))
+        o, total, part = out[b, r, h].swapaxes(1, 2), sums[b, h, r], _tile_view(part_scratch, b, h, r, 1)
+        scale = _exp_rows(z, ones[c], part, row_max(b, h, r))
+        if scale is not None:
+            total *= scale
+            o *= scale
+        total += part
+        o += np.matmul(z, v[b, h, c], out=qs)  # qs is free once the logits are formed
+        if c.stop == t:
+            o /= total
     probs = np.empty((n, heads, t, t), dtype) if with_probs else None
-    z_scratch = np.empty(tile * t, dtype) if probs is None else None
-    q_scratch, sum_scratch = np.empty(tile * d, dtype), np.empty(tile, dtype)
-    for b, h, r in _tiles(n, images, heads, tile_heads, t, rows):
-        z = probs[b, h, r] if probs is not None else _tile_view(z_scratch, b, h, r, t)
-        sums = _tile_view(sum_scratch, b, h, r, 1)
-        _exp_logits(z, _tile_view(q_scratch, b, h, r, d), sums, q[b, h, r], k[b, h], s,
-                    window if window is None else window[h, r.start // gw:r.stop // gw], ones, shift)
-        o = np.matmul(z, v[b, h], out=out[b, r, h].swapaxes(1, 2))
-        o /= sums
-        if probs is not None:
-            z /= sums
+    if probs is not None:
+        for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
+            _probs_tile(probs[b, h, r, c], _tile_view(q_scratch, b, h, r, d), q[b, h, r], k[b, h, c],
+                        s, _window_tile(window, gw, h, r, c), row_max(b, h, r), sums[b, h, r])
 
     def bwd(g):
         g = g.reshape(n, t, heads, d)
@@ -693,33 +784,41 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
         g = g.transpose(0, 2, 1, 3)
         grad = np.empty((n, t, 3, heads, d), dtype)  # laid out as qkv
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
-        gflipped = np.zeros(bias.shape, dtype) if bias is not None else None
-        gwindow = _bias_window(gflipped) if bias is not None else None
-        # one tile's probabilities and dS, and a [T, d] partial product for
-        # dk and dv when row tiles split a head's queries
-        p_scratch, ds_scratch = np.empty((2, tile * t), dtype)
-        q_scratch, sum_scratch = np.empty(tile * d, dtype), np.empty(tile, dtype)
-        partial = np.empty((1, 1, t, d), dtype) if rows < t else None
-        for b, h, r in _tiles(n, images, heads, tile_heads, t, rows):
-            p, ds = _tile_view(p_scratch, b, h, r, t), _tile_view(ds_scratch, b, h, r, t)
-            sums = _tile_view(sum_scratch, b, h, r, 1)
-            _exp_logits(p, _tile_view(q_scratch, b, h, r, d), sums, q[b, h, r], k[b, h], s,
-                        window if window is None else window[h, r.start // gw:r.stop // gw], ones, shift)
-            p /= sums
-            gt, later = g[b, h, r], None if r.start == 0 else partial
-            _matmul_into(p.swapaxes(-1, -2), gt, gv[b, h], later)
-            np.matmul(gt, v[b, h].swapaxes(-1, -2), out=ds)
+        # one tile's probabilities and dS, and a [keys, d] partial product
+        # for dk and dv when query blocks split a head (dq's goes into qs)
+        p_scratch, ds_scratch = np.empty((2, tile * keys), dtype)
+        q_scratch = np.empty(tile * d, dtype)
+        window = None
+        if bias is not None:  # the window is rebuilt, so that a tape keeps no flipped copy
+            gtable, window = np.zeros(bias.shape, dtype), _bias_window(bias.data)
+            qy, ky = rows // gw, keys // gw
+            y_scratch = np.empty((ky, qy + ky - 1, gw, gw), dtype)
+            x_scratch = np.zeros((gw, qy + ky - 1, 2 * gw - 1), dtype)
+        kv_part = np.empty(keys * d, dtype) if rows < t else None
+        for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
+            width = c.stop - c.start
+            p, ds = _tile_view(p_scratch, b, h, r, width), _tile_view(ds_scratch, b, h, r, width)
+            qs = _tile_view(q_scratch, b, h, r, d)
+            _probs_tile(p, qs, q[b, h, r], k[b, h, c], s, _window_tile(window, gw, h, r, c), row_max(b, h, r),
+                        sums[b, h, r])
+            gt, later = g[b, h, r], None if r.start == 0 else _tile_view(kv_part, b, h, c, d)
+            _matmul_into(p.swapaxes(-1, -2), gt, gv[b, h, c], later)
+            np.matmul(gt, v[b, h, c].swapaxes(-1, -2), out=ds)
             ds -= g_dot_o[b, h, r]
             ds *= p
-            np.matmul(ds, k[b, h], out=gq[b, h, r])
-            _matmul_into(ds.swapaxes(-1, -2), q[b, h, r], gk[b, h], later)
-            if gwindow is not None:
-                _window_add(gwindow[h, r.start // gw:r.stop // gw], ds)
+            _matmul_into(ds, k[b, h, c], gq[b, h, r], None if c.start == 0 else qs)
+            _matmul_into(ds.swapaxes(-1, -2), q[b, h, r], gk[b, h, c], later)
+            if bias is not None:  # table rows from displacement first query row - last key row
+                if c.start == 0:  # a block of queries starts from zeroed scratch
+                    y_scratch.fill(0)
+                y0 = (r.start - c.stop) // gw + gh
+                gtable[h, y0:y0 + (r.stop - r.start + width) // gw - 1] += _diagonal_sums(
+                    ds, gw, y_scratch, x_scratch)
         gq *= s
         gk *= s
         if bias is None:
             return (grad.reshape(qkv.shape),)
-        return (grad.reshape(qkv.shape), gflipped[:, ::-1, ::-1])
+        return (grad.reshape(qkv.shape), gtable)
 
     result = _apply("attention", inputs, out.reshape(n, t, heads * d), bwd)
     return result, probs

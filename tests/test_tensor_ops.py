@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from helpers import (attention_gradients_loop, attention_loop, bilinear_scalar, check_gradients,
-                     conv2d_loop, conv2d_weight_grad_loop, dot, kept_by_node, matmul_loop,
-                     relative_index_loop, traced_bytes)
+from helpers import (FD_STEP, GRAD_TOL, attention_gradients_loop, attention_loop, bilinear_scalar,
+                     check_gradients, conv2d_loop, conv2d_weight_grad_loop, dot, grad_rel_error,
+                     kept_by_node, matmul_loop, relative_index_loop, traced_bytes)
 from litnet.data import synthetic_dataset
 from litnet.errors import NumericError, ShapeError, StateError
 from litnet.model import build, toy_config
@@ -207,14 +207,14 @@ def run_attention(q, k, v, table=None, with_probs=False):
     return split_heads(out.data, q.shape[1]), probs
 
 
-# Row tiles round their matrix products differently from one full-size
+# Tiles round their matrix products differently from one full-size
 # product, so the float32 output is not bit-identical to the unfused path.
 # It stays within this many float32 ulps of max(P @ |v|), the largest sum
 # of |terms| behind one output, against the float64 unfused path. The worst
 # measured over this file's float32 stage-shape and TILE_EDGES inputs was
 # 4.75 on the unshifted exp path (heads_not_dividing without a bias) and
-# 4.61 on the shifted one (row_longer_than_tile with a bias); over the four
-# stage shapes at seeds 21-25, 6.67 and 5.52.
+# 4.72 on the shifted one (stage 2's shape); over the four stage shapes at
+# seeds 21-25, 6.04 and 4.88.
 ATTENTION_ULPS = 8
 
 
@@ -224,19 +224,21 @@ def attention_ulps(got, want, probs, v) -> float:
 
 @contextmanager
 def exp_path(path=None):
-    """Spy on ``_exp_rows`` and yield the list of ``shift`` flags ``attention``
-    gives its tiles. On the "shifted" path every tile is made to subtract
-    its row maxima, which is safe for any logits; the "unshifted" path
+    """Spy on ``_exp_rows`` and yield, for each tile ``attention`` gives it,
+    whether the tile is shifted. On the "shifted" path the call's bound is
+    made to refuse the unshifted exp, so every tile subtracts its rows'
+    running maximum, which is safe for any logits; the "unshifted" path
     asserts at exit that every tile took exp(z) directly, as O(1) inputs
     do; None only records."""
     shifts = []
-    exp_rows = tensor_module._exp_rows
+    exp_rows, fits = tensor_module._exp_rows, tensor_module._unshifted_exp_fits
 
-    def spy(z, ones, sums, shift):
-        shifts.append(shift)
-        exp_rows(z, ones, sums, shift or path == "shifted")
+    def spy(z, ones, sums, rowmax):
+        shifts.append(rowmax is not None)
+        return exp_rows(z, ones, sums, rowmax)
 
-    with mock.patch.object(tensor_module, "_exp_rows", spy):
+    with mock.patch.object(tensor_module, "_exp_rows", spy), mock.patch.object(
+            tensor_module, "_unshifted_exp_fits", (lambda *args: False) if path == "shifted" else fits):
         yield shifts
     if path == "unshifted":
         assert shifts and not any(shifts)
@@ -275,37 +277,63 @@ def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, 
             assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS, path
 
 
-# [N, heads, T] and a tile size without a bias, and [N, heads, (H, W)] with
-# one at the default tile size, where a row tile is rounded to whole grid rows
+# [N, heads, T] without a bias and [N, heads, (H, W)] with one, each with the
+# _ATTN_TILE it runs under. A head of T * T logits within the tile is one
+# tile, with more heads or images when they fit; a larger one is cut into
+# blocks of 2s queries by s keys, s = isqrt(tile // 4), rounded to whole grid
+# rows under a bias (at least one), and the last blocks may be short
 TILE_EDGES = {
-    "t1": ((2, 3, 1, _ATTN_TILE), (2, 3, (1, 1))),                    # T = 1
-    # a head fills one tile exactly; 16 grid rows fill one tile exactly
-    "head_fills_tile": ((1, 2, 64, 64 * 64), (1, 2, (32, 32))),
-    # 7 rows per tile do not divide T; 436 rows round down to 9 grid rows
-    "rows_not_dividing": ((1, 2, 400, 3000), (1, 2, (25, 48))),
-    # one row is longer than a tile; 327 rows round down to none, then up to one grid row
-    "row_longer_than_tile": ((1, 1, 40, 30), (1, 1, (2, 800))),
+    "t1": ((2, 3, 1, _ATTN_TILE), (2, 3, (1, 1), _ATTN_TILE)),                    # T = 1
+    # a head fills its tile exactly
+    "head_fills_tile": ((1, 2, 64, 64 * 64), (1, 2, (32, 32), 2 ** 20)),
+    # blocks of 54 queries by 27 keys, 22 of each left over; at the default
+    # tile a 25 x 48 grid takes 15 then 10 query rows by 8, 8, 8 and 1 key rows
+    "rows_not_dividing": ((1, 2, 400, 3000), (1, 2, (25, 48), _ATTN_TILE)),
+    # a query's 40 logits are longer than the tile: blocks of 4 queries by 2
+    # keys; an 800-token grid row is longer than a block of either side
+    "row_longer_than_tile": ((1, 1, 40, 30), (1, 1, (2, 800), _ATTN_TILE)),
     # N > 1, one tile spans all heads of all images
-    "tile_spans_heads": ((3, 4, 16, _ATTN_TILE), (3, 4, (4, 4))),
+    "tile_spans_heads": ((3, 4, 16, _ATTN_TILE), (3, 4, (4, 4), _ATTN_TILE)),
     # tiles of two heads over three
-    "heads_not_dividing": ((2, 3, 400, 2 * 400 * 400), (2, 3, (20, 24))),
-    "images_not_dividing": ((5, 2, 256, _ATTN_TILE), (5, 2, (16, 16))),  # four images over five
+    "heads_not_dividing": ((2, 3, 400, 2 * 400 * 400), (2, 3, (20, 24), _ATTN_TILE)),
+    # four images over five
+    "images_not_dividing": ((5, 2, 256, _ATTN_TILE), (5, 2, (16, 16), _ATTN_TILE)),
+    # queries 32 + 8 by keys 16 + 16 + 8; grid query rows 5 + 5 by key rows 3 + 3 + 3 + 1
+    "keys_not_dividing": ((1, 2, 40, 1024), (1, 2, (10, 6), 1024)),
+    # queries 10 by keys 5; grid query rows 2 by one key row
+    "one_key_row": ((1, 2, 30, 100), (1, 2, (6, 10), 400)),
+    # queries 20 + 20 + 5 by keys 4 x 10 + 5; grid query rows 4 + 4 + 1 by key rows 4 x 2 + 1
+    "last_blocks_partial": ((1, 2, 45, 400), (1, 2, (9, 8), 1024)),
+    # N > 1 with key blocks: queries 20 + 10 by keys 10; grid query rows 4 + 2 by key rows 2
+    "images_key_blocks": ((3, 2, 30, 400), (3, 2, (6, 5), 400)),
+    # a 40-token grid row is longer than a block of 20 queries or 10 keys:
+    # blocks of one grid row each; without a bias, 4 queries by 2 keys
+    "grid_row_longer_than_block": ((1, 2, 12, 20), (1, 2, (3, 40), 400)),
 }
+
+
+def tile_edge(case, with_bias):
+    """(n, heads, T, tile, grid) of a TILE_EDGES case; grid is None without a bias."""
+    plain, (n, heads, grid, tile) = TILE_EDGES[case]
+    return (n, heads, grid[0] * grid[1], tile, grid) if with_bias else (*plain, None)
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
 @pytest.mark.parametrize("case", TILE_EDGES)
 def test_attention_tile_edges_match_the_unfused_path(case, with_bias):
     rng = np.random.default_rng(22)
-    plain, (n, heads, grid) = TILE_EDGES[case]
-    n, heads, t, tile = (n, heads, grid[0] * grid[1], _ATTN_TILE) if with_bias else plain
-    q, k, v = attention_inputs(rng, n, heads, t, 8)
-    table = bias_table(rng, heads, grid) if with_bias else None
-    want, probs = unfused_attention(q, k, v, table)
-    for path in EXP_PATHS:
-        with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path(path):
-            got, _ = run_attention(q, k, v, table)
-        assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS, path
+    n, heads, t, tile, grid = tile_edge(case, with_bias)
+    for dtype in (np.float32, np.float64):
+        q, k, v = attention_inputs(rng, n, heads, t, 8, dtype)
+        table = bias_table(rng, heads, grid, dtype) if with_bias else None
+        want, probs = unfused_attention(q, k, v, table)
+        for path in EXP_PATHS:
+            with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path(path):
+                got, _ = run_attention(q, k, v, table)
+            if dtype == np.float64:
+                assert np.abs(got - want).max() < 1e-12, path
+            else:
+                assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS, path
 
 
 def test_attention_on_a_tape_equals_the_eval_result():
@@ -357,9 +385,9 @@ def test_attention_checks_each_tile_when_the_logit_bound_is_too_large():
     flags = []
     exp_rows = tensor_module._exp_rows
 
-    def spy(z, ones, sums, shift):
-        flags.append(shift)
-        exp_rows(z, ones, sums, shift)
+    def spy(z, ones, sums, rowmax):
+        flags.append(rowmax is not None)
+        return exp_rows(z, ones, sums, rowmax)
 
     with mock.patch.object(tensor_module, "_exp_rows", spy):
         got, _ = run_attention(q, k, v, table)
@@ -385,6 +413,82 @@ def test_attention_shifts_when_unshifted_exp_could_overflow(entry, v_peak):
     assert np.isfinite(got).all()
     want, probs = unfused_attention(q, k, v, table)
     assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+
+
+# a 6 x 5 grid under a 400-logit tile: query blocks of 4 and 2 grid rows,
+# each meeting key blocks of grid rows 0-1, 2-3 and 4-5 in turn
+LATER_BLOCKS = (6, 5), 400
+
+
+@pytest.mark.parametrize("path", ["shifted", "unshifted"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["q", "k", "table"])
+def test_attention_refuses_a_non_finite_value_met_in_a_later_block(where, bad, path):
+    # q: query 29 lies in the second query block; k: key 29 in the last key
+    # block; table row 3 is displacement dy = -2, which every query meets
+    # only in key rows 2-5. The shifted path checks each tile and refuses
+    # one after the first; with the unshifted exp forced, the value reaches
+    # the output, whose check refuses it
+    rng = np.random.default_rng(39)
+    grid, tile = LATER_BLOCKS
+    q, k, v = attention_inputs(rng, 1, 2, 30, 4)
+    table = bias_table(rng, 2, grid)
+    if where == "table":
+        table[1, 3, 4] = bad
+    else:
+        {"q": q, "k": k}[where][0, 1, 29, 3] = bad
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path() as shifts, \
+            mock.patch.object(tensor_module, "_unshifted_exp_fits", lambda *args: path == "unshifted"), \
+            np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericError, match="attention"):
+        run_attention(q, k, v, table)
+    assert len(shifts) > 1 and all(shifts) == (path == "shifted")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_rescales_when_the_row_maximum_rises_in_a_later_key_block(dtype):
+    # key channel 0 grows by 20 per key block and every query's channel 0 is
+    # 1, so each later key block raises every row's maximum
+    rng = np.random.default_rng(40)
+    grid, tile = LATER_BLOCKS
+    q, k, v = attention_inputs(rng, 1, 2, 30, 4, dtype)
+    table = bias_table(rng, 2, grid, dtype)
+    q[..., 0] = 1.0
+    k[..., 0] += np.repeat(20.0 * np.arange(3), 10).astype(dtype)
+    rises = []
+    exp_rows = tensor_module._exp_rows
+
+    def spy(z, ones, sums, rowmax):
+        before = rowmax.copy()
+        scale = exp_rows(z, ones, sums, rowmax)
+        rises.append(bool(np.all(rowmax > before)))
+        return scale
+
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path("shifted"), \
+            mock.patch.object(tensor_module, "_exp_rows", spy):
+        got, _ = run_attention(q, k, v, table)
+    assert rises == [True] * 12  # 2 heads x 2 query blocks x 3 key blocks
+    want, probs = unfused_attention(q, k, v, table)
+    if dtype == np.float64:
+        assert np.abs(got - want).max() < 1e-12
+    else:
+        assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
+
+
+@pytest.mark.parametrize("path", EXP_PATHS)
+def test_attention_with_probs_in_key_blocks_keeps_the_plain_output(path):
+    # the probabilities are rebuilt from the kept row maxima and sums after
+    # the output is formed, so asking for them changes no output bit
+    rng = np.random.default_rng(41)
+    n, heads, t, tile, grid = tile_edge("last_blocks_partial", True)
+    q, k, v = attention_inputs(rng, 2, heads, t, 8)
+    table = bias_table(rng, heads, grid)
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile), exp_path(path):
+        plain, _ = run_attention(q, k, v, table)
+        got, probs = run_attention(q, k, v, table, with_probs=True)
+    assert got.tobytes() == plain.tobytes()
+    assert np.abs(probs.astype(np.float64).sum(axis=-1) - 1.0).max() <= 8 * EPS32
+    want = unfused_attention(q, k, v, table)[1]
+    assert np.abs(probs - want).max() <= ATTENTION_ULPS * EPS32
 
 
 def test_a_toy_train_step_takes_the_unshifted_path_in_every_tile():
@@ -482,13 +586,13 @@ def table_gradient_and_ds(q, k, v, table, g):
     pass sums into the table, caught where a tile of it is summed over images
     (every case here is one tile)."""
     seen = []
-    window_add = tensor_module._window_add
+    diagonal_sums = tensor_module._diagonal_sums
 
-    def spy(window, ds):
+    def spy(ds, *args):
         seen.append(ds.copy())
-        window_add(window, ds)
+        return diagonal_sums(ds, *args)
 
-    with mock.patch.object(tensor_module, "_window_add", spy):
+    with mock.patch.object(tensor_module, "_diagonal_sums", spy):
         gb = attention_gradients(q, k, v, table, g, True)[3]
     (ds,) = seen
     return gb, ds
@@ -547,11 +651,11 @@ def test_taped_attention_backward_allocates_only_the_gradients_dp_and_its_image_
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
 @pytest.mark.parametrize("case", TILE_EDGES)
 def test_attention_tile_edge_gradients_match_the_loop_oracle(case, with_bias):
-    # the backward recomputes each of the forward's tiles and adds dk, dv
-    # and the table gradient up over row tiles, heads and images
+    # the backward rebuilds each of the forward's tiles from the kept row
+    # sums and maxima, adds dq up over key blocks, dk and dv over query
+    # blocks, and the table gradient over tiles, heads and images
     rng = np.random.default_rng(33)
-    plain, (n, heads, grid) = TILE_EDGES[case]
-    n, heads, t, tile = (n, heads, grid[0] * grid[1], _ATTN_TILE) if with_bias else plain
+    n, heads, t, tile, grid = tile_edge(case, with_bias)
     q, k, v = attention_inputs(rng, n, heads, t, 8, np.float64)
     table = bias_table(rng, heads, grid, np.float64) if with_bias else None
     g = rng.normal(size=(n, heads, t, 8))
@@ -576,6 +680,43 @@ def test_attention_gradients_in_row_tiles_match_finite_differences(with_bias):
     with mock.patch.object(tensor_module, "_ATTN_TILE", 5 * t):
         check_gradients(lambda: dot(probe, attention(qkv, heads, bias)[0]),
                         [qkv] if bias is None else [qkv, bias])
+
+
+# the TILE_EDGES cases whose heads are cut into key blocks
+KEY_BLOCK_EDGES = ["rows_not_dividing", "row_longer_than_tile", "keys_not_dividing", "one_key_row",
+                   "last_blocks_partial", "images_key_blocks", "grid_row_longer_than_block"]
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+@pytest.mark.parametrize("case", KEY_BLOCK_EDGES)
+def test_attention_key_block_gradients_match_finite_differences(case, with_bias):
+    # central differences of the loss along random directions of qkv and of
+    # the table against the taped gradient's projection on them
+    rng = np.random.default_rng(38)
+    n, heads, t, tile, grid = tile_edge(case, with_bias)
+    leaves = [Tensor(rng.normal(size=(n, t, 3 * heads * 2)), requires_grad=True)]
+    if with_bias:
+        leaves.append(Tensor(bias_table(rng, heads, grid, np.float64), requires_grad=True))
+    probe = Tensor(rng.normal(size=(n, t, heads * 2)))
+
+    def loss():
+        return dot(probe, attention(leaves[0], heads, leaves[1] if with_bias else None)[0])
+
+    with mock.patch.object(tensor_module, "_ATTN_TILE", tile):
+        with Tape() as tape:
+            out = loss()
+        tape.backward(out)
+        for leaf in leaves:
+            saved = leaf.data.copy()
+            for _ in range(3):
+                u = rng.normal(size=saved.shape)
+                leaf.data[...] = saved + FD_STEP * u
+                up = loss().item()
+                leaf.data[...] = saved - FD_STEP * u
+                down = loss().item()
+                leaf.data[...] = saved
+                numeric = (up - down) / (2 * FD_STEP)
+                assert grad_rel_error(np.float64(np.vdot(leaf.grad, u)), np.float64(numeric)) < GRAD_TOL
 
 
 @pytest.mark.parametrize("where", ["q", "k", "v", "table"])
@@ -620,7 +761,8 @@ def test_a_taped_attention_and_its_backward_peak_at_the_gradients_and_two_tiles(
 
     _, peak = traced_bytes(forward_and_backward)
     # the gradients of qkv and the table; the output, its gradient and g * o,
-    # each a third of qkv; the backward's probability and dS tiles. The full
+    # each a third of qkv; the backward's probability and dS blocks and the
+    # table gradient's two skew scratches, within two tiles. The full
     # [1, 3, 1024, 1024] map and dS would take 12 MiB each
     out = qkv.data.nbytes // 3
     tiles = 2 * min(_ATTN_TILE, n * heads * t * t) * qkv.data.itemsize
