@@ -114,12 +114,15 @@ def test_grad_matmul_both_modes():
     check_gradients(projected(rng, lambda: matmul(ab, bb)), [ab, bb])
     lead = rand(rng, 2, 6, 3)
     check_gradients(projected(rng, lambda: matmul(lead, w)), [lead, w])
+    # a 4-d input's product and input gradient run as one GEMM over its rows
+    rows = rand(rng, 2, 3, 4, 3)
+    check_gradients(projected(rng, lambda: matmul(rows, w)), [rows, w])
 
 
 def test_grad_matmul_with_bias():
     rng = np.random.default_rng(7)
     w, b = rand(rng, 3, 4), rand(rng, 4)
-    for a in (rand(rng, 5, 3), rand(rng, 2, 6, 3)):
+    for a in (rand(rng, 5, 3), rand(rng, 2, 6, 3), rand(rng, 2, 3, 4, 3)):
         check_gradients(projected(rng, lambda: matmul(a, w, b)), [a, w, b])
 
 

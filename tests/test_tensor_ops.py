@@ -3,6 +3,7 @@ oracles."""
 
 import importlib
 import math
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from unittest import mock
@@ -46,12 +47,24 @@ def test_matmul_orthogonal_selection():
     assert np.array_equal(matmul(a, b).data, [[0.0]])
 
 
-def test_matmul_matches_loop_oracle():
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("a_shape", [(4, 3), (2, 3, 5, 3)], ids=["2d", "4d"])
+def test_matmul_matches_loop_oracle(a_shape, dtype, with_bias):
+    # a 4-d input times the 2-d weight runs as one GEMM over its 30 rows; a
+    # float32 sum of n terms stays within n * eps32 of the sum of their magnitudes
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(4, 3))
+    a = rng.normal(size=a_shape)
     b = rng.normal(size=(3, 5))
-    got = matmul(tensor(a), tensor(b)).data
-    assert np.abs(got - matmul_loop(a, b)).max() < 1e-12
+    c = rng.normal(size=5) if with_bias else np.zeros(5)
+    got = matmul(tensor(a, dtype), tensor(b, dtype), tensor(c, dtype) if with_bias else None).data
+    assert got.dtype == dtype and got.shape == (*a_shape[:-1], 5)
+    want = matmul_loop(a.reshape(-1, 3), b).reshape(got.shape) + c
+    if dtype == np.float64:
+        assert np.abs(got - want).max() < 1e-12
+    else:
+        magnitude = np.abs(a) @ np.abs(b) + np.abs(c)
+        assert (np.abs(got - want) <= 4 * EPS32 * magnitude).all()
 
 
 def test_matmul_shape_error_reports_both_shapes():
@@ -74,6 +87,56 @@ def test_matmul_bias_is_bit_equal_to_adding_it_after(a_shape, dtype, bias_dtype)
     got, want = matmul(a, w, bias).data, add(matmul(a, w), bias).data
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_non_contiguous_input_times_a_2d_weight_gives_the_product_and_gradients():
+    # a transposed view is not C-contiguous, so the product and the input
+    # gradient take numpy's stacked product; the gradients equal those of the
+    # contiguous copy, whose path passes the finite-difference check in
+    # test_autodiff.py
+    rng = np.random.default_rng(53)
+    base = rng.normal(size=(2, 5, 3, 16))
+    w, b, probe = rng.normal(size=(16, 7)), rng.normal(size=7), rng.normal(size=(2, 3, 5, 7))
+    view = base.swapaxes(1, 2)
+    assert not view.flags.c_contiguous
+    grads = []
+    for data in (view, np.ascontiguousarray(view)):
+        a, wt, bt = Tensor(data, requires_grad=True), tensor(w, requires_grad=True), \
+            tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = matmul(a, wt, bt)
+            loss = dot(Tensor(probe), out)
+        want = matmul_loop(data.reshape(-1, 16), w).reshape(out.shape) + b
+        assert np.abs(out.data - want).max() < 1e-12
+        tape.backward(loss)
+        grads.append((a.grad, wt.grad, bt.grad))
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() < 1e-12
+    assert np.abs(grads[0][0] - probe @ w.T).max() < 1e-12
+
+
+def test_a_2d_weight_takes_a_non_contiguous_output_gradient():
+    rng = np.random.default_rng(54)
+    a = Tensor(rng.normal(size=(2, 3, 5, 16)), requires_grad=True)
+    w = tensor(rng.normal(size=(16, 7)), requires_grad=True)
+    g = rng.normal(size=(2, 5, 3, 7)).swapaxes(1, 2)
+    with Tape() as tape:
+        matmul(a, w)
+    (_, _, backward), = tape._nodes
+    ga, gw = backward(g)
+    assert np.abs(ga - g @ w.data.T).max() < 1e-12
+    assert np.abs(gw - a.data.reshape(-1, 16).T @ g.reshape(-1, 7)).max() < 1e-12
+
+
+def test_a_contiguous_4d_input_times_a_2d_weight_allocates_only_its_output():
+    # the [1, 28, 28, 384] @ [384, 192] product of lit-s's first merge
+    rng = np.random.default_rng(55)
+    a = Tensor(rng.normal(size=(1, 28, 28, 384)).astype(np.float32))
+    w = Tensor(rng.normal(size=(384, 192)).astype(np.float32))
+    matmul(a, w)  # warm-up
+    kept, peak = traced_bytes(lambda: matmul(a, w))
+    out_bytes = 28 * 28 * 192 * 4
+    assert out_bytes <= kept <= peak <= out_bytes + 2 ** 12
 
 
 @pytest.mark.parametrize("bias_shape", [(5,), (1, 4)])
@@ -874,6 +937,51 @@ def test_gelu_float32_is_within_4_ulps_of_float64_on_a_dense_grid():
     assert err.max() <= 4.0
 
 
+def test_gelu_float32_is_within_its_measured_margin_on_a_dense_grid():
+    # The tanh form's worst cases on this grid are 1.18 eps32 * max(|x|, 1)
+    # for GELU and 0.81 eps32 for its cdf against float64 Phi, the same with
+    # numpy 2.4's AVX2 (X86_V3) and AVX-512 (X86_V4) float32 tanh; the bounds
+    # leave room for another tanh kernel.
+    x = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)
+    out, cdf = np.empty_like(x), np.empty_like(x)
+    tensor_module._gelu_into(x, out, cdf)
+    assert out.tobytes() == gelu(Tensor(x)).data.tobytes()
+    x64 = x.astype(np.float64)
+    err = np.abs(out - gelu64(x)) / (EPS32 * np.maximum(np.abs(x64), 1.0))
+    assert err.max() <= 1.5
+    assert np.abs(cdf - 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))).max() <= 1.25 * EPS32
+
+
+def test_gelu_float32_saturates_past_5_5_and_stays_finite_without_a_clamp():
+    # float32 tanh(t) rounds to 1 once 1 - tanh(t), about 2 exp(-2t), is below
+    # half an ulp under 1, 2^-25: past t = 13 ln 2 = 9.01. numpy 2.4's SIMD
+    # tanh returns 1 - 2^-24 there up to t = 10, one ulp off, and 1 from 10
+    # on; 1 - 2^-24 + 1 ties to 2 and rounds to even, so Phi is 1 either way.
+    # Below zero the same ulp leaves Phi at 2^-25, down to x = -5.72 (t = 10),
+    # against the exact Phi(-5.5) of 1.9e-8. The kernel's own Horner steps
+    # reach t = 9.08 at x = 5.5, and +inf where x^2 or the polynomial
+    # overflows, which tanh takes to 1 too.
+    big = np.geomspace(5.5, float(np.finfo(np.float32).max), 100_001).astype(np.float32)
+    with np.errstate(over="ignore"):
+        u = big * big
+        t = np.full_like(big, tensor_module._GELU_G[0])
+        for c in tensor_module._GELU_G[1:]:
+            t = t * u + c
+        t *= big
+    assert t.min() >= 9.02
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes the kernel
+        assert gelu(Tensor(big)).data.tobytes() == big.tobytes()
+        low = gelu(Tensor(-big)).data
+        assert ((low == 0.0) | (low == -big * np.float32(2.0 ** -25))).all()
+        assert (low[big >= 6.0] == 0.0).all()
+        # every finite float32, from the largest through the subnormals to
+        # zero, has a finite GELU; a non-finite output would raise
+        tiny = np.geomspace(float(np.finfo(np.float32).smallest_subnormal), 5.5, 10_001)
+        everything = np.concatenate([tiny, big, -tiny, -big, [0.0]]).astype(np.float32)
+        assert np.isfinite(gelu(Tensor(everything)).data).all()
+
+
 def test_gelu_float32_gradient_is_within_4_ulps_of_float64():
     x = np.linspace(-8.0, 8.0, 3 * _BLOCK + 5, dtype=np.float32)
     leaf = Tensor(x, requires_grad=True)
@@ -1118,18 +1226,19 @@ def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     params = tuple(Tensor(p) for p in mlp_params(rng, c, hidden, np.float32))
     _, peak = traced_bytes(lambda: residual_mlp(Tensor(x), *params))
     # the output, x's size, the normed tile, the one pre-activation tile
-    # that GELU overwrites in place, and three GELU blocks: z, z^2 and the
-    # cdf. Separate GELU and cdf tiles would add 1.5 MiB; the unfused ops
-    # held several [3136, 384] arrays of 4.6 MiB
+    # that GELU overwrites in place, and two GELU blocks: x^2 and the cdf
+    # (measured 2.04 blocks beyond the rest). Separate GELU and cdf tiles
+    # would add 1.5 MiB; the unfused ops held several [3136, 384] arrays of
+    # 4.6 MiB
     rows = tensor_module._MLP_ROWS
-    scratch = (rows * (c + hidden) + 3 * min(rows * hidden, _BLOCK)) * x.itemsize
+    scratch = (rows * (c + hidden) + 2 * min(rows * hidden, _BLOCK)) * x.itemsize
     assert peak <= x.nbytes + scratch + 2 ** 18
 
 
 def test_a_taped_residual_mlp_forward_allocates_its_kept_arrays_and_one_tile():
     # the tape keeps the statistics and the cdf in full beside the output;
-    # the forward adds the normed and pre-activation tiles and the z and
-    # z^2 GELU blocks
+    # the forward adds the normed and pre-activation tiles and the one x^2
+    # GELU block (measured 1.02 blocks beyond the rest)
     rng = np.random.default_rng(51)
     c, hidden = 96, 384
     x = Tensor(rng.normal(size=(1, 3136, c)).astype(np.float32), requires_grad=True)
@@ -1143,7 +1252,7 @@ def test_a_taped_residual_mlp_forward_allocates_its_kept_arrays_and_one_tile():
     kept, peak = traced_bytes(forward)
     m, rows = x.size // c, tensor_module._MLP_ROWS
     held = (m * (hidden + 2) + x.size) * x.data.itemsize
-    scratch = (rows * (c + hidden) + 2 * min(rows * hidden, _BLOCK)) * x.data.itemsize
+    scratch = (rows * (c + hidden) + min(rows * hidden, _BLOCK)) * x.data.itemsize
     assert kept <= held + 2 ** 16
     assert peak <= held + scratch + 2 ** 18
 
