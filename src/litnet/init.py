@@ -1,4 +1,12 @@
-"""Deterministic parameter initialization helpers."""
+"""Deterministic parameter initialization helpers.
+
+Each helper draws from the generator it is given. ``LitModel`` gives every
+unit of the model (patch embedding, position table, merge, block, head) its
+own PCG64 generator, keyed by the model seed and the unit's checkpoint-name
+prefix, so a unit's values depend on neither the worker count nor whether
+the units are built in order or on a thread pool. The draws are float64 in
+every dtype, so a float32 build is the rounded float64 one.
+"""
 
 from __future__ import annotations
 

@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, get_type_hints
+from typing import Callable, Iterable, Mapping, get_type_hints
 
 import numpy as np
 
-from .blocks import (MlpBlockParams, PatchEmbedParams, TransformerBlockParams,
+from .blocks import (PATCH_DIM, MlpBlockParams, PatchEmbedParams, TransformerBlockParams,
                      mlp_block, patch_embed, transformer_block)
 from .checkpoint import read_counter
 from .dtm import DtmParams, dtm_forward
@@ -29,6 +32,13 @@ POS_KINDS = ("absolute", "relative", "none")
 
 # Stages whose input receives the learnable absolute position table.
 ABSOLUTE_POS_STAGES = (3, 4)
+# Weights drawn from which a model builds its units on a thread pool; a
+# smaller one builds them in order on the calling thread. Widening the toy
+# layout, the pool overtook the serial build between 155k weights (6.1-6.2
+# against 4.6-5.2 ms) and 193k (5.7-6.6 against 6.4-6.9 ms); the toy draws
+# 137k, lit-s 27.9M (0.33-0.36 s against 0.61-0.65 s). 2-vCPU x86-64,
+# medians of 25 interleaved builds, two runs.
+_PARALLEL_MIN_WEIGHTS = 200_000
 
 
 def _fields_from_dict(cls, data, what: str) -> dict:
@@ -253,6 +263,33 @@ def _layer(path: str):
         raise NumericError(f"{path}: {exc}") from exc
 
 
+def _build_units(units: list[tuple[str, int, Callable]], seed: int) -> dict:
+    """``create(rng)`` of each (prefix, weights drawn, create) unit, by
+    prefix, each from its own generator keyed by ``seed`` and the unit's
+    checkpoint-name prefix alone. With more than one usable CPU and at least
+    ``_PARALLEL_MIN_WEIGHTS`` weights in all, the units run largest first on
+    one worker thread per CPU (numpy's draws release the GIL); else in order
+    on this thread. Either way each unit draws the same values."""
+    def build(prefix: str, make: Callable):
+        return make(np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *prefix.encode()]))))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(units))
+    if workers < 2 or sum(size for _, size, _ in units) < _PARALLEL_MIN_WEIGHTS:
+        return {prefix: build(prefix, make) for prefix, _, make in units}
+    with ThreadPoolExecutor(workers) as pool:
+        futures = {prefix: pool.submit(build, prefix, make)
+                   for prefix, _, make in sorted(units, key=lambda unit: -unit[1])}
+    return {prefix: future.result() for prefix, future in futures.items()}
+
+
+def _own(record, live: np.ndarray | None, dtype) -> np.ndarray:
+    """``live`` itself when the checkpoint record is that array, as in a
+    ``named_state()`` round trip; else a copy of the record in ``dtype``,
+    so that the model never shares a caller's buffer."""
+    return live if record is live else np.array(record, dtype=dtype)
+
+
 @dataclass
 class ForwardRecord:
     """Inspection data captured during one forward pass.
@@ -276,47 +313,60 @@ class LitModel:
     is safe; a train-mode forward updates the batch-norm running
     statistics. Inspection data (attention maps, DTM offset fields) goes
     to the caller's ``ForwardRecord``.
+
+    Each unit of the model (the patch embedding, each position table,
+    merge and block, and the head) draws its weights from its own
+    generator, keyed by ``seed`` and the unit's checkpoint-name prefix,
+    such as ``stage3.block1``. A unit's initial weights therefore depend on
+    neither the units built before it, nor the order or the thread they are
+    built on, nor the number of workers: two layouts that share a unit start
+    it from the same values, and float32 and float64 builds round the same
+    float64 draws. A model of at least ``_PARALLEL_MIN_WEIGHTS`` weights
+    builds its units on a thread pool.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         config.check()
         self.config = config
-        self.dtype = np.dtype(dtype).type
-
-        rng = np.random.Generator(np.random.PCG64(seed))
+        self.dtype = dt = np.dtype(dtype).type
         grids = config.grids()
-        self.embed = PatchEmbedParams.create(rng, config.stages[0].channels, self.dtype)
-
-        self.pos_tables: dict[int, Tensor] = {}
-        if config.positional_encoding == "absolute":
-            for stage in ABSOLUTE_POS_STAGES:
-                h, w = grids[stage - 1]
-                c = config.stages[stage - 1].channels
-                self.pos_tables[stage] = weight(rng, (h * w, c), self.dtype)
-
         relative = config.positional_encoding == "relative"
-        self.merges: dict[int, DtmParams] = {}
-        self.stages: list[list] = []
-        for idx, spec in enumerate(config.stages, start=1):
-            if idx > 1:
-                self.merges[idx] = DtmParams.create(
-                    rng, config.stages[idx - 2].channels, spec.channels, self.dtype,
-                    deformable=spec.merge_kind == MERGE_DTM)
-            blocks = []
-            for _ in range(spec.depth):
-                if spec.block_kind == BLOCK_MLP:
-                    blocks.append(MlpBlockParams.create(rng, spec.channels, spec.expansion, self.dtype))
-                else:
-                    blocks.append(TransformerBlockParams.create(
-                        rng, spec.channels, spec.heads, spec.expansion,
-                        grid=grids[idx - 1] if relative else None, dtype=self.dtype))
-            self.stages.append(blocks)
+        absolute = config.positional_encoding == "absolute"
+        c1, c4 = config.stages[0].channels, config.stages[3].channels
 
-        c4 = config.stages[3].channels
-        self.final_ln_g = ones(c4, self.dtype)
-        self.final_ln_b = zeros(c4, self.dtype)
-        self.head_w = weight(rng, (c4, config.num_classes), self.dtype)
-        self.head_b = zeros(config.num_classes, self.dtype)
+        # (checkpoint prefix, weights drawn, create(rng)) of each unit, in order
+        units = [("patch_embed", PATCH_DIM * c1, partial(PatchEmbedParams.create, channels=c1, dtype=dt))]
+        for stage in ABSOLUTE_POS_STAGES if absolute else ():
+            shape = (math.prod(grids[stage - 1]), config.stages[stage - 1].channels)
+            units.append((f"pos.stage{stage}", math.prod(shape), partial(weight, shape=shape, dtype=dt)))
+        for idx, spec in enumerate(config.stages, start=1):
+            c, e = spec.channels, spec.expansion
+            if idx > 1:
+                cin = config.stages[idx - 2].channels
+                units.append((f"stage{idx}.merge", 4 * cin * c, partial(
+                    DtmParams.create, cin=cin, cout=c, dtype=dt, deformable=spec.merge_kind == MERGE_DTM)))
+            if spec.block_kind == BLOCK_MLP:
+                size, make = 2 * e * c * c, partial(MlpBlockParams.create, channels=c, expansion=e, dtype=dt)
+            else:
+                h, w = grid = grids[idx - 1]
+                size = (2 * e + 4) * c * c + (spec.heads * (2 * h - 1) * (2 * w - 1) if relative else 0)
+                make = partial(TransformerBlockParams.create, channels=c, heads=spec.heads, expansion=e,
+                               grid=grid if relative else None, dtype=dt)
+            units += [(f"stage{idx}.block{i}", size, make) for i in range(spec.depth)]
+        shape = (c4, config.num_classes)
+        units.append(("head", math.prod(shape), partial(weight, shape=shape, dtype=dt)))
+        built = _build_units(units, seed)
+
+        self.embed = built["patch_embed"]
+        self.pos_tables: dict[int, Tensor] = {
+            stage: built[f"pos.stage{stage}"] for stage in ABSOLUTE_POS_STAGES if absolute}
+        self.merges: dict[int, DtmParams] = {idx: built[f"stage{idx}.merge"] for idx in range(2, 5)}
+        self.stages: list[list] = [[built[f"stage{idx}.block{i}"] for i in range(spec.depth)]
+                                   for idx, spec in enumerate(config.stages, start=1)]
+        self.final_ln_g = ones(c4, dt)
+        self.final_ln_b = zeros(c4, dt)
+        self.head_w = built["head"]
+        self.head_b = zeros(config.num_classes, dt)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -355,6 +405,8 @@ class LitModel:
         from the model's (for a moment ``opt.<param>.m`` or ``.v``, its
         parameter's), and a bad ``opt.step`` or ``meta.epoch``, all before
         anything is loaded; ``train.load_training_checkpoint`` checks no record again.
+        A record that is the model's own array, as in a ``named_state()``
+        round trip, is kept as it is; any other is copied.
         """
         params = self.named_params()
         missing = [n for n in params if n not in state]
@@ -389,12 +441,12 @@ class LitModel:
             if key in state:
                 read_counter(state, key)
         for name, t in params.items():
-            t.data = np.array(state[name], dtype=t.data.dtype)
+            t.data = _own(state[name], t.data, t.data.dtype)
         for stage, merge in self.merges.items():
             mean_key, var_key = stat_names[stage]
             if mean_key in state:
-                merge.bn_state.mean = np.asarray(state[mean_key], dtype=self.dtype).copy()
-                merge.bn_state.var = np.asarray(state[var_key], dtype=self.dtype).copy()
+                merge.bn_state.mean = _own(state[mean_key], merge.bn_state.mean, self.dtype)
+                merge.bn_state.var = _own(state[var_key], merge.bn_state.var, self.dtype)
 
     def seed_norm_stats(self) -> None:
         """Seed every batch-norm state with identity statistics."""
@@ -453,5 +505,8 @@ class LitModel:
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> LitModel:
-    """Build a model with deterministic seed-keyed initialization."""
+    """Build a model whose units draw their initial weights from streams
+    keyed by ``seed`` and each unit's checkpoint-name prefix; the values do
+    not depend on whether the units are built in order or on a thread pool,
+    nor on its worker count (see ``LitModel``)."""
     return LitModel(config, seed=seed, dtype=dtype)

@@ -78,9 +78,11 @@ at the 56 x 56 grid of the all-attention layout's stage 1 it is 13 query
 by 6 key grid rows, 0.93 MiB of float32. Each tile writes its scaled
 logits into scratch with one matrix product, adds the bias from the window
 view and exponentiates in place; one matrix-vector product with a column
-of ones takes its row sums, and one more product exp(z) @ v. Each key
-block adds these into its queries' zeroed sums and rows of the output, and
-after the last the [rows, d] output rows are divided by their sums, as
+of ones takes its row sums, and one more product exp(z) @ v. A block of
+queries' first key block writes these products straight into its sums and
+its strided rows of the output, and each later one adds into them through
+scratch, so a head of one tile makes no zero-fill and no add; after the
+last key block the [rows, d] output rows are divided by their sums, as
 FlashAttention-2 does.
 
 The exponent is exp(z) or exp(z - m). One Cauchy-Schwarz bound per call,
@@ -779,10 +781,11 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     ones = np.ones((t, 1), dtype)
 
     # the output, token-major as the output projection reads it, and each
-    # query row's softmax sum and, when shifted, its running maximum; the
-    # key blocks add into the first two
-    out = np.zeros((n, t, heads, d), dtype)
-    sums = np.zeros((n, heads, t, 1), dtype)
+    # query row's softmax sum and, when shifted, its running maximum; a
+    # query block's first key block writes the first two, and later ones
+    # add into them
+    out = np.empty((n, t, heads, d), dtype)
+    sums = np.empty((n, heads, t, 1), dtype)
     rowmax = np.full((n, heads, t, 1), -np.inf, dtype) if shift else None
 
     def row_max(b: slice, h: slice, r: slice) -> np.ndarray | None:
@@ -792,13 +795,18 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
         z, qs = _tile_view(z_scratch, b, h, r, c.stop - c.start), _tile_view(q_scratch, b, h, r, d)
         _logits(z, qs, q[b, h, r], k[b, h, c], s, _window_tile(window, gw, h, r, c))
-        o, total, part = out[b, r, h].swapaxes(1, 2), sums[b, h, r], _tile_view(part_scratch, b, h, r, 1)
-        scale = _exp_rows(z, ones[c], part, row_max(b, h, r))
-        if scale is not None:
-            total *= scale
-            o *= scale
-        total += part
-        o += np.matmul(z, v[b, h, c], out=qs)  # qs is free once the logits are formed
+        o, total = out[b, r, h].swapaxes(1, 2), sums[b, h, r]
+        if c.start == 0:  # BLAS takes o's and total's row strides as leading dimensions
+            _exp_rows(z, ones[c], total, row_max(b, h, r))
+            np.matmul(z, v[b, h, c], out=o)
+        else:
+            part = _tile_view(part_scratch, b, h, r, 1)
+            scale = _exp_rows(z, ones[c], part, row_max(b, h, r))
+            if scale is not None:
+                total *= scale
+                o *= scale
+            total += part
+            o += np.matmul(z, v[b, h, c], out=qs)  # qs is free once the logits are formed
         if c.stop == t:
             o /= total
     probs = np.empty((n, heads, t, t), dtype) if with_probs else None

@@ -1,16 +1,22 @@
 """Model factory: presets, config validation, forward shapes, ablations,
 and determinism."""
 
+import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import dot, micro_config, traced_bytes
-from litnet import blocks
+from litnet import blocks, model as model_module
+from litnet.checkpoint import load_tensors, save_tensors
 from litnet.data import synthetic_dataset
+from litnet.dtm import DtmParams
 from litnet.errors import ConfigError, NumericError, ShapeError, StateError
-from litnet.init import WEIGHT_STD, trunc_normal
+from litnet.init import WEIGHT_STD, trunc_normal, weight
 from litnet.model import (BLOCK_TRANSFORMER, MERGE_DTM, MERGE_LINEAR, ForwardRecord,
                           ModelConfig, StageSpec, ablate, build, preset, toy_config)
 from litnet.tensor import Tape, Tensor, attention
@@ -128,6 +134,136 @@ def test_build_is_deterministic():
                for n, p in a.named_params().items())
 
 
+def keyed_rng(seed: int, prefix: str) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *prefix.encode()])))
+
+
+def micro_units(seed: int) -> dict:
+    """``micro_config``'s parameters as each unit makes them from its keyed
+    stream, one unit after another on this thread."""
+    cfg = micro_config()
+    out = blocks.PatchEmbedParams.create(keyed_rng(seed, "patch_embed"), 4).named("patch_embed")
+    for idx, spec in enumerate(cfg.stages, start=1):
+        if idx > 1:
+            prefix = f"stage{idx}.merge"
+            out.update(DtmParams.create(keyed_rng(seed, prefix), cfg.stages[idx - 2].channels,
+                                        spec.channels).named(prefix))
+        prefix, rng = f"stage{idx}.block0", keyed_rng(seed, f"stage{idx}.block0")
+        if spec.block_kind == BLOCK_TRANSFORMER:
+            unit = blocks.TransformerBlockParams.create(rng, spec.channels, spec.heads, spec.expansion,
+                                                       grid=cfg.grids()[idx - 1])
+        else:
+            unit = blocks.MlpBlockParams.create(rng, spec.channels, spec.expansion)
+        out.update(unit.named(prefix))
+    out["head.w"] = weight(keyed_rng(seed, "head"), (8, 3))
+    return out
+
+
+def params_bits(m) -> dict:
+    """Each parameter's bytes, as a uint8 view of the live array."""
+    return {name: t.data.view(np.uint8) for name, t in m.named_params().items()}
+
+
+def differing_bits(a: dict, b: dict, names) -> list:
+    """The names among ``names`` whose arrays in ``a`` and ``b`` differ in a bit."""
+    return [n for n in names if n not in a or n not in b or not np.array_equal(a[n], b[n])]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_both_build_paths_make_each_unit_from_its_keyed_stream(monkeypatch, seed):
+    pools = []
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_WEIGHTS", float("inf"))
+    serial = [params_bits(build(micro_config(), seed)) for _ in range(2)]
+    assert pools == []
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_WEIGHTS", 0)
+    threaded = [params_bits(build(micro_config(), seed)) for _ in range(2)]
+    assert len(pools) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
+    units = {name: t.data.view(np.uint8) for name, t in micro_units(seed).items()}
+    for got in (*serial, *threaded):
+        assert got.keys() == serial[0].keys()
+        assert differing_bits(got, serial[0], got) == []
+        assert differing_bits(got, units, units) == []
+
+
+def test_more_workers_than_cores_build_the_same_bits_and_unique_tensor_keys(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_WEIGHTS", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [build(toy_config(), seed=2) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(model_module, "_PARALLEL_MIN_WEIGHTS", float("inf"))
+    serial = params_bits(build(toy_config(), seed=2))
+    for m in threaded:
+        params = m.named_params()
+        assert len({t.key for t in params.values()}) == len(params)
+        assert differing_bits(params_bits(m), serial, serial) == []
+
+
+def test_a_model_too_small_for_threads_builds_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", None)  # calling it would raise
+    build(toy_config(), seed=0)
+
+
+def attention_early(config: ModelConfig) -> ModelConfig:
+    stages = [replace(s, block_kind=BLOCK_TRANSFORMER, heads=2) for s in config.stages[:2]]
+    return replace(config, stages=(*stages, *config.stages[2:]))
+
+
+@pytest.mark.parametrize("config, removed", [
+    (attention_early(micro_config()), {1}),
+    (attention_early(micro_config()), {1, 2}),
+    (replace(preset("lit-s"), stages=(
+        *(replace(s, block_kind=BLOCK_TRANSFORMER, heads=s.channels // 32) for s in preset("lit-s").stages[:2]),
+        *preset("lit-s").stages[2:])), {1, 2}),
+], ids=["micro-stage1", "micro-stages12", "lit-s-from-all-attention"])
+def test_an_ablated_layout_starts_every_shared_unit_from_the_same_weights(config, removed):
+    full, ablated = params_bits(build(config, seed=3)), params_bits(build(ablate(config, removed), seed=3))
+    inside = tuple(f"stage{stage}.block" for stage in removed)
+    shared = [n for n in full if not n.startswith(inside)]
+    assert shared == [n for n in ablated if not n.startswith(inside)]
+    assert differing_bits(full, ablated, shared) == []
+    assert [n for n in full if n.startswith(inside)] != [n for n in ablated if n.startswith(inside)]
+
+
+@pytest.mark.parametrize("config", [micro_config(), micro_config(relative=False), toy_config()],
+                         ids=["micro", "micro-absolute", "toy"])
+def test_float32_and_float64_builds_round_the_same_draws(config):
+    m32, m64 = build(config, seed=5, dtype=np.float32), build(config, seed=5, dtype=np.float64)
+    p64 = m64.named_params()
+    for name, t in m32.named_params().items():
+        assert t.data.dtype == np.float32 and p64[name].data.dtype == np.float64
+        assert t.data.tobytes() == p64[name].data.astype(np.float32).tobytes(), name
+
+
+def test_a_state_round_trip_keeps_the_live_arrays():
+    m = build(toy_config(), seed=0)
+    m.seed_norm_stats()
+    live = m.named_state()
+    m.load_state(live)
+    after = m.named_state()
+    assert after.keys() == live.keys()
+    assert all(after[name] is arr for name, arr in live.items())
+
+
+def test_a_loaded_record_is_copied_not_shared(tmp_path):
+    source = build(toy_config(), seed=0)
+    source.seed_norm_stats()
+    save_tensors(tmp_path / "state.litckpt", source.named_state())
+    records = load_tensors(tmp_path / "state.litckpt")
+    m = build(toy_config(), seed=1)
+    m.load_state(records)
+    for name, arr in m.named_state().items():
+        assert not np.shares_memory(arr, records[name]), name
+        assert arr.tobytes() == records[name].tobytes(), name
+    records["head.w"][...] = 0.0
+    assert m.named_params()["head.w"].data.any()
+
+
 def test_parameter_names_unique_and_hierarchical():
     model = build(micro_config(), seed=0)
     names = list(model.named_params())
@@ -211,7 +347,6 @@ def test_ablate_empty_set_is_identity():
 
 
 def test_ablate_recovers_stock_layout_from_all_transformer():
-    from dataclasses import replace
     cfg = preset("lit-ti")
     all_msa = replace(cfg, stages=(
         replace(cfg.stages[0], block_kind="transformer", heads=1),

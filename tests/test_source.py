@@ -354,3 +354,60 @@ def test_every_op_of_several_tensors_refuses_mixed_dtypes_through_one_helper():
     assert sorted(checks) == ["add", "attention", "batch_norm", "conv2d", "deform_sample",
                               "layer_norm", "matmul", "residual_mlp"]
     assert {op: missing for op, missing in checks.items() if missing} == {}
+
+
+# numpy.random's seedable constructors; any other function of the module
+# draws from or reseeds numpy's legacy global generator.
+RNG_CONSTRUCTORS = {"Generator", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+                    "SeedSequence", "default_rng"}
+
+
+def unseeded_rngs(source: str) -> list[str]:
+    """``line: call`` for each call into ``numpy.random`` in ``source`` that
+    is not a constructor given an explicit seed: a constructor called with
+    no argument or a literal None, or any other function of the module.
+    Calls through ``np.random``, ``numpy.random``, an alias of the module or
+    a name imported from it all count."""
+    tree = ast.parse(source)
+    modules, names = {"np.random", "numpy.random"}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "numpy.random" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            modules |= {a.asname or a.name for a in node.names if a.name == "random"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            names |= {a.asname or a.name: a.name for a in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = ast.unparse(node.func)
+        module, _, attr = called.rpartition(".")
+        function = attr if module in modules else names.get(called)
+        if function is None:
+            continue
+        seed = node.args[0] if node.args else node.keywords[0].value if node.keywords else None
+        if function not in RNG_CONSTRUCTORS or seed is None \
+                or isinstance(seed, ast.Constant) and seed.value is None:
+            found.append((node.lineno, node.col_offset, f"{node.lineno}: {called}"))
+    return [text for *_, text in sorted(found)]
+
+
+def test_unseeded_rng_check_flags_every_form():
+    source = ("import numpy as np\nimport numpy.random as npr\nfrom numpy.random import default_rng as rng_of\n"
+              "a = np.random.default_rng(3)\n"
+              "b = np.random.Generator(np.random.PCG64(np.random.SeedSequence([1, 2])))\n"
+              "c = np.random.default_rng()\n"
+              "d = rng_of(None) if a.normal() else rng_of(seed=4)\n"
+              "np.random.seed(0)\n"
+              "e = np.random.normal(size=3) + npr.rand(2)\n"
+              "f = npr.PCG64(seed=None)\n")
+    assert unseeded_rngs(source) == ["6: np.random.default_rng", "7: rng_of", "8: np.random.seed",
+                                     "9: np.random.normal", "9: npr.rand", "10: npr.PCG64"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_generator_in_the_package_is_seeded(path):
+    # a model built on worker threads is reproducible only if every draw
+    # comes from a generator seeded by the caller, none from numpy's global one
+    assert unseeded_rngs(path.read_text()) == []
