@@ -485,6 +485,7 @@ class LitModel:
                 if record is not None and offsets is not None:
                     record.offsets[stage] = offsets
                 tokens = reshape(spatial, (n, h * w, spec.channels))
+                del spatial  # else the merge output outlives the stage's first block
             if stage in self.pos_tables:
                 with _layer(f"pos.stage{stage}"):
                     tokens = add(tokens, self.pos_tables[stage])

@@ -34,7 +34,8 @@ NaN or infinity among the terms reaches the sum. Only the ``softmax``
 that the model no longer calls keeps numpy's reductions.
 
 ``gelu`` and ``residual_mlp`` share one GELU kernel, ``_gelu_into``, which
-runs in blocks of ``_BLOCK`` elements and may write in place: float64
+runs in blocks of at most ``_BLOCK`` elements, with its x^2 block either
+its own or a buffer of the caller's, and may write in place: float64
 data goes through scipy's ``erf``, float32 data through the tanh form of
 Hendrycks & Gimpel (arXiv 1606.08415), Phi(x) = 0.5 + 0.5 * tanh(x * G(x^2)),
 with G a degree-6 polynomial (``_GELU_G``) fitted so that the float32 result
@@ -68,24 +69,36 @@ in a [heads, 2H-1, 2W-1] table of an H x W token grid. No [T, T] index is
 built: B for query (yi, xi) is an [H, W] window of a flipped copy of the
 table, read in place.
 
-The op works on tiles. A head whose T x T logits fit in ``_ATTN_TILE`` is
-one tile, with more whole heads, or whole images, in it when they fit. A
+The op works on tiles of about half of ``_ATTN_TILE`` logits. A head whose
+T x T logits fit in ``_ATTN_TILE`` // 2 is one tile, with more whole
+heads, or whole images, in it when they fit; at lit-s's stage 3, 12 heads
+of 196 tokens, that is two tiles of 6 heads, 0.88 MiB of float32. A
 larger head runs in the loop order of FlashAttention-2 (Dao, arXiv
 2307.08691): a block of about 2s queries meets blocks of about s keys in
-turn, s = sqrt(``_ATTN_TILE`` / 4), each side rounded to whole grid rows
-under a bias (at least one). A tile is then about half of ``_ATTN_TILE``;
-at the 56 x 56 grid of the all-attention layout's stage 1 it is 13 query
-by 6 key grid rows, 0.93 MiB of float32. Each tile writes its scaled
+turn, s = sqrt(``_ATTN_TILE`` / 4), in whole grid rows under a bias (at
+least one). Every axis is cut evenly (``_even_cuts``): R grid rows into
+n = ceil(R / target) blocks of ceil(R / n) or floor(R / n) rows, longer
+first, and heads and images alike, so no short block is left at the end.
+At the 56 x 56 grid of the all-attention layout's stage 1 the query
+blocks are 12 + 4 x 11 grid rows and the key blocks 6 x 6 + 4 x 5, a tile
+of at most 0.86 MiB of float32. Each query block scales its queries once,
+into a [rows, d] scratch that all its key blocks read. Each tile writes its
 logits into scratch with one matrix product, adds the bias from the window
 view and exponentiates in place; one matrix-vector product with a column
-of ones takes its row sums, and one more product exp(z) @ v. A block of
+of ones takes its row sums, and one more product 2^z @ v. A block of
 queries' first key block writes these products straight into its sums and
 its strided rows of the output, and each later one adds into them through
-scratch, so a head of one tile makes no zero-fill and no add; after the
-last key block the [rows, d] output rows are divided by their sums, as
-FlashAttention-2 does.
+a [rows] and a [rows, d] scratch, so a head of one tile makes no zero-fill
+and no add; after the last key block the [rows, d] output rows are divided
+by their sums, as FlashAttention-2 does.
 
-The exponent is exp(z) or exp(z - m). One Cauchy-Schwarz bound per call,
+The tiles work in base 2, as FlashAttention-2 does: the queries' scale is
+log2(e) / sqrt(d) and the flipped table copy is multiplied by log2(e), so a
+tile holds z log2(e) and takes 2^(z log2(e)) = exp(z) by ``np.exp2``,
+which took 86-89 us against ``np.exp``'s 132-134 us on a float32
+[672, 336] tile (2-vCPU x86-64, numpy 2.4, medians of 300). Below, z is a
+logit in natural units. The exponent is exp(z) or exp(z - m). One
+Cauchy-Schwarz bound per call,
 B = max_i |q_i| max_j |k_j| / sqrt(d) + max|table| on every logit |z|,
 picks the mode of all tiles. When B < -ln(tiny), every exp(z) is a normal
 number, and when B + ln T + ln max(1, max|v|) < ln(max / 4), neither a
@@ -113,14 +126,14 @@ probabilities or plain. Tiles round their products differently from one
 full-size product, so float32 outputs are not bit-identical to the
 unfused ``softmax(q k^T / sqrt(d) + bias) @ v``; they stay within 8
 float32 ulps of max(P @ |v|), the largest sum of |terms| behind one output
-(6.0 was the worst measured against a float64 unfused result, on either
+(6.1 was the worst measured against a float64 unfused result, on either
 exp path). A cut head's float32 bits depend on its block shape.
 
 The backward pass runs over the forward's tiles, as FlashAttention's does
 (the recomputation trade of Chen et al., arXiv 1604.06174): it rebuilds
 each tile's logits with the forward's own code and takes P = exp(z - m) /
 sum from the kept row statistics, so a head within one tile gets the
-forward's bits of P. It takes the softmax row sums as D_i = sum_j dP_ij
+forward's bits of P; dS and the gradients are in natural units. It takes the softmax row sums as D_i = sum_j dP_ij
 P_ij = g_i . o_i from the output o, and adds dq up over key blocks and dk
 and dv over query blocks, the first block writing in place and later ones
 through one [rows, d] or [keys, d] product. The table's gradient sums each
@@ -130,16 +143,27 @@ grid row, are written skewed by yi - yj into scratch and one product with
 ones sums the key rows; the sums are written skewed by xi - xj into a
 second scratch, and a second product sums the query columns. Neither
 write touches a slot twice, and no Python loop runs per query. Beside the
-gradients the backward holds one tile each of P and dS and the two skew
-scratches, and forms no [T, T] array.
+gradients the backward holds one tile each of P and dS, the scaled
+queries, its partial products and the two skew scratches, and forms no
+[T, T] array.
 
 ``residual_mlp`` is a transformer's MLP sublayer, x + fc2(gelu(fc1(LN(x)))),
 as one op, after the fused elementwise chains of "Data Movement Is All
-You Need" (Ivanov et al., arXiv 2007.00072). It runs ``_MLP_ROWS`` tokens
-at a time: layer norm (the two steps above), the first product and its
-bias, GELU in place on it (the shared kernel above), the second product,
-its bias and the residual. Outside a tape this needs one [rows, 4C] tile
-and block scratch for the GELU cdf. Under a tape it keeps the layer-norm
+You Need" (Ivanov et al., arXiv 2007.00072). It cuts its m tokens into
+ceil(m / ``_MLP_ROWS``) even row tiles (``_even_cuts``: lit-s's 3136
+stage-1 tokens into 7 of 448, its 784 stage-2 ones into 2 of 392) and runs
+one at a time, each scratch buffer a tile that is dead while it is reused:
+layer norm (the two steps above) into the tile's rows of the output, dead
+until fc2 writes them, with its squares in the hidden tile, dead until fc1
+writes it; the first product into the hidden tile and its bias; GELU in
+place on it (the shared kernel above), with its x^2 block in the output
+tile when that holds at least half a ``_BLOCK`` (lit-s's 37.6k-75k-element
+tiles do; the toy's 8k-25k-element ones keep a block of their own rather
+than run more, shorter GELU passes); the second product into the output
+tile, its bias and the residual. Outside a tape this needs one [rows, 4C]
+tile and one block of GELU cdf beside the output: 1.4 MiB at lit-s's
+stage 2, where 512-row tiles with a layer-norm tile and two GELU blocks of
+their own took 2.4 MiB. Under a tape it keeps the layer-norm
 statistics and the GELU cdf in full, and not the pre-activations. The
 backward pass runs in the same row tiles and recomputes the rest from
 them, with the forward's own ops in the forward's order, so that the
@@ -192,26 +216,33 @@ from .errors import NumericError, ShapeError, StateError, ValidationError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG2E = 1.0 / math.log(2.0)
 
 # Elements per block of the blocked float32 GELU and of ``softmax`` (which
 # alone uses ``_softmax_rows``), sized so that a block and its scratch
 # arrays stay in a core's L2 cache.
 _BLOCK = 65536
-# Logits per attention tile (2 MiB of float32). A head of at most this many
-# logits is one tile; a larger one is cut into blocks of 2s queries by s
-# keys, s = sqrt(_ATTN_TILE / 4), about half a tile, whose passes stay in a
-# core's L2 cache. The all-attention layout's stage-1 attention ([1, 3,
-# 3136, 32] with bias, eval) took 75.9 ms in its 13 x 6-grid-row blocks,
-# 70.8 ms in the 18 x 9 blocks of a 2**20 tile, 79.6 ms in the 9 x 5 ones
-# of a 2**18 tile, and 79.1 ms in the whole-row tiles of 168 queries used
-# before key blocks (2-vCPU x86-64, OpenBLAS, medians of 31 calls
-# interleaved in one process). The blocks' smaller scratch is what they
-# buy: that layer's eval peak fell from 6.84 to 5.91 MiB.
+# Twice the logits of an attention tile: a tile holds about _ATTN_TILE // 2
+# (1 MiB of float32). A head of at most that many logits is one tile, with
+# more whole heads or images when they fit; a larger one is cut into blocks
+# of about 2s queries by s keys, s = sqrt(_ATTN_TILE / 4), whose passes stay
+# in a core's L2 cache. The all-attention layout's stage-1 attention ([1, 3,
+# 3136, 32] with bias, eval) took 75.9 ms in 13 x 6-grid-row blocks, 70.8 ms
+# in the 18 x 9 blocks of a 2**20 tile, 79.6 ms in the 9 x 5 ones of a 2**18
+# tile, and 79.1 ms in whole-row tiles of 168 queries (2-vCPU x86-64,
+# OpenBLAS, medians of 31 calls interleaved in one process). The blocks'
+# smaller scratch is what they buy: that layer's eval peak fell from 6.84 to
+# 5.91 MiB. Holding whole-head tiles to the same half took lit-s's stage-3
+# call (12 heads of 196 tokens) from a 2.46 to a 1.43 MiB traced peak.
 _ATTN_TILE = 2 ** 19
-# Tokens per row tile of ``residual_mlp``. Its two products gain from more
-# rows per call: lit-s's stage-1 MLP block (T 3136, C 96) took 17.6 ms in
-# 128-row tiles and 13.8 ms in 512-row ones (2-vCPU x86-64, OpenBLAS, lower
-# quartile of 21 calls).
+# Most tokens per row tile of ``residual_mlp``, which cuts m tokens into
+# ceil(m / _MLP_ROWS) even tiles. Its two products gain from more rows per
+# call: lit-s's stage-1 MLP block (T 3136, C 96) took 17.6 ms in 128-row
+# tiles and 13.8 ms in 512-row ones (2-vCPU x86-64, OpenBLAS, lower quartile
+# of 21 calls). Its 7 even tiles of 448 rows, with the dead-tile scratch of
+# the module docstring, left lit-s's eval forward at 128-129 ms (medians of
+# 50, interleaved in one process) and took its traced peak from 4.13 to
+# 3.16 MiB.
 _MLP_ROWS = 512
 # The variance offset of every norm, and the weight of a batch's statistics
 # in batch norm's running ones.
@@ -583,12 +614,13 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def _bias_window(table: np.ndarray) -> np.ndarray:
-    """[heads, H, W, H, W] view of a copy of the [heads, 2H-1, 2W-1] table
-    flipped on both grid axes: [h, yi, xi, yj, xj] is the bias of query
-    (yi, xi) for key (yj, xj), each [W] run of it contiguous, so a tile of
-    whole query and key grid rows reads its bias as one slice."""
+    """[heads, H, W, H, W] view of a C-ordered copy of the [heads, 2H-1, 2W-1]
+    table, times log2(e) for the tiles' base-2 exponent, flipped on both grid
+    axes: [h, yi, xi, yj, xj] is the bias of query (yi, xi) for key (yj, xj),
+    each [W] run of it contiguous, so a tile of whole query and key grid rows
+    reads its bias as one slice."""
     gh, gw = ((e + 1) // 2 for e in table.shape[1:])
-    flipped = np.ascontiguousarray(table[:, ::-1, ::-1])
+    flipped = np.multiply(table[:, ::-1, ::-1], _LOG2E, out=np.empty(table.shape, table.dtype))
     return sliding_window_view(flipped, (gh, gw), axis=(1, 2))[:, ::-1, ::-1]
 
 
@@ -623,26 +655,26 @@ def _unshifted_exp_fits(q: np.ndarray, k: np.ndarray, v: np.ndarray, s: float,
 
 def _exp_rows(z: np.ndarray, ones: np.ndarray, sums: np.ndarray,
               rowmax: np.ndarray | None) -> np.ndarray | None:
-    """exp(z) of each last-axis row of the logits tile ``z`` in place when
-    ``rowmax`` is None, else exp(z - m), and the row sums into ``sums`` as
-    one matrix-vector product z @ ``ones``. m is ``rowmax``, the rows'
-    running maximum over the earlier key blocks (-inf before the first),
-    raised in place to this tile's row maxima. Returns exp(old m - new m),
-    the factor that rescales what the earlier key blocks added, or None
-    when unshifted. A shifted tile is checked first: NaN and -inf in its
-    minimum and +inf in a row maximum raise NumericError before anything
-    is written."""
+    """2^z of each last-axis row of the base-2 logits tile ``z`` in place
+    when ``rowmax`` is None, else 2^(z - m), and the row sums into ``sums``
+    as one matrix-vector product z @ ``ones``, a column of ones at least as
+    long as a row. m is ``rowmax``, the rows' running maximum over the
+    earlier key blocks (-inf before the first), raised in place to this
+    tile's row maxima. Returns 2^(old m - new m), the factor that rescales
+    what the earlier key blocks added, or None when unshifted. A shifted
+    tile is checked first: NaN and -inf in its minimum and +inf in a row
+    maximum raise NumericError before anything is written."""
     scale = None
     if rowmax is not None:
         zmax = z.max(axis=-1, keepdims=True)
         if not (np.isfinite(z.min()) and np.isfinite(zmax).all()):
             raise NumericError("non-finite attention logits")
         np.maximum(zmax, rowmax, out=zmax)
-        scale = np.exp(rowmax - zmax)
+        scale = np.exp2(rowmax - zmax)
         rowmax[...] = zmax
         np.subtract(z, rowmax, out=z)
-    np.exp(z, out=z)
-    np.matmul(z, ones, out=sums)
+    np.exp2(z, out=z)
+    np.matmul(z, ones[:z.shape[-1]], out=sums)
     return scale
 
 
@@ -684,17 +716,38 @@ def _diagonal_sums(ds: np.ndarray, gw: int, y: np.ndarray, x: np.ndarray) -> np.
     return sums
 
 
-def _tiles(n: int, images: int, heads: int, tile_heads: int, t: int, rows: int, keys: int):
-    """The (images, heads, queries, keys) slices of each attention tile of
-    ``images`` images, ``tile_heads`` heads, ``rows`` queries and ``keys``
-    keys, query blocks outermost and key blocks innermost, so that each
-    block of queries meets every key block in turn."""
-    for r0 in range(0, t, rows):
-        for h0 in range(0, heads, tile_heads):
-            for b0 in range(0, n, images):
-                for c0 in range(0, t, keys):
-                    yield (slice(b0, min(b0 + images, n)), slice(h0, min(h0 + tile_heads, heads)),
-                           slice(r0, min(r0 + rows, t)), slice(c0, min(c0 + keys, t)))
+def _even_cuts(total: int, most: int) -> list[slice]:
+    """range(total) cut into ceil(total / most) runs, in order, whose lengths
+    differ by at most one, the longer ones first."""
+    count = -(-total // most)
+    size, longer = divmod(total, max(count, 1))
+    return [slice(i * size + min(i, longer), (i + 1) * size + min(i + 1, longer)) for i in range(count)]
+
+
+def _attention_cuts(n: int, heads: int, t: int, gw: int) -> tuple[list[slice], ...]:
+    """The (images, heads, queries, keys) cuts of ``attention``'s tiles for
+    ``n`` images of ``heads`` heads of ``t`` tokens in grid rows of ``gw``,
+    each axis cut evenly: whole heads, or whole images, in at most
+    ``_ATTN_TILE`` // 2 logits, or, for a larger head, blocks of about 2s
+    query and s key tokens, s = sqrt(``_ATTN_TILE`` / 4), in whole grid rows."""
+    budget = _ATTN_TILE // 2
+    if t * t <= budget:
+        whole = [slice(0, t)]
+        head_cuts = _even_cuts(heads, budget // (t * t))
+        image_cuts = _even_cuts(n, budget // (heads * t * t) if len(head_cuts) == 1 else 1)
+        return image_cuts, head_cuts, whole, whole
+    side = math.isqrt(_ATTN_TILE // 4)
+    queries, keys = ([slice(a.start * gw, a.stop * gw) for a in _even_cuts(t // gw, max(1, round(e / gw)))]
+                     for e in (2 * side, side))
+    return _even_cuts(n, 1), _even_cuts(heads, 1), queries, keys
+
+
+def _tiles(images: list[slice], heads: list[slice], queries: list[slice], keys: list[slice]):
+    """The (images, heads, queries, keys) slices of each attention tile, from
+    the cuts of each axis: query blocks outermost and key blocks innermost,
+    so that each block of queries meets every key block in turn."""
+    for r, h, b, c in itertools.product(queries, heads, images, keys):
+        yield b, h, r, c
 
 
 def _tile_view(scratch: np.ndarray, b: slice, h: slice, r: slice, width: int) -> np.ndarray:
@@ -703,27 +756,35 @@ def _tile_view(scratch: np.ndarray, b: slice, h: slice, r: slice, width: int) ->
     return scratch[:math.prod(shape)].reshape(shape)
 
 
-def _logits(z: np.ndarray, qs: np.ndarray, q: np.ndarray, k: np.ndarray, s: float,
-            window: np.ndarray | None) -> None:
-    """One tile's logits, q k^T scaled by ``s`` plus its bias, into ``z``;
-    ``qs`` is scratch of q's shape. ``window`` is the tile's [heads, query
-    grid rows, W, key grid rows, W] slice of the bias window, or None."""
-    np.multiply(q, s, out=qs)
+def _scaled_queries(scratch: np.ndarray, q: np.ndarray, s: float, b: slice, h: slice, r: slice,
+                    c: slice) -> np.ndarray:
+    """The tile's queries times ``s``, in the front of the flat ``scratch``:
+    written at a query block's first key block and read by the later ones."""
+    qs = _tile_view(scratch, b, h, r, q.shape[-1])
+    if c.start == 0:
+        np.multiply(q[b, h, r], s, out=qs)
+    return qs
+
+
+def _logits(z: np.ndarray, qs: np.ndarray, k: np.ndarray, window: np.ndarray | None) -> None:
+    """One tile's logits, the scaled queries ``qs`` times k^T plus the bias,
+    into ``z``. ``window`` is the tile's [heads, query grid rows, W, key
+    grid rows, W] slice of the bias window, or None."""
     np.matmul(qs, k.swapaxes(-1, -2), out=z)
     if window is not None:  # splitting z's last two axes into grid rows keeps a view
         zb = z.reshape(z.shape[:2] + window.shape[1:])
         np.add(zb, window, out=zb)
 
 
-def _probs_tile(p: np.ndarray, qs: np.ndarray, q: np.ndarray, k: np.ndarray, s: float,
-                window: np.ndarray | None, rowmax: np.ndarray | None, sums: np.ndarray) -> None:
-    """One tile of the probabilities, exp(logits - m) / sum, into ``p``,
-    from the rows' final maximum m (``rowmax``, None when unshifted) and
-    softmax sum that the forward pass left; the arguments are ``_logits``'s."""
-    _logits(p, qs, q, k, s, window)
+def _probs_tile(p: np.ndarray, qs: np.ndarray, k: np.ndarray, window: np.ndarray | None,
+                rowmax: np.ndarray | None, sums: np.ndarray) -> None:
+    """One tile of the probabilities, 2^(logits - m) / sum, into ``p``, from
+    the rows' final maximum m (``rowmax``, None when unshifted) and softmax
+    sum that the forward pass left; the other arguments are ``_logits``'s."""
+    _logits(p, qs, k, window)
     if rowmax is not None:
         p -= rowmax
-    np.exp(p, out=p)
+    np.exp2(p, out=p)
     p /= sums
 
 
@@ -741,11 +802,13 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     key grid rows adds one slice of it. Returns the [N, T, heads * d] output
     and the [N, heads, T, T] probabilities when ``with_probs`` is set, else
     None; the probabilities are built only when asked for. A head of more
-    than ``_ATTN_TILE`` logits runs in blocks of about 2s queries by s keys,
-    s = sqrt(``_ATTN_TILE`` / 4), in whole grid rows. The tiles exponentiate
-    the logits z directly when the Cauchy-Schwarz bound on |z| shows that
-    exp(z), the row sums and exp(z) @ v stay in range, and otherwise check
-    each tile and shift it by its rows' running maximum. A tape keeps the
+    than ``_ATTN_TILE`` // 2 logits runs in blocks of about 2s queries by s
+    keys, s = sqrt(``_ATTN_TILE`` / 4), in whole grid rows cut evenly. The
+    tiles exponentiate in base 2, with log2(e) in the queries' scale and in
+    the table's copy. They exponentiate the logits z directly when the
+    Cauchy-Schwarz bound on |z| shows that exp(z), the row sums and
+    exp(z) @ v stay in range, and otherwise check each tile and shift it by
+    its rows' running maximum. A tape keeps the
     output and each row's sum and maximum, not the probabilities.
     Differentiable in ``qkv`` and the table, whose gradient sums dS along
     the table's diagonals; see the module docstring for the tiling and the
@@ -765,25 +828,23 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
                              f"for an H x W grid of {t} queries")
         inputs += (bias,)
     dtype = _one_dtype("attention", qkv=qkv, bias=bias)  # before the flipped table is copied
+    # the tiles exponentiate in base 2: q's scale and the window carry log2(e)
     window = _bias_window(bias.data) if bias is not None else None
     s = 1.0 / math.sqrt(d)
+    q_scale = _LOG2E * s
     table_peak = _max_abs(bias.data) if bias is not None else 0.0
     shift = not _unshifted_exp_fits(q, k, v, s, table_peak, np.finfo(dtype))
-    if t * t <= _ATTN_TILE:  # one head per tile, or whole heads, or whole images
-        rows = keys = t
-        tile_heads = max(1, min(heads, _ATTN_TILE // (t * t)))
-        images = max(1, min(n, _ATTN_TILE // (heads * t * t))) if tile_heads == heads else 1
-    else:
-        side = math.isqrt(_ATTN_TILE // 4)
-        rows, keys = (min(t, max(1, round(e / gw)) * gw) for e in (2 * side, side))
-        tile_heads = images = 1
-    tile = images * tile_heads * rows
-    ones = np.ones((t, 1), dtype)
+    cuts = _attention_cuts(n, heads, t, gw)
+    image_cuts, head_cuts, query_cuts, key_cuts = cuts
+    rows, keys = query_cuts[0].stop, key_cuts[0].stop  # the longest blocks come first
+    tile = (image_cuts[0].stop if image_cuts else 0) * head_cuts[0].stop * rows
+    blocked, split = len(key_cuts) > 1, len(query_cuts) > 1
+    ones = np.ones((keys, 1), dtype)
 
     # the output, token-major as the output projection reads it, and each
     # query row's softmax sum and, when shifted, its running maximum; a
     # query block's first key block writes the first two, and later ones
-    # add into them
+    # add into them through the partial scratch
     out = np.empty((n, t, heads, d), dtype)
     sums = np.empty((n, heads, t, 1), dtype)
     rowmax = np.full((n, heads, t, 1), -np.inf, dtype) if shift else None
@@ -791,29 +852,32 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     def row_max(b: slice, h: slice, r: slice) -> np.ndarray | None:
         return None if rowmax is None else rowmax[b, h, r]
 
-    z_scratch, q_scratch, part_scratch = (np.empty(tile * e, dtype) for e in (keys, d, 1))
-    for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
-        z, qs = _tile_view(z_scratch, b, h, r, c.stop - c.start), _tile_view(q_scratch, b, h, r, d)
-        _logits(z, qs, q[b, h, r], k[b, h, c], s, _window_tile(window, gw, h, r, c))
+    z_scratch, q_scratch = np.empty(tile * keys, dtype), np.empty(tile * d, dtype)
+    if blocked:
+        sum_part, out_part = np.empty(tile, dtype), np.empty(tile * d, dtype)
+    for b, h, r, c in _tiles(*cuts):
+        z = _tile_view(z_scratch, b, h, r, c.stop - c.start)
+        _logits(z, _scaled_queries(q_scratch, q, q_scale, b, h, r, c), k[b, h, c],
+                _window_tile(window, gw, h, r, c))
         o, total = out[b, r, h].swapaxes(1, 2), sums[b, h, r]
         if c.start == 0:  # BLAS takes o's and total's row strides as leading dimensions
-            _exp_rows(z, ones[c], total, row_max(b, h, r))
+            _exp_rows(z, ones, total, row_max(b, h, r))
             np.matmul(z, v[b, h, c], out=o)
         else:
-            part = _tile_view(part_scratch, b, h, r, 1)
-            scale = _exp_rows(z, ones[c], part, row_max(b, h, r))
+            part = _tile_view(sum_part, b, h, r, 1)
+            scale = _exp_rows(z, ones, part, row_max(b, h, r))
             if scale is not None:
                 total *= scale
                 o *= scale
             total += part
-            o += np.matmul(z, v[b, h, c], out=qs)  # qs is free once the logits are formed
+            o += np.matmul(z, v[b, h, c], out=_tile_view(out_part, b, h, r, d))
         if c.stop == t:
             o /= total
     probs = np.empty((n, heads, t, t), dtype) if with_probs else None
     if probs is not None:
-        for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
-            _probs_tile(probs[b, h, r, c], _tile_view(q_scratch, b, h, r, d), q[b, h, r], k[b, h, c],
-                        s, _window_tile(window, gw, h, r, c), row_max(b, h, r), sums[b, h, r])
+        for b, h, r, c in _tiles(*cuts):
+            _probs_tile(probs[b, h, r, c], _scaled_queries(q_scratch, q, q_scale, b, h, r, c), k[b, h, c],
+                        _window_tile(window, gw, h, r, c), row_max(b, h, r), sums[b, h, r])
 
     def bwd(g):
         g = g.reshape(n, t, heads, d)
@@ -821,29 +885,30 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
         g = g.transpose(0, 2, 1, 3)
         grad = np.empty((n, t, 3, heads, d), dtype)  # laid out as qkv
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
-        # one tile's probabilities and dS, and a [keys, d] partial product
-        # for dk and dv when query blocks split a head (dq's goes into qs)
+        # one tile's probabilities and dS, its scaled queries, and partial
+        # products for dq when key blocks split a head and for dk and dv
+        # when query blocks do
         p_scratch, ds_scratch = np.empty((2, tile * keys), dtype)
         q_scratch = np.empty(tile * d, dtype)
+        q_part = np.empty(tile * d, dtype) if blocked else None
+        kv_part = np.empty(keys * d, dtype) if split else None
         window = None
         if bias is not None:  # the window is rebuilt, so that a tape keeps no flipped copy
             gtable, window = np.zeros(bias.shape, dtype), _bias_window(bias.data)
             qy, ky = rows // gw, keys // gw
             y_scratch = np.empty((ky, qy + ky - 1, gw, gw), dtype)
             x_scratch = np.zeros((gw, qy + ky - 1, 2 * gw - 1), dtype)
-        kv_part = np.empty(keys * d, dtype) if rows < t else None
-        for b, h, r, c in _tiles(n, images, heads, tile_heads, t, rows, keys):
+        for b, h, r, c in _tiles(*_attention_cuts(n, heads, t, gw)):  # recut, so a tape keeps no cuts
             width = c.stop - c.start
             p, ds = _tile_view(p_scratch, b, h, r, width), _tile_view(ds_scratch, b, h, r, width)
-            qs = _tile_view(q_scratch, b, h, r, d)
-            _probs_tile(p, qs, q[b, h, r], k[b, h, c], s, _window_tile(window, gw, h, r, c), row_max(b, h, r),
-                        sums[b, h, r])
+            _probs_tile(p, _scaled_queries(q_scratch, q, q_scale, b, h, r, c), k[b, h, c],
+                        _window_tile(window, gw, h, r, c), row_max(b, h, r), sums[b, h, r])
             gt, later = g[b, h, r], None if r.start == 0 else _tile_view(kv_part, b, h, c, d)
             _matmul_into(p.swapaxes(-1, -2), gt, gv[b, h, c], later)
             np.matmul(gt, v[b, h, c].swapaxes(-1, -2), out=ds)
             ds -= g_dot_o[b, h, r]
             ds *= p
-            _matmul_into(ds, k[b, h, c], gq[b, h, r], None if c.start == 0 else qs)
+            _matmul_into(ds, k[b, h, c], gq[b, h, r], None if c.start == 0 else _tile_view(q_part, b, h, r, d))
             _matmul_into(ds.swapaxes(-1, -2), q[b, h, r], gk[b, h, c], later)
             if bias is not None:  # table rows from displacement first query row - last key row
                 if c.start == 0:  # a block of queries starts from zeroed scratch
@@ -861,12 +926,13 @@ def attention(qkv: Tensor, heads: int, bias: Tensor | None = None,
     return result, probs
 
 
-def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray) -> None:
+def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray, square: np.ndarray | None = None) -> None:
     """x * Phi(x) into ``out``, which may be x itself if x is contiguous: Phi
     from scipy's ``erf`` for float64 data, for float32 as 0.5 + 0.5 * tanh(x *
     G(x^2)) by Horner in G's ``_GELU_G`` and one ``tanh`` in place. Runs block
     by block with ufuncs, with x / sqrt(2) (float64) or x^2 in one block of
-    scratch.
+    scratch: the contiguous ``square``, whose size (at most ``_BLOCK``) sets
+    the block, or else a fresh block of ``_BLOCK`` elements.
 
     ``phi`` receives Phi(x) when it holds at least x.size elements; a
     smaller ``phi`` is block scratch. ``phi`` may be ``out`` unless out is x.
@@ -874,11 +940,15 @@ def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray) -> None:
     flat, res, phi = x.reshape(-1), out.reshape(-1), phi.reshape(-1)
     n = flat.size
     keep = phi.size >= n
-    scratch = np.empty(min(n, _BLOCK), x.dtype)
+    if square is None:
+        block, scratch = _BLOCK, np.empty(min(n, _BLOCK), x.dtype)
+    else:
+        scratch = square.reshape(-1)[:_BLOCK]
+        block = scratch.size
     # a float32 |x| past about 4e3 takes x * G(x^2) to +-inf, which tanh maps to +-1
     with np.errstate(over="ignore"):
-        for lo in range(0, n, _BLOCK):
-            xb = flat[lo:lo + _BLOCK]
+        for lo in range(0, n, block):
+            xb = flat[lo:lo + block]
             m = xb.size
             p, u = phi[lo:lo + m] if keep else phi[:m], scratch[:m]
             if xb.dtype != np.float32:
@@ -1042,24 +1112,33 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     tape = _recording_tape(inputs)
     xf = x.data.reshape(-1, c)
     m = xf.shape[0]
-    rows = max(1, min(m, _MLP_ROWS))
+    tiles = _even_cuts(m, _MLP_ROWS)
+    rows = tiles[0].stop if tiles else 0  # the longest tiles come first
     out = np.empty((m, c), dtype)
-    normed = np.empty((rows, c), dtype)
-    pre = np.empty((rows, hidden), dtype)
+    # the hidden tile, which holds the layer norm's squares until fc1 writes it
+    pre = np.empty(rows * max(hidden, c), dtype)
+    # GELU's x^2 block is the output tile, dead from fc1 to fc2, unless that
+    # tile is so small that GELU would run many more, shorter passes: the
+    # toy's 512 x 16 tiles would take 4 passes of 8192 elements for 1 of
+    # 32768, and borrowing them anyway cost 1.6-2.2 ms of a 52-58-ms toy
+    # train step (paired medians of 80, fork faster in 58 and 63 of 80) and
+    # its stage-1 taped call 4.9-5.2 -> 6.2-6.4 ms (2-vCPU x86-64)
+    shared = rows * c >= _BLOCK // 2
+    block = min(rows * c, _BLOCK) if shared else _BLOCK
     # under a tape the statistics and the cdf are kept in full; else the cdf is block scratch
     keep = m if tape is not None else rows
     mu, inv = np.empty((keep, 1), dtype), np.empty((keep, 1), dtype)
-    cdf = np.empty((m, hidden) if tape is not None else min(rows * hidden, _BLOCK), dtype)
-    for r0 in range(0, m, rows):
-        r1 = min(r0 + rows, m)
+    cdf = np.empty((m, hidden) if tape is not None else min(rows * hidden, block), dtype)
+    for tile in tiles:
+        r0, r1 = tile.start, tile.stop
         k0, k1 = (r0, r1) if tape is not None else (0, r1 - r0)
-        xt, ln, o = xf[r0:r1], normed[:r1 - r0], out[r0:r1]
-        h, scale = pre[:r1 - r0], inv[k0:k1]
-        _center(xt, -1, ln, o, mu[k0:k1], scale)
-        _scale_shift(ln, scale, scale, gamma.data, beta.data)
-        np.matmul(ln, w1.data, out=h)
+        xt, o, scale = xf[tile], out[tile], inv[k0:k1]
+        h = pre[:(r1 - r0) * hidden].reshape(r1 - r0, hidden)
+        _center(xt, -1, o, pre[:(r1 - r0) * c].reshape(r1 - r0, c), mu[k0:k1], scale)
+        _scale_shift(o, scale, scale, gamma.data, beta.data)
+        np.matmul(o, w1.data, out=h)
         h += b1.data
-        _gelu_into(h, h, cdf[r0:r1] if tape is not None else cdf)
+        _gelu_into(h, h, cdf[tile] if tape is not None else cdf, o if shared else None)
         np.matmul(h, w2.data, out=o)
         o += b2.data
         o += xt
@@ -1073,8 +1152,8 @@ def residual_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         pre, gpre = np.empty((2, rows * max(hidden, c)), dtype)
         xhat, normed = np.empty((2, rows, c), dtype)
         partial = np.empty(c * hidden, dtype) if m > rows else None  # later tiles' weight products
-        for r0 in range(0, m, rows):
-            r1 = min(r0 + rows, m)
+        for tile in _even_cuts(m, _MLP_ROWS):
+            r0, r1 = tile.start, tile.stop
             gw2_partial, gw1_partial = (None, None) if r0 == 0 else \
                 (partial.reshape(hidden, c), partial.reshape(c, hidden))
             gt, phi, scale = g[r0:r1], cdf[r0:r1], inv[r0:r1]

@@ -4,7 +4,6 @@ relative-position bias construction."""
 import gc
 import importlib
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from helpers import check_gradients, dot, msa_oracle, relative_index_loop, trace
 from litnet.blocks import (MlpBlockParams, MsaParams, PatchEmbedParams, TransformerBlockParams,
                            mlp_block, msa, patch_embed, transformer_block)
 from litnet.errors import ConfigError, ShapeError
-from litnet.tensor import _ATTN_TILE, NORM_EPS, Tape, Tensor, attention, layer_norm, tensor
+from litnet.tensor import _ATTN_TILE, _LOG2E, NORM_EPS, Tape, Tensor, layer_norm, tensor
 
 tensor_module = importlib.import_module("litnet.tensor")
 
@@ -305,28 +304,18 @@ def test_patch_embed_rejects_indivisible_extents():
 
 
 def relative_bias(table: np.ndarray) -> np.ndarray:
-    """The [heads, T, T] logits bias that ``attention`` adds for a
-    [heads, 2H-1, 2W-1] table: its logits for zero queries and keys, read
-    as the exponentiation receives them (one tile on these small grids)."""
+    """The [heads, T, T] logits bias that ``attention``'s tiles slice for a
+    [heads, 2H-1, 2W-1] table, in their base-2 units: the table times
+    log2(e), laid out by query and key."""
     heads, h2, w2 = table.shape
-    zeros = Tensor(np.zeros((1, (h2 + 1) // 2 * ((w2 + 1) // 2), 3 * heads)))
-    logits = []
-    exp_rows = tensor_module._exp_rows
-
-    def keep(z, ones, sums, rowmax):
-        logits.append(z.copy())
-        return exp_rows(z, ones, sums, rowmax)
-
-    with mock.patch.object(tensor_module, "_exp_rows", keep):
-        attention(zeros, heads, Tensor(table))
-    (tile,) = logits
-    return tile[0]
+    t = (h2 + 1) // 2 * ((w2 + 1) // 2)
+    return tensor_module._bias_window(table).reshape(heads, t, t)
 
 
 def test_relative_bias_degenerate_grid():
     bias = relative_bias(np.array([[[3.25]]]))
     assert bias.shape == (1, 1, 1)
-    assert bias[0, 0, 0] == 3.25
+    assert bias[0, 0, 0] == 3.25 * _LOG2E
 
 
 def test_relative_bias_diagonal_is_constant():
@@ -334,15 +323,24 @@ def test_relative_bias_diagonal_is_constant():
     table = rng.normal(size=(3, 5, 5))
     bias = relative_bias(table)
     diag = bias[:, np.arange(9), np.arange(9)]
-    assert np.all(diag == table[:, 2:3, 2])  # displacement (0, 0)
+    assert np.all(diag == (table * _LOG2E)[:, 2:3, 2])  # displacement (0, 0)
 
 
 def test_relative_index_matches_enumeration_oracle():
     for h, w in [(2, 2), (3, 4), (4, 4), (1, 5), (5, 1)]:
         table = np.arange(2 * (2 * h - 1) * (2 * w - 1), dtype=np.float64).reshape(2, 2 * h - 1, -1)
-        want = table.reshape(2, -1)[:, relative_index_loop(h, w)]
+        want = (table * _LOG2E).reshape(2, -1)[:, relative_index_loop(h, w)]
         assert np.array_equal(relative_bias(table), want)
     assert len(np.unique(relative_bias(np.arange(9.0).reshape(1, 3, 3)))) == 9
+
+
+def test_bias_window_runs_are_contiguous_for_any_table_layout():
+    table = np.random.default_rng(20).normal(size=(3, 5, 7))
+    for layout in (table, np.asfortranarray(table), table.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+        window = tensor_module._bias_window(layout)
+        assert window.strides[-1] == table.itemsize
+        assert window.strides[1] == -7 * table.itemsize  # a query grid row is one [2W-1] row back
+        assert np.array_equal(window, tensor_module._bias_window(table))
 
 
 def test_relative_bias_translation_property():

@@ -401,18 +401,21 @@ def test_an_eval_forward_never_holds_a_whole_stage1_attention_map():
 
 
 def test_a_lit_s_eval_forward_holds_one_mlp_tile():
-    # lit-s's eval peak, 4.13 MiB, is at its stage-2 MLP row tile, [512, 768]
-    # float32 of 1.5 MiB, with GELU's two 256-KiB blocks, x^2 and the cdf. The
-    # bound leaves 0.12 MiB of slack: a third GELU block, as the rational erf
-    # held (4.38 MiB), fails it, and so does a second tile for the GELU output
-    # or the cdf; with both the forward peaked at 6.92 MiB
+    # a regression alarm on the benchmark's infer-lit-s shape: one 224-px
+    # eval forward after a warm-up. Measured at 3.16 MiB (tracemalloc, numpy
+    # 2.4), at stage 1's MLP: the [3136, 96] block input and output, one
+    # [448, 384] hidden tile and one GELU cdf block; the layer norm and
+    # GELU's x^2 borrow the output tile. The bound leaves 2%. It was 4.13 MiB
+    # with 512-row tiles, their own layer-norm tile and two GELU blocks, and
+    # the stage's merge output held through all its blocks; 4.38 with a
+    # third GELU block, and 6.92 with separate GELU output and cdf tiles
     model = build(preset("lit-s"), seed=0)
     model.seed_norm_stats()
     images, _ = synthetic_dataset(1, seed=0, size=224)
     # warm-up: the first forward's one-off allocations (~20 KiB) stay out of the peak
     model.forward(images, mode="eval")
     _, peak = traced_bytes(lambda: model.forward(images, mode="eval"))
-    assert peak < 4.25 * 2 ** 20
+    assert peak < 1.02 * 3.16 * 2 ** 20
 
 
 def test_recorded_attention_maps_are_the_taped_probabilities(monkeypatch):

@@ -273,11 +273,12 @@ def run_attention(q, k, v, table=None, with_probs=False):
 # Tiles round their matrix products differently from one full-size
 # product, so the float32 output is not bit-identical to the unfused path.
 # It stays within this many float32 ulps of max(P @ |v|), the largest sum
-# of |terms| behind one output, against the float64 unfused path. The worst
-# measured over this file's float32 stage-shape and TILE_EDGES inputs was
-# 4.75 on the unshifted exp path (heads_not_dividing without a bias) and
-# 4.72 on the shifted one (stage 2's shape); over the four stage shapes at
-# seeds 21-25, 6.04 and 4.88.
+# of |terms| behind one output, against the float64 unfused path. With the
+# base-2 exponent and even blocks, the worst measured over this file's
+# float32 stage-shape and TILE_EDGES inputs was 5.11 on the unshifted exp
+# path (heads_not_dividing without a bias) and 3.97 on the shifted one
+# (stage 1's shape); over the four stage shapes at seeds 21-25, 6.10 and
+# 5.50 (stage 3's shape, seed 23). Before them: 4.75 and 4.72; 6.04 and 4.88.
 ATTENTION_ULPS = 8
 
 
@@ -341,33 +342,35 @@ def test_attention_with_relative_bias_matches_the_unfused_path(dtype, n, heads, 
 
 
 # [N, heads, T] without a bias and [N, heads, (H, W)] with one, each with the
-# _ATTN_TILE it runs under. A head of T * T logits within the tile is one
-# tile, with more heads or images when they fit; a larger one is cut into
-# blocks of 2s queries by s keys, s = isqrt(tile // 4), rounded to whole grid
-# rows under a bias (at least one), and the last blocks may be short
+# _ATTN_TILE it runs under. A head of T * T logits within half the tile is
+# one tile, with more heads or images when they fit; a larger one is cut
+# into blocks of about 2s queries by s keys, s = isqrt(tile // 4), in whole
+# grid rows under a bias (at least one). Each axis is cut evenly: n =
+# ceil(R / target) blocks of ceil(R / n) or floor(R / n), longer first
 TILE_EDGES = {
     "t1": ((2, 3, 1, _ATTN_TILE), (2, 3, (1, 1), _ATTN_TILE)),                    # T = 1
-    # a head fills its tile exactly
-    "head_fills_tile": ((1, 2, 64, 64 * 64), (1, 2, (32, 32), 2 ** 20)),
-    # blocks of 54 queries by 27 keys, 22 of each left over; at the default
-    # tile a 25 x 48 grid takes 15 then 10 query rows by 8, 8, 8 and 1 key rows
+    # a head fills half its tile exactly
+    "head_fills_tile": ((1, 2, 64, 2 * 64 * 64), (1, 2, (32, 32), 2 ** 21)),
+    # 8 blocks of 50 queries by 10 of 27 and 5 of 26 keys; at the default
+    # tile a 25 x 48 grid takes 13 then 12 query rows by 7, 6, 6 and 6 key rows
     "rows_not_dividing": ((1, 2, 400, 3000), (1, 2, (25, 48), _ATTN_TILE)),
     # a query's 40 logits are longer than the tile: blocks of 4 queries by 2
     # keys; an 800-token grid row is longer than a block of either side
     "row_longer_than_tile": ((1, 1, 40, 30), (1, 1, (2, 800), _ATTN_TILE)),
     # N > 1, one tile spans all heads of all images
     "tile_spans_heads": ((3, 4, 16, _ATTN_TILE), (3, 4, (4, 4), _ATTN_TILE)),
-    # tiles of two heads over three
-    "heads_not_dividing": ((2, 3, 400, 2 * 400 * 400), (2, 3, (20, 24), _ATTN_TILE)),
-    # four images over five
+    # tiles of two heads, then one
+    "heads_not_dividing": ((2, 3, 400, 4 * 400 * 400), (2, 3, (20, 24), 2 * _ATTN_TILE)),
+    # tiles of two images, two and one
     "images_not_dividing": ((5, 2, 256, _ATTN_TILE), (5, 2, (16, 16), _ATTN_TILE)),
-    # queries 32 + 8 by keys 16 + 16 + 8; grid query rows 5 + 5 by key rows 3 + 3 + 3 + 1
+    # queries 20 + 20 by keys 14 + 13 + 13; grid query rows 5 + 5 by key rows 3 + 3 + 2 + 2
     "keys_not_dividing": ((1, 2, 40, 1024), (1, 2, (10, 6), 1024)),
     # queries 10 by keys 5; grid query rows 2 by one key row
     "one_key_row": ((1, 2, 30, 100), (1, 2, (6, 10), 400)),
-    # queries 20 + 20 + 5 by keys 4 x 10 + 5; grid query rows 4 + 4 + 1 by key rows 4 x 2 + 1
+    # even cuts leave no short last block: queries 3 x 15 by keys 5 x 9;
+    # grid query rows 3 x 3 by key rows 4 x 2 + 1
     "last_blocks_partial": ((1, 2, 45, 400), (1, 2, (9, 8), 1024)),
-    # N > 1 with key blocks: queries 20 + 10 by keys 10; grid query rows 4 + 2 by key rows 2
+    # N > 1 with key blocks: queries 15 + 15 by keys 10; grid query rows 3 + 3 by key rows 2
     "images_key_blocks": ((3, 2, 30, 400), (3, 2, (6, 5), 400)),
     # a 40-token grid row is longer than a block of 20 queries or 10 keys:
     # blocks of one grid row each; without a bias, 4 queries by 2 keys
@@ -397,6 +400,75 @@ def test_attention_tile_edges_match_the_unfused_path(case, with_bias):
                 assert np.abs(got - want).max() < 1e-12, path
             else:
                 assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS, path
+
+
+def attention_cuts(q, k, v, table=None):
+    """The (images, heads, queries, keys) cuts that ``attention`` tiles
+    q, k and v by, read from its ``_tiles`` call."""
+    seen, tiles = [], tensor_module._tiles
+
+    def spy(*cuts):
+        seen.append(cuts)
+        return tiles(*cuts)
+
+    with mock.patch.object(tensor_module, "_tiles", spy):
+        run_attention(q, k, v, table)
+    (cuts,) = seen
+    return cuts
+
+
+def assert_even(cuts, total, unit=1):
+    """``cuts`` tile range(total) in order, in runs of whole ``unit``s whose
+    lengths differ by at most one unit, the longer ones first."""
+    assert cuts[0].start == 0 and cuts[-1].stop == total
+    assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+    lengths = [c.stop - c.start for c in cuts]
+    assert all(n % unit == 0 for n in lengths)
+    assert lengths == sorted(lengths, reverse=True) and lengths[0] - lengths[-1] <= unit
+
+
+@pytest.mark.parametrize("n,heads,t", [(1, 12, 196), (4, 24, 49), (1, 3, 512), (9, 3, 100), (2, 7, 300)],
+                         ids=["lit_s_stage3", "lit_s_stage4_batch4", "head_fills_half", "images_split",
+                              "heads_split"])
+def test_a_whole_head_tile_holds_at_most_half_an_attention_tile(n, heads, t):
+    # heads of at most _ATTN_TILE // 2 logits are tiled whole, as many heads
+    # or images together as fit in that budget, cut evenly. At lit-s's
+    # stage 3 a tile of all 12 heads held 0.46M logits (1.76 MiB of float32)
+    sizes = []
+    exp_rows = tensor_module._exp_rows
+
+    def spy(z, ones, sums, rowmax):
+        sizes.append(z.size)
+        return exp_rows(z, ones, sums, rowmax)
+
+    q, k, v = attention_inputs(np.random.default_rng(42), n, heads, t, 4)
+    with mock.patch.object(tensor_module, "_exp_rows", spy):
+        run_attention(q, k, v)
+    assert sizes and max(sizes) <= _ATTN_TILE // 2
+    images, head_cuts, queries, keys = attention_cuts(q, k, v)
+    assert queries == keys == [slice(0, t)]
+    assert_even(images, n)
+    assert_even(head_cuts, heads)
+
+
+@pytest.mark.parametrize("grid", [(56, 56), (28, 28), (43, 37)],
+                         ids=["lit_s_stage1", "lit_s_stage2", "prime_width"])
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_a_cut_head_takes_even_blocks(grid, with_bias):
+    # R grid rows (tokens without a bias) go into n = ceil(R / target)
+    # blocks of ceil(R / n) or floor(R / n): at 56 x 56, query blocks of 12
+    # and 11 grid rows and key blocks of 6 and 5, where whole 13- and 6-row
+    # blocks left 4- and 2-row stubs
+    h, w = grid
+    rng = np.random.default_rng(43)
+    q, k, v = attention_inputs(rng, 1, 1, h * w, 4)
+    table = bias_table(rng, 1, grid) if with_bias else None
+    images, heads, queries, keys = attention_cuts(q, k, v, table)
+    unit = w if with_bias else 1
+    side = math.isqrt(_ATTN_TILE // 4)
+    for cuts, target in ((queries, 2 * side), (keys, side)):
+        assert_even(cuts, h * w, unit)
+        assert len(cuts) == -(-(h * w // unit) // max(1, round(target / unit)))
 
 
 def test_attention_on_a_tape_equals_the_eval_result():
@@ -478,7 +550,7 @@ def test_attention_shifts_when_unshifted_exp_could_overflow(entry, v_peak):
     assert attention_ulps(got, want, probs, v) <= ATTENTION_ULPS
 
 
-# a 6 x 5 grid under a 400-logit tile: query blocks of 4 and 2 grid rows,
+# a 6 x 5 grid under a 400-logit tile: query blocks of 3 and 3 grid rows,
 # each meeting key blocks of grid rows 0-1, 2-3 and 4-5 in turn
 LATER_BLOCKS = (6, 5), 400
 
@@ -739,7 +811,7 @@ def test_attention_gradients_in_row_tiles_match_finite_differences(with_bias):
     qkv = Tensor(rng.normal(size=(n, t, 3 * heads * d)), requires_grad=True)
     bias = Tensor(bias_table(rng, heads, grid, np.float64), requires_grad=True) if with_bias else None
     probe = Tensor(rng.normal(size=(n, t, heads * d)))
-    # 5 queries per tile, the last tile of a head short; a bias rounds them to one grid row
+    # blocks of 6 queries by 3 keys; a bias rounds them to query grid rows 2 + 1 by one key row
     with mock.patch.object(tensor_module, "_ATTN_TILE", 5 * t):
         check_gradients(lambda: dot(probe, attention(qkv, heads, bias)[0]),
                         [qkv] if bias is None else [qkv, bias])
@@ -861,8 +933,9 @@ def attention_cases(draw, bias=None):
     bias = draw(st.booleans()) if bias is None else bias
     t = grid[0] * grid[1]
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    # whole rows of one head, where a bias rounds them to grid rows, or any size
-    tile = draw(st.integers(1, t).map(lambda rows: rows * t) | st.integers(1, n * heads * t * t + 1))
+    # whole rows of one head, where a bias rounds them to grid rows, or any
+    # size up to twice all the logits, whose half takes every head and image
+    tile = draw(st.integers(1, t).map(lambda rows: rows * t) | st.integers(1, 2 * n * heads * t * t + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q, k, v = attention_inputs(rng, n, heads, t, d, dtype)
     return tile, q, k, v, bias_table(rng, heads, grid, dtype) if bias else None
@@ -1225,20 +1298,26 @@ def test_residual_mlp_allocates_only_its_output_and_tile_scratch():
     x = rng.normal(size=(1, 3136, c)).astype(np.float32)
     params = tuple(Tensor(p) for p in mlp_params(rng, c, hidden, np.float32))
     _, peak = traced_bytes(lambda: residual_mlp(Tensor(x), *params))
-    # the output, x's size, the normed tile, the one pre-activation tile
-    # that GELU overwrites in place, and two GELU blocks: x^2 and the cdf
-    # (measured 2.04 blocks beyond the rest). Separate GELU and cdf tiles
-    # would add 1.5 MiB; the unfused ops held several [3136, 384] arrays of
-    # 4.6 MiB
-    rows = tensor_module._MLP_ROWS
-    scratch = (rows * (c + hidden) + 2 * min(rows * hidden, _BLOCK)) * x.itemsize
-    assert peak <= x.nbytes + scratch + 2 ** 18
+    # the output, x's size, the one pre-activation tile of 448 rows (3136
+    # cut evenly), which holds the layer norm's squares until fc1 overwrites
+    # it and which GELU overwrites in place, and one GELU cdf block of an
+    # output tile's size; the layer norm and GELU's x^2 block take the
+    # output tile itself (measured 42 KB beyond the rest). 512-row tiles
+    # with a normed tile and two GELU blocks of their own held 1.45 MiB,
+    # separate GELU and cdf tiles would add 1.5 MiB, and the unfused ops
+    # held several [3136, 384] arrays of 4.6 MiB
+    m = x.size // c
+    rows = math.ceil(m / math.ceil(m / tensor_module._MLP_ROWS))
+    scratch = (rows * hidden + min(rows * hidden, rows * c, _BLOCK)) * x.itemsize
+    assert peak <= x.nbytes + scratch + 2 ** 16
 
 
 def test_a_taped_residual_mlp_forward_allocates_its_kept_arrays_and_one_tile():
     # the tape keeps the statistics and the cdf in full beside the output;
-    # the forward adds the normed and pre-activation tiles and the one x^2
-    # GELU block (measured 1.02 blocks beyond the rest)
+    # the forward adds one pre-activation tile of 448 rows, and its layer
+    # norm and GELU x^2 block take the output tile (measured 37 KB beyond
+    # the rest; 512-row tiles with their own normed tile and x^2 block
+    # measured 1.02 blocks beyond those)
     rng = np.random.default_rng(51)
     c, hidden = 96, 384
     x = Tensor(rng.normal(size=(1, 3136, c)).astype(np.float32), requires_grad=True)
@@ -1250,11 +1329,11 @@ def test_a_taped_residual_mlp_forward_allocates_its_kept_arrays_and_one_tile():
         return tape, out
 
     kept, peak = traced_bytes(forward)
-    m, rows = x.size // c, tensor_module._MLP_ROWS
+    m = x.size // c
+    rows = math.ceil(m / math.ceil(m / tensor_module._MLP_ROWS))
     held = (m * (hidden + 2) + x.size) * x.data.itemsize
-    scratch = (rows * (c + hidden) + min(rows * hidden, _BLOCK)) * x.data.itemsize
     assert kept <= held + 2 ** 16
-    assert peak <= held + scratch + 2 ** 18
+    assert peak <= held + rows * hidden * x.data.itemsize + 2 ** 16
 
 
 def test_residual_mlp_backward_allocates_no_hidden_size_array():
